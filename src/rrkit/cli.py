@@ -133,9 +133,12 @@ def load_scenario(path: str) -> Scenario:
                 f"{path}: factor {key!r} has {table.size} entries, expected {np.prod(shape)}")
         overrides[label] = table.reshape(shape)
     sampling = raw.get("sampling", {})
+    count = int(sampling.get("count", 50))
+    if count < 1:
+        raise ScenarioError(f"{path}: sampling count must be at least 1, got {count}")
     tol = raw.get("tol", {})
     return Scenario(form, sizes, overrides,
-                    count=int(sampling.get("count", 50)),
+                    count=count,
                     seed=int(sampling.get("seed", 0)),
                     tol_polytope=float(tol.get("polytope", TOL_POLYTOPE)),
                     tol_identity=float(tol.get("identity", TOL_IDENTITY)))
@@ -315,10 +318,19 @@ def cmd_compare(args) -> int:
 
 
 def _threads() -> int:
+    """Worker processes from RRK_THREADS: at least 1, at most the CPU count."""
     try:
-        return max(1, int(os.environ.get("RRK_THREADS", "1")))
+        wanted = int(os.environ.get("RRK_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
+
+
+def _sample_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 sample, got {n}")
+    return n
 
 
 def cmd_verify(args) -> int:
@@ -434,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a machine check")
     p.add_argument("check", choices=sorted(CHECKS))
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_sample_count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("union", help="sampled union approximation over inputs")
     add_scenario(p)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_sample_count, default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(fn=cmd_union)

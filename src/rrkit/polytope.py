@@ -2,8 +2,14 @@
 
 Rows are a.r <= b with rational coefficient vectors and floating bounds.
 Provides Fourier-Motzkin elimination, substitution, feasibility (point or
-free, decided by elimination over the exact coefficients), redundancy
-removal, containment with witness points, and 2-D vertex enumeration.
+free), redundancy removal, containment with witness points, and 2-D vertex
+enumeration.
+
+Questions about a 2-variable system (free feasibility, containment,
+implication, boundedness) are answered from one exact half-plane
+intersection of its rows; redundancy removal adds one more per facet row.
+Fourier-Motzkin elimination projects systems down to two variables and
+answers those questions for systems with any other number of variables.
 
 Coefficient arithmetic is exact (fractions.Fraction); every comparison
 against the floating bounds uses an absolute tolerance (default 1e-9).
@@ -11,10 +17,13 @@ against the floating bounds uses an absolute tolerance (default 1e-9).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 TOL = 1e-9
 
@@ -203,8 +212,9 @@ def _greedy_order(sys: InequalitySystem) -> list[str]:
 def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
     """Point given: every row satisfied within tol.  No point: any solution?
 
-    Free feasibility is decided by eliminating every variable on the exact
-    coefficients and checking the residual constant rows.
+    Free feasibility of a 2-variable system comes from its half-plane
+    intersection; any other system is decided by eliminating every variable
+    on the exact coefficients and checking the residual constant rows.
     """
     if point is not None:
         if len(point) != len(sys.variables):
@@ -213,6 +223,20 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
         return all(
             sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound + tol
             for r in sys.rows)
+    if len(sys.variables) == 2:
+        return _feasible_2d(sys, _plane_region(sys.rows), tol)
+    return _fm_feasible(sys, tol)
+
+
+def _feasible_2d(sys: InequalitySystem, region, tol: float) -> bool:
+    """Free feasibility as elimination decides it: exact at tol 0, while an
+    empty region can still pass elimination's tol-relaxed constant test."""
+    if region.edges and tol >= 0:
+        return True
+    return tol != 0 and _fm_feasible(sys, tol)
+
+
+def _fm_feasible(sys: InequalitySystem, tol: float) -> bool:
     cur = sys
     if _infeasible_constant(cur.rows, tol):
         return False
@@ -270,11 +294,13 @@ def negate_row(row: Halfspace, slack: float) -> Halfspace:
 def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySystem:
     """Minimal subsystem with the same solution set (input order preserved).
 
-    A row is dropped iff the remaining rows plus its negation relaxed by tol
-    are infeasible, i.e. the rest already imply it.  The probe feasibility is
-    decided exactly (threshold 0) so the relaxation slack is not cancelled by
-    the feasibility tolerance.
+    Rows are visited in order.  A row is dropped iff the remaining rows are
+    infeasible or keep its left side below ``bound + tol``, i.e. the rest
+    already imply it.  That is decided exactly (threshold 0) so the slack is
+    not cancelled by a feasibility tolerance.
     """
+    if len(sys.variables) == 2:
+        return _remove_redundant_2d(sys, tol)
     alive = list(sys.rows)
     i = 0
     while i < len(alive):
@@ -289,6 +315,8 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
 
 def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
     """Does every solution of sys satisfy the row (within tol slack)?"""
+    if len(sys.variables) == 2 == len(row.coeffs):
+        return _reach(_plane_region(sys.rows), row.coeffs, row.bound + tol) is None
     probe = InequalitySystem(sys.variables, sys.rows + (negate_row(row, tol),))
     return not lp_feasible(probe, tol=0.0)
 
@@ -296,12 +324,20 @@ def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
 def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL):
     """(True, None) if inner's solution set lies inside outer's.
 
-    On failure returns (False, witness) with a point feasible for inner but
-    violating some outer row.
+    On failure returns (False, witness) with a point feasible for inner that
+    violates some outer row by at least tol; over 2 variables it is the inner
+    vertex maximising that row.
     """
     if outer.variables != inner.variables:
         raise VariableMismatchError(
             f"systems over different variables: {outer.variables} vs {inner.variables}")
+    if len(inner.variables) == 2:
+        region = _plane_region(inner.rows)
+        for row in outer.rows:
+            witness = _reach(region, row.coeffs, row.bound + tol)
+            if witness is not None:
+                return False, witness
+        return True, None
     for row in outer.rows:
         probe = InequalitySystem(inner.variables, inner.rows + (negate_row(row, tol),))
         if lp_feasible(probe, tol=0.0):
@@ -325,6 +361,216 @@ def reorder(sys: InequalitySystem, variables) -> InequalitySystem:
     return InequalitySystem(variables, tuple(rows))
 
 
+# --- 2-variable systems: one exact half-plane intersection -------------------
+#
+# Each row becomes a line (p, q, beta): a primitive integer normal and its
+# bound scaled by the same positive factor, so the half-plane is unchanged.
+# Orientation tests are integer cross products.  Bounds enter decisions only
+# through _side, which trusts floating point where its error bound settles the
+# sign and otherwise redoes the sum exactly, reading each bound as the exact
+# binary fraction it stores.  Float vertex coordinates only rank candidate
+# vertices and skip those a proven error bound puts below a threshold.
+
+_BOX = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_SMALL = 1 << 20  # |p|, |q| below this: products of cross products with
+                  # float bounds round only once
+
+
+def _canon(coeffs, bound) -> tuple:
+    """The row as (p, q, beta) with gcd(p, q) = 1; (0, 0, bound) if constant."""
+    a, b = coeffs
+    bound = float(bound)
+    if a.denominator == 1 == b.denominator:
+        p, q, scale = int(a.numerator), int(b.numerator), 1
+    else:
+        scale = math.lcm(a.denominator, b.denominator)
+        p, q = int(a * scale), int(b * scale)
+    g = math.gcd(p, q)
+    if g == 0:
+        return 0, 0, bound
+    if g == 1 and scale == 1 and abs(p) < _SMALL > abs(q):
+        return p, q, bound
+    return p // g, q // g, Fraction(bound) * scale / g
+
+
+def _cross(a, b) -> int:
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _side(k, i, j) -> int:
+    """Sign of p*x + q*y - beta of line k at the meet of lines i and j."""
+    pi, qi, bi = i
+    pj, qj, bj = j
+    pk, qk, bk = k
+    cross_kj = pk * qj - qk * pj
+    cross_ik = pi * qk - qi * pk
+    det = pi * qj - qi * pj
+    if bi.__class__ is float is bj.__class__ is bk.__class__:
+        t1, t2, t3 = bi * cross_kj, bj * cross_ik, bk * det
+        s = t1 + t2 - t3
+        err = 1e-15 * (abs(t1) + abs(t2) + abs(t3))
+        if abs(s) > err + 1e-300 or not (t1 or t2 or t3):
+            return ((s > 0) - (s < 0)) * (1 if det > 0 else -1)
+    s = Fraction(bi) * cross_kj + Fraction(bj) * cross_ik - Fraction(bk) * det
+    return ((s > 0) - (s < 0)) * (1 if det > 0 else -1)
+
+
+def _meet(i, j) -> tuple[float, float]:
+    pi, qi, bi = i
+    pj, qj, bj = j
+    det = pi * qj - qi * pj
+    return float(bi * qj - qi * bj) / det + 0.0, float(pi * bj - bi * pj) / det + 0.0
+
+
+def _by_angle(dirs) -> list:
+    """Integer directions sorted counterclockwise from angle 0, exactly."""
+    lower = lambda d: d[1] < 0 or (d[1] == 0 and d[0] < 0)
+    order = lambda a, b: (lower(a) - lower(b)) or -_cross(a, b)
+    return sorted(dirs, key=functools.cmp_to_key(order))
+
+
+def _rays(dirs) -> list:
+    """Generators of the cone {d : n.d <= 0 for every normal n in dirs}.
+
+    ``dirs`` are distinct and sorted by angle.  Where the turn from one
+    normal to the next is pi or more, the cone opens into that gap, with its
+    edges at right angles to those two normals.
+    """
+    if len(dirs) < 2:
+        return [(-q, p) for p, q in dirs] + [(q, -p) for p, q in dirs] + \
+            ([(-p, -q) for p, q in dirs] or list(_BOX))
+    out = []
+    for n, m in zip(dirs, dirs[1:] + dirs[:1]):
+        turn = _cross(n, m)
+        if turn < 0 or (turn == 0 and n[0] * m[0] + n[1] * m[1] < 0):
+            out += [(-n[1], n[0]), (m[1], -m[0])]
+    return out
+
+
+def _intersect(lines) -> list:
+    """Edge lines of the intersection, counterclockwise, or [] when empty.
+
+    ``lines`` has one line per direction, sorted by angle, with every gap
+    between neighbours below pi (the box sides see to that).  Preparata and
+    Shamos' sort-by-angle intersection with a double-ended queue.
+    """
+    dq: deque = deque()
+    for h in lines:
+        while len(dq) > 1 and _side(h, dq[-2], dq[-1]) > 0:
+            dq.pop()
+        while len(dq) > 1 and _side(h, dq[0], dq[1]) > 0:
+            dq.popleft()
+        if dq and _cross(dq[-1], h) <= 0:
+            return []
+        dq.append(h)
+    while len(dq) > 2 and _side(dq[0], dq[-2], dq[-1]) > 0:
+        dq.pop()
+    while len(dq) > 2 and _side(dq[-1], dq[0], dq[1]) > 0:
+        dq.popleft()
+    if len(dq) < 3 or _cross(dq[-1], dq[0]) <= 0:
+        return []
+    return list(dq)
+
+
+class _Region(NamedTuple):
+    edges: list   # edge lines counterclockwise, box sides included; [] if empty
+    points: list  # points[t]: float meet of edges[t] and edges[t + 1]
+    facets: set   # edge lines whose edge has positive length
+    rays: list    # integer generators of the recession cone; [] if bounded
+    err: float    # float error of p*x + q*y at a point, per unit of |p| + |q|
+
+
+def _plane_region(rows) -> _Region:
+    return _region([_canon(r.coeffs, r.bound) for r in rows])
+
+
+def _region(lines) -> _Region:
+    """Intersect lines (p, q, beta) once, inside a box too large to cut a vertex.
+
+    Any vertex solves two rows with integer normals, so its coordinates are
+    at most 2 * max|p, q| * max|beta|; the box sides sit at twice that.  A
+    region with recession directions is unbounded, and its box vertices are
+    real points of it.
+    """
+    tight: dict = {}
+    consistent = True
+    for p, q, beta in lines:
+        if p == 0 == q:
+            consistent = consistent and beta >= 0
+        elif beta < tight.get((p, q), math.inf):
+            tight[(p, q)] = beta
+    real = set(tight)
+    big = max((max(abs(p), abs(q)) for p, q in real), default=1)
+    side = 4.0 * big * max((abs(float(b)) for b in tight.values()), default=0.0) + 1.0
+    for d in _BOX:
+        tight.setdefault(d, side)
+    dirs = _by_angle(tight)
+    rays = _rays([d for d in dirs if d in real])
+    edges = _intersect([(p, q, tight[(p, q)]) for p, q in dirs]) if consistent else []
+    # An edge has positive length iff its first vertex is strictly inside the
+    # next edge line; _intersect leaves no vertex outside it.
+    facets = {e for t, e in enumerate(edges)
+              if _side(edges[(t + 1) % len(edges)], edges[t - 1], e) < 0}
+    points = [_meet(e, edges[(t + 1) % len(edges)]) for t, e in enumerate(edges)]
+    return _Region(edges, points, facets, rays, 1e-14 * big * side)
+
+
+def _reach(region: _Region, coeffs, bound: float):
+    """A point [x, y] of the region with coeffs.(x, y) >= bound, or None.
+
+    Decided exactly.  The point is the vertex maximising coeffs.(x, y), or,
+    when the region is unbounded that way, a vertex moved along the ray.
+    """
+    if not region.edges:
+        return None
+    p, q, t = _canon(coeffs, bound)
+    points = region.points
+    for dx, dy in region.rays:
+        gain = p * dx + q * dy
+        if gain > 0:
+            x, y = points[0]
+            step = max(0.0, float(t - (p * x + q * y)) / gain) + 1.0
+            return [x + step * dx, y + step * dy]
+    if p == 0 == q:
+        return list(points[0]) if t <= 0 else None
+    values = [p * x + q * y for x, y in points]
+    floor = t - (abs(p) + abs(q)) * region.err
+    edges, k = region.edges, len(points)
+    for i in sorted(range(k), key=values.__getitem__, reverse=True):
+        if values[i] < floor:
+            break
+        if _side((p, q, t), edges[i], edges[(i + 1) % k]) >= 0:
+            return list(points[i])
+    return None
+
+
+def _remove_redundant_2d(sys: InequalitySystem, tol: float) -> InequalitySystem:
+    """remove_redundant's greedy rule from one intersection per facet row.
+
+    While the region of the remaining rows is full-dimensional, dropping a
+    row that is not the only copy of one of its facets leaves the region as
+    it is, so only those facet rows need the rest intersected again.
+    """
+    rows = sys.rows
+    lines = [_canon(r.coeffs, r.bound) for r in rows]
+    copies = Counter(lines)
+    alive = list(range(len(rows)))
+    region = _region(lines)
+    i = 0
+    while i < len(alive):
+        j = alive[i]
+        rest = alive[:i] + alive[i + 1:]
+        unchanged = len(region.facets) >= 3 and (
+            lines[j] not in region.facets or copies[lines[j]] > 1)
+        sub = region if unchanged else _region([lines[k] for k in rest])
+        if _reach(sub, rows[j].coeffs, rows[j].bound + tol) is None:
+            alive, region = rest, sub
+            copies[lines[j]] -= 1
+        else:
+            i += 1
+    return sys.with_rows(rows[k] for k in alive)
+
+
 @dataclass(frozen=True)
 class Polytope2D:
     """Counterclockwise vertex list of a bounded 2-D region."""
@@ -332,24 +578,15 @@ class Polytope2D:
     vertices: tuple[tuple[float, float], ...]
     kind: str  # empty | point | segment | polygon
 
-    def contains_point(self, sys: InequalitySystem, tol: float = TOL) -> bool:
-        return all(lp_feasible(sys, point=v, tol=tol) for v in self.vertices)
-
-
-def _is_bounded_2d(sys: InequalitySystem, tol: float) -> bool:
-    """No nonzero recession direction (requires the nonnegativity rows present)."""
-    rows = [Halfspace(r.coeffs, 0.0, r.label) for r in sys.rows]
-    rows.append(Halfspace((Fraction(-1), Fraction(-1)), -1.0, "ray"))
-    return not lp_feasible(InequalitySystem(sys.variables, tuple(rows)), tol=tol)
-
 
 def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
     """Enumerate vertices of a bounded 2-variable system, counterclockwise."""
     if len(sys.variables) != 2:
         raise VariableMismatchError(f"vertices2d needs 2 variables, got {sys.variables}")
-    if not lp_feasible(sys, tol=tol):
+    region = _plane_region(sys.rows)
+    if not _feasible_2d(sys, region, tol):
         return Polytope2D((), "empty")
-    if not _is_bounded_2d(sys, tol):
+    if region.rays:
         raise UnboundedRegionError("region is unbounded; cannot enumerate vertices")
     pts: list[tuple[float, float]] = []
     rows = sys.rows

@@ -278,3 +278,45 @@ def test_rrk_threads_parallel_verify(tmp_path, monkeypatch):
     assert main(["verify", "binning", "--samples", "4", "--seed", "2",
                  "--out", str(rep_par)]) == 0
     assert rep_seq.read_text() == rep_par.read_text()
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_vacuous_sample_count(samples, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm4", "--samples", samples, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "at least 1 sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_union_rejects_vacuous_sample_count(samples, hk_scenario, tmp_path, capsys):
+    out = tmp_path / "union.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["union", hk_scenario, "--family", "hod", "--samples", samples,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "at least 1 sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_union_rejects_empty_scenario_count(tmp_path, capsys):
+    scenario = write_scenario(tmp_path / "none.json", count=0)
+    out = tmp_path / "union.json"
+    assert main(["union", scenario, "--family", "hod", "--out", str(out)]) == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env, cpus, expected", [
+    (None, 8, 1), ("1", 8, 1), ("4", 8, 4), ("0", 8, 1), ("-3", 8, 1),
+    ("many", 8, 1), ("1000000", 8, 8), ("1000000", 2, 2), ("3", None, 1)])
+def test_threads_clamped_to_cpu_count(env, cpus, expected, monkeypatch):
+    from rrkit import cli
+    if env is None:
+        monkeypatch.delenv("RRK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RRK_THREADS", env)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._threads() == expected

@@ -212,6 +212,11 @@ def test_vertices_unbounded_raises():
                [make_row((0, 1), 1.0, "y-only")] + nonnegativity_rows(("R1", "R2")))
     with pytest.raises(UnboundedRegionError):
         vertices2d(s)
+    # open only towards -R1, where every recession direction has d1 + d2 <= 0
+    s = system(("R1", "R2"), [make_row((1, 0), 1.0, "x<=1"), make_row((0, 1), 1.0, "y<=1"),
+                              make_row((0, -1), 0.0, "y>=0")])
+    with pytest.raises(UnboundedRegionError):
+        vertices2d(s)
 
 
 def test_convex_hull_basic():
