@@ -3,6 +3,12 @@
 Conditional quantities are computed as entropy differences (base-2 logs,
 0 log 0 = 0).  Round-off can leave values in [-1e-12, 0); they are clamped
 to 0 only at the reporting boundary, never inside intermediate sums.
+
+Each subset entropy H(S) is computed once per joint: the first request
+marginalises the full table onto S and stores the float in the joint's own
+memo (keyed by the frozenset of names, so the order of S does not matter);
+later requests for the same S on the same joint read it back.  A hit returns
+exactly the float a recomputation would.
 """
 
 from __future__ import annotations
@@ -18,9 +24,13 @@ NEG_TOL = 1e-12
 
 
 def _plain_entropy(d: JointDistribution, names) -> float:
-    p = marginalize(d, set(names)).table.ravel()
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+    key = frozenset(names)
+    h = d._entropies.get(key)
+    if h is None:
+        p = marginalize(d, key).table.ravel()
+        p = p[p > 0.0]
+        h = d._entropies[key] = float(-np.sum(p * np.log2(p)))
+    return h
 
 
 def entropy(d: JointDistribution, vars, given=()) -> float:

@@ -10,17 +10,21 @@ Dense probability tables over a small set of named variables
 - channel embedding p(y1,y2|x1,x2).
 
 Tables are numpy arrays indexed by the variables in a fixed order; all
-values are immutable after construction.
+values are immutable after construction.  A joint is at most ``MAX_CELLS``
+cells: ``sample_factors`` and ``compose`` refuse larger alphabets before they
+allocate any table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SUM_TOL = 1e-12          # probability mass checks
 FACTORIZATION_TOL = 1e-9  # conditional-independence checks
+MAX_CELLS = 2**22         # largest joint table: 32 MiB of float64
 
 KNOWN_NAMES = ("Q", "U1", "W1", "U2", "W2", "X1", "X2", "Y1", "Y2", "U1a", "U1b")
 
@@ -124,7 +128,15 @@ FORMS: dict[str, FactorizationSpec] = {
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Dense joint probability table over named finite variables."""
+    """Dense joint probability table over named finite variables.
+
+    Each joint carries a private memo ``_entropies`` of subset entropies in
+    bits, keyed by the frozenset of variable names and filled by
+    ``measures``.  It is not a dataclass field, so the generated ``__eq__``
+    and ``repr`` do not see it, and every new joint (including those
+    returned by ``marginalize``, ``condition`` and ``compose``) starts with
+    an empty one.
+    """
 
     variables: tuple[Variable, ...]
     table: np.ndarray = field(repr=False)
@@ -145,6 +157,7 @@ class JointDistribution:
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
+        object.__setattr__(self, "_entropies", {})
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -173,6 +186,19 @@ def _normalize_conditional(table: np.ndarray, n_given_axes: int) -> np.ndarray:
     return t
 
 
+def _check_cells(spec: FactorizationSpec, sizes: dict[str, int]) -> None:
+    """Refuse a joint over ``spec`` larger than ``MAX_CELLS``, before allocating."""
+    for name in spec.variables:
+        if name not in sizes:
+            raise ModelError(f"no alphabet size for {name}")
+    cells = math.prod(sizes[n] for n in spec.variables)
+    if cells > MAX_CELLS:
+        raise ModelError(
+            f"{spec.form} joint would have {cells} cells "
+            f"({', '.join(f'{n}={sizes[n]}' for n in spec.variables)}); "
+            f"the limit is {MAX_CELLS}")
+
+
 def compose(factors: list[np.ndarray], spec: FactorizationSpec,
             sizes: dict[str, int]) -> JointDistribution:
     """Multiply a chain of conditional tables into the full joint.
@@ -182,10 +208,8 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
     """
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
+    _check_cells(spec, sizes)
     order = spec.variables
-    for name in order:
-        if name not in sizes:
-            raise ModelError(f"no alphabet size for {name}")
     shape = tuple(sizes[n] for n in order)
     joint = np.ones(shape)
     pos = {n: i for i, n in enumerate(order)}
@@ -293,6 +317,7 @@ def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
     ``overrides`` maps factor labels (e.g. "p(W1|Q)") to fixed tables; the
     stream position does not depend on which factors are overridden.
     """
+    _check_cells(spec, sizes)
     rng = stream(seed, index)
     factors = []
     for f in spec.factors:

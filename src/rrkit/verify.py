@@ -32,7 +32,7 @@ from . import regions
 from .measures import eval_terms
 from .polytope import (InequalitySystem, contains, fm_eliminate, implies,
                        lp_feasible, remove_redundant)
-from .prob import FORMS, compose, sample_factors, stream
+from .prob import FORMS, _uniform_simplex, compose, sample_factors, stream
 
 TOL_IDENTITY = 1e-12
 TOL_POLYTOPE = 1e-9
@@ -132,6 +132,8 @@ def _witness_deviation(sys: InequalitySystem, point) -> float:
 
 def _merge(check: str, samples: int, seed: int, tolerances: dict, results,
            details: dict | None = None) -> RegionReport:
+    """Fold per-sample results into one report; each ``aggregate`` entry
+    becomes details[key][name] = the largest value seen over the samples."""
     verdicts, failures, divergences, devs = [], [], [], [0.0]
     extra: dict = details or {}
     for res in results:
@@ -144,7 +146,7 @@ def _merge(check: str, samples: int, seed: int, tolerances: dict, results,
         for key, val in res.get("aggregate", {}).items():
             bucket = extra.setdefault(key, {})
             for name, v in val.items():
-                bucket[name] = max(bucket.get(name, 0.0), v)
+                bucket[name] = max(bucket[name], v) if name in bucket else v
     if divergences:
         extra["infeasible_source"] = {"count": len(divergences),
                                       "witnesses": divergences}
@@ -446,27 +448,22 @@ def _superposition_factors(sizes: dict[str, int], seed: int, index: int):
     rng = stream(seed, index)
     q, w1, x1, w2, x2 = (sizes[n] for n in ("Q", "W1", "X1", "W2", "X2"))
     y1, y2 = sizes["Y1"], sizes["Y2"]
-
-    def simplex(shape, given_axes):
-        e = -np.log1p(-rng.random(shape))
-        s = e.sum(axis=tuple(range(given_axes, len(shape))), keepdims=True)
-        return e / s
-
-    pq = simplex((q,), 0)
-    pw1 = simplex((q, w1), 1)
-    raw1 = simplex((q, w1, x1 // w1), 2)  # weights within each class x % w1 == w
+    pq = _uniform_simplex(rng, (q,), 0)
+    pw1 = _uniform_simplex(rng, (q, w1), 1)
+    # weights within each class x % w1 == w
+    raw1 = _uniform_simplex(rng, (q, w1, x1 // w1), 2)
     px1 = np.zeros((q, w1, x1))
     for qq in range(q):
         for w in range(w1):
             for j in range(x1 // w1):
                 px1[qq, w, j * w1 + w] = raw1[qq, w, j]
-    pw2 = simplex((q, w1, x1, w2), 3)
-    raw2 = simplex((q, w2, w1, x1, x2 // w2), 4)
+    pw2 = _uniform_simplex(rng, (q, w1, x1, w2), 3)
+    raw2 = _uniform_simplex(rng, (q, w2, w1, x1, x2 // w2), 4)
     px2 = np.zeros((q, w2, w1, x1, x2))
     for idx in np.ndindex(q, w2, w1, x1):
         for j in range(x2 // w2):
             px2[idx + (j * w2 + idx[1],)] = raw2[idx + (j,)]
-    ker = simplex((x1, x2, y1, y2), 2)
+    ker = _uniform_simplex(rng, (x1, x2, y1, y2), 2)
     return [pq, pw1, px1, pw2, px2, ker]
 
 

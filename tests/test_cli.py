@@ -317,6 +317,16 @@ def test_union_rejects_empty_scenario_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_union_rejects_oversized_alphabets(tmp_path, capsys):
+    scenario = write_scenario(tmp_path / "huge.json", form="hod9",
+                              extra={"alphabets": {"Q": 64, "W1": 64, "U1": 64}})
+    out = tmp_path / "union.json"
+    assert main(["union", scenario, "--family", "hod", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "invalid model" in err and "16777216 cells" in err and "limit" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("env, cpus, expected", [
     (None, 8, 1), ("1", 8, 1), ("4", 8, 4), ("0", 8, 1), ("-3", 8, 1),
     ("many", 8, 1), ("1000000", 8, 8), ("1000000", 2, 2), ("3", None, 1)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from rrkit.measures import InfoTerm, clamp, cmi, entropy, eval_term, eval_terms
-from rrkit.prob import FORMS, sample_distribution, stream
+from rrkit.prob import FORMS, condition, marginalize, sample_distribution, stream
 
 from conftest import binary_sizes, compose_form, delta, uniform_factors
 
@@ -137,3 +138,71 @@ def test_subadditivity():
         d = sample_distribution(FORMS["hod9"], sizes, seed=303, index=i)
         assert (entropy(d, ("Y1", "Y2")) <=
                 entropy(d, ("Y1",)) + entropy(d, ("Y2",)) + 1e-12)
+
+
+# --- per-joint memo of subset entropies --------------------------------------
+
+_MEMO_CASES = [("hod9", "hod_constants", 1001), ("dmt5", "dmt_constants", 1003),
+               ("rtd7", "rtd_constants", 1005), ("hod12", "hod1_constants", 1002)]
+
+
+def _memo_free_entropy(d, names) -> float:
+    """Reference: marginalise and sum on every call, no memo."""
+    p = marginalize(d, set(names)).table.ravel()
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def _draw_binary(form, seed, index):
+    return sample_distribution(FORMS[form], binary_sizes(form, q=1 + index % 2),
+                               seed=seed, index=index)
+
+
+@pytest.mark.parametrize("form, fn, seed", _MEMO_CASES)
+def test_memoised_constants_bitwise_equal_memo_free(form, fn, seed, monkeypatch):
+    from rrkit import measures, regions
+    for i in range(6):
+        memoised = getattr(regions, fn)(_draw_binary(form, seed, i))
+        with monkeypatch.context() as m:
+            m.setattr(measures, "_plain_entropy", _memo_free_entropy)
+            reference = getattr(regions, fn)(_draw_binary(form, seed, i))
+        assert memoised.values == reference.values, (form, i)
+
+
+def test_entropy_memo_ignores_name_order():
+    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=4)
+    h = entropy(d, ("U1", "W1"))
+    assert entropy(d, ("W1", "U1")) == h
+    assert d._entropies == {frozenset(("U1", "W1")): h}
+    fresh = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=4)
+    assert entropy(fresh, ("W1", "U1")) == h
+
+
+def test_derived_joints_do_not_share_memo():
+    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=4)
+    entropy(d, ("Q", "W1"))
+    for child in (marginalize(d, d.names), marginalize(d, ("Q", "W1", "U1")),
+                  condition(d, {"Q": 0})):
+        assert child._entropies == {}
+        entropy(child, ("W1",))
+        assert frozenset(("W1",)) not in d._entropies
+    assert "_entropies" not in {f.name for f in dataclasses.fields(d)}
+    assert repr(d) == repr(marginalize(d, d.names))
+
+
+def test_hod_constants_marginalise_once_per_subset(monkeypatch):
+    from rrkit import measures, regions
+    seen = []
+
+    def counting(d, keep):
+        seen.append(frozenset(keep))
+        return marginalize(d, keep)
+
+    monkeypatch.setattr(measures, "marginalize", counting)
+    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=1001, index=3)
+    first = regions.hod_constants(d)
+    assert seen and len(seen) == len(set(seen))
+    assert set(d._entropies) == set(seen)
+    n = len(seen)
+    assert regions.hod_constants(d) == first
+    assert len(seen) == n

@@ -185,6 +185,24 @@ def test_sample_permutation_still_factorizes():
     assert ok, worst
 
 
+def test_oversized_alphabets_rejected_before_allocating():
+    import tracemalloc
+    from rrkit.prob import MAX_CELLS
+    sizes = dict(binary_sizes("hod9"), Q=64, W1=64, U1=64)  # 2**24 cells
+    spec = FORMS["hod9"]
+    placeholders = [np.ones(1)] * len(spec.factors)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match=f"16777216 cells.*limit is {MAX_CELLS}"):
+            sample_factors(spec, sizes, seed=1)
+        with pytest.raises(ModelError, match="16777216 cells"):
+            compose(placeholders, spec, sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def _pre_channel(seed=13):
     sizes = binary_sizes("hod9", q=1)
     factors = sample_factors(FORMS["hod9"], sizes, seed=seed)

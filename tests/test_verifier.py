@@ -49,6 +49,15 @@ def test_corollary2_and_4_check_passes():
     assert r.details["orderings"]["D1-G1"] <= 1e-12
 
 
+def test_merge_reports_negative_margins():
+    # D1 < G1 and E2 < G2 strictly on these draws: the worst margin is
+    # negative, not floored at 0.0
+    r = V.run_check("corollary2-4", 12, 7)
+    assert r.passed and r.max_deviation == 0.0
+    assert r.details["orderings"]["D1-G1"] < 0
+    assert r.details["orderings"]["E2-G2"] < 0
+
+
 def test_corollary2_rows_can_fail_outside_reduced_family():
     # on a general-form input some listed row is typically not redundant;
     # that is expected behaviour, recorded rather than asserted
