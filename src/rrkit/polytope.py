@@ -1,6 +1,7 @@
 """Linear inequality systems over rate variables, with exact coefficients.
 
-Rows are a.r <= b with rational coefficient vectors and floating bounds.
+Rows are a.r <= b with primitive integer coefficient vectors (gcd 1) and
+floating bounds.
 Provides Fourier-Motzkin elimination, substitution, feasibility (point or
 free), redundancy removal, containment with witness points, and 2-D vertex
 enumeration.
@@ -11,8 +12,11 @@ intersection of its rows; redundancy removal adds one more per facet row.
 Fourier-Motzkin elimination projects systems down to two variables and
 answers those questions for systems with any other number of variables.
 
-Coefficient arithmetic is exact (fractions.Fraction); every comparison
-against the floating bounds uses an absolute tolerance (default 1e-9).
+Coefficient arithmetic is exact integer arithmetic: rational input (floats or
+fractions.Fraction) is scaled to primitive integers when a row is built, and
+Fraction remains only where a floating bound must be compared exactly.  Every
+comparison against the floating bounds uses an absolute tolerance (default
+1e-9).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import NamedTuple
 
 TOL = 1e-9
 
-Coeffs = tuple[Fraction, ...]
+Coeffs = tuple[int, ...]
 
 
 class VariableMismatchError(ValueError):
@@ -47,24 +51,28 @@ class Halfspace:
     label: str = ""
 
     def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
 
-def _primitive(coeffs: Coeffs, bound: float) -> tuple[Coeffs, float]:
-    """Scale so coefficients are integers with gcd 1 (direction preserved)."""
-    nonzero = [c for c in coeffs if c != 0]
-    if not nonzero:
-        return coeffs, bound
-    denom_lcm = math.lcm(*(c.denominator for c in nonzero))
-    num_gcd = math.gcd(*(abs(c.numerator) for c in nonzero))
-    factor = Fraction(denom_lcm, num_gcd)
-    if factor == 1:
-        return coeffs, bound
-    return tuple(c * factor for c in coeffs), bound * float(factor)
+def _primitive(coeffs, bound: float) -> tuple[Coeffs, float]:
+    """Scale to integers with gcd 1 (direction preserved).
+
+    The bound is multiplied by the float of the exact factor, so int rows and
+    the same rows given as rationals get bitwise equal bounds.
+    """
+    if all(c.__class__ is int for c in coeffs):
+        g = math.gcd(*coeffs)
+        if g <= 1:
+            return coeffs, bound
+        return tuple(c // g for c in coeffs), bound * float(Fraction(1, g))
+    exact = [Fraction(c) for c in coeffs]
+    factor = Fraction(math.lcm(*(c.denominator for c in exact)),
+                      math.gcd(*(c.numerator for c in exact)) or 1)
+    return tuple(int(c * factor) for c in exact), bound * float(factor)
 
 
 def make_row(coeffs, bound: float, label: str = "") -> Halfspace:
-    c, b = _primitive(tuple(Fraction(x) for x in coeffs), float(bound))
+    c, b = _primitive(tuple(coeffs), float(bound))
     return Halfspace(c, b, label)
 
 
@@ -91,23 +99,6 @@ class InequalitySystem:
         except ValueError:
             raise VariableMismatchError(f"no variable {var!r} in {self.variables}") from None
 
-    def describe(self) -> str:
-        lines = []
-        for r in self.rows:
-            parts = []
-            for c, v in zip(r.coeffs, self.variables):
-                if c == 0:
-                    continue
-                if c == 1:
-                    parts.append(f"+ {v}")
-                elif c == -1:
-                    parts.append(f"- {v}")
-                else:
-                    parts.append(f"{'+' if c > 0 else '-'} {abs(c)}*{v}")
-            lhs = " ".join(parts) if parts else "0"
-            lines.append(f"{lhs} <= {r.bound:.12g}   [{r.label}]")
-        return "\n".join(lines)
-
 
 def system(variables, rows) -> InequalitySystem:
     return InequalitySystem(tuple(variables), tuple(rows))
@@ -119,8 +110,8 @@ def nonnegativity_rows(variables, subset=None) -> list[Halfspace]:
     for i, v in enumerate(variables):
         if subset is not None and v not in subset:
             continue
-        coeffs = [Fraction(0)] * len(variables)
-        coeffs[i] = Fraction(-1)
+        coeffs = [0] * len(variables)
+        coeffs[i] = -1
         out.append(Halfspace(tuple(coeffs), 0.0, f"{v}>=0"))
     return out
 
@@ -157,7 +148,7 @@ def fm_eliminate(sys: InequalitySystem, var: str, merge: bool = True) -> Inequal
         else:
             keep.append(r)
     drop = lambda cs: cs[:k] + cs[k + 1:]
-    new_rows = [Halfspace(drop(r.coeffs), r.bound, r.label) for r in keep]
+    new_rows = [Halfspace(*_primitive(drop(r.coeffs), r.bound), r.label) for r in keep]
     for up in uppers:
         cu = up.coeffs[k]
         for lo in lowers:
@@ -171,10 +162,12 @@ def fm_eliminate(sys: InequalitySystem, var: str, merge: bool = True) -> Inequal
     return InequalitySystem(drop(sys.variables), tuple(new_rows))
 
 
-def substitute(sys: InequalitySystem, var: str, expr: dict[str, Fraction]) -> InequalitySystem:
+def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
     """Rewrite every row with ``var := sum expr[v] * v`` (exact, row by row).
 
-    New variables named in ``expr`` are appended to the system in order.
+    ``expr`` values are ints or exact rationals; each rewritten row is scaled
+    to primitive integers.  New variables named in ``expr`` are appended to
+    the system in order.
     """
     k = sys.index(var)
     new_vars = list(sys.variables[:k] + sys.variables[k + 1:])
@@ -186,9 +179,9 @@ def substitute(sys: InequalitySystem, var: str, expr: dict[str, Fraction]) -> In
         c = r.coeffs[k]
         out = {v: r.coeffs[i] for i, v in enumerate(sys.variables) if v != var}
         for v, e in expr.items():
-            out[v] = out.get(v, Fraction(0)) + c * Fraction(e)
-        rows.append(Halfspace(tuple(out.get(v, Fraction(0)) for v in new_vars),
-                              r.bound, r.label))
+            out[v] = out.get(v, 0) + c * e
+        coeffs, bound = _primitive(tuple(out.get(v, 0) for v in new_vars), r.bound)
+        rows.append(Halfspace(coeffs, bound, r.label))
     return InequalitySystem(tuple(new_vars), tuple(rows))
 
 
@@ -378,13 +371,12 @@ _SMALL = 1 << 20  # |p|, |q| below this: products of cross products with
 
 def _canon(coeffs, bound) -> tuple:
     """The row as (p, q, beta) with gcd(p, q) = 1; (0, 0, bound) if constant."""
-    a, b = coeffs
+    p, q = coeffs
     bound = float(bound)
-    if a.denominator == 1 == b.denominator:
-        p, q, scale = int(a.numerator), int(b.numerator), 1
-    else:
-        scale = math.lcm(a.denominator, b.denominator)
-        p, q = int(a * scale), int(b * scale)
+    scale = 1
+    if p.__class__ is not int or q.__class__ is not int:  # rationals given directly
+        scale = math.lcm(p.denominator, q.denominator)
+        p, q = int(p * scale), int(q * scale)
     g = math.gcd(p, q)
     if g == 0:
         return 0, 0, bound

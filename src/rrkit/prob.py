@@ -11,8 +11,8 @@ Dense probability tables over a small set of named variables
 
 Tables are numpy arrays indexed by the variables in a fixed order; all
 values are immutable after construction.  A joint is at most ``MAX_CELLS``
-cells: ``sample_factors`` and ``compose`` refuse larger alphabets before they
-allocate any table.
+cells: ``sample_factors``, ``compose`` and ``embed_channel`` refuse larger
+alphabets before they allocate any table.
 """
 
 from __future__ import annotations
@@ -126,16 +126,16 @@ FORMS: dict[str, FactorizationSpec] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Dense joint probability table over named finite variables.
 
-    Each joint carries a private memo ``_entropies`` of subset entropies in
-    bits, keyed by the frozenset of variable names and filled by
-    ``measures``.  It is not a dataclass field, so the generated ``__eq__``
-    and ``repr`` do not see it, and every new joint (including those
-    returned by ``marginalize``, ``condition`` and ``compose``) starts with
-    an empty one.
+    Two joints are equal when their variables and tables are exactly equal;
+    joints are unhashable.  Each joint carries a private memo ``_entropies``
+    of subset entropies in bits, keyed by the frozenset of variable names and
+    filled by ``measures``.  It is not a dataclass field, so ``__eq__`` and
+    ``repr`` do not see it, and every new joint (including those returned by
+    ``marginalize``, ``condition`` and ``compose``) starts with an empty one.
     """
 
     variables: tuple[Variable, ...]
@@ -158,6 +158,11 @@ class JointDistribution:
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "_entropies", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.variables == other.variables and np.array_equal(self.table, other.table)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -186,16 +191,16 @@ def _normalize_conditional(table: np.ndarray, n_given_axes: int) -> np.ndarray:
     return t
 
 
-def _check_cells(spec: FactorizationSpec, sizes: dict[str, int]) -> None:
-    """Refuse a joint over ``spec`` larger than ``MAX_CELLS``, before allocating."""
-    for name in spec.variables:
+def _check_cells(what: str, names, sizes: dict[str, int]) -> None:
+    """Refuse a joint over ``names`` larger than ``MAX_CELLS``, before allocating."""
+    for name in names:
         if name not in sizes:
             raise ModelError(f"no alphabet size for {name}")
-    cells = math.prod(sizes[n] for n in spec.variables)
+    cells = math.prod(sizes[n] for n in names)
     if cells > MAX_CELLS:
         raise ModelError(
-            f"{spec.form} joint would have {cells} cells "
-            f"({', '.join(f'{n}={sizes[n]}' for n in spec.variables)}); "
+            f"{what} joint would have {cells} cells "
+            f"({', '.join(f'{n}={sizes[n]}' for n in names)}); "
             f"the limit is {MAX_CELLS}")
 
 
@@ -208,7 +213,7 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
     """
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
-    _check_cells(spec, sizes)
+    _check_cells(spec.form, spec.variables, sizes)
     order = spec.variables
     shape = tuple(sizes[n] for n in order)
     joint = np.ones(shape)
@@ -317,7 +322,7 @@ def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
     ``overrides`` maps factor labels (e.g. "p(W1|Q)") to fixed tables; the
     stream position does not depend on which factors are overridden.
     """
-    _check_cells(spec, sizes)
+    _check_cells(spec.form, spec.variables, sizes)
     rng = stream(seed, index)
     factors = []
     for f in spec.factors:
@@ -379,8 +384,10 @@ def embed_channel(d: JointDistribution, ch: ChannelModel) -> JointDistribution:
         raise ModelError(
             f"channel inputs {ch.input_sizes} do not match X alphabets "
             f"{(d.variables[a1].size, d.variables[a2].size)}")
+    y1, y2 = ch.output_sizes
+    sizes = {v.name: v.size for v in d.variables} | {"Y1": y1, "Y2": y2}
+    _check_cells("channel-embedded", tuple(sizes), sizes)
     letters = "abcdefghijklmnop"
     subs = letters[:len(d.variables)]
     out = np.einsum(f"{subs},{subs[a1]}{subs[a2]}yz->{subs}yz", d.table, ch.kernel)
-    y1, y2 = ch.output_sizes
     return JointDistribution(d.variables + (Variable("Y1", y1), Variable("Y2", y2)), out)

@@ -11,7 +11,7 @@ plus builders for every catalogued inequality description (quadruple systems,
 the 20- and 11-row rate-pair systems, the 37-row intermediate list, and the
 pre-binning budget system whose projection reproduces the user-2 rows).
 
-Constants are floats in bits; inequality coefficients are exact rationals.
+Constants are floats in bits; inequality coefficients are primitive integers.
 """
 
 from __future__ import annotations
@@ -525,15 +525,14 @@ def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
     """
     from . import polytope as _p
 
-    one = Fraction(1)
     if set(sys.variables) == set(_QUAD_VARS):
-        s = _p.substitute(sys, "S1", {"R1": one, "T1": -one})
-        s = _p.substitute(s, "S2", {"R2": one, "T2": -one})
+        s = _p.substitute(sys, "S1", {"R1": 1, "T1": -1})
+        s = _p.substitute(s, "S2", {"R2": 1, "T2": -1})
         for var in ("T1", "T2"):
             s = _p.fm_eliminate(s, var)
     elif set(sys.variables) == set(_RTD_VARS):
-        s = _p.substitute(sys, "S1a", {"R1": one, "T1": -one, "S1b": -one})
-        s = _p.substitute(s, "S2", {"R2": one, "T2": -one})
+        s = _p.substitute(sys, "S1a", {"R1": 1, "T1": -1, "S1b": -1})
+        s = _p.substitute(s, "S2", {"R2": 1, "T2": -1})
         for var in ("T1", "S1b", "T2"):
             s = _p.fm_eliminate(s, var)
     else:

@@ -1,8 +1,11 @@
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrkit.polytope import (Halfspace, UnboundedRegionError,
                             VariableMismatchError, contains, convex_hull,
@@ -230,7 +233,83 @@ def test_coefficients_stay_exact():
                 ((0, -1, 2), 0.25, "t"))
     out = fm_eliminate(s, "a")
     for r in out.rows:
-        assert all(isinstance(c, Fraction) for c in r.coeffs)
+        assert all(type(c) is int for c in r.coeffs)
+        assert math.gcd(*r.coeffs) == 1
+
+
+# --- int and exact-rational input give the same integer rows ------------------
+
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True)
+VARS3 = ("x", "y", "z")
+small_int = st.integers(-4, 4)
+int_rows = st.lists(st.tuples(st.tuples(small_int, small_int, small_int),
+                              st.floats(-10.0, 10.0, allow_nan=False)),
+                    min_size=1, max_size=7)
+
+
+def as_system(rows, kind):
+    return system(VARS3, [Halfspace(tuple(kind(c) for c in coeffs), bound, f"r{i}")
+                          for i, (coeffs, bound) in enumerate(rows)])
+
+
+def assert_same_int_rows(a, b):
+    assert a.variables == b.variables
+    assert len(a.rows) == len(b.rows)
+    for ra, rb in zip(a.rows, b.rows):
+        assert ra.coeffs == rb.coeffs and ra.label == rb.label
+        assert all(type(c) is int for c in ra.coeffs + rb.coeffs)
+        assert float(ra.bound).hex() == float(rb.bound).hex()
+
+
+def assert_primitive_multiple(row, coeffs):
+    """row.coeffs are ints with gcd 1, a positive multiple of coeffs."""
+    assert all(type(c) is int for c in row.coeffs)
+    assert math.gcd(*row.coeffs) == (1 if any(coeffs) else 0)
+    k = next((Fraction(c) / e for c, e in zip(row.coeffs, coeffs) if e), Fraction(1))
+    assert k > 0 and all(c == k * e for c, e in zip(row.coeffs, coeffs))
+
+
+@PROPERTY
+@given(int_rows, st.sampled_from(VARS3))
+def test_fm_eliminate_int_and_fraction_input_agree(rows, var):
+    assert_same_int_rows(fm_eliminate(as_system(rows, int), var),
+                         fm_eliminate(as_system(rows, Fraction), var))
+
+
+@PROPERTY
+@given(int_rows, st.sampled_from(VARS3),
+       st.dictionaries(st.sampled_from(VARS3 + ("w",)), small_int, min_size=1))
+def test_substitute_int_and_fraction_input_agree(rows, var, expr):
+    frac_expr = {v: Fraction(e) for v, e in expr.items()}
+    assert_same_int_rows(substitute(as_system(rows, int), var, expr),
+                         substitute(as_system(rows, Fraction), var, frac_expr))
+
+
+@PROPERTY
+@given(int_rows)
+def test_make_row_int_and_fraction_input_agree(rows):
+    for coeffs, bound in rows:
+        a = make_row(coeffs, bound, "r")
+        b = make_row([Fraction(c) for c in coeffs], bound, "r")
+        assert_same_int_rows(system(VARS3, [a]), system(VARS3, [b]))
+        assert_primitive_multiple(a, coeffs)
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.tuples(rationals, rationals, rationals),
+                          st.floats(-10.0, 10.0, allow_nan=False)), min_size=1, max_size=6),
+       st.sampled_from(VARS3), st.dictionaries(st.sampled_from(VARS3), rationals, min_size=1))
+def test_rational_input_becomes_primitive_ints(rows, var, expr):
+    for coeffs, bound in rows:
+        assert_primitive_multiple(make_row(coeffs, bound), coeffs)
+    s = as_system(rows, Fraction)
+    for out in (fm_eliminate(s, var), substitute(s, var, expr)):
+        for r in out.rows:
+            assert all(type(c) is int for c in r.coeffs)
+            assert math.gcd(*r.coeffs) <= 1
 
 
 def test_constant_row_handling():

@@ -258,6 +258,39 @@ def test_embed_alphabet_mismatch():
         embed_channel(d, ChannelModel(np.full((3, 2, 2, 2), 0.25)))
 
 
+def test_oversized_channel_embedding_rejected_before_allocating():
+    import tracemalloc
+    from rrkit.prob import MAX_CELLS, JointDistribution
+    # 2**12 joint cells x |Y1| x |Y2| = 2**24 cells
+    variables = (Variable("W1", 1024), Variable("X1", 2), Variable("X2", 2))
+    d = JointDistribution(variables, np.full((1024, 2, 2), 2.0**-12))
+    channel = ChannelModel(np.full((2, 2, 64, 64), 2.0**-12))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match=f"16777216 cells.*Y1=64, Y2=64.*limit is {MAX_CELLS}"):
+            embed_channel(d, channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_joint_equality_is_exact_and_unhashable():
+    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=9)
+    assert d == marginalize(d, d.names)
+    assert not d != marginalize(d, d.names)
+    other = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=10)
+    assert d != other
+    nudged = d.table.copy()
+    nudged.flat[:2] += (1e-16, -1e-16)
+    assert d != d.__class__(d.variables, nudged)
+    renamed = d.__class__(d.variables[::-1], d.table.transpose())
+    assert d != renamed and d != marginalize(d, d.names[:-1])
+    assert d != (d.variables, d.table) and d != "hod9" and not d == None  # noqa: E711
+    with pytest.raises(TypeError):
+        hash(d)
+
+
 def test_variable_name_guard():
     with pytest.raises(ModelError):
         Variable("Z9", 2)
