@@ -5,10 +5,15 @@ Conditional quantities are computed as entropy differences (base-2 logs,
 to 0 only at the reporting boundary, never inside intermediate sums.
 
 Each subset entropy H(S) is computed once per joint: the first request
-marginalises the full table onto S and stores the float in the joint's own
-memo (keyed by the frozenset of names, so the order of S does not matter);
-later requests for the same S on the same joint read it back.  A hit returns
-exactly the float a recomputation would.
+marginalises onto S the smallest marginal the joint already holds over a
+superset of S (the full table if there is none), and stores both that
+marginal and the float in the joint's own memos (keyed by the frozenset of
+names, so the order of S does not matter); later requests for the same S on
+the same joint read the float back.  ``seed_marginal`` stores one marginal
+ahead of a batch of terms, so every subset they need is summed from it.
+Which table a subset is summed from depends on what was asked before, so a
+value can differ from the full-table sum by a few ulps; the same requests in
+the same order on equal joints give bitwise equal floats.
 """
 
 from __future__ import annotations
@@ -23,11 +28,31 @@ from .prob import JointDistribution, marginalize
 NEG_TOL = 1e-12
 
 
+def _smallest_superset(d: JointDistribution, key: frozenset) -> JointDistribution:
+    """The smallest held marginal of d over a superset of key, else d itself."""
+    best = d
+    for names, m in d._marginals.items():
+        if key <= names and m.table.size < best.table.size:
+            best = m
+    return best
+
+
+def seed_marginal(d: JointDistribution, names) -> None:
+    """Hold d's marginal onto ``names``, so later subset entropies over those
+    variables are summed from it; nothing to do if it covers every variable."""
+    key = frozenset(names)
+    if key != frozenset(d.names) and key not in d._marginals:
+        d._marginals[key] = marginalize(d, key)
+
+
 def _plain_entropy(d: JointDistribution, names) -> float:
     key = frozenset(names)
     h = d._entropies.get(key)
     if h is None:
-        p = marginalize(d, key).table.ravel()
+        m = d._marginals.get(key)
+        if m is None:
+            m = d._marginals[key] = marginalize(_smallest_superset(d, key), key)
+        p = m.table.ravel()
         p = p[p > 0.0]
         h = d._entropies[key] = float(-np.sum(p * np.log2(p)))
     return h

@@ -291,19 +291,36 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
     infeasible or keep its left side below ``bound + tol``, i.e. the rest
     already imply it.  That is decided exactly (threshold 0) so the slack is
     not cancelled by a feasibility tolerance.
+
+    A system that is empty but feasible within tol (a point or segment that
+    round-off pushed just past empty) is reduced as if every bound were tol
+    larger.  Otherwise rows would be dropped only because the rest is empty,
+    and what is kept could be unbounded.  Kept rows keep their own bounds.
     """
-    if len(sys.variables) == 2:
-        return _remove_redundant_2d(sys, tol)
-    alive = list(sys.rows)
+    flat = len(sys.variables) == 2
+    region = _plane_region(sys.rows) if flat else None
+    empty = not region.edges if flat else not _fm_feasible(sys, 0.0)
+    work = sys
+    if empty and tol > 0 and _fm_feasible(sys, tol):
+        work = sys.with_rows(Halfspace(r.coeffs, r.bound + tol, r.label) for r in sys.rows)
+        region = _plane_region(work.rows) if flat else None
+    keep = _greedy_2d(work, region, tol) if flat else _greedy_fm(work, tol)
+    return sys.with_rows(sys.rows[k] for k in keep)
+
+
+def _greedy_fm(sys: InequalitySystem, tol: float) -> list[int]:
+    """Indices of the rows remove_redundant keeps, by elimination probes."""
+    alive = list(range(len(sys.rows)))
     i = 0
     while i < len(alive):
         trial = alive[:i] + alive[i + 1:]
-        probe = InequalitySystem(sys.variables, tuple(trial) + (negate_row(alive[i], tol),))
+        probe = InequalitySystem(sys.variables, tuple(sys.rows[k] for k in trial)
+                                 + (negate_row(sys.rows[alive[i]], tol),))
         if not lp_feasible(probe, tol=0.0):
             alive = trial
         else:
             i += 1
-    return sys.with_rows(alive)
+    return alive
 
 
 def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
@@ -536,18 +553,18 @@ def _reach(region: _Region, coeffs, bound: float):
     return None
 
 
-def _remove_redundant_2d(sys: InequalitySystem, tol: float) -> InequalitySystem:
+def _greedy_2d(sys: InequalitySystem, region: _Region, tol: float) -> list[int]:
     """remove_redundant's greedy rule from one intersection per facet row.
 
-    While the region of the remaining rows is full-dimensional, dropping a
-    row that is not the only copy of one of its facets leaves the region as
-    it is, so only those facet rows need the rest intersected again.
+    ``region`` is the intersection of every row.  While the region of the
+    remaining rows is full-dimensional, dropping a row that is not the only
+    copy of one of its facets leaves the region as it is, so only those facet
+    rows need the rest intersected again.
     """
     rows = sys.rows
     lines = [_canon(r.coeffs, r.bound) for r in rows]
     copies = Counter(lines)
     alive = list(range(len(rows)))
-    region = _region(lines)
     i = 0
     while i < len(alive):
         j = alive[i]
@@ -560,7 +577,7 @@ def _remove_redundant_2d(sys: InequalitySystem, tol: float) -> InequalitySystem:
             copies[lines[j]] -= 1
         else:
             i += 1
-    return sys.with_rows(rows[k] for k in alive)
+    return alive
 
 
 @dataclass(frozen=True)

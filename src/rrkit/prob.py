@@ -131,11 +131,14 @@ class JointDistribution:
     """Dense joint probability table over named finite variables.
 
     Two joints are equal when their variables and tables are exactly equal;
-    joints are unhashable.  Each joint carries a private memo ``_entropies``
-    of subset entropies in bits, keyed by the frozenset of variable names and
-    filled by ``measures``.  It is not a dataclass field, so ``__eq__`` and
-    ``repr`` do not see it, and every new joint (including those returned by
-    ``marginalize``, ``condition`` and ``compose``) starts with an empty one.
+    joints are unhashable.  Each joint carries two private memos, both keyed
+    by the frozenset of variable names and filled by ``measures``:
+    ``_entropies`` holds subset entropies in bits and ``_marginals`` the
+    marginal joints they were summed from, so a later subset can be summed
+    from a smaller table than this one.  Neither is a dataclass field, so
+    ``__eq__`` and ``repr`` do not see them, and every new joint (including
+    those returned by ``marginalize``, ``condition`` and ``compose``) starts
+    with empty ones.
     """
 
     variables: tuple[Variable, ...]
@@ -157,7 +160,23 @@ class JointDistribution:
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
+        self._start_memos(tuple(names))
+
+    def _start_memos(self, names: tuple[str, ...]) -> None:
+        object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_entropies", {})
+        object.__setattr__(self, "_marginals", {})
+
+    @classmethod
+    def _trusted(cls, variables: tuple[Variable, ...], table: np.ndarray) -> "JointDistribution":
+        """A joint over a read-only table already known to match ``variables``
+        and to be a distribution: no checks, no copy.  Only ``marginalize``
+        builds joints this way."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "variables", variables)
+        object.__setattr__(d, "table", table)
+        d._start_memos(tuple(v.name for v in variables))
+        return d
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -166,13 +185,13 @@ class JointDistribution:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return self._names
 
     def axis(self, name: str) -> int:
         try:
-            return self.names.index(name)
+            return self._names.index(name)
         except ValueError:
-            raise ModelError(f"unknown variable {name!r}; have {self.names}") from None
+            raise ModelError(f"unknown variable {name!r}; have {self._names}") from None
 
     def size(self, name: str) -> int:
         return self.variables[self.axis(name)].size
@@ -228,7 +247,7 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
         expanded = np.ones([sizes[n] if n in src else 1 for n in order])
         perm = sorted(range(len(src)), key=lambda i: pos[src[i]])
         expanded[...] = t.transpose(perm).reshape(expanded.shape)
-        joint = joint * expanded
+        joint *= expanded
     return JointDistribution(tuple(Variable(n, sizes[n]) for n in order), joint)
 
 
@@ -238,9 +257,11 @@ def marginalize(d: JointDistribution, keep) -> JointDistribution:
     for name in keep:
         d.axis(name)
     axes = tuple(i for i, v in enumerate(d.variables) if v.name not in keep)
-    return JointDistribution(
-        tuple(v for v in d.variables if v.name in keep),
-        d.table.sum(axis=axes) if axes else d.table)
+    table = d.table
+    if axes:
+        table = np.asarray(table.sum(axis=axes))  # a 0-d array when nothing is kept
+        table.flags.writeable = False
+    return JointDistribution._trusted(tuple(v for v in d.variables if v.name in keep), table)
 
 
 def condition(d: JointDistribution, given: dict[str, int]) -> JointDistribution:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .measures import InfoTerm, eval_terms
+from .measures import InfoTerm, eval_terms, seed_marginal
 from .polytope import (Halfspace, InequalitySystem, make_row,
                        nonnegativity_rows)
 from .prob import FORMS, JointDistribution, ModelError, validate_factorization
@@ -198,16 +198,24 @@ class BoundConstants:
         return self.values[label]
 
 
+# Each family's defining terms by constant label, and the variables they
+# mention: its constants are evaluated on the joint's marginal onto those.
+FAMILY_TERMS: dict[str, dict[str, tuple[InfoTerm, ...]]] = {
+    "hod": {k: hod_terms(k) for k in HOD_PARTS},
+    "dmt": DMT_TERMS,
+    "rtd": RTD_TERMS,
+    "hod1": {k: hod1_terms(k) for k in HOD1_PARTS},
+}
+CONSTANT_VARIABLES: dict[str, frozenset[str]] = {
+    family: frozenset(v for terms in by_label.values() for t in terms
+                      for v in t.left + t.right + t.cond)
+    for family, by_label in FAMILY_TERMS.items()}
+
+
 def defining_terms(family: str, label: str) -> tuple[InfoTerm, ...]:
-    if family == "hod":
-        return hod_terms(label)
-    if family == "dmt":
-        return DMT_TERMS[label]
-    if family == "rtd":
-        return RTD_TERMS[label]
-    if family == "hod1":
-        return hod1_terms(label)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in FAMILY_TERMS:
+        raise ValueError(f"unknown family {family!r}")
+    return FAMILY_TERMS[family][label]
 
 
 def _guarded(d: JointDistribution, form: str):
@@ -219,28 +227,31 @@ def _guarded(d: JointDistribution, form: str):
     return worst
 
 
+def _constants(d: JointDistribution, family: str, form: str) -> BoundConstants:
+    _guarded(d, form)
+    seed_marginal(d, CONSTANT_VARIABLES[family])
+    return BoundConstants(family, {k: eval_terms(d, terms)
+                                   for k, terms in FAMILY_TERMS[family].items()})
+
+
 def hod_constants(d: JointDistribution) -> BoundConstants:
     """All 14 general-region constants A1..G2 (rows 10-1..10-14)."""
-    _guarded(d, "hod9")
-    return BoundConstants("hod", {k: eval_terms(d, hod_terms(k)) for k in HOD_PARTS})
+    return _constants(d, "hod", "hod9")
 
 
 def dmt_constants(d: JointDistribution) -> BoundConstants:
     """All 14 baseline-region constants a1..g2 (rows 6-1..6-14)."""
-    _guarded(d, "dmt5")
-    return BoundConstants("dmt", {k: eval_terms(d, v) for k, v in DMT_TERMS.items()})
+    return _constants(d, "dmt", "dmt5")
 
 
 def rtd_constants(d: JointDistribution) -> BoundConstants:
     """The 8 split-private-message bounds (rows 8-1..8-8)."""
-    _guarded(d, "rtd7")
-    return BoundConstants("rtd", {k: eval_terms(d, v) for k, v in RTD_TERMS.items()})
+    return _constants(d, "rtd", "rtd7")
 
 
 def hod1_constants(d: JointDistribution) -> BoundConstants:
     """The 8 simplified-region constants, channel-input form (rows 14-1..14-8)."""
-    _guarded(d, "hod12")
-    return BoundConstants("hod1", {k: eval_terms(d, hod1_terms(k)) for k in HOD1_PARTS})
+    return _constants(d, "hod1", "hod12")
 
 
 def collapsed_constants(d: JointDistribution, family: str) -> dict[str, float]:

@@ -160,13 +160,18 @@ def _draw_binary(form, seed, index):
 
 @pytest.mark.parametrize("form, fn, seed", _MEMO_CASES)
 def test_memoised_constants_bitwise_equal_memo_free(form, fn, seed, monkeypatch):
+    # Equal joints asked the same things in the same order give bitwise equal
+    # constants; summing subsets from held marginals moves them by ulps only.
     from rrkit import measures, regions
     for i in range(6):
         memoised = getattr(regions, fn)(_draw_binary(form, seed, i))
+        assert getattr(regions, fn)(_draw_binary(form, seed, i)).values == memoised.values
         with monkeypatch.context() as m:
             m.setattr(measures, "_plain_entropy", _memo_free_entropy)
             reference = getattr(regions, fn)(_draw_binary(form, seed, i))
-        assert memoised.values == reference.values, (form, i)
+        assert reference.values.keys() == memoised.values.keys()
+        for k, v in reference.values.items():
+            assert abs(memoised[k] - v) <= 1e-13, (form, i, k)
 
 
 def test_entropy_memo_ignores_name_order():
@@ -202,7 +207,61 @@ def test_hod_constants_marginalise_once_per_subset(monkeypatch):
     d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=1001, index=3)
     first = regions.hod_constants(d)
     assert seen and len(seen) == len(set(seen))
-    assert set(d._entropies) == set(seen)
+    assert set(seen) == set(d._entropies) | {regions.CONSTANT_VARIABLES["hod"]}
     n = len(seen)
     assert regions.hod_constants(d) == first
     assert len(seen) == n
+
+
+def test_entropy_miss_reads_the_smallest_held_superset(monkeypatch):
+    from rrkit import measures
+    cells = []
+
+    def counting(d, keep):
+        cells.append(d.table.size)
+        return marginalize(d, keep)
+
+    monkeypatch.setattr(measures, "marginalize", counting)
+    sizes = {n: 3 for n in FORMS["hod9"].variables}
+    d = sample_distribution(FORMS["hod9"], sizes, seed=7)
+    entropy(d, ("Q", "W1", "U1"))                            # nothing held yet
+    measures.seed_marginal(d, ("Q", "W1", "U1", "W2", "U2"))
+    entropy(d, ("W1", "Q"))      # held: 27 cells over Q,W1,U1 and 243 over five
+    entropy(d, ("Q",))           # the 9 cells just held over Q,W1
+    entropy(d, ("Q", "W2"))      # only the 243-cell marginal covers it
+    entropy(d, ("Y1", "Q"))      # nothing held covers Y1
+    entropy(d, ("Q", "W1"))      # a hit: no call
+    assert cells == [3**9, 3**9, 27, 9, 243, 3**9]
+    for names in d._entropies:
+        assert abs(d._entropies[names] - _memo_free_entropy(d, names)) <= 1e-13
+
+
+_FAMILY_CASES = [("hod", "hod9"), ("dmt", "dmt5"), ("rtd", "rtd7"), ("hod1", "hod12")]
+
+
+@pytest.mark.parametrize("family, form", _FAMILY_CASES)
+def test_seed_set_is_the_variables_of_the_family_terms(family, form, monkeypatch):
+    from rrkit import measures, regions
+    tables = {"hod": [t for parts in regions.HOD_PARTS.values() for ts in parts.values()
+                      for t in ts],
+              "dmt": [t for ts in regions.DMT_TERMS.values() for t in ts],
+              "rtd": [t for ts in regions.RTD_TERMS.values() for t in ts],
+              "hod1": [t for parts in regions.HOD1_PARTS.values() for ts in parts.values()
+                       for t in ts]}
+    mentioned = {v for t in tables[family] for v in t.left + t.right + t.cond}
+    assert regions.CONSTANT_VARIABLES[family] == mentioned
+    if family == "hod":
+        assert not mentioned & {"X1", "X2"}
+    seen = []
+
+    def counting(d, keep):
+        seen.append(frozenset(keep))
+        return marginalize(d, keep)
+
+    monkeypatch.setattr(measures, "marginalize", counting)
+    d = _draw_binary(form, 1001, 0)
+    getattr(regions, f"{family}_constants")(d)
+    if mentioned == set(d.names):  # hod1: nothing smaller to seed
+        assert set(seen) == set(d._entropies)
+    else:
+        assert seen[0] == mentioned and set(seen[1:]) == set(d._entropies)

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rrkit.polytope import (Halfspace, contains, implies, lp_feasible, make_row,
-                            nonnegativity_rows, remove_redundant, system, vertices2d)
+from rrkit.polytope import (Halfspace, UnboundedRegionError, contains, implies, lp_feasible,
+                            make_row, nonnegativity_rows, remove_redundant, system,
+                            vertices2d)
 
 VARS = ("x", "y")
 TOLS = (0.0, 1e-9)
@@ -238,3 +239,67 @@ def test_named_shapes_have_the_expected_kind():
     assert vertices2d(SHAPES["triangle"]).kind == "polygon"
     ok, witness = contains(SHAPES["triangle"], SHAPES["half-plane"])
     assert not ok and lp_feasible(SHAPES["half-plane"], point=witness)
+
+
+# --- systems that are empty but feasible within tol ---------------------------------
+
+# A uniform-kernel rate-pair projection: every constant is 0 up to round-off,
+# so the exact region is empty while the region within tol is the origin.
+ORIGIN_BY_ROUNDOFF = [((1, 0), -1.5543122344752192e-15), ((0, 1), -1.2212453270876722e-15),
+                      ((1, 1), -1.2212453270876722e-15), ((-1, 0), 0.0),
+                      ((0, 0), -9.992007221626409e-16), ((2, 1), -1.2212453270876722e-15),
+                      ((0, -1), 0.0), ((1, 2), -1.9984014443252818e-15),
+                      ((3, 2), -1.9984014443252818e-15)]
+
+
+def test_remove_redundant_keeps_a_roundoff_empty_region_bounded():
+    raw = _rows(*ORIGIN_BY_ROUNDOFF)
+    assert not lp_feasible(raw, tol=0.0) and lp_feasible(raw, tol=1e-9)
+    assert vertices2d(raw, 1e-9).kind == "point"
+    reduced = remove_redundant(raw, 1e-9)
+    poly = vertices2d(reduced, 1e-9)
+    assert poly.kind == "point"
+    assert all(abs(v) <= 1e-13 for v in poly.vertices[0])
+    assert [r.label for r in reduced.rows] == \
+        [r.label for r in remove_redundant(lifted(raw), 1e-9).rows if not r.label.startswith("z")]
+
+
+def _vertices_or_unbounded(s, tol):
+    try:
+        return vertices2d(s, tol)
+    except UnboundedRegionError:
+        return None
+
+
+def _within(points, others, tol) -> bool:
+    return all(any(abs(x - u) <= tol and abs(y - v) <= tol for u, v in others)
+               for x, y in points)
+
+
+@st.composite
+def near_degenerate(draw):
+    """Rows through one shared point, each bound off by at most 1e-14, plus
+    an occasional row that passes the point by 1 and cuts the cone."""
+    px, py = draw(st.sampled_from([0.0, 1.0, -0.5, 0.25])), draw(st.sampled_from([0.0, 2.0, 0.75]))
+    noise = st.one_of(st.sampled_from([0.0, 1e-14, -1e-14, 1e-15, -1e-15, 5e-16, -5e-16]),
+                      st.floats(-1e-14, 1e-14))
+    rows = []
+    for i in range(draw(st.integers(1, 9))):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        slack = 1.0 if draw(st.integers(0, 4)) == 0 else draw(noise)
+        rows.append(make_row((a, b), a * px + b * py + slack, f"r{i}"))
+    return system(VARS, draw(st.permutations(rows)))
+
+
+@SETTINGS
+@given(near_degenerate())
+def test_remove_redundant_keeps_the_kind_of_near_degenerate_regions(s):
+    tol = 1e-9
+    raw = _vertices_or_unbounded(s, tol)
+    reduced = _vertices_or_unbounded(remove_redundant(s, tol), tol)
+    if raw is None:
+        assert reduced is None
+        return
+    assert reduced is not None and reduced.kind == raw.kind
+    assert _within(reduced.vertices, raw.vertices, tol)
+    assert _within(raw.vertices, reduced.vertices, tol)

@@ -296,3 +296,39 @@ def test_variable_name_guard():
         Variable("Z9", 2)
     with pytest.raises(ModelError):
         Variable("Q", 0)
+
+
+def _out_of_place_product(factors, spec, sizes) -> np.ndarray:
+    """compose's product, one new table per factor."""
+    order = spec.variables
+    pos = {n: i for i, n in enumerate(order)}
+    joint = np.ones(tuple(sizes[n] for n in order))
+    for t, f in zip(factors, spec.factors):
+        src = list(f.given) + list(f.targets)
+        perm = sorted(range(len(src)), key=lambda i: pos[src[i]])
+        shape = [sizes[n] if n in src else 1 for n in order]
+        joint = joint * np.asarray(t, dtype=float).transpose(perm).reshape(shape)
+    return joint
+
+
+@pytest.mark.parametrize("form, sizes", [
+    ("hk3", {"Q": 2, "U1": 4, "W1": 4, "U2": 4, "W2": 4, "X1": 2, "X2": 2, "Y1": 4, "Y2": 4}),
+    ("hod9", {"Q": 2, "W1": 3, "U1": 3, "W2": 2, "U2": 3, "X1": 2, "X2": 3, "Y1": 2, "Y2": 3})])
+def test_compose_equals_the_out_of_place_product(form, sizes):
+    for index in range(4):
+        factors = sample_factors(FORMS[form], sizes, seed=606, index=index)
+        d = compose(factors, FORMS[form], sizes)
+        assert np.array_equal(d.table, _out_of_place_product(factors, FORMS[form], sizes))
+
+
+def test_marginals_are_read_only_valid_joints():
+    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=12)
+    for keep in (d.names, ("Q", "Y1"), ("Y2",), ()):
+        m = marginalize(d, keep)
+        assert m.names == tuple(n for n in d.names if n in keep)
+        assert [m.axis(n) for n in m.names] == list(range(len(keep)))
+        assert m.table.shape == tuple(m.size(n) for n in m.names)
+        assert not m.table.flags.writeable
+        assert m == d.__class__(m.variables, m.table)  # the checked constructor agrees
+        with pytest.raises(ModelError):
+            m.axis("U1b")
