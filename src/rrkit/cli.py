@@ -31,12 +31,6 @@ from .polytope import (InequalitySystem, Polytope2D, UnboundedRegionError,
 from .prob import FORMS, JointDistribution, ModelError, compose, sample_factors
 from .verify import CHECKS, TOL_IDENTITY, TOL_POLYTOPE, run_check
 
-FAMILIES = ("hod", "dmt", "rtd", "hod1")
-_FAMILY_SYSTEM = {"hod": "thm3-quadruple", "dmt": "dmt-quadruple",
-                  "rtd": "rtd-quintuple", "hod1": "thm5-quadruple"}
-_FAMILY_EQ = {"hod": regions.HOD_EQ, "dmt": regions.DMT_EQ,
-              "rtd": {k: k for k in regions.RTD_TERMS}, "hod1": regions.HOD1_EQ}
-
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_MODEL, EXIT_COMPARE = 0, 1, 2, 3, 4
 
 
@@ -83,6 +77,24 @@ class Scenario:
 _SCENARIO_KEYS = {"form", "alphabets", "channel", "factors", "sampling", "tol"}
 
 
+def _number(path: str, what: str, value, integer: bool = True):
+    """value if it is a JSON integer (any JSON number if not ``integer``)."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ScenarioError(f"{path}: {what} must be {kind}, got {value!r}")
+    return value
+
+
+def _table(path: str, what: str, flat) -> np.ndarray:
+    try:
+        table = np.asarray(flat)
+    except ValueError:  # ragged nesting
+        raise ScenarioError(f"{path}: {what} is not a rectangular array") from None
+    if table.dtype.kind not in "iuf":
+        raise ScenarioError(f"{path}: {what} entries must be numbers")
+    return table.astype(float)
+
+
 def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
         raw = json.load(fh)  # json.JSONDecodeError carries line/column
@@ -104,7 +116,7 @@ def load_scenario(path: str) -> Scenario:
     for name, size in raw.get("alphabets", {}).items():
         if name not in sizes:
             raise ScenarioError(f"{path}: alphabet for unknown variable {name!r}")
-        sizes[name] = int(size)
+        sizes[name] = _number(path, f"alphabet size of {name}", size)
     overrides: dict[str, np.ndarray] = {}
     channel = raw.get("channel")
     if channel is not None:
@@ -112,9 +124,9 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioError(f"{path}: channel block needs a 'kernel' array")
         for key, var in (("x1", "X1"), ("x2", "X2"), ("y1", "Y1"), ("y2", "Y2")):
             if key in channel:
-                sizes[var] = int(channel[key])
+                sizes[var] = _number(path, f"channel size {key}", channel[key])
         shape = tuple(sizes[v] for v in ("X1", "X2", "Y1", "Y2"))
-        kernel = np.asarray(channel["kernel"], dtype=float)
+        kernel = _table(path, "kernel", channel["kernel"])
         if kernel.size != int(np.prod(shape)):
             raise ScenarioError(
                 f"{path}: kernel has {kernel.size} entries, expected {np.prod(shape)}")
@@ -127,33 +139,29 @@ def load_scenario(path: str) -> Scenario:
                                 f"expected one of {sorted(labels)}")
         f = labels[label]
         shape = tuple(sizes[n] for n in f.given) + tuple(sizes[n] for n in f.targets)
-        table = np.asarray(flat, dtype=float)
+        table = _table(path, f"factor {key!r}", flat)
         if table.size != int(np.prod(shape)):
             raise ScenarioError(
                 f"{path}: factor {key!r} has {table.size} entries, expected {np.prod(shape)}")
         overrides[label] = table.reshape(shape)
     sampling = raw.get("sampling", {})
-    count = int(sampling.get("count", 50))
+    count = _number(path, "sampling count", sampling.get("count", 50))
     if count < 1:
         raise ScenarioError(f"{path}: sampling count must be at least 1, got {count}")
     tol = raw.get("tol", {})
+    for key in ("polytope", "identity"):
+        _number(path, f"tol {key}", tol.get(key, 0.0), integer=False)
     return Scenario(form, sizes, overrides,
                     count=count,
-                    seed=int(sampling.get("seed", 0)),
+                    seed=_number(path, "sampling seed", sampling.get("seed", 0)),
                     tol_polytope=float(tol.get("polytope", TOL_POLYTOPE)),
                     tol_identity=float(tol.get("identity", TOL_IDENTITY)))
-
-
-def constants_for(d: JointDistribution, family: str) -> regions.BoundConstants:
-    fn = {"hod": regions.hod_constants, "dmt": regions.dmt_constants,
-          "rtd": regions.rtd_constants, "hod1": regions.hod1_constants}[family]
-    return fn(d)
 
 
 def reduced_ratepair(consts: regions.BoundConstants, family: str,
                      tol: float) -> tuple[InequalitySystem, InequalitySystem]:
     """(pre-reduction projection, reduced system) over (R1, R2)."""
-    quad = regions.build_system(consts, _FAMILY_SYSTEM[family])
+    quad = regions.build_system(consts, regions._FAMILIES[family].system)
     raw = regions.project_to_ratepair(quad)
     return raw, remove_redundant(raw, tol)
 
@@ -247,8 +255,8 @@ def _load(args) -> Scenario:
 def cmd_eval(args) -> int:
     scenario = _load(args)
     d = scenario.draw(args.index)
-    consts = constants_for(d, args.family)
-    eq = _FAMILY_EQ[args.family]
+    consts = regions.constants_for(d, args.family)
+    eq = regions._FAMILIES[args.family].equations
     print(f"family={args.family} form={scenario.form} (bits)")
     for label, value in consts.values.items():
         print(f"  {label:<4} {eq[label]:<6} {value: .12f}")
@@ -260,7 +268,7 @@ def cmd_eval(args) -> int:
 def cmd_project(args) -> int:
     scenario = _load(args)
     d = scenario.draw(args.index)
-    consts = constants_for(d, args.family)
+    consts = regions.constants_for(d, args.family)
     tol = args.tol_polytope if args.tol_polytope is not None else scenario.tol_polytope
     raw, reduced = reduced_ratepair(consts, args.family, tol)
     poly = vertices2d(reduced, tol)
@@ -290,8 +298,8 @@ def cmd_compare(args) -> int:
         raise ScenarioError("compare needs two scenarios or two families")
     tol = args.tol_polytope if args.tol_polytope is not None else scenario_a.tol_polytope
     da, db = scenario_a.draw(args.index), scenario_b.draw(args.index)
-    _, sys_a = reduced_ratepair(constants_for(da, args.family), args.family, tol)
-    _, sys_b = reduced_ratepair(constants_for(db, family_b), family_b, tol)
+    _, sys_a = reduced_ratepair(regions.constants_for(da, args.family), args.family, tol)
+    _, sys_b = reduced_ratepair(regions.constants_for(db, family_b), family_b, tol)
     try:
         a_has_b, wit_ab = contains(sys_a, sys_b, tol)
         b_has_a, wit_ba = contains(sys_b, sys_a, tol)
@@ -371,7 +379,7 @@ def cmd_union(args) -> int:
     points: list[tuple[float, float]] = []
     for i in range(samples):
         d = scenario.draw(i)
-        consts = constants_for(d, args.family)
+        consts = regions.constants_for(d, args.family)
         _, reduced = reduced_ratepair(consts, args.family, tol)
         poly = vertices2d(reduced, tol)
         polys.append(poly)
@@ -421,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scenario(p, with_family=True):
         p.add_argument("scenario", help="scenario JSON file")
         if with_family:
-            p.add_argument("--family", choices=FAMILIES, required=True)
+            p.add_argument("--family", choices=list(regions._FAMILIES), required=True)
         p.add_argument("--index", type=int, default=0,
                        help="sample index within the scenario's stream")
         p.add_argument("--seed", type=int, default=None,
@@ -441,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario(p)
     p.add_argument("scenario_b", nargs="?", default=None,
                    help="second scenario (defaults to the first)")
-    p.add_argument("--family-b", choices=FAMILIES, default=None)
+    p.add_argument("--family-b", choices=list(regions._FAMILIES), default=None)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("verify", help="run a machine check")

@@ -132,8 +132,9 @@ def _merge_duplicates(rows) -> list[Halfspace]:
     return [best[c] for c in order]
 
 
-def fm_eliminate(sys: InequalitySystem, var: str, merge: bool = True) -> InequalitySystem:
-    """Project ``var`` out by pairing each upper bound with each lower bound."""
+def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
+    """Project ``var`` out by pairing each upper bound with each lower bound;
+    equal coefficient vectors keep the tightest bound, vacuous rows go."""
     if var not in sys.variables:
         warnings.warn(f"variable {var!r} not in system; elimination is the identity")
         return sys
@@ -157,9 +158,7 @@ def fm_eliminate(sys: InequalitySystem, var: str, merge: bool = True) -> Inequal
             bound = float(cl) * up.bound + float(cu) * lo.bound
             coeffs, bound = _primitive(coeffs, bound)
             new_rows.append(Halfspace(coeffs, bound, f"fm:{{{up.label}+{lo.label}}}"))
-    if merge:
-        new_rows = _merge_duplicates(new_rows)
-    return InequalitySystem(drop(sys.variables), tuple(new_rows))
+    return InequalitySystem(drop(sys.variables), tuple(_merge_duplicates(new_rows)))
 
 
 def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:

@@ -1,23 +1,23 @@
 """Bound constants and inequality systems for the catalogued rate regions.
 
-Four families of evaluated right-hand sides over a fixed joint:
-
-- "hod"  : the 14 quadruple constants A1..G1, A2..G2 (general binning region)
-- "dmt"  : the 14 baseline constants a1..g1, a2..g2
-- "rtd"  : the 8 quintuple bounds over (T1, S1a, S1b, T2, S2)
-- "hod1" : the 8 simplified constants A1, D1, E1, G1, A2, D2, E2, G2
-
-plus builders for every catalogued inequality description (quadruple systems,
-the 20- and 11-row rate-pair systems, the 37-row intermediate list, and the
-pre-binning budget system whose projection reproduces the user-2 rows).
+Four families of evaluated right-hand sides over a fixed joint: "hod" (the
+general binning region's 14 quadruple constants), "dmt" (the 14 baseline
+constants), "rtd" (the 8 split-private-message quintuple bounds) and "hod1"
+(the 8 simplified constants).  ``_FAMILIES`` is the one place a family is
+defined: its guard form, its defining terms in row order, its catalogue row
+labels, its own system description, its add-on parts and the variables its
+terms mention.  ``_SYSTEMS`` maps every catalogued inequality description
+(quadruple/quintuple systems, the 20- and 11-row rate-pair systems) to its
+family, rate variables and rows; one row builder serves them and the 37-row
+intermediate list.  The pre-binning budget system's projection reproduces
+the user-2 rows.
 
 Constants are floats in bits; inequality coefficients are primitive integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 
 from .measures import InfoTerm, eval_terms, seed_marginal
 from .polytope import (Halfspace, InequalitySystem, make_row,
@@ -27,26 +27,19 @@ from .prob import FORMS, JointDistribution, ModelError, validate_factorization
 CONSTANT_REJECT_TOL = 1e-6  # factorization violation above this rejects the input
 
 
-def iterm(expr: str, sign: int = 1, coefficient=1) -> InfoTerm:
+def iterm(expr: str, sign: int = 1) -> InfoTerm:
     """Parse "I(A,B;C|D,E)" or "H(A|B)" into an InfoTerm."""
     expr = expr.replace(" ", "")
     kind, rest = expr[0], expr[2:-1]
     body, _, cond = rest.partition("|")
     left, _, right = body.partition(";")
     split = lambda s: tuple(s.split(",")) if s else ()
-    return InfoTerm(kind, split(left), split(right), split(cond), sign,
-                    Fraction(coefficient))
+    return InfoTerm(kind, split(left), split(right), split(cond), sign)
 
 
 def _terms(*specs) -> tuple[InfoTerm, ...]:
     """Each spec is "expr" or ("-", "expr") for a negated term."""
-    out = []
-    for s in specs:
-        if isinstance(s, tuple):
-            out.append(iterm(s[1], -1))
-        else:
-            out.append(iterm(s))
-    return tuple(out)
+    return tuple(iterm(s[1], -1) if isinstance(s, tuple) else iterm(s) for s in specs)
 
 
 # --- general-region constants (rows 10-1..10-14), grouped the way the
@@ -80,19 +73,6 @@ HOD_PARTS: dict[str, dict[str, tuple[InfoTerm, ...]]] = {
            "binning": _terms("I(W2;W1,U1|Q)", "I(U2;U1,W1,W2|Q)")},
 }
 
-HOD_EQ = {label: f"10-{i + 1}" for i, label in enumerate(
-    ["A1", "B1", "C1", "D1", "E1", "F1", "G1", "A2", "B2", "C2", "D2", "E2", "F2", "G2"])}
-
-
-def hod_terms(label: str) -> tuple[InfoTerm, ...]:
-    parts = HOD_PARTS[label]
-    out: list[InfoTerm] = []
-    for key in ("correlation", "interference", "core"):
-        out.extend(parts.get(key, ()))
-    for t in parts.get("binning", ()):
-        out.append(InfoTerm(t.kind, t.left, t.right, t.cond, -1, t.coefficient))
-    return tuple(out)
-
 
 # --- baseline-region constants (rows 6-1..6-14).
 #     Row 6-11 (d2) subtracts U2's binning cost I(U2;U1,W1|Q), as every
@@ -120,9 +100,6 @@ DMT_TERMS: dict[str, tuple[InfoTerm, ...]] = {
     "f2": _terms("I(U2;W1,W2|Q)", "I(Y2;W1,W2|Q,U2)", ("-", "I(W2;U1,W1|Q)")),
     "g2": _terms("I(Y2;U2,W1,W2|Q)", ("-", "I(W2;W1,U1|Q)"), ("-", "I(U2;U1,W1|Q)")),
 }
-
-DMT_EQ = {label: f"6-{i + 1}" for i, label in enumerate(
-    ["a1", "b1", "c1", "d1", "e1", "f1", "g1", "a2", "b2", "c2", "d2", "e2", "f2", "g2"])}
 
 # --- split-private-message bounds (rows 8-1..8-8; no time-sharing
 #     variable in this family).
@@ -155,19 +132,6 @@ HOD1_PARTS: dict[str, dict[str, tuple[InfoTerm, ...]]] = {
            "binning": _terms("I(W2;X1|Q)", "I(X2;X1|Q,W2)")},
 }
 
-HOD1_EQ = {label: f"14-{i + 1}" for i, label in enumerate(
-    ["A1", "D1", "E1", "G1", "A2", "D2", "E2", "G2"])}
-
-
-def hod1_terms(label: str) -> tuple[InfoTerm, ...]:
-    parts = HOD1_PARTS[label]
-    out: list[InfoTerm] = []
-    for key in ("interference", "core"):
-        out.extend(parts.get(key, ()))
-    for t in parts.get("binning", ()):
-        out.append(InfoTerm(t.kind, t.left, t.right, t.cond, -1, t.coefficient))
-    return tuple(out)
-
 
 # Auxiliary-variable spellings of the same eight constants with the private
 # messages identified with the channel inputs (U1 -> X1, U2 -> X2).
@@ -198,24 +162,41 @@ class BoundConstants:
         return self.values[label]
 
 
-# Each family's defining terms by constant label, and the variables they
-# mention: its constants are evaluated on the joint's marginal onto those.
-FAMILY_TERMS: dict[str, dict[str, tuple[InfoTerm, ...]]] = {
-    "hod": {k: hod_terms(k) for k in HOD_PARTS},
-    "dmt": DMT_TERMS,
-    "rtd": RTD_TERMS,
-    "hod1": {k: hod1_terms(k) for k in HOD1_PARTS},
+def _signed_terms(parts_by_label) -> dict[str, tuple[InfoTerm, ...]]:
+    """Each constant's defining terms from its parts: correlation,
+    interference and core added, then every binning cost subtracted."""
+    out = {}
+    for label, parts in parts_by_label.items():
+        added = [t for key in ("correlation", "interference", "core") for t in parts.get(key, ())]
+        out[label] = tuple(added) + tuple(replace(t, sign=-1) for t in parts.get("binning", ()))
+    return out
+
+
+@dataclass
+class _Family:
+    """Everything the package knows about one region family."""
+
+    form: str  # factorization its inputs must satisfy (the guard)
+    terms: dict[str, tuple[InfoTerm, ...]]  # defining terms by label, in row order
+    eq_prefix: str  # the catalogue labels its rows eq_prefix-1, eq_prefix-2, ...
+    system: str  # its own quadruple/quintuple description for build_system
+    parts: dict | None = None  # add-on decomposition behind the terms, if any
+    equations: dict[str, str] = field(init=False)
+    variables: frozenset[str] = field(init=False)  # what the terms mention
+
+    def __post_init__(self):
+        self.equations = {k: f"{self.eq_prefix}-{i + 1}" for i, k in enumerate(self.terms)}
+        self.variables = frozenset(v for terms in self.terms.values() for t in terms
+                                   for v in t.left + t.right + t.cond)
+
+
+# The one place a family is defined.
+_FAMILIES: dict[str, _Family] = {
+    "hod": _Family("hod9", _signed_terms(HOD_PARTS), "10", "thm3-quadruple", HOD_PARTS),
+    "dmt": _Family("dmt5", DMT_TERMS, "6", "dmt-quadruple"),
+    "rtd": _Family("rtd7", RTD_TERMS, "8", "rtd-quintuple"),
+    "hod1": _Family("hod12", _signed_terms(HOD1_PARTS), "14", "thm5-quadruple", HOD1_PARTS),
 }
-CONSTANT_VARIABLES: dict[str, frozenset[str]] = {
-    family: frozenset(v for terms in by_label.values() for t in terms
-                      for v in t.left + t.right + t.cond)
-    for family, by_label in FAMILY_TERMS.items()}
-
-
-def defining_terms(family: str, label: str) -> tuple[InfoTerm, ...]:
-    if family not in FAMILY_TERMS:
-        raise ValueError(f"unknown family {family!r}")
-    return FAMILY_TERMS[family][label]
 
 
 def _guarded(d: JointDistribution, form: str):
@@ -224,34 +205,39 @@ def _guarded(d: JointDistribution, form: str):
         raise ModelError(
             f"distribution violates factorization {form} by {worst:.3g} "
             f"(limit {CONSTANT_REJECT_TOL})")
-    return worst
 
 
-def _constants(d: JointDistribution, family: str, form: str) -> BoundConstants:
-    _guarded(d, form)
-    seed_marginal(d, CONSTANT_VARIABLES[family])
-    return BoundConstants(family, {k: eval_terms(d, terms)
-                                   for k, terms in FAMILY_TERMS[family].items()})
+def _constants(d: JointDistribution, family: str) -> BoundConstants:
+    fam = _FAMILIES[family]
+    _guarded(d, fam.form)
+    seed_marginal(d, fam.variables)
+    return BoundConstants(family, {k: eval_terms(d, terms) for k, terms in fam.terms.items()})
+
+
+def constants_for(d: JointDistribution, family: str) -> BoundConstants:
+    """``family``'s constants on d.  ``<family>_constants`` is looked up at call
+    time, so a rebinding of that module attribute (a tracer's) sees the call."""
+    return globals()[f"{family}_constants"](d)
 
 
 def hod_constants(d: JointDistribution) -> BoundConstants:
     """All 14 general-region constants A1..G2 (rows 10-1..10-14)."""
-    return _constants(d, "hod", "hod9")
+    return _constants(d, "hod")
 
 
 def dmt_constants(d: JointDistribution) -> BoundConstants:
     """All 14 baseline-region constants a1..g2 (rows 6-1..6-14)."""
-    return _constants(d, "dmt", "dmt5")
+    return _constants(d, "dmt")
 
 
 def rtd_constants(d: JointDistribution) -> BoundConstants:
     """The 8 split-private-message bounds (rows 8-1..8-8)."""
-    return _constants(d, "rtd", "rtd7")
+    return _constants(d, "rtd")
 
 
 def hod1_constants(d: JointDistribution) -> BoundConstants:
     """The 8 simplified-region constants, channel-input form (rows 14-1..14-8)."""
-    return _constants(d, "hod1", "hod12")
+    return _constants(d, "hod1")
 
 
 def collapsed_constants(d: JointDistribution, family: str) -> dict[str, float]:
@@ -260,15 +246,13 @@ def collapsed_constants(d: JointDistribution, family: str) -> dict[str, float]:
     For "hod" this is the classical simultaneous-decoding region of the
     interference channel; for "hod1" its simplified superposition form.
     """
-    parts = HOD_PARTS if family == "hod" else HOD1_PARTS
-    return {k: eval_terms(d, p["core"]) for k, p in parts.items()}
+    return {k: eval_terms(d, p["core"]) for k, p in _FAMILIES[family].parts.items()}
 
 
 def addon_values(d: JointDistribution, family: str) -> dict[str, float]:
     """The distinct correlation/interference/binning add-on terms, by spelling."""
-    parts = HOD_PARTS if family == "hod" else HOD1_PARTS
     out: dict[str, float] = {}
-    for p in parts.values():
+    for p in _FAMILIES[family].parts.values():
         for key in ("correlation", "interference", "binning"):
             for t in p.get(key, ()):
                 out.setdefault(t.describe(), eval_terms(d, [t]))
@@ -277,6 +261,7 @@ def addon_values(d: JointDistribution, family: str) -> dict[str, float]:
 
 # --- rate vectors for the quadruple/quintuple rows, keyed by constant label.
 _QUAD_VARS = ("T1", "S1", "T2", "S2")
+_RATE_PAIR = ("R1", "R2")
 _QUAD_RATES = {
     "A1": {"S1": 1}, "B1": {"T1": 1}, "C1": {"T2": 1}, "D1": {"S1": 1, "T1": 1},
     "E1": {"S1": 1, "T2": 1}, "F1": {"T1": 1, "T2": 1}, "G1": {"S1": 1, "T1": 1, "T2": 1},
@@ -360,11 +345,25 @@ INTERMEDIATE37_ROWS = [
 ] + [
     ({"R1": 2, "R2": 2}, ["G2", "E1", "E2", "A1"]),
 ]
+_ROWS37 = [(f"37:{i + 1}", rates, combo) for i, (rates, combo) in enumerate(INTERMEDIATE37_ROWS)]
 
-_FAMILY_FOR = {
-    "thm3-quadruple": "hod", "thm4-ratepair": "hod",
-    "thm5-quadruple": "hod1", "thm6-ratepair": "hod1",
-    "dmt-quadruple": "dmt", "rtd-quintuple": "rtd",
+
+def _own_rows(family: str, rates: dict, prefix: str | None = None) -> list:
+    """One row per constant of ``family``, labelled prefix-i (default: its own
+    equation labels); rates are keyed by upper-case label (dmt's a1 reads A1's)."""
+    fam = _FAMILIES[family]
+    prefix = prefix or fam.eq_prefix
+    return [(f"{prefix}-{i + 1}", rates[k.upper()], [k]) for i, k in enumerate(fam.terms)]
+
+
+# description -> (family, rate variables, rows (label, rate vector, constant labels))
+_SYSTEMS = {
+    "thm3-quadruple": ("hod", _QUAD_VARS, _own_rows("hod", _QUAD_RATES)),
+    "dmt-quadruple": ("dmt", _QUAD_VARS, _own_rows("dmt", _QUAD_RATES)),
+    "thm5-quadruple": ("hod1", _QUAD_VARS, _own_rows("hod1", _QUAD_RATES, "13")),
+    "rtd-quintuple": ("rtd", _RTD_VARS, _own_rows("rtd", _RTD_RATES)),
+    "thm4-ratepair": ("hod", _RATE_PAIR, THM4_ROWS),
+    "thm6-ratepair": ("hod1", _RATE_PAIR, THM6_ROWS),
 }
 
 
@@ -372,59 +371,30 @@ def _vector_row(variables, rates: dict[str, int], bound: float, label: str) -> H
     return make_row([rates.get(v, 0) for v in variables], bound, label)
 
 
-def _quadruple_system(constants: BoundConstants, eq_of: dict[str, str],
-                      labels) -> InequalitySystem:
-    rows = [_vector_row(_QUAD_VARS, _QUAD_RATES[k.upper()], constants[k], eq_of[k])
-            for k in labels]
-    rows += nonnegativity_rows(_QUAD_VARS)
-    return InequalitySystem(_QUAD_VARS, tuple(rows))
-
-
-def _ratepair_system(constants: BoundConstants, row_list) -> InequalitySystem:
-    variables = ("R1", "R2")
-    rows = [_vector_row(variables, rates, sum(constants[k] for k in combo), label)
-            for label, rates, combo in row_list]
-    rows += nonnegativity_rows(variables)
-    return InequalitySystem(variables, tuple(rows))
+def _rows_system(constants: BoundConstants, variables, rows) -> InequalitySystem:
+    """Each row bounds its rate vector by the sum of its constants; then -x <= 0."""
+    out = [_vector_row(variables, rates, sum(constants[k] for k in combo), label)
+           for label, rates, combo in rows]
+    out += nonnegativity_rows(variables)
+    return InequalitySystem(variables, tuple(out))
 
 
 def build_system(constants: BoundConstants, description: str) -> InequalitySystem:
     """Assemble a catalogued inequality system from evaluated constants."""
-    family = _FAMILY_FOR.get(description)
-    if family is None:
+    if description not in _SYSTEMS:
         raise ValueError(f"unknown system description {description!r}")
+    family, variables, rows = _SYSTEMS[description]
     if constants.family != family:
         raise ValueError(
             f"{description} needs {family!r} constants, got {constants.family!r}")
-    if description == "thm3-quadruple":
-        return _quadruple_system(constants, HOD_EQ, list(HOD_PARTS))
-    if description == "dmt-quadruple":
-        return _quadruple_system(constants, DMT_EQ, list(DMT_TERMS))
-    if description == "thm4-ratepair":
-        return _ratepair_system(constants, THM4_ROWS)
-    if description == "thm6-ratepair":
-        return _ratepair_system(constants, THM6_ROWS)
-    if description == "thm5-quadruple":
-        labels = ["A1", "D1", "E1", "G1", "A2", "D2", "E2", "G2"]
-        rows = [_vector_row(_QUAD_VARS, _QUAD_RATES[k], constants[k], f"13-{i + 1}")
-                for i, k in enumerate(labels)]
-        rows += nonnegativity_rows(_QUAD_VARS)
-        return InequalitySystem(_QUAD_VARS, tuple(rows))
-    # rtd-quintuple
-    rows = [_vector_row(_RTD_VARS, _RTD_RATES[k], constants[k], k) for k in RTD_TERMS]
-    rows += nonnegativity_rows(_RTD_VARS)
-    return InequalitySystem(_RTD_VARS, tuple(rows))
+    return _rows_system(constants, variables, rows)
 
 
 def intermediate37_system(constants: BoundConstants) -> InequalitySystem:
     """The catalogued 37-row intermediate list over (R1, R2)."""
     if constants.family != "hod":
         raise ValueError(f"37-row list needs 'hod' constants, got {constants.family!r}")
-    variables = ("R1", "R2")
-    rows = [_vector_row(variables, rates, sum(constants[k] for k in combo), f"37:{i + 1}")
-            for i, (rates, combo) in enumerate(INTERMEDIATE37_ROWS)]
-    rows += nonnegativity_rows(variables)
-    return InequalitySystem(variables, tuple(rows))
+    return _rows_system(constants, _RATE_PAIR, _ROWS37)
 
 
 # --- pre-binning decoding budgets at the cognitive receiver, plus the two
@@ -453,7 +423,7 @@ BINNING_COST_U2 = iterm("I(U2;U1,W1,W2|Q)")
 def binning_budget_system(d: JointDistribution) -> InequalitySystem:
     """Budget system over (S2, T2, T1, s2, t2); eliminating s2 and t2 must
     reproduce the user-2 rows of the quadruple region."""
-    _guarded(d, "hod9")
+    _guarded(d, _FAMILIES["hod"].form)
     variables = ("S2", "T2", "T1", "s2", "t2")
     rows = [_vector_row(variables, rates, eval_terms(d, terms), label)
             for rates, terms, label in _BUDGET_ROWS]
@@ -548,4 +518,4 @@ def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
             s = _p.fm_eliminate(s, var)
     else:
         raise ValueError(f"no rate-pair mapping for variables {sys.variables}")
-    return _p.reorder(s, ("R1", "R2"))
+    return _p.reorder(s, _RATE_PAIR)

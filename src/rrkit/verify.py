@@ -6,23 +6,17 @@ a RegionReport.  Checks are deterministic in (samples, seed), never mutate
 their inputs, and record a replayable witness (seed, factor tables, point)
 for every failure.
 
-Check names (also the CLI vocabulary):
-
-- thm4        : quadruple region -> 20-row rate-pair description, and the
-                37-row intermediate list
-- thm6        : simplified quadruple region -> 11-row rate-pair description
-- corollary1  : add-on terms vanish on independent-auxiliary inputs
-- corollary2-4: redundant rate-pair rows on the reduced input families
-- corollary3  : simplified constants collapse on independent inputs
-- corollary5  : baseline-vs-general identity table and region inclusion
-- corollary6  : split-private-message bound relations
-- eq14        : dual spellings of the simplified constants
-- binning     : budget system projects onto the user-2 quadruple rows
+``_CHECKS`` names each check (thm4, thm6, corollary1, corollary2-4,
+corollary3, corollary5, corollary6, eq14, binning; also the CLI vocabulary)
+with its per-sample function, whose docstring states the claim, the fixed
+arguments and the tolerances its report records; ``run_check`` is the one
+driver, and ``CHECKS`` keeps a callable per name.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -156,10 +150,19 @@ def _merge(check: str, samples: int, seed: int, tolerances: dict, results,
 
 # --- thm4 / thm6: quadruple -> rate-pair equivalence -------------------------
 
-def _equivalence_one(index: int, seed: int, tol: float, form: str, family: str,
-                     quadruple: str, ratepair: str, with_37: bool) -> dict:
+def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: float,
+                     form: str, family: str, quadruple: str, ratepair: str,
+                     with_37: bool) -> dict:
+    """thm4 / thm6: the projected quadruple region equals the closed-form
+    20-row / 11-row rate-pair description (thm4 also checks the two-way
+    implication with the 37-row intermediate list).
+
+    Samples whose source system is infeasible (a negative evaluated
+    constant) keep an empty projection while the closed-form lists keep a
+    sliver; those one-sided divergences are witnessed under
+    details.infeasible_source instead of failing the check."""
     d, factors, sizes = _draw(form, seed, index)
-    consts = (regions.hod_constants if family == "hod" else regions.hod1_constants)(d)
+    consts = regions.constants_for(d, family)
     quad = regions.build_system(consts, quadruple)
     raw = regions.project_to_ratepair(quad)
     listed = regions.build_system(consts, ratepair)
@@ -171,11 +174,11 @@ def _equivalence_one(index: int, seed: int, tol: float, form: str, family: str,
                   ("37-row list inside projection", raw, b37)]
     problems = []
     for why, outer, inner in pairs:
-        ok, witness = contains(outer, inner, tol)
+        ok, witness = contains(outer, inner, tol_polytope)
         if not ok:
             problems.append((why, witness, _witness_deviation(outer, witness)))
     if not problems:
-        reduced = remove_redundant(raw, tol)
+        reduced = remove_redundant(raw, tol_polytope)
         dropped = sorted(r.label for r in raw.rows if r.label not in
                          {x.label for x in reduced.rows})
         return {"ok": True, "deviation": 0.0, "failure": None,
@@ -185,8 +188,8 @@ def _equivalence_one(index: int, seed: int, tol: float, form: str, family: str,
     # keeps the pure-constant feasibility rows that the closed-form lists omit, so
     # the closed-form region keeps a spurious sliver.  That one-sided divergence
     # is witnessed and classified, not treated as a reduction defect.
-    source_feasible = lp_feasible(quad, tol=tol)
-    projection_empty = not lp_feasible(raw, tol=tol)
+    source_feasible = lp_feasible(quad, tol=tol_polytope)
+    projection_empty = not lp_feasible(raw, tol=tol_polytope)
     one_sided = all(why.endswith("inside projection") for why, _, _ in problems)
     why_all = "; ".join(why for why, _, _ in problems)
     witness = problems[0][1]
@@ -200,55 +203,22 @@ def _equivalence_one(index: int, seed: int, tol: float, form: str, family: str,
             "failure": _failure(index, seed, sizes, factors, why_all, witness, dev)}
 
 
-def check_thm4_equivalence(samples: int = 200, seed: int = 0,
-                           tol_polytope: float = TOL_POLYTOPE,
-                           tol_identity: float = TOL_IDENTITY,
-                           mapper=map) -> RegionReport:
-    """Projected quadruple region == closed-form 20-row description (plus the
-    two-way implication with the 37-row intermediate list).
-
-    Samples whose source system is infeasible (a negative evaluated
-    constant) keep an empty projection while the closed-form lists keep a
-    sliver; those one-sided divergences are witnessed under
-    details.infeasible_source instead of failing the check."""
-    one = functools.partial(_equivalence_one, seed=seed, tol=tol_polytope,
-                            form="hod9", family="hod", quadruple="thm3-quadruple",
-                            ratepair="thm4-ratepair", with_37=True)
-    return _merge("thm4", samples, seed, {"polytope": tol_polytope},
-                  mapper(one, range(samples)))
-
-
-def check_thm6_equivalence(samples: int = 200, seed: int = 0,
-                           tol_polytope: float = TOL_POLYTOPE,
-                           tol_identity: float = TOL_IDENTITY,
-                           mapper=map) -> RegionReport:
-    """Projected simplified quadruple region == closed-form 11-row description,
-    with the same infeasible-source classification as the 20-row check."""
-    one = functools.partial(_equivalence_one, seed=seed, tol=tol_polytope,
-                            form="hod12", family="hod1", quadruple="thm5-quadruple",
-                            ratepair="thm6-ratepair", with_37=False)
-    results = list(mapper(one, range(samples)))
-    report = _merge("thm6", samples, seed, {"polytope": tol_polytope}, results)
-    dropped: dict[str, int] = {}
-    for res in results:
-        for label in res.get("dropped", []):
-            dropped[label] = dropped.get(label, 0) + 1
-    report.details["dropped_projection_rows"] = dict(sorted(dropped.items()))
-    return report
-
-
 # --- corollary1 / corollary3: add-on collapse --------------------------------
 
-def _collapse_one(index: int, seed: int, form: str, family: str,
-                  tol_addon: float, tol_collapse: float) -> dict:
+def _collapse_one(index: int, seed: int, tol_polytope: float, tol_identity: float,
+                  form: str, family: str) -> dict:
+    """corollary1 / corollary3: on independent-auxiliary inputs (hk3, for the
+    quadruple constants) and product inputs (cmg4, for the simplified ones)
+    every correlation/interference/binning add-on vanishes and the constants
+    equal their collapsed forms."""
     d, factors, sizes = _draw(form, seed, index)
     addons = regions.addon_values(d, family)
-    consts = (regions.hod_constants if family == "hod" else regions.hod1_constants)(d)
+    consts = regions.constants_for(d, family)
     collapsed = regions.collapsed_constants(d, family)
     worst_addon = max(addons.values())
     collapse_dev = {k: abs(consts[k] - collapsed[k]) for k in collapsed}
     worst_collapse = max(collapse_dev.values())
-    ok = worst_addon <= tol_addon and worst_collapse <= tol_collapse
+    ok = worst_addon <= TOL_ADDON and worst_collapse <= TOL_COLLAPSE
     failure = None
     if not ok:
         term = max(addons, key=addons.get)
@@ -257,29 +227,6 @@ def _collapse_one(index: int, seed: int, form: str, family: str,
                            deviation=max(worst_addon, worst_collapse))
     return {"ok": ok, "deviation": max(worst_addon, worst_collapse), "failure": failure,
             "aggregate": {"addons": addons, "collapse": collapse_dev}}
-
-
-def check_corollary1(samples: int = 200, seed: int = 0,
-                     tol_polytope: float = TOL_POLYTOPE,
-                     tol_identity: float = TOL_IDENTITY, mapper=map) -> RegionReport:
-    """On independent-auxiliary inputs every correlation/interference/binning
-    add-on vanishes and the quadruple constants equal their collapsed forms."""
-    one = functools.partial(_collapse_one, seed=seed, form="hk3", family="hod",
-                            tol_addon=TOL_ADDON, tol_collapse=TOL_COLLAPSE)
-    return _merge("corollary1", samples, seed,
-                  {"addon": TOL_ADDON, "collapse": TOL_COLLAPSE},
-                  mapper(one, range(samples)))
-
-
-def check_corollary3(samples: int = 200, seed: int = 0,
-                     tol_polytope: float = TOL_POLYTOPE,
-                     tol_identity: float = TOL_IDENTITY, mapper=map) -> RegionReport:
-    """Same collapse for the simplified constants on product inputs."""
-    one = functools.partial(_collapse_one, seed=seed, form="cmg4", family="hod1",
-                            tol_addon=TOL_ADDON, tol_collapse=TOL_COLLAPSE)
-    return _merge("corollary3", samples, seed,
-                  {"addon": TOL_ADDON, "collapse": TOL_COLLAPSE},
-                  mapper(one, range(samples)))
 
 
 # --- corollary2 / corollary4: redundant rate-pair rows -----------------------
@@ -299,11 +246,14 @@ def redundant_rows(sys: InequalitySystem, labels, tol: float) -> list[str]:
     return missed
 
 
-def _cor24_one(index: int, seed: int, tol: float, tol_identity: float) -> dict:
+def _cor24_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
+    """corollary2-4: the listed rate-pair rows become redundant on the
+    reduced input families, and D1 <= G1, E2 <= G2 hold for the simplified
+    constants."""
     d3, factors3, sizes3 = _draw("hk3", seed, index)
     c3 = regions.hod_constants(d3)
     sys20 = regions.build_system(c3, "thm4-ratepair")
-    missed_hk = redundant_rows(sys20, REDUNDANT_UNDER_HK, tol)
+    missed_hk = redundant_rows(sys20, REDUNDANT_UNDER_HK, tol_polytope)
     if missed_hk:
         return {"ok": False, "deviation": 0.0,
                 "failure": _failure(index, seed, sizes3, factors3,
@@ -311,7 +261,7 @@ def _cor24_one(index: int, seed: int, tol: float, tol_identity: float) -> dict:
     d4, factors4, sizes4 = _draw("cmg4", seed, index)
     c4 = regions.hod1_constants(d4)
     sys11 = regions.build_system(c4, "thm6-ratepair")
-    missed_cmg = redundant_rows(sys11, REDUNDANT_UNDER_CMG, tol)
+    missed_cmg = redundant_rows(sys11, REDUNDANT_UNDER_CMG, tol_polytope)
     order_dev = max(c4["D1"] - c4["G1"], c4["E2"] - c4["G2"], 0.0)
     ok = not missed_cmg and order_dev <= tol_identity
     failure = None
@@ -324,22 +274,18 @@ def _cor24_one(index: int, seed: int, tol: float, tol_identity: float) -> dict:
                                         "E2-G2": c4["E2"] - c4["G2"]}}}
 
 
-def check_corollary2_and_4(samples: int = 200, seed: int = 0,
-                           tol_polytope: float = TOL_POLYTOPE,
-                           tol_identity: float = TOL_IDENTITY,
-                           mapper=map) -> RegionReport:
-    """The listed rate-pair rows become redundant on the reduced input
-    families, and D1 <= G1, E2 <= G2 hold for the simplified constants."""
-    one = functools.partial(_cor24_one, seed=seed, tol=tol_polytope,
-                            tol_identity=tol_identity)
-    return _merge("corollary2-4", samples, seed,
-                  {"polytope": tol_polytope, "identity": tol_identity},
-                  mapper(one, range(samples)))
-
-
 # --- corollary5: baseline constants vs general constants ---------------------
 
-def _cor5_one(index: int, seed: int, tol_identity: float, tol_polytope: float) -> dict:
+def _cor5_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
+    """corollary5: the 14-line comparison table between the baseline and
+    general constants, constant-wise dominance, and rate-pair region
+    inclusion.
+
+    Per table line, details.identity_dev holds the worst deviation of
+    "baseline = general - delta" and details.dominance_excess the worst
+    baseline - general; a sample fails if either exceeds tol_identity or
+    the baseline rate-pair region is not inside the general one.
+    """
     d, factors, sizes = _draw("dmt5", seed, index)
     cd = regions.dmt_constants(d)
     ch = regions.hod_constants(d)
@@ -370,27 +316,16 @@ def _cor5_one(index: int, seed: int, tol_identity: float, tol_polytope: float) -
                           "inclusion": {"failed_any": 0.0 if inclusion else 1.0}}}
 
 
-def check_corollary5(samples: int = 200, seed: int = 0,
-                     tol_polytope: float = TOL_POLYTOPE,
-                     tol_identity: float = TOL_IDENTITY, mapper=map) -> RegionReport:
-    """The 14-line comparison table between the baseline and general
-    constants, constant-wise dominance, and rate-pair region inclusion.
-
-    Per table line, details.identity_dev holds the worst deviation of
-    "baseline = general - delta" and details.dominance_excess the worst
-    baseline - general; a sample fails if either exceeds tol_identity or
-    the baseline rate-pair region is not inside the general one.
-    """
-    one = functools.partial(_cor5_one, seed=seed, tol_identity=tol_identity,
-                            tol_polytope=tol_polytope)
-    return _merge("corollary5", samples, seed,
-                  {"identity": tol_identity, "polytope": tol_polytope},
-                  mapper(one, range(samples)))
-
-
 # --- corollary6: split-private-message relations -----------------------------
 
-def _cor6_one(index: int, seed: int, tol_identity: float) -> dict:
+def _cor6_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
+    """corollary6: split-region bounds against the quadruple bounds on the
+    merged joint.
+
+    The S1 line is checked with the full I(U2,W2; U1b | W1,U1a) grouping
+    (exact); the residual of the narrower I(W2; ...) grouping is reported
+    under details.s1_narrow_grouping_residual.
+    """
     d, factors, sizes = _draw("rtd7", seed, index)
     cr = regions.rtd_constants(d)
     line_dev = {}
@@ -423,20 +358,6 @@ def _cor6_one(index: int, seed: int, tol_identity: float) -> dict:
                           "s1_narrow_grouping_residual": {"max": s1_variant}}}
 
 
-def check_corollary6(samples: int = 200, seed: int = 0,
-                     tol_polytope: float = TOL_POLYTOPE,
-                     tol_identity: float = TOL_IDENTITY, mapper=map) -> RegionReport:
-    """Split-region bounds against the quadruple bounds on the merged joint.
-
-    The S1 line is checked with the full I(U2,W2; U1b | W1,U1a) grouping
-    (exact); the residual of the narrower I(W2; ...) grouping is reported
-    under details.s1_narrow_grouping_residual.
-    """
-    one = functools.partial(_cor6_one, seed=seed, tol_identity=tol_identity)
-    return _merge("corollary6", samples, seed, {"identity": tol_identity},
-                  mapper(one, range(samples)))
-
-
 # --- eq14: dual spellings of the simplified constants ------------------------
 
 def _superposition_factors(sizes: dict[str, int], seed: int, index: int):
@@ -467,7 +388,11 @@ def _superposition_factors(sizes: dict[str, int], seed: int, index: int):
     return [pq, pw1, px1, pw2, px2, ker]
 
 
-def _eq14_one(index: int, seed: int, tol_identity: float) -> dict:
+def _eq14_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
+    """eq14: both spellings of each simplified constant agree whenever the
+    public messages are deterministic functions of the channel inputs; on
+    generic inputs the per-constant gaps are measured and reported, with the
+    A1 gap checked against the recoverability residual I(W2;W1|Q,X1)."""
     # generic draw: measure every deviation and the recoverability residual
     d, factors, sizes = _draw("hod12", seed, index)
     cx = regions.hod1_constants(d)
@@ -502,18 +427,6 @@ def _eq14_one(index: int, seed: int, tol_identity: float) -> dict:
                           "recoverability_residual": {"max": markov}}}
 
 
-def check_eq14_duality(samples: int = 200, seed: int = 0,
-                       tol_polytope: float = TOL_POLYTOPE,
-                       tol_identity: float = TOL_IDENTITY, mapper=map) -> RegionReport:
-    """Both spellings of each simplified constant agree whenever the public
-    messages are deterministic functions of the channel inputs; on generic
-    inputs the per-constant gaps are measured and reported, with the A1 gap
-    checked against the recoverability residual I(W2;W1|Q,X1)."""
-    one = functools.partial(_eq14_one, seed=seed, tol_identity=tol_identity)
-    return _merge("eq14", samples, seed, {"identity": tol_identity},
-                  mapper(one, range(samples)))
-
-
 # --- binning: budget system projects onto the user-2 rows --------------------
 
 _USER2_PATTERN = {
@@ -522,7 +435,9 @@ _USER2_PATTERN = {
 }
 
 
-def _binning_one(index: int, seed: int, tol_identity: float) -> dict:
+def _binning_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
+    """binning: eliminating the budget rates reproduces the user-2 quadruple
+    rows with identical coefficient vectors and matching constants."""
     d, factors, sizes = _draw("hod9", seed, index)
     budget = regions.binning_budget_system(d)
     projected = fm_eliminate(fm_eliminate(budget, "s2"), "t2")
@@ -544,34 +459,59 @@ def _binning_one(index: int, seed: int, tol_identity: float) -> dict:
             "aggregate": {"constant_dev": dev}}
 
 
-def check_binning_derivation(samples: int = 100, seed: int = 0,
-                             tol_polytope: float = TOL_POLYTOPE,
-                             tol_identity: float = TOL_IDENTITY,
-                             mapper=map) -> RegionReport:
-    """Eliminating the budget rates reproduces the user-2 quadruple rows with
-    identical coefficient vectors and matching constants."""
-    one = functools.partial(_binning_one, seed=seed, tol_identity=tol_identity)
-    return _merge("binning", samples, seed, {"identity": tol_identity},
-                  mapper(one, range(samples)))
-
-
-CHECKS = {
-    "thm4": check_thm4_equivalence,
-    "thm6": check_thm6_equivalence,
-    "corollary1": check_corollary1,
-    "corollary2-4": check_corollary2_and_4,
-    "corollary3": check_corollary3,
-    "corollary5": check_corollary5,
-    "corollary6": check_corollary6,
-    "eq14": check_eq14_duality,
-    "binning": check_binning_derivation,
+# name -> (per-sample function, fixed arguments, tolerances recorded in the report)
+_CHECKS = {
+    "thm4": (_equivalence_one, dict(form="hod9", family="hod", quadruple="thm3-quadruple",
+                                    ratepair="thm4-ratepair", with_37=True), ("polytope",)),
+    "thm6": (_equivalence_one, dict(form="hod12", family="hod1", quadruple="thm5-quadruple",
+                                    ratepair="thm6-ratepair", with_37=False), ("polytope",)),
+    "corollary1": (_collapse_one, dict(form="hk3", family="hod"), ("addon", "collapse")),
+    "corollary2-4": (_cor24_one, {}, ("polytope", "identity")),
+    "corollary3": (_collapse_one, dict(form="cmg4", family="hod1"), ("addon", "collapse")),
+    "corollary5": (_cor5_one, {}, ("identity", "polytope")),
+    "corollary6": (_cor6_one, {}, ("identity",)),
+    "eq14": (_eq14_one, {}, ("identity",)),
+    "binning": (_binning_one, {}, ("identity",)),
 }
 
 
 def run_check(name: str, samples: int, seed: int,
               tol_polytope: float = TOL_POLYTOPE,
               tol_identity: float = TOL_IDENTITY, mapper=map) -> RegionReport:
-    if name not in CHECKS:
-        raise KeyError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
-    return CHECKS[name](samples=samples, seed=seed, tol_polytope=tol_polytope,
-                        tol_identity=tol_identity, mapper=mapper)
+    """Run check ``name`` on ``samples`` draws from ``seed``; ``mapper`` maps
+    the per-sample function over the sample indices (a process pool's map
+    gives the same report)."""
+    if name not in _CHECKS:
+        raise KeyError(f"unknown check {name!r}; choose from {sorted(_CHECKS)}")
+    one, fixed, recorded = _CHECKS[name]
+    tolerances = {"polytope": tol_polytope, "identity": tol_identity,
+                  "addon": TOL_ADDON, "collapse": TOL_COLLAPSE}
+    results = list(mapper(functools.partial(one, seed=seed, tol_polytope=tol_polytope,
+                                            tol_identity=tol_identity, **fixed),
+                          range(samples)))
+    report = _merge(name, samples, seed, {k: tolerances[k] for k in recorded}, results)
+    if name == "thm6":
+        dropped = Counter(label for res in results for label in res.get("dropped", []))
+        report.details["dropped_projection_rows"] = dict(sorted(dropped.items()))
+    return report
+
+
+def _public(name: str, default_samples: int):
+    def check(samples: int = default_samples, seed: int = 0,
+              tol_polytope: float = TOL_POLYTOPE, tol_identity: float = TOL_IDENTITY,
+              mapper=map) -> RegionReport:
+        return run_check(name, samples, seed, tol_polytope, tol_identity, mapper)
+    check.__doc__ = _CHECKS[name][0].__doc__
+    return check
+
+
+CHECKS = {name: _public(name, 100 if name == "binning" else 200) for name in _CHECKS}
+check_thm4_equivalence = CHECKS["thm4"]
+check_thm6_equivalence = CHECKS["thm6"]
+check_corollary1 = CHECKS["corollary1"]
+check_corollary2_and_4 = CHECKS["corollary2-4"]
+check_corollary3 = CHECKS["corollary3"]
+check_corollary5 = CHECKS["corollary5"]
+check_corollary6 = CHECKS["corollary6"]
+check_eq14_duality = CHECKS["eq14"]
+check_binning_derivation = CHECKS["binning"]

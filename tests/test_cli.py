@@ -58,6 +58,61 @@ def test_eval_unknown_key(tmp_path, capsys):
     assert main(["eval", str(bad), "--family", "hod"]) == 2
 
 
+@pytest.mark.parametrize("extra", [
+    {"alphabets": {"Q": "two"}},
+    {"alphabets": {"Q": None}},
+    {"sampling": {"count": "x"}},
+    {"tol": {"polytope": "x"}},
+    {"factors": {"W1|Q": ["a", "b"]}},
+    {"alphabets": {"Q": 1.7}},
+    {"alphabets": {"Q": True}},
+    {"sampling": {"seed": 2.5}},
+    {"channel": {"x1": 2.5, "kernel": [0.25] * 16}},
+    {"channel": {"kernel": [[0.5, 0.5], [1.0]]}},
+])
+def test_eval_malformed_scenario_values_exit_2(extra, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"form": "hod9", **extra}))
+    assert main(["eval", str(bad), "--family", "hod"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_CATALOGUE_LABELS = {
+    "hod": (["A1", "B1", "C1", "D1", "E1", "F1", "G1",
+             "A2", "B2", "C2", "D2", "E2", "F2", "G2"], "10", "hod9"),
+    "dmt": (["a1", "b1", "c1", "d1", "e1", "f1", "g1",
+             "a2", "b2", "c2", "d2", "e2", "f2", "g2"], "6", "dmt5"),
+    "rtd": ([f"8-{i}" for i in range(1, 9)], "8", "rtd7"),
+    "hod1": (["A1", "D1", "E1", "G1", "A2", "D2", "E2", "G2"], "14", "hod12"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CATALOGUE_LABELS))
+def test_eval_reports_catalogue_equation_labels(family, tmp_path):
+    labels, prefix, form = _CATALOGUE_LABELS[family]
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps({"form": form}))
+    out = tmp_path / "eval.json"
+    assert main(["eval", str(scen), "--family", family, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["equations"] == {k: f"{prefix}-{i + 1}" for i, k in enumerate(labels)}
+    assert sorted(data["constants"]) == sorted(labels)
+
+
+@pytest.mark.parametrize("form", ["ic1", "crc2"])
+def test_paper_input_forms_eval_and_project_under_hod(form, tmp_path):
+    scen = write_scenario(tmp_path / f"{form}.json", form=form)
+    for verb in ("eval", "project"):
+        out = tmp_path / f"{verb}.json"
+        assert main([verb, scen, "--family", "hod", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        if verb == "eval":
+            assert len(data["constants"]) == 14
+        else:
+            assert data["reduced"]
+
+
 def test_eval_factorization_violation_exits_3(tmp_path, capsys):
     # a general-chain sample does not satisfy the baseline factorization
     scen = write_scenario(tmp_path / "hod.json", form="hod9")

@@ -207,7 +207,7 @@ def test_hod_constants_marginalise_once_per_subset(monkeypatch):
     d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=1001, index=3)
     first = regions.hod_constants(d)
     assert seen and len(seen) == len(set(seen))
-    assert set(seen) == set(d._entropies) | {regions.CONSTANT_VARIABLES["hod"]}
+    assert set(seen) == set(d._entropies) | {regions._FAMILIES["hod"].variables}
     n = len(seen)
     assert regions.hod_constants(d) == first
     assert len(seen) == n
@@ -249,7 +249,7 @@ def test_seed_set_is_the_variables_of_the_family_terms(family, form, monkeypatch
               "hod1": [t for parts in regions.HOD1_PARTS.values() for ts in parts.values()
                        for t in ts]}
     mentioned = {v for t in tables[family] for v in t.left + t.right + t.cond}
-    assert regions.CONSTANT_VARIABLES[family] == mentioned
+    assert regions._FAMILIES[family].variables == mentioned
     if family == "hod":
         assert not mentioned & {"X1", "X2"}
     seen = []

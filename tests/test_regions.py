@@ -67,7 +67,7 @@ def test_constants_match_defining_terms():
     d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=5)
     c = R.hod_constants(d)
     for label in c.values:
-        again = eval_terms(d, R.defining_terms("hod", label))
+        again = eval_terms(d, R._FAMILIES["hod"].terms[label])
         assert abs(c[label] - again) < 1e-12
 
 
@@ -177,6 +177,22 @@ def test_build_system_family_mismatch():
         R.build_system(c, "thm6-ratepair")
     with pytest.raises(ValueError):
         R.build_system(c, "no-such-description")
+
+
+def test_build_system_catalogue_row_labels():
+    c12 = R.hod1_constants(sample_distribution(FORMS["hod12"], binary_sizes("hod12"), seed=4))
+    rows = R.build_system(c12, "thm5-quadruple").rows
+    assert [r.label for r in rows[:8]] == [f"13-{i}" for i in range(1, 9)]
+    c7 = R.rtd_constants(sample_distribution(FORMS["rtd7"], binary_sizes("rtd7"), seed=4))
+    rows = R.build_system(c7, "rtd-quintuple").rows
+    assert [r.label for r in rows[:8]] == [f"8-{i}" for i in range(1, 9)]
+
+
+def test_each_description_names_only_its_own_family_constants():
+    for description, (family, _, rows) in R._SYSTEMS.items():
+        own = set(R._FAMILIES[family].terms)
+        assert all(set(combo) <= own for _, _, combo in rows), description
+    assert {R._SYSTEMS[f.system][0] for f in R._FAMILIES.values()} == set(R._FAMILIES)
 
 
 def test_binning_budget_projection_reproduces_user2_rows():

@@ -138,8 +138,8 @@ def test_thm4_infeasible_source_is_classified_not_failed():
     # this draw has a negative user-2 constant: the source system is
     # infeasible, the projection empty, and the closed-form lists keep a
     # sliver, which must be witnessed as a divergence rather than a failure
-    res = V._equivalence_one(138, seed=1001, tol=1e-9, form="hod9",
-                             family="hod", quadruple="thm3-quadruple",
+    res = V._equivalence_one(138, seed=1001, tol_polytope=1e-9, tol_identity=1e-12,
+                             form="hod9", family="hod", quadruple="thm3-quadruple",
                              ratepair="thm4-ratepair", with_37=True)
     assert res["ok"]
     assert res.get("divergence") is not None
