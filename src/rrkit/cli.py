@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -85,6 +86,13 @@ def _number(path: str, what: str, value, integer: bool = True):
     return value
 
 
+def _size(path: str, what: str, value) -> int:
+    """value if it is a JSON integer of at least 1."""
+    if _number(path, what, value) < 1:
+        raise ScenarioError(f"{path}: {what} must be at least 1, got {value}")
+    return value
+
+
 def _table(path: str, what: str, flat) -> np.ndarray:
     try:
         table = np.asarray(flat)
@@ -116,7 +124,7 @@ def load_scenario(path: str) -> Scenario:
     for name, size in raw.get("alphabets", {}).items():
         if name not in sizes:
             raise ScenarioError(f"{path}: alphabet for unknown variable {name!r}")
-        sizes[name] = _number(path, f"alphabet size of {name}", size)
+        sizes[name] = _size(path, f"alphabet size of {name}", size)
     overrides: dict[str, np.ndarray] = {}
     channel = raw.get("channel")
     if channel is not None:
@@ -124,7 +132,7 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioError(f"{path}: channel block needs a 'kernel' array")
         for key, var in (("x1", "X1"), ("x2", "X2"), ("y1", "Y1"), ("y2", "Y2")):
             if key in channel:
-                sizes[var] = _number(path, f"channel size {key}", channel[key])
+                sizes[var] = _size(path, f"channel size {key}", channel[key])
         shape = tuple(sizes[v] for v in ("X1", "X2", "Y1", "Y2"))
         kernel = _table(path, "kernel", channel["kernel"])
         if kernel.size != int(np.prod(shape)):
@@ -150,7 +158,9 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: sampling count must be at least 1, got {count}")
     tol = raw.get("tol", {})
     for key in ("polytope", "identity"):
-        _number(path, f"tol {key}", tol.get(key, 0.0), integer=False)
+        value = _number(path, f"tol {key}", tol.get(key, 0.0), integer=False)
+        if not (math.isfinite(value) and value >= 0):
+            raise ScenarioError(f"{path}: tol {key} must be finite and >= 0, got {value}")
     return Scenario(form, sizes, overrides,
                     count=count,
                     seed=_number(path, "sampling seed", sampling.get("seed", 0)),
@@ -341,6 +351,13 @@ def _sample_count(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return tol
+
+
 def cmd_verify(args) -> int:
     kwargs = dict(samples=args.samples, seed=args.seed,
                   tol_polytope=args.tol_polytope if args.tol_polytope is not None
@@ -420,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rrkit",
         description="Achievable rate regions: evaluate, project, compare, verify.")
-    parser.add_argument("--tol-polytope", type=float, default=None,
+    parser.add_argument("--tol-polytope", type=_tolerance, default=None,
                         help="tolerance for polytope comparisons (default 1e-9)")
-    parser.add_argument("--tol-identity", type=float, default=None,
+    parser.add_argument("--tol-identity", type=_tolerance, default=None,
                         help="tolerance for identity checks (default 1e-12)")
     sub = parser.add_subparsers(dest="verb", required=True)
 

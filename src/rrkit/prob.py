@@ -6,6 +6,7 @@ Dense probability tables over a small set of named variables
 - chain-structured construction from conditional factor tables,
 - marginalization / conditioning,
 - factorization validation (does a table factor according to a given chain),
+  numerically on any table and structurally between chains,
 - reproducible sampling of factor tables uniform on the probability simplex,
 - channel embedding p(y1,y2|x1,x2).
 
@@ -13,10 +14,19 @@ Tables are numpy arrays indexed by the variables in a fixed order; all
 values are immutable after construction.  A joint is at most ``MAX_CELLS``
 cells: ``sample_factors``, ``compose`` and ``embed_channel`` refuse larger
 alphabets before they allocate any table.
+
+A joint built by ``compose`` remembers the chain it multiplied (``_spec``);
+every other joint has none.  ``FactorizationSpec.implies`` decides by
+d-separation whether every joint of one chain also factors along another,
+so a caller can skip the numeric check for a composed joint whose chain
+implies the form it needs.  ``compose`` accepts conditional slices only
+within ``SUM_TOL``, so such a joint violates the implied form at round-off
+level only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +68,11 @@ class Factor:
     targets: tuple[str, ...]
     given: tuple[str, ...]
 
+    def __post_init__(self):
+        # tuples even when built from lists, so chains hash (``implies`` is memoised)
+        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "given", tuple(self.given))
+
     def label(self) -> str:
         head = ",".join(self.targets)
         return f"p({head}|{','.join(self.given)})" if self.given else f"p({head})"
@@ -75,6 +90,7 @@ class FactorizationSpec:
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
         seen: list[str] = []
         for f in self.factors:
             for g in f.given:
@@ -90,6 +106,54 @@ class FactorizationSpec:
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(t for f in self.factors for t in f.targets)
+
+    @functools.cache
+    def implies(self, other: FactorizationSpec) -> bool:
+        """Does every joint that factors along this chain factor along ``other``?
+
+        Both must cover the same variables, and each factor p(T|G) of
+        ``other`` must be a d-separation T _||_ (earlier - G) | G in this
+        chain's DAG, where the j-th target of a factor has the factor's
+        ``given`` and its earlier targets as parents.  Decided once per pair.
+        """
+        if set(self.variables) != set(other.variables):
+            return False
+        parents = {t: set(f.given) | set(f.targets[:j])
+                   for f in self.factors for j, t in enumerate(f.targets)}
+        earlier: set[str] = set()
+        for f in other.factors:
+            if not _d_separated(parents, set(f.targets), earlier - set(f.given), set(f.given)):
+                return False
+            earlier |= set(f.targets)
+        return True
+
+
+def _d_separated(parents: dict[str, set[str]], xs: set[str], ys: set[str],
+                 zs: set[str]) -> bool:
+    """xs _||_ ys | zs in the DAG given by ``parents``, by the moral ancestral
+    graph criterion (Lauritzen, Dawid, Larsen and Leimer 1990): in the
+    moralised graph of the ancestors of xs, ys and zs, every path from xs
+    to ys passes through zs."""
+    ancestral, stack = set(), [*xs, *ys, *zs]
+    while stack:
+        v = stack.pop()
+        if v not in ancestral:
+            ancestral.add(v)
+            stack.extend(parents[v])
+    moral: dict[str, set[str]] = {v: set() for v in ancestral}
+    for v in ancestral:
+        for p in parents[v]:
+            moral[v].add(p)
+            moral[p] |= parents[v] | {v}
+            moral[p].discard(p)
+    reached, stack = set(xs), list(xs)
+    while stack:
+        for w in moral[stack.pop()] - zs - reached:
+            if w in ys:
+                return False
+            reached.add(w)
+            stack.append(w)
+    return True
 
 
 def _chain(form: str, *links: str) -> FactorizationSpec:
@@ -135,10 +199,11 @@ class JointDistribution:
     by the frozenset of variable names and filled by ``measures``:
     ``_entropies`` holds subset entropies in bits and ``_marginals`` the
     marginal joints they were summed from, so a later subset can be summed
-    from a smaller table than this one.  Neither is a dataclass field, so
-    ``__eq__`` and ``repr`` do not see them, and every new joint (including
-    those returned by ``marginalize``, ``condition`` and ``compose``) starts
-    with empty ones.
+    from a smaller table than this one.  ``_spec`` is the chain ``compose``
+    multiplied to build the joint, and None for every other joint.  None of
+    the three is a dataclass field, so ``__eq__`` and ``repr`` do not see
+    them, and every new joint (including those returned by ``marginalize``,
+    ``condition`` and ``compose``) starts with empty memos.
     """
 
     variables: tuple[Variable, ...]
@@ -166,6 +231,7 @@ class JointDistribution:
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_entropies", {})
         object.__setattr__(self, "_marginals", {})
+        object.__setattr__(self, "_spec", None)
 
     @classmethod
     def _trusted(cls, variables: tuple[Variable, ...], table: np.ndarray) -> "JointDistribution":
@@ -229,6 +295,7 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
 
     ``factors[i]`` corresponds to ``spec.factors[i]`` and is indexed by the
     factor's given variables first (in the listed order), then its targets.
+    The joint records ``spec`` as its ``_spec``.
     """
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
@@ -248,7 +315,9 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
         perm = sorted(range(len(src)), key=lambda i: pos[src[i]])
         expanded[...] = t.transpose(perm).reshape(expanded.shape)
         joint *= expanded
-    return JointDistribution(tuple(Variable(n, sizes[n]) for n in order), joint)
+    d = JointDistribution(tuple(Variable(n, sizes[n]) for n in order), joint)
+    object.__setattr__(d, "_spec", spec)
+    return d
 
 
 def marginalize(d: JointDistribution, keep) -> JointDistribution:

@@ -12,6 +12,15 @@ family, rate variables and rows; one row builder serves them and the 37-row
 intermediate list.  The pre-binning budget system's projection reproduces
 the user-2 rows.
 
+Every constant is defined only on inputs of its family's guard form, so each
+constants call first checks it.  A joint ``compose`` built along a chain
+that implies the form (for example ``hk3``, ``dmt5``, ``ic1`` or ``crc2``
+under ``hod9``, ``cmg4`` under ``hod12``) passes without a look at its
+table.  Every other joint, user-built or composed along a chain that does
+not imply the form, is rebuilt by ``validate_factorization`` and refused
+above ``CONSTANT_REJECT_TOL``.  The check reads no memo, so the constants do
+not depend on which way it went.
+
 Constants are floats in bits; inequality coefficients are primitive integers.
 """
 
@@ -200,6 +209,10 @@ _FAMILIES: dict[str, _Family] = {
 
 
 def _guarded(d: JointDistribution, form: str):
+    """Refuse d unless it factors along ``form``: at once if ``compose`` built d
+    along a chain that implies the form, else by the numeric check."""
+    if d._spec is not None and d._spec.implies(FORMS[form]):
+        return
     ok, worst = validate_factorization(d, FORMS[form])
     if worst > CONSTANT_REJECT_TOL:
         raise ModelError(

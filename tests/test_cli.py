@@ -393,3 +393,43 @@ def test_threads_clamped_to_cpu_count(env, cpus, expected, monkeypatch):
         monkeypatch.setenv("RRK_THREADS", env)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert cli._threads() == expected
+
+
+@pytest.mark.parametrize("extra", [
+    {"alphabets": {"Q": -2}},
+    {"alphabets": {"Q": 0}},
+    {"channel": {"y1": 0, "kernel": []}},
+])
+def test_scenario_sizes_below_one_are_usage_errors(extra, tmp_path, capsys):
+    scen = tmp_path / "small.json"
+    scen.write_text(json.dumps({"form": "hod9", **extra}))
+    assert main(["project", str(scen), "--family", "hod"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 1" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--tol-polytope", "--tol-identity"])
+def test_tolerance_flags_must_be_finite_and_nonnegative(flag, value, hk_scenario, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([f"{flag}={value}", "project", hk_scenario, "--family", "hod"])
+    assert exc.value.code == 2
+    assert "finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [-1, -1e-300, float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["polytope", "identity"])
+def test_scenario_tolerances_must_be_finite_and_nonnegative(key, tol, tmp_path, capsys):
+    scen = write_scenario(tmp_path / "tol.json", extra={"tol": {key: tol}})
+    assert main(["project", scen, "--family", "hod"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite and >= 0" in err
+
+
+def test_zero_tolerance_stays_legal(hk_scenario, tmp_path):
+    out = tmp_path / "zero.json"
+    assert main(["--tol-polytope", "0", "project", hk_scenario, "--family", "hod",
+                 "--out", str(out)]) == 0
+    scen = write_scenario(tmp_path / "tol0.json", extra={"tol": {"polytope": 0}})
+    assert main(["project", scen, "--family", "hod", "--out", str(out)]) == 0

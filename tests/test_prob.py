@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrkit.measures import cmi, entropy
-from rrkit.prob import (FORMS, ChannelModel, ModelError, Variable,
+from rrkit.prob import (FORMS, ChannelModel, Factor, FactorizationSpec, ModelError, Variable,
                         ZeroProbabilityError, compose, condition,
                         embed_channel, marginalize, sample_distribution,
                         sample_factors, validate_factorization)
@@ -332,3 +336,89 @@ def test_marginals_are_read_only_valid_joints():
         assert m == d.__class__(m.variables, m.table)  # the checked constructor agrees
         with pytest.raises(ModelError):
             m.axis("U1b")
+
+
+# --- structural implication between chains ---------------------------------------
+
+def _worst_violation(source: FactorizationSpec, target: FactorizationSpec, sizes, seed, draws):
+    """Largest numeric violation of ``target`` over ``draws`` joints of ``source``."""
+    return max(validate_factorization(
+        compose(sample_factors(source, sizes, seed, i), source, sizes), target)[1]
+        for i in range(draws))
+
+
+def _assert_implies_agrees(source, target, sizes, seed, draws):
+    worst = _worst_violation(source, target, sizes, seed, draws)
+    if source.implies(target):
+        assert worst < 1e-12, f"{source.form}->{target.form}: {worst}"
+    else:
+        assert worst > 1e-6, f"{source.form}->{target.form}: {worst}"
+
+
+_SAME_VARIABLE_PAIRS = [(a, b) for a, b in itertools.product(sorted(FORMS), repeat=2)
+                        if set(FORMS[a].variables) == set(FORMS[b].variables)]
+
+
+@pytest.mark.parametrize("source, target", _SAME_VARIABLE_PAIRS)
+def test_implies_agrees_with_numeric_validation(source, target):
+    sizes = {n: 3 for n in FORMS[source].variables}
+    if "Q" in sizes:
+        sizes["Q"] = 2
+    _assert_implies_agrees(FORMS[source], FORMS[target], sizes, seed=808, draws=5)
+
+
+@pytest.mark.parametrize("source, target, expected", [
+    ("hk3", "hod9", True), ("dmt5", "hod9", True), ("crc2", "hod9", True),
+    ("cmg4", "hod12", True), ("hod9", "hod9", True),
+    ("hod9", "dmt5", False), ("ic1", "dmt5", False), ("hod12", "cmg4", False),
+    ("hod9", "hod12", False), ("rtd7", "hod9", False)])
+def test_implies_pinned_pairs(source, target, expected):
+    assert FORMS[source].implies(FORMS[target]) is expected
+
+
+def test_chain_built_from_lists_is_a_hashable_spec():
+    listed = FactorizationSpec("listed", [Factor([*f.targets], [*f.given])
+                                          for f in FORMS["hk3"].factors])
+    assert listed.factors == FORMS["hk3"].factors
+    assert listed.implies(FORMS["hod9"]) and not listed.implies(FORMS["cmg4"])
+
+
+_CHAIN_NAMES = ("Q", "W1", "U1", "W2", "U2")
+
+
+@st.composite
+def _chains(draw, names):
+    """A chain over ``names`` in a random order: targets grouped in ones or
+    twos, each given a random subset of the variables produced before it."""
+    order = draw(st.permutations(names))
+    factors, earlier, i = [], [], 0
+    while i < len(order):
+        width = draw(st.integers(1, min(2, len(order) - i)))
+        given = tuple(v for v in earlier if draw(st.booleans()))
+        factors.append(Factor(tuple(order[i:i + width]), given))
+        earlier += order[i:i + width]
+        i += width
+    return FactorizationSpec("random", tuple(factors))
+
+
+@st.composite
+def _chain_pairs(draw):
+    names = _CHAIN_NAMES[:draw(st.integers(4, 5))]
+    source = draw(_chains(names))
+    if draw(st.booleans()):
+        return source, draw(_chains(names))
+    # a weakening of source: same factors, each given a superset of earlier variables
+    factors, earlier = [], []
+    for f in source.factors:
+        extra = tuple(v for v in earlier if v not in f.given and draw(st.booleans()))
+        factors.append(Factor(f.targets, f.given + extra))
+        earlier += f.targets
+    return source, FactorizationSpec("weaker", tuple(factors))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_chain_pairs())
+def test_implies_agrees_with_numeric_validation_on_random_chains(pair):
+    source, target = pair
+    _assert_implies_agrees(source, target, {n: 3 for n in source.variables},
+                           seed=809, draws=2)

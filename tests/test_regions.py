@@ -3,7 +3,8 @@ import pytest
 
 from rrkit.measures import cmi, eval_terms
 from rrkit.polytope import fm_eliminate, lp_feasible, vertices2d
-from rrkit.prob import FORMS, ModelError, sample_distribution, sample_factors
+from rrkit.prob import (FORMS, Factor, FactorizationSpec, JointDistribution, ModelError,
+                        condition, marginalize, sample_distribution, sample_factors)
 from rrkit import regions as R
 
 from conftest import binary_sizes, compose_form, delta, uniform_factors
@@ -234,3 +235,58 @@ def test_project_to_ratepair_rtd_variables():
     c = R.rtd_constants(d)
     rp = R.project_to_ratepair(R.build_system(c, "rtd-quintuple"))
     assert rp.variables == ("R1", "R2")
+
+
+# --- which joints the factorization guard checks numerically ----------------------
+
+@pytest.fixture
+def numeric_guard_calls(monkeypatch):
+    """Counts the guard's calls of the numeric factorization check."""
+    calls = []
+    real = R.validate_factorization
+
+    def counted(d, spec):
+        calls.append(spec.form)
+        return real(d, spec)
+
+    monkeypatch.setattr(R, "validate_factorization", counted)
+    return calls
+
+
+@pytest.mark.parametrize("form, run", [
+    ("hk3", R.hod_constants), ("dmt5", R.hod_constants), ("hod9", R.hod_constants),
+    ("cmg4", R.hod1_constants), ("hod12", R.hod1_constants),
+    ("hod9", R.binning_budget_system), ("rtd7", R.rtd_constants)])
+def test_guard_skips_numeric_check_for_implying_chains(form, run, numeric_guard_calls):
+    run(sample_distribution(FORMS[form], binary_sizes(form), seed=83))
+    assert numeric_guard_calls == []
+
+
+def test_guard_checks_numerically_unless_composed(numeric_guard_calls):
+    d = sample_distribution(FORMS["hk3"], binary_sizes("hk3"), seed=89)
+    ext = FactorizationSpec("hod9+U1a", (Factor(("U1a",), ()),) + FORMS["hod9"].factors)
+    sizes = dict(binary_sizes("hod9"), U1a=2)
+    extended = sample_distribution(ext, sizes, seed=89)
+    for fed_back in (JointDistribution(d.variables, d.table),
+                     marginalize(d, d.names),
+                     condition(extended, {"U1a": 1})):
+        numeric_guard_calls.clear()
+        R.hod_constants(fed_back)
+        assert numeric_guard_calls == ["hod9"]
+
+
+def test_guard_rejects_composed_joint_of_non_implying_chain(numeric_guard_calls):
+    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=3)
+    with pytest.raises(ModelError, match=r"violates factorization dmt5 by .* \(limit 1e-06\)"):
+        R.dmt_constants(d)
+    assert numeric_guard_calls == ["dmt5"]
+
+
+@pytest.mark.parametrize("family, form", [("hod", "hk3"), ("dmt", "dmt5"),
+                                          ("rtd", "rtd7"), ("hod1", "cmg4")])
+def test_guard_route_leaves_constants_bitwise_equal(family, form):
+    for i in range(3):
+        d = sample_distribution(FORMS[form], binary_sizes(form), seed=97, index=i)
+        structural = R.constants_for(d, family).values
+        numeric = R.constants_for(JointDistribution(d.variables, d.table), family).values
+        assert [v.hex() for v in structural.values()] == [v.hex() for v in numeric.values()]
