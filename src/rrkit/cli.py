@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regions
-from .polytope import (InequalitySystem, Polytope2D, UnboundedRegionError,
+from .polytope import (TOL, InequalitySystem, UnboundedRegionError,
                        VariableMismatchError, contains, convex_hull,
                        remove_redundant, vertices2d)
 from .prob import FORMS, JointDistribution, ModelError, compose, sample_factors
-from .verify import CHECKS, TOL_IDENTITY, TOL_POLYTOPE, run_check
+from .verify import CHECKS, TOL_IDENTITY, run_check
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_MODEL, EXIT_COMPARE = 0, 1, 2, 3, 4
 
@@ -40,34 +40,13 @@ class ScenarioError(ValueError):
 
 
 @dataclass
-class UnionApproximation:
-    """Sampled approximation of a region family's union over distributions."""
-
-    family: str
-    seed: int
-    sample_polytopes: list[Polytope2D]
-    hull: list[tuple[float, float]]
-
-    def to_json_dict(self, name: str) -> dict:
-        return {
-            "name": name, "family": self.family,
-            "samples": len(self.sample_polytopes), "seed": self.seed,
-            "per_sample": [{"index": i, "kind": p.kind,
-                            "vertices": [[x, y] for x, y in p.vertices]}
-                           for i, p in enumerate(self.sample_polytopes)],
-            "vertices": [[x, y] for x, y in self.hull],
-        }
-
-
-@dataclass
 class Scenario:
     form: str
     sizes: dict[str, int]
     overrides: dict[str, np.ndarray] = field(default_factory=dict)
     count: int = 50
     seed: int = 0
-    tol_polytope: float = TOL_POLYTOPE
-    tol_identity: float = TOL_IDENTITY
+    tol_polytope: float = TOL
 
     def draw(self, index: int) -> JointDistribution:
         spec = FORMS[self.form]
@@ -164,8 +143,7 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(form, sizes, overrides,
                     count=count,
                     seed=_number(path, "sampling seed", sampling.get("seed", 0)),
-                    tol_polytope=float(tol.get("polytope", TOL_POLYTOPE)),
-                    tol_identity=float(tol.get("identity", TOL_IDENTITY)))
+                    tol_polytope=float(tol.get("polytope", TOL)))
 
 
 def reduced_ratepair(consts: regions.BoundConstants, family: str,
@@ -310,12 +288,8 @@ def cmd_compare(args) -> int:
     da, db = scenario_a.draw(args.index), scenario_b.draw(args.index)
     _, sys_a = reduced_ratepair(regions.constants_for(da, args.family), args.family, tol)
     _, sys_b = reduced_ratepair(regions.constants_for(db, family_b), family_b, tol)
-    try:
-        a_has_b, wit_ab = contains(sys_a, sys_b, tol)
-        b_has_a, wit_ba = contains(sys_b, sys_a, tol)
-    except VariableMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPARE
+    a_has_b, wit_ab = contains(sys_a, sys_b, tol)
+    b_has_a, wit_ba = contains(sys_b, sys_a, tol)
     out = {"a": args.family, "b": family_b,
            "a_contains_b": a_has_b, "b_contains_a": b_has_a,
            "witness_outside_a": wit_ab, "witness_outside_b": wit_ba}
@@ -361,7 +335,7 @@ def _tolerance(text: str) -> float:
 def cmd_verify(args) -> int:
     kwargs = dict(samples=args.samples, seed=args.seed,
                   tol_polytope=args.tol_polytope if args.tol_polytope is not None
-                  else TOL_POLYTOPE,
+                  else TOL,
                   tol_identity=args.tol_identity if args.tol_identity is not None
                   else TOL_IDENTITY)
     n = _threads()
@@ -378,6 +352,8 @@ def cmd_verify(args) -> int:
     for key, val in sorted(report.details.items()):
         if key == "infeasible_source":
             print(f"  {key}: {val['count']} samples diverge one-sidedly (witnessed)")
+        elif key == "empty_projection":
+            print(f"  {key}: {val} of {report.samples} samples have an empty projection")
         elif isinstance(val, dict) and val and all(isinstance(v, float) for v in val.values()):
             worst = max(val.values())
             print(f"  {key}: worst {worst:.3e}")
@@ -390,28 +366,29 @@ def cmd_verify(args) -> int:
 def cmd_union(args) -> int:
     scenario = _load(args)
     samples = args.samples if args.samples is not None else scenario.count
-    seed = scenario.seed
     tol = args.tol_polytope if args.tol_polytope is not None else scenario.tol_polytope
-    polys: list[Polytope2D] = []
+    per_sample: list[dict] = []
     points: list[tuple[float, float]] = []
     for i in range(samples):
         d = scenario.draw(i)
         consts = regions.constants_for(d, args.family)
         _, reduced = reduced_ratepair(consts, args.family, tol)
         poly = vertices2d(reduced, tol)
-        polys.append(poly)
+        per_sample.append({"index": i, "kind": poly.kind,
+                           "vertices": [[x, y] for x, y in poly.vertices]})
         points.extend(poly.vertices)
-    union = UnionApproximation(args.family, seed, polys, convex_hull(points))
-    name = os.path.splitext(os.path.basename(args.scenario))[0]
-    out = union.to_json_dict(f"union:{name}:{args.family}")
-    print(f"union of {samples} samples: hull has {len(union.hull)} vertices")
-    _dump_json(out, args.out)
+    hull = convex_hull(points)
+    name = f"union:{os.path.splitext(os.path.basename(args.scenario))[0]}:{args.family}"
+    print(f"union of {samples} samples: hull has {len(hull)} vertices")
+    _dump_json({"name": name, "family": args.family, "samples": samples,
+                "seed": scenario.seed, "per_sample": per_sample,
+                "vertices": [[x, y] for x, y in hull]}, args.out)
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(_vertices_csv(union.hull))
+            fh.write(_vertices_csv(hull))
     if args.svg:
         with open(args.svg, "w") as fh:
-            fh.write(render_svg([(out["name"], union.hull)]))
+            fh.write(render_svg([(name, hull)]))
     return EXIT_OK
 
 
@@ -443,12 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tolerance for identity checks (default 1e-12)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_scenario(p, with_family=True):
+    def add_scenario(p, index=True):
         p.add_argument("scenario", help="scenario JSON file")
-        if with_family:
-            p.add_argument("--family", choices=list(regions._FAMILIES), required=True)
-        p.add_argument("--index", type=int, default=0,
-                       help="sample index within the scenario's stream")
+        p.add_argument("--family", choices=list(regions._FAMILIES), required=True)
+        if index:
+            p.add_argument("--index", type=int, default=0,
+                           help="sample index within the scenario's stream")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario's sampling seed")
         p.add_argument("--out", default=None, help="write JSON output here")
@@ -477,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("union", help="sampled union approximation over inputs")
-    add_scenario(p)
+    add_scenario(p, index=False)
     p.add_argument("--samples", type=_sample_count, default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)

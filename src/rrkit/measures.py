@@ -1,8 +1,9 @@
 """Entropy and conditional mutual information over joint tables, in bits.
 
 Conditional quantities are computed as entropy differences (base-2 logs,
-0 log 0 = 0).  Round-off can leave values in [-1e-12, 0); they are clamped
-to 0 only at the reporting boundary, never inside intermediate sums.
+0 log 0 = 0) and returned as computed: round-off can leave a quantity that
+is 0 in exact arithmetic slightly negative (about 1e-12), and nothing clamps
+it, so checks compare such values against their stated tolerances.
 
 Each subset entropy H(S) is computed once per joint: the first request
 marginalises onto S the smallest marginal the joint already holds over a
@@ -24,8 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from .prob import JointDistribution, marginalize
-
-NEG_TOL = 1e-12
 
 
 def _smallest_superset(d: JointDistribution, key: frozenset) -> JointDistribution:
@@ -83,11 +82,6 @@ def cmi(d: JointDistribution, a, b, c=()) -> float:
     h_abc = _plain_entropy(d, a + b + c)
     h_c = _plain_entropy(d, c) if c else 0.0
     return h_ac + h_bc - h_abc - h_c
-
-
-def clamp(value: float) -> float:
-    """Round tiny negative round-off up to 0 (reporting boundary only)."""
-    return 0.0 if -NEG_TOL <= value < 0.0 else value
 
 
 @dataclass(frozen=True)

@@ -167,8 +167,6 @@ def _chain(form: str, *links: str) -> FactorizationSpec:
 # The catalogued input-distribution families.  Joint encoder factors
 # p(x1 x2 | aux) are realized as two per-sender factors matching the
 # superposition/binning encoders that go with each family.
-CHANNEL_FACTOR = Factor(("Y1", "Y2"), ("X1", "X2"))
-
 FORMS: dict[str, FactorizationSpec] = {
     "ic1": _chain("ic1", "Q", "U1,W1|Q", "U2,W2|Q",
                   "X1|Q,U1,W1", "X2|Q,U2,W2", "Y1,Y2|X1,X2"),
@@ -295,26 +293,26 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
 
     ``factors[i]`` corresponds to ``spec.factors[i]`` and is indexed by the
     factor's given variables first (in the listed order), then its targets.
-    The joint records ``spec`` as its ``_spec``.
+    The table grows one factor at a time, each factor's targets becoming new
+    trailing axes, so every cell is multiplied in chain order.  The joint
+    records ``spec`` as its ``_spec``.
     """
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
     _check_cells(spec.form, spec.variables, sizes)
     order = spec.variables
-    shape = tuple(sizes[n] for n in order)
-    joint = np.ones(shape)
     pos = {n: i for i, n in enumerate(order)}
+    joint, grown = np.ones(()), ()
     for raw, f in zip(factors, spec.factors):
         t = _normalize_conditional(raw, len(f.given))
         expect = tuple(sizes[n] for n in f.given) + tuple(sizes[n] for n in f.targets)
         if t.shape != expect:
             raise ModelError(f"factor {f.label()} has shape {t.shape}, expected {expect}")
-        # broadcast the factor into the full variable order
         src = list(f.given) + list(f.targets)
-        expanded = np.ones([sizes[n] if n in src else 1 for n in order])
+        grown += f.targets
         perm = sorted(range(len(src)), key=lambda i: pos[src[i]])
-        expanded[...] = t.transpose(perm).reshape(expanded.shape)
-        joint *= expanded
+        aligned = t.transpose(perm).reshape([sizes[n] if n in src else 1 for n in grown])
+        joint = joint.reshape(joint.shape + (1,) * len(f.targets)) * aligned
     d = JointDistribution(tuple(Variable(n, sizes[n]) for n in order), joint)
     object.__setattr__(d, "_spec", spec)
     return d
@@ -431,14 +429,12 @@ def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
 
 
 def sample_distribution(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
-                        index: int = 0, kernel: np.ndarray | None = None) -> JointDistribution:
+                        index: int = 0) -> JointDistribution:
     """Draw a joint of the given form; every factor slice uniform on the simplex.
 
-    Deterministic in (seed, index).  If ``kernel`` is given it is used for the
-    channel factor p(y1,y2|x1,x2) instead of a random draw.
+    Deterministic in (seed, index); ``sample_factors`` takes pinned tables.
     """
-    overrides = {CHANNEL_FACTOR.label(): kernel} if kernel is not None else None
-    return compose(sample_factors(spec, sizes, seed, index, overrides), spec, sizes)
+    return compose(sample_factors(spec, sizes, seed, index), spec, sizes)
 
 
 @dataclass(frozen=True)

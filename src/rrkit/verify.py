@@ -18,18 +18,16 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import regions
 from .measures import eval_terms
-from .polytope import (InequalitySystem, contains, fm_eliminate, implies,
+from .polytope import (TOL, InequalitySystem, contains, fm_eliminate, implies,
                        lp_feasible, remove_redundant)
 from .prob import FORMS, _uniform_simplex, compose, sample_factors, stream
 
 TOL_IDENTITY = 1e-12
-TOL_POLYTOPE = 1e-9
 TOL_ADDON = 1e-9     # single add-on mutual information on a factorized input
 TOL_COLLAPSE = 1e-8  # a constant differs from its collapsed form by <= a few add-ons
 
@@ -57,8 +55,8 @@ class RegionReport:
             "passed": bool(self.passed),
             "verdicts": [bool(v) for v in self.verdicts],
             "max_deviation": float(self.max_deviation),
-            "failures": _plain(self.failures),
-            "details": _plain(self.details),
+            "failures": list(self.failures),
+            "details": dict(self.details),
         }
 
     def summary(self) -> str:
@@ -66,23 +64,6 @@ class RegionReport:
         n_ok = sum(1 for v in self.verdicts if v)
         return (f"{self.check}: {status} ({n_ok}/{len(self.verdicts)} verdicts, "
                 f"max deviation {self.max_deviation:.3e} bits)")
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays and tuples for JSON output."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
 
 
 def _binary_sizes(form: str, index: int, u1b: int = 2) -> dict[str, int]:
@@ -96,22 +77,30 @@ def _binary_sizes(form: str, index: int, u1b: int = 2) -> dict[str, int]:
 
 
 def _draw(form: str, seed: int, index: int, u1b: int = 2):
+    """A binary joint of ``form`` and the (index, seed, sizes, factors) that replay it."""
     sizes = _binary_sizes(form, index, u1b)
     factors = sample_factors(FORMS[form], sizes, seed, index)
-    return compose(factors, FORMS[form], sizes), factors, sizes
+    return compose(factors, FORMS[form], sizes), (index, seed, sizes, factors)
 
 
-def _failure(index: int, seed: int, sizes: dict, factors, why: str,
-             witness=None, deviation: float = 0.0) -> dict:
-    return {
-        "sample": index,
-        "seed": seed,
-        "sizes": dict(sizes),
-        "why": why,
-        "witness": witness,
-        "deviation": deviation,
-        "factors": [f.tolist() for f in factors],
-    }
+def _result(draw, ok: bool, deviation: float, why: str, aggregate: dict | None = None,
+            witness=None, failure_deviation: float | None = None,
+            tally: dict | None = None, divergent: bool = False) -> dict:
+    """One sample's record for ``_merge``: the verdict, the deviation, the
+    ``aggregate`` entries (folded by max) and ``tally`` entries (summed) and,
+    for a failed sample, a replayable witness of ``draw`` saying ``why``.  A
+    ``divergent`` sample passes but keeps its witness, under
+    details.infeasible_source."""
+    record = {"ok": ok, "deviation": deviation, "aggregate": aggregate or {},
+              "tally": tally or {}}
+    if not ok or divergent:
+        index, seed, sizes, factors = draw
+        record["divergence" if ok else "failure"] = {
+            "sample": index, "seed": seed, "sizes": dict(sizes), "why": why,
+            "witness": witness,
+            "deviation": deviation if failure_deviation is None else failure_deviation,
+            "factors": [f.tolist() for f in factors]}
+    return record
 
 
 def _witness_deviation(sys: InequalitySystem, point) -> float:
@@ -124,35 +113,39 @@ def _witness_deviation(sys: InequalitySystem, point) -> float:
     return worst
 
 
-def _merge(check: str, samples: int, seed: int, tolerances: dict, results,
-           details: dict | None = None) -> RegionReport:
-    """Fold per-sample results into one report; each ``aggregate`` entry
-    becomes details[key][name] = the largest value seen over the samples."""
+def _merge(check: str, samples: int, seed: int, tolerances: dict, results) -> RegionReport:
+    """Fold per-sample records into one report: each ``aggregate`` entry
+    becomes details[key][name] = the largest value seen over the samples, and
+    each ``tally`` entry details[key] = its sum (per name for a Counter)."""
     verdicts, failures, divergences, devs = [], [], [], [0.0]
-    extra: dict = details or {}
+    details: dict = {}
+    tallies: dict = {}
     for res in results:
         verdicts.append(res["ok"])
-        devs.append(res.get("deviation", 0.0))
-        if res.get("failure") is not None:
+        devs.append(res["deviation"])
+        if "failure" in res:
             failures.append(res["failure"])
-        if res.get("divergence") is not None:
+        if "divergence" in res:
             divergences.append(res["divergence"])
-        for key, val in res.get("aggregate", {}).items():
-            bucket = extra.setdefault(key, {})
+        for key, val in res["aggregate"].items():
+            bucket = details.setdefault(key, {})
             for name, v in val.items():
                 bucket[name] = max(bucket[name], v) if name in bucket else v
+        for key, n in res["tally"].items():
+            tallies[key] = tallies[key] + n if key in tallies else n
+    for key, n in tallies.items():
+        details[key] = dict(sorted(n.items())) if isinstance(n, Counter) else n
     if divergences:
-        extra["infeasible_source"] = {"count": len(divergences),
-                                      "witnesses": divergences}
+        details["infeasible_source"] = {"count": len(divergences),
+                                        "witnesses": divergences}
     return RegionReport(check, samples, seed, tolerances, all(verdicts),
-                        tuple(verdicts), max(devs), tuple(failures), extra)
+                        tuple(verdicts), max(devs), tuple(failures), details)
 
 
 # --- thm4 / thm6: quadruple -> rate-pair equivalence -------------------------
 
 def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: float,
-                     form: str, family: str, quadruple: str, ratepair: str,
-                     with_37: bool) -> dict:
+                     family: str, ratepair: str, with_37: bool) -> dict:
     """thm4 / thm6: the projected quadruple region equals the closed-form
     20-row / 11-row rate-pair description (thm4 also checks the two-way
     implication with the 37-row intermediate list).
@@ -160,10 +153,14 @@ def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: f
     Samples whose source system is infeasible (a negative evaluated
     constant) keep an empty projection while the closed-form lists keep a
     sliver; those one-sided divergences are witnessed under
-    details.infeasible_source instead of failing the check."""
-    d, factors, sizes = _draw(form, seed, index)
+    details.infeasible_source instead of failing the check.
+    details.empty_projection counts the samples whose projection is empty
+    (their containments hold vacuously), and details.dropped_projection_rows
+    how often each projection row was redundant on an equivalent sample."""
+    fam = regions._FAMILIES[family]
+    d, draw = _draw(fam.form, seed, index)
     consts = regions.constants_for(d, family)
-    quad = regions.build_system(consts, quadruple)
+    quad = regions.build_system(consts, fam.system)
     raw = regions.project_to_ratepair(quad)
     listed = regions.build_system(consts, ratepair)
     pairs = [("projection inside closed-form list", listed, raw),
@@ -177,30 +174,27 @@ def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: f
         ok, witness = contains(outer, inner, tol_polytope)
         if not ok:
             problems.append((why, witness, _witness_deviation(outer, witness)))
+    projection_empty = not lp_feasible(raw, tol=tol_polytope)
+    tally = {"empty_projection": int(projection_empty), "dropped_projection_rows": Counter()}
     if not problems:
         reduced = remove_redundant(raw, tol_polytope)
-        dropped = sorted(r.label for r in raw.rows if r.label not in
-                         {x.label for x in reduced.rows})
-        return {"ok": True, "deviation": 0.0, "failure": None,
-                "aggregate": {"reduced_row_count": {"max": float(len(reduced.rows))}},
-                "dropped": dropped}
+        kept = {x.label for x in reduced.rows}
+        tally["dropped_projection_rows"] = Counter(r.label for r in raw.rows
+                                                   if r.label not in kept)
+        return _result(draw, True, 0.0, "",
+                       {"reduced_row_count": {"max": float(len(reduced.rows))}}, tally=tally)
     # A negative evaluated constant empties the source system; its projection
     # keeps the pure-constant feasibility rows that the closed-form lists omit, so
     # the closed-form region keeps a spurious sliver.  That one-sided divergence
     # is witnessed and classified, not treated as a reduction defect.
-    source_feasible = lp_feasible(quad, tol=tol_polytope)
-    projection_empty = not lp_feasible(raw, tol=tol_polytope)
     one_sided = all(why.endswith("inside projection") for why, _, _ in problems)
     why_all = "; ".join(why for why, _, _ in problems)
-    witness = problems[0][1]
-    dev = max(p[2] for p in problems)
-    if not source_feasible and projection_empty and one_sided:
-        return {"ok": True, "deviation": dev, "failure": None,
-                "divergence": _failure(index, seed, sizes, factors,
-                                       f"source system infeasible: {why_all}",
-                                       witness, dev)}
-    return {"ok": False, "deviation": dev,
-            "failure": _failure(index, seed, sizes, factors, why_all, witness, dev)}
+    divergent = (projection_empty and one_sided
+                 and not lp_feasible(quad, tol=tol_polytope))
+    if divergent:
+        why_all = f"source system infeasible: {why_all}"
+    return _result(draw, divergent, max(p[2] for p in problems), why_all,
+                   witness=problems[0][1], tally=tally, divergent=divergent)
 
 
 # --- corollary1 / corollary3: add-on collapse --------------------------------
@@ -211,22 +205,18 @@ def _collapse_one(index: int, seed: int, tol_polytope: float, tol_identity: floa
     quadruple constants) and product inputs (cmg4, for the simplified ones)
     every correlation/interference/binning add-on vanishes and the constants
     equal their collapsed forms."""
-    d, factors, sizes = _draw(form, seed, index)
+    d, draw = _draw(form, seed, index)
     addons = regions.addon_values(d, family)
     consts = regions.constants_for(d, family)
     collapsed = regions.collapsed_constants(d, family)
     worst_addon = max(addons.values())
     collapse_dev = {k: abs(consts[k] - collapsed[k]) for k in collapsed}
     worst_collapse = max(collapse_dev.values())
-    ok = worst_addon <= TOL_ADDON and worst_collapse <= TOL_COLLAPSE
-    failure = None
-    if not ok:
-        term = max(addons, key=addons.get)
-        failure = _failure(index, seed, sizes, factors,
-                           f"add-on term {term} = {addons[term]:.3e}",
-                           deviation=max(worst_addon, worst_collapse))
-    return {"ok": ok, "deviation": max(worst_addon, worst_collapse), "failure": failure,
-            "aggregate": {"addons": addons, "collapse": collapse_dev}}
+    term = max(addons, key=addons.get)
+    return _result(draw, worst_addon <= TOL_ADDON and worst_collapse <= TOL_COLLAPSE,
+                   max(worst_addon, worst_collapse),
+                   f"add-on term {term} = {addons[term]:.3e}",
+                   {"addons": addons, "collapse": collapse_dev})
 
 
 # --- corollary2 / corollary4: redundant rate-pair rows -----------------------
@@ -250,28 +240,22 @@ def _cor24_one(index: int, seed: int, tol_polytope: float, tol_identity: float) 
     """corollary2-4: the listed rate-pair rows become redundant on the
     reduced input families, and D1 <= G1, E2 <= G2 hold for the simplified
     constants."""
-    d3, factors3, sizes3 = _draw("hk3", seed, index)
+    d3, draw3 = _draw("hk3", seed, index)
     c3 = regions.hod_constants(d3)
     sys20 = regions.build_system(c3, "thm4-ratepair")
     missed_hk = redundant_rows(sys20, REDUNDANT_UNDER_HK, tol_polytope)
     if missed_hk:
-        return {"ok": False, "deviation": 0.0,
-                "failure": _failure(index, seed, sizes3, factors3,
-                                    f"rows not implied under independence: {missed_hk}")}
-    d4, factors4, sizes4 = _draw("cmg4", seed, index)
+        return _result(draw3, False, 0.0,
+                       f"rows not implied under independence: {missed_hk}")
+    d4, draw4 = _draw("cmg4", seed, index)
     c4 = regions.hod1_constants(d4)
     sys11 = regions.build_system(c4, "thm6-ratepair")
     missed_cmg = redundant_rows(sys11, REDUNDANT_UNDER_CMG, tol_polytope)
     order_dev = max(c4["D1"] - c4["G1"], c4["E2"] - c4["G2"], 0.0)
-    ok = not missed_cmg and order_dev <= tol_identity
-    failure = None
-    if not ok:
-        failure = _failure(index, seed, sizes4, factors4,
-                           f"rows not implied: {missed_cmg}; ordering excess {order_dev:.3e}",
-                           deviation=order_dev)
-    return {"ok": ok, "deviation": order_dev, "failure": failure,
-            "aggregate": {"orderings": {"D1-G1": c4["D1"] - c4["G1"],
-                                        "E2-G2": c4["E2"] - c4["G2"]}}}
+    return _result(draw4, not missed_cmg and order_dev <= tol_identity, order_dev,
+                   f"rows not implied: {missed_cmg}; ordering excess {order_dev:.3e}",
+                   {"orderings": {"D1-G1": c4["D1"] - c4["G1"],
+                                  "E2-G2": c4["E2"] - c4["G2"]}})
 
 
 # --- corollary5: baseline constants vs general constants ---------------------
@@ -286,34 +270,31 @@ def _cor5_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     baseline - general; a sample fails if either exceeds tol_identity or
     the baseline rate-pair region is not inside the general one.
     """
-    d, factors, sizes = _draw("dmt5", seed, index)
+    d, draw = _draw("dmt5", seed, index)
     cd = regions.dmt_constants(d)
     ch = regions.hod_constants(d)
     identity_dev, dominance_excess = {}, {}
     for low, (high, delta) in regions.COROLLARY5_TABLE.items():
         identity_dev[low] = abs(cd[low] - (ch[high] - eval_terms(d, delta)))
         dominance_excess[low] = cd[low] - ch[high]
-    hod_rp = regions.project_to_ratepair(regions.build_system(ch, "thm3-quadruple"))
-    dmt_rp = regions.project_to_ratepair(regions.build_system(cd, "dmt-quadruple"))
+    hod_rp, dmt_rp = (regions.project_to_ratepair(
+        regions.build_system(c, regions._FAMILIES[c.family].system)) for c in (ch, cd))
     inclusion, witness = contains(hod_rp, dmt_rp, tol_polytope)
     worst_identity = max(identity_dev.values())
     worst_excess = max(dominance_excess.values())
     ok = worst_identity <= tol_identity and worst_excess <= tol_identity and inclusion
-    failure = None
-    if not ok:
-        bad = [k for k, v in identity_dev.items() if v > tol_identity]
-        why = f"identity deviations above tolerance: {bad}"
-        above = [k for k, v in dominance_excess.items() if v > tol_identity]
-        if above:
-            why += f"; baseline above general: {above}"
-        if not inclusion:
-            why += "; rate-pair inclusion failed"
-        failure = _failure(index, seed, sizes, factors, why, witness,
-                           max(worst_identity, worst_excess))
-    return {"ok": ok, "deviation": worst_identity, "failure": failure,
-            "aggregate": {"identity_dev": identity_dev,
-                          "dominance_excess": dominance_excess,
-                          "inclusion": {"failed_any": 0.0 if inclusion else 1.0}}}
+    bad = [k for k, v in identity_dev.items() if v > tol_identity]
+    why = f"identity deviations above tolerance: {bad}"
+    above = [k for k, v in dominance_excess.items() if v > tol_identity]
+    if above:
+        why += f"; baseline above general: {above}"
+    if not inclusion:
+        why += "; rate-pair inclusion failed"
+    return _result(draw, ok, worst_identity, why,
+                   {"identity_dev": identity_dev,
+                    "dominance_excess": dominance_excess,
+                    "inclusion": {"failed_any": 0.0 if inclusion else 1.0}},
+                   witness, max(worst_identity, worst_excess))
 
 
 # --- corollary6: split-private-message relations -----------------------------
@@ -326,7 +307,7 @@ def _cor6_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     (exact); the residual of the narrower I(W2; ...) grouping is reported
     under details.s1_narrow_grouping_residual.
     """
-    d, factors, sizes = _draw("rtd7", seed, index)
+    d, draw = _draw("rtd7", seed, index)
     cr = regions.rtd_constants(d)
     line_dev = {}
     for key, rtd_label, orient, delta in regions.COROLLARY6_LINES:
@@ -339,23 +320,20 @@ def _cor6_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     narrow = eval_terms(d, regions.COROLLARY6_NARROW_S1_DELTA)
     s1_variant = abs(cr["8-3"] - (eval_terms(d, regions.HOD_ON_SPLIT["S1"]) - narrow))
     # degenerate split part: every bound dominated by its quadruple analogue
-    dd, dfactors, dsizes = _draw("rtd7", seed, index, u1b=1)
+    dd, _ = _draw("rtd7", seed, index, u1b=1)
     cdeg = regions.rtd_constants(dd)
     excess = {key: cdeg[lab] - eval_terms(dd, regions.HOD_ON_SPLIT[key])
               for key, lab, _, _ in regions.COROLLARY6_LINES}
     worst_dev = max(line_dev.values())
     worst_excess = max(excess.values())
-    ok = worst_dev <= tol_identity and worst_excess <= tol_identity
-    failure = None
-    if not ok:
-        failure = _failure(index, seed, sizes, factors,
-                           f"relation deviation {worst_dev:.3e}, "
-                           f"degenerate dominance excess {worst_excess:.3e}",
-                           deviation=max(worst_dev, worst_excess))
-    return {"ok": ok, "deviation": worst_dev, "failure": failure,
-            "aggregate": {"line_dev": line_dev,
-                          "degenerate_excess": excess,
-                          "s1_narrow_grouping_residual": {"max": s1_variant}}}
+    return _result(draw, worst_dev <= tol_identity and worst_excess <= tol_identity,
+                   worst_dev,
+                   f"relation deviation {worst_dev:.3e}, "
+                   f"degenerate dominance excess {worst_excess:.3e}",
+                   {"line_dev": line_dev,
+                    "degenerate_excess": excess,
+                    "s1_narrow_grouping_residual": {"max": s1_variant}},
+                   failure_deviation=max(worst_dev, worst_excess))
 
 
 # --- eq14: dual spellings of the simplified constants ------------------------
@@ -394,7 +372,7 @@ def _eq14_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     generic inputs the per-constant gaps are measured and reported, with the
     A1 gap checked against the recoverability residual I(W2;W1|Q,X1)."""
     # generic draw: measure every deviation and the recoverability residual
-    d, factors, sizes = _draw("hod12", seed, index)
+    d, draw = _draw("hod12", seed, index)
     cx = regions.hod1_constants(d)
     dev = {k: abs(eval_terms(d, regions.EQ14_UFORM[k]) - cx[k])
            for k in regions.EQ14_UFORM}
@@ -417,54 +395,44 @@ def _eq14_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     if worst_sup > tol_identity:
         ok = False
         why.append(f"superposition-structure deviation {worst_sup:.3e}")
-    failure = None
-    if not ok:
-        failure = _failure(index, seed, sizes, factors, "; ".join(why),
-                           deviation=max(worst_sup, dev["E1"], a1_gap_dev))
-    return {"ok": ok, "deviation": worst_sup, "failure": failure,
-            "aggregate": {"generic_dev": dev,
-                          "superposition_dev": sup_dev,
-                          "recoverability_residual": {"max": markov}}}
+    return _result(draw, ok, worst_sup, "; ".join(why),
+                   {"generic_dev": dev,
+                    "superposition_dev": sup_dev,
+                    "recoverability_residual": {"max": markov}},
+                   failure_deviation=max(worst_sup, dev["E1"], a1_gap_dev))
 
 
 # --- binning: budget system projects onto the user-2 rows --------------------
 
-_USER2_PATTERN = {
-    (1, 0, 0): "A2", (0, 1, 0): "B2", (0, 0, 1): "C2", (1, 1, 0): "D2",
-    (1, 0, 1): "E2", (0, 1, 1): "F2", (1, 1, 1): "G2",
-}
+# the user-2 quadruple rows by their rate vector over the budget rates (S2, T2, T1)
+_USER2_PATTERN = {tuple(rates.get(v, 0) for v in ("S2", "T2", "T1")): label
+                  for label, rates in regions._QUAD_RATES.items() if label.endswith("2")}
 
 
 def _binning_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
     """binning: eliminating the budget rates reproduces the user-2 quadruple
     rows with identical coefficient vectors and matching constants."""
-    d, factors, sizes = _draw("hod9", seed, index)
+    d, draw = _draw("hod9", seed, index)
     budget = regions.binning_budget_system(d)
     projected = fm_eliminate(fm_eliminate(budget, "s2"), "t2")
     consts = regions.hod_constants(d)
     got = {tuple(int(c) for c in r.coeffs): r.bound for r in projected.rows}
     if set(got) != set(_USER2_PATTERN):
-        return {"ok": False, "deviation": 0.0,
-                "failure": _failure(index, seed, sizes, factors,
-                                    f"projected coefficient patterns {sorted(got)} != "
-                                    f"expected {sorted(_USER2_PATTERN)}")}
+        return _result(draw, False, 0.0,
+                       f"projected coefficient patterns {sorted(got)} != "
+                       f"expected {sorted(_USER2_PATTERN)}")
     dev = {lab: abs(got[pat] - consts[lab]) for pat, lab in _USER2_PATTERN.items()}
     worst = max(dev.values())
-    ok = worst <= tol_identity
-    failure = None
-    if not ok:
-        failure = _failure(index, seed, sizes, factors,
-                           f"projected constants deviate by {worst:.3e}", deviation=worst)
-    return {"ok": ok, "deviation": worst, "failure": failure,
-            "aggregate": {"constant_dev": dev}}
+    return _result(draw, worst <= tol_identity, worst,
+                   f"projected constants deviate by {worst:.3e}", {"constant_dev": dev})
 
 
 # name -> (per-sample function, fixed arguments, tolerances recorded in the report)
 _CHECKS = {
-    "thm4": (_equivalence_one, dict(form="hod9", family="hod", quadruple="thm3-quadruple",
-                                    ratepair="thm4-ratepair", with_37=True), ("polytope",)),
-    "thm6": (_equivalence_one, dict(form="hod12", family="hod1", quadruple="thm5-quadruple",
-                                    ratepair="thm6-ratepair", with_37=False), ("polytope",)),
+    "thm4": (_equivalence_one, dict(family="hod", ratepair="thm4-ratepair", with_37=True),
+             ("polytope",)),
+    "thm6": (_equivalence_one, dict(family="hod1", ratepair="thm6-ratepair", with_37=False),
+             ("polytope",)),
     "corollary1": (_collapse_one, dict(form="hk3", family="hod"), ("addon", "collapse")),
     "corollary2-4": (_cor24_one, {}, ("polytope", "identity")),
     "corollary3": (_collapse_one, dict(form="cmg4", family="hod1"), ("addon", "collapse")),
@@ -476,7 +444,7 @@ _CHECKS = {
 
 
 def run_check(name: str, samples: int, seed: int,
-              tol_polytope: float = TOL_POLYTOPE,
+              tol_polytope: float = TOL,
               tol_identity: float = TOL_IDENTITY, mapper=map) -> RegionReport:
     """Run check ``name`` on ``samples`` draws from ``seed``; ``mapper`` maps
     the per-sample function over the sample indices (a process pool's map
@@ -489,16 +457,12 @@ def run_check(name: str, samples: int, seed: int,
     results = list(mapper(functools.partial(one, seed=seed, tol_polytope=tol_polytope,
                                             tol_identity=tol_identity, **fixed),
                           range(samples)))
-    report = _merge(name, samples, seed, {k: tolerances[k] for k in recorded}, results)
-    if name == "thm6":
-        dropped = Counter(label for res in results for label in res.get("dropped", []))
-        report.details["dropped_projection_rows"] = dict(sorted(dropped.items()))
-    return report
+    return _merge(name, samples, seed, {k: tolerances[k] for k in recorded}, results)
 
 
 def _public(name: str, default_samples: int):
     def check(samples: int = default_samples, seed: int = 0,
-              tol_polytope: float = TOL_POLYTOPE, tol_identity: float = TOL_IDENTITY,
+              tol_polytope: float = TOL, tol_identity: float = TOL_IDENTITY,
               mapper=map) -> RegionReport:
         return run_check(name, samples, seed, tol_polytope, tol_identity, mapper)
     check.__doc__ = _CHECKS[name][0].__doc__

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 from rrkit.cli import main
 from rrkit.measures import cmi, entropy
@@ -45,7 +46,8 @@ def test_criterion_1_projection_equivalence_20_rows():
     elapsed = time.time() - t0
     div = _divergences(r)
     detail = (f"{sum(r.verdicts)}/{CAMPAIGN} samples equivalent "
-              f"(both 20-row and 37-row lists), {div} one-sided divergences "
+              f"(both 20-row and 37-row lists), {r.details['empty_projection']} "
+              f"with an empty projection, {div} one-sided divergences "
               f"witnessed at infeasible sources, {elapsed:.0f}s")
     _line(1, r.passed and elapsed < 120, detail)
     assert r.passed, r.failures[:1]
@@ -57,6 +59,7 @@ def test_criterion_2_projection_equivalence_11_rows():
                                  tol_polytope=POLYTOPE_TOL)
     div = _divergences(r)
     _line(2, r.passed, f"{sum(r.verdicts)}/{CAMPAIGN} samples equivalent, "
+          f"{r.details['empty_projection']} with an empty projection, "
           f"{div} one-sided divergences witnessed at infeasible sources")
     assert r.passed, r.failures[:1]
 
@@ -124,20 +127,25 @@ def _random_system(rng):
     return system(variables, rows)
 
 
-def _lifted_feasible_lp(sys, point) -> bool:
-    """Independent oracle: small LP over the two eliminated variables."""
-    a_ub, b_ub = [], []
-    for r in sys.rows:
-        cw, cx, cy, cz = (float(c) for c in r.coeffs)
-        a_ub.append([cw, cx])
-        b_ub.append(r.bound - cy * point[0] - cz * point[1])
-    res = scipy.optimize.linprog(c=[0.0, 0.0], A_ub=a_ub, b_ub=b_ub,
-                                 bounds=[(None, None)] * 2, method="highs")
-    if res.status == 0:
-        return True
-    if res.status == 2:
-        return False
-    raise RuntimeError(f"unexpected LP status {res.status}")
+def _lifted_feasible_lp(sys, points) -> np.ndarray:
+    """Independent oracle: one block-diagonal LP over every point's two
+    eliminated variables.  Point p gets free (w_p, x_p) and a slack
+    s_p >= 0 with rows A[:, :2] (w_p, x_p) - s_p <= b - A[:, 2:] p; the LP
+    minimises the sum of slacks, and p lies in the projection iff its slack
+    reaches 0 (s_p <= 1e-9)."""
+    a = np.array([[float(c) for c in r.coeffs] for r in sys.rows])
+    b = np.array([r.bound for r in sys.rows])
+    n = len(points)
+    a_ub = scipy.sparse.hstack(
+        [scipy.sparse.block_diag([a[:, :2]] * n),
+         scipy.sparse.kron(scipy.sparse.eye(n), -np.ones((len(b), 1)))], format="csr")
+    b_ub = (b[None, :] - points @ a[:, 2:].T).ravel()
+    res = scipy.optimize.linprog(np.r_[np.zeros(2 * n), np.ones(n)], A_ub=a_ub, b_ub=b_ub,
+                                 bounds=[(None, None)] * (2 * n) + [(0, None)] * n,
+                                 method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"unexpected LP status {res.status}")
+    return res.x[2 * n:] <= 1e-9
 
 
 def test_criterion_7_projection_oracle_and_redundancy():
@@ -150,17 +158,19 @@ def test_criterion_7_projection_oracle_and_redundancy():
         red = remove_redundant(proj, POLYTOPE_TOL)
         assert equivalent(proj, red, POLYTOPE_TOL), f"system {s}"
         points = rng.uniform(-6.0, 6.0, size=(1000, 2))
-        for p in points:
-            point = (float(p[0]), float(p[1]))
-            near_facet = any(
-                abs(sum(float(c) * x for c, x in zip(r.coeffs, point)) - r.bound)
-                / max(math.hypot(*(float(c) for c in r.coeffs)), 1e-30) < FACET_BAND
-                for r in proj.rows if not r.is_constant())
-            if near_facet:
+        # distance of every point to every facet line, one row per facet
+        facets = [r for r in proj.rows if not r.is_constant()]
+        distance = np.array([
+            np.abs(points[:, 0] * float(r.coeffs[0]) + points[:, 1] * float(r.coeffs[1])
+                   - r.bound) / max(math.hypot(*(float(c) for c in r.coeffs)), 1e-30)
+            for r in facets]).reshape(len(facets), len(points))
+        near_facet = (distance < FACET_BAND).any(axis=0)
+        for p, inside, near in zip(points, _lifted_feasible_lp(sys, points), near_facet):
+            if near:
                 continue
+            point = (float(p[0]), float(p[1]))
             checked += 1
-            if lp_feasible(proj, point=point, tol=POLYTOPE_TOL) != \
-                    _lifted_feasible_lp(sys, point):
+            if lp_feasible(proj, point=point, tol=POLYTOPE_TOL) != inside:
                 disagreements += 1
     _line(7, disagreements == 0,
           f"{checked} point memberships agree with the LP oracle across 50 "

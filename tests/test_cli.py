@@ -4,10 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from rrkit.cli import main
+from rrkit.cli import load_scenario, main, reduced_ratepair
 from rrkit.polytope import lp_feasible, make_row, system
 from rrkit.prob import FORMS, sample_distribution
-from rrkit.regions import hod_constants
+from rrkit.regions import constants_for, hod_constants
 
 from conftest import binary_sizes
 
@@ -191,6 +191,33 @@ def test_compare_baseline_inside_general(dmt_scenario, tmp_path, capsys):
     assert data["a_contains_b"] is True
     if data["strict"] == "a > b":
         assert data["witness_strict"] is not None
+
+
+@pytest.mark.parametrize("form_a, form_b, seed_b, strict", [
+    ("dmt5", "hk3", 11, "b > a"),
+    ("hk3", "dmt5", 11, "a > b"),
+    ("hk3", "hk3", 13, "incomparable"),
+], ids=["b_over_a", "a_over_b", "incomparable"])
+def test_compare_strict_outcomes(tmp_path, form_a, form_b, seed_b, strict):
+    a = write_scenario(tmp_path / "a.json", form=form_a)
+    b = write_scenario(tmp_path / "b.json", form=form_b, seed=seed_b)
+    out = tmp_path / "cmp.json"
+    assert main(["compare", a, b, "--family", "hod", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["strict"] == strict
+    sys_a, sys_b = (reduced_ratepair(constants_for(load_scenario(p).draw(0), "hod"),
+                                     "hod", 1e-9)[1] for p in (a, b))
+    if strict == "incomparable":
+        assert "witness_strict" not in data
+        # each witness is a point of one region outside the other
+        cases = [(data["witness_outside_a"], sys_b, sys_a),
+                 (data["witness_outside_b"], sys_a, sys_b)]
+    else:
+        larger, smaller = (sys_a, sys_b) if strict == "a > b" else (sys_b, sys_a)
+        cases = [(data["witness_strict"], larger, smaller)]
+    for point, inside, outside in cases:
+        assert lp_feasible(inside, point=tuple(point), tol=1e-9)
+        assert not lp_feasible(outside, point=tuple(point), tol=1e-9)
 
 
 def test_verify_exit_codes(tmp_path, capsys, monkeypatch):

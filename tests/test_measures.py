@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rrkit.measures import InfoTerm, clamp, cmi, entropy, eval_term, eval_terms
+from rrkit.measures import InfoTerm, cmi, entropy, eval_term, eval_terms
 from rrkit.prob import FORMS, condition, marginalize, sample_distribution, stream
 
 from conftest import binary_sizes, compose_form, delta, uniform_factors
@@ -100,12 +100,6 @@ def test_eval_terms_sum():
     t1 = InfoTerm("H", ("Y1",))
     t2 = InfoTerm("H", ("Y1",), sign=-1)
     assert abs(eval_terms(d, [t1, t2])) < 1e-15
-
-
-def test_clamp_reporting_boundary():
-    assert clamp(-5e-13) == 0.0
-    assert clamp(-5e-12) == -5e-12
-    assert clamp(1e-13) == 1e-13
 
 
 def _random_split(rng, names):

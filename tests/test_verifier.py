@@ -23,6 +23,16 @@ def test_thm6_check_passes_and_reports_drops():
     assert isinstance(r.details.get("dropped_projection_rows"), dict)
 
 
+def test_equivalence_reports_count_empty_projections():
+    # binary draws of the full chains mostly have a negative constant, so the
+    # projection is empty and every containment holds vacuously: all 8 thm4
+    # samples and 3 of the 8 thm6 samples here
+    r4 = V.check_thm4_equivalence(samples=N, seed=5)
+    r6 = V.check_thm6_equivalence(samples=N, seed=5)
+    assert (r4.details["empty_projection"], r6.details["empty_projection"]) == (8, 3)
+    assert r4.details["dropped_projection_rows"]["10-11"] == N
+
+
 def test_corollary1_check_passes():
     r = V.check_corollary1(samples=N, seed=5)
     assert r.passed
@@ -139,8 +149,7 @@ def test_thm4_infeasible_source_is_classified_not_failed():
     # infeasible, the projection empty, and the closed-form lists keep a
     # sliver, which must be witnessed as a divergence rather than a failure
     res = V._equivalence_one(138, seed=1001, tol_polytope=1e-9, tol_identity=1e-12,
-                             form="hod9", family="hod", quadruple="thm3-quadruple",
-                             ratepair="thm4-ratepair", with_37=True)
+                             family="hod", ratepair="thm4-ratepair", with_37=True)
     assert res["ok"]
     assert res.get("divergence") is not None
     assert "infeasible" in res["divergence"]["why"]
