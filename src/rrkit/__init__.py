@@ -15,7 +15,8 @@ from .prob import (FORMS, ChannelModel, FactorizationSpec, JointDistribution,
                    marginalize, sample_distribution, validate_factorization)
 from .regions import (BoundConstants, binning_budget_system, build_system,
                       dmt_constants, hod1_constants, hod_constants,
-                      project_to_ratepair, rtd_constants)
+                      project_to_ratepair, ratepair_projection,
+                      rtd_constants)
 from .verify import CHECKS, RegionReport, run_check
 
 __version__ = "0.1.0"
@@ -28,6 +29,7 @@ __all__ = [
     "Halfspace", "InequalitySystem", "Polytope2D", "contains", "fm_eliminate",
     "lp_feasible", "remove_redundant", "substitute", "vertices2d",
     "BoundConstants", "binning_budget_system", "build_system", "dmt_constants",
-    "hod1_constants", "hod_constants", "project_to_ratepair", "rtd_constants",
+    "hod1_constants", "hod_constants", "project_to_ratepair",
+    "ratepair_projection", "rtd_constants",
     "CHECKS", "RegionReport", "run_check",
 ]

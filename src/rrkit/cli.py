@@ -146,11 +146,10 @@ def load_scenario(path: str) -> Scenario:
                     tol_polytope=float(tol.get("polytope", TOL)))
 
 
-def reduced_ratepair(consts: regions.BoundConstants, family: str,
+def reduced_ratepair(consts: regions.BoundConstants,
                      tol: float) -> tuple[InequalitySystem, InequalitySystem]:
     """(pre-reduction projection, reduced system) over (R1, R2)."""
-    quad = regions.build_system(consts, regions._FAMILIES[family].system)
-    raw = regions.project_to_ratepair(quad)
+    raw = regions.ratepair_projection(consts)
     return raw, remove_redundant(raw, tol)
 
 
@@ -258,7 +257,7 @@ def cmd_project(args) -> int:
     d = scenario.draw(args.index)
     consts = regions.constants_for(d, args.family)
     tol = args.tol_polytope if args.tol_polytope is not None else scenario.tol_polytope
-    raw, reduced = reduced_ratepair(consts, args.family, tol)
+    raw, reduced = reduced_ratepair(consts, tol)
     poly = vertices2d(reduced, tol)
     name = os.path.splitext(os.path.basename(args.scenario))[0]
     out = {"name": f"{name}:{args.family}",
@@ -286,8 +285,8 @@ def cmd_compare(args) -> int:
         raise ScenarioError("compare needs two scenarios or two families")
     tol = args.tol_polytope if args.tol_polytope is not None else scenario_a.tol_polytope
     da, db = scenario_a.draw(args.index), scenario_b.draw(args.index)
-    _, sys_a = reduced_ratepair(regions.constants_for(da, args.family), args.family, tol)
-    _, sys_b = reduced_ratepair(regions.constants_for(db, family_b), family_b, tol)
+    _, sys_a = reduced_ratepair(regions.constants_for(da, args.family), tol)
+    _, sys_b = reduced_ratepair(regions.constants_for(db, family_b), tol)
     a_has_b, wit_ab = contains(sys_a, sys_b, tol)
     b_has_a, wit_ba = contains(sys_b, sys_a, tol)
     out = {"a": args.family, "b": family_b,
@@ -372,7 +371,7 @@ def cmd_union(args) -> int:
     for i in range(samples):
         d = scenario.draw(i)
         consts = regions.constants_for(d, args.family)
-        _, reduced = reduced_ratepair(consts, args.family, tol)
+        _, reduced = reduced_ratepair(consts, tol)
         poly = vertices2d(reduced, tol)
         per_sample.append({"index": i, "kind": poly.kind,
                            "vertices": [[x, y] for x, y in poly.vertices]})

@@ -11,6 +11,11 @@ implication, boundedness) are answered from one exact half-plane
 intersection of its rows; redundancy removal adds one more per facet row.
 Fourier-Motzkin elimination projects systems down to two variables and
 answers those questions for systems with any other number of variables.
+Elimination and substitution each run in two steps: an integer plan from the
+coefficient vectors alone (which rows combine, with what multipliers, and
+each new row's primitive coefficients and scale), then a float step that
+applies it to the bounds.  ``regions`` keeps the plans of its catalogued
+systems and runs only the float step per joint.
 
 Coefficient arithmetic is exact integer arithmetic: rational input (floats or
 fractions.Fraction) is scaled to primitive integers when a row is built, and
@@ -54,26 +59,31 @@ class Halfspace:
         return not any(self.coeffs)
 
 
-def _primitive(coeffs, bound: float) -> tuple[Coeffs, float]:
-    """Scale to integers with gcd 1 (direction preserved).
+def _primitive(coeffs) -> tuple[Coeffs, float | None]:
+    """The coefficients scaled to integers with gcd 1 (direction preserved),
+    and the float of the exact factor the bound is multiplied by (None: 1).
 
-    The bound is multiplied by the float of the exact factor, so int rows and
-    the same rows given as rationals get bitwise equal bounds.
+    Scaling a bound by the float of the exact factor gives int rows and the
+    same rows given as rationals bitwise equal bounds.
     """
     if all(c.__class__ is int for c in coeffs):
         g = math.gcd(*coeffs)
         if g <= 1:
-            return coeffs, bound
-        return tuple(c // g for c in coeffs), bound * float(Fraction(1, g))
+            return coeffs, None
+        return tuple(c // g for c in coeffs), float(Fraction(1, g))
     exact = [Fraction(c) for c in coeffs]
     factor = Fraction(math.lcm(*(c.denominator for c in exact)),
                       math.gcd(*(c.numerator for c in exact)) or 1)
-    return tuple(int(c * factor) for c in exact), bound * float(factor)
+    return tuple(int(c * factor) for c in exact), float(factor)
+
+
+def _scaled(bound: float, scale: float | None) -> float:
+    return bound if scale is None else bound * scale
 
 
 def make_row(coeffs, bound: float, label: str = "") -> Halfspace:
-    c, b = _primitive(tuple(coeffs), float(bound))
-    return Halfspace(c, b, label)
+    c, scale = _primitive(tuple(coeffs))
+    return Halfspace(c, _scaled(float(bound), scale), label)
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,50 @@ def _merge_duplicates(rows) -> list[Halfspace]:
     return [best[c] for c in order]
 
 
+def _fm_plan(coeff_rows, k: int) -> tuple[tuple, tuple]:
+    """The integer work of eliminating variable ``k`` from rows with these
+    coefficient vectors, in the order ``fm_eliminate`` emits its rows.
+
+    Returns (kept, pairs).  A kept row (i, coeffs, scale) is row i without
+    variable k; a pair (i, j, mi, mj, coeffs, scale) adds mi times upper
+    bound row i to mj times lower bound row j.  ``scale`` is the factor
+    ``_primitive`` gives for the new coefficients.
+    """
+    drop = lambda cs: cs[:k] + cs[k + 1:]
+    uppers, lowers, kept = [], [], []
+    for i, cs in enumerate(coeff_rows):
+        c = cs[k]
+        if c > 0:
+            uppers.append(i)
+        elif c < 0:
+            lowers.append(i)
+        else:
+            kept.append((i, *_primitive(drop(cs))))
+    pairs = []
+    for i in uppers:
+        up = coeff_rows[i]
+        cu = up[k]
+        for j in lowers:
+            lo = coeff_rows[j]
+            cl = -lo[k]
+            coeffs = tuple(cl * a + cu * b for a, b in zip(drop(up), drop(lo)))
+            pairs.append((i, j, float(cl), float(cu), *_primitive(coeffs)))
+    return tuple(kept), tuple(pairs)
+
+
+def _fm_apply(plan: tuple[tuple, tuple], rows) -> list[Halfspace]:
+    """The rows an ``_fm_plan`` describes, with their float bounds, before
+    ``_merge_duplicates``."""
+    kept, pairs = plan
+    out = [Halfspace(coeffs, _scaled(rows[i].bound, scale), rows[i].label)
+           for i, coeffs, scale in kept]
+    for i, j, mi, mj, coeffs, scale in pairs:
+        up, lo = rows[i], rows[j]
+        out.append(Halfspace(coeffs, _scaled(mi * up.bound + mj * lo.bound, scale),
+                             f"fm:{{{up.label}+{lo.label}}}"))
+    return out
+
+
 def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
     """Project ``var`` out by pairing each upper bound with each lower bound;
     equal coefficient vectors keep the tightest bound, vacuous rows go."""
@@ -139,26 +193,33 @@ def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
         warnings.warn(f"variable {var!r} not in system; elimination is the identity")
         return sys
     k = sys.index(var)
-    uppers, lowers, keep = [], [], []
-    for r in sys.rows:
-        c = r.coeffs[k]
-        if c > 0:
-            uppers.append(r)
-        elif c < 0:
-            lowers.append(r)
-        else:
-            keep.append(r)
-    drop = lambda cs: cs[:k] + cs[k + 1:]
-    new_rows = [Halfspace(*_primitive(drop(r.coeffs), r.bound), r.label) for r in keep]
-    for up in uppers:
-        cu = up.coeffs[k]
-        for lo in lowers:
-            cl = -lo.coeffs[k]
-            coeffs = tuple(cl * a + cu * b for a, b in zip(drop(up.coeffs), drop(lo.coeffs)))
-            bound = float(cl) * up.bound + float(cu) * lo.bound
-            coeffs, bound = _primitive(coeffs, bound)
-            new_rows.append(Halfspace(coeffs, bound, f"fm:{{{up.label}+{lo.label}}}"))
-    return InequalitySystem(drop(sys.variables), tuple(_merge_duplicates(new_rows)))
+    rows = _fm_apply(_fm_plan([r.coeffs for r in sys.rows], k), sys.rows)
+    return InequalitySystem(sys.variables[:k] + sys.variables[k + 1:],
+                            tuple(_merge_duplicates(rows)))
+
+
+def _substitution_plan(variables, coeff_rows, k: int, expr: dict):
+    """The integer work of ``substitute`` for variable ``k``: the new
+    variables and (coeffs, scale) per row."""
+    var = variables[k]
+    new_vars = list(variables[:k] + variables[k + 1:])
+    for v in expr:
+        if v not in new_vars:
+            new_vars.append(v)
+    plan = []
+    for cs in coeff_rows:
+        c = cs[k]
+        out = {v: cs[i] for i, v in enumerate(variables) if v != var}
+        for v, e in expr.items():
+            out[v] = out.get(v, 0) + c * e
+        plan.append(_primitive(tuple(out.get(v, 0) for v in new_vars)))
+    return tuple(new_vars), tuple(plan)
+
+
+def _substitution_apply(plan, rows) -> list[Halfspace]:
+    """The rows a ``_substitution_plan`` describes, with their float bounds."""
+    return [Halfspace(coeffs, _scaled(r.bound, scale), r.label)
+            for (coeffs, scale), r in zip(plan, rows)]
 
 
 def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
@@ -168,20 +229,9 @@ def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
     to primitive integers.  New variables named in ``expr`` are appended to
     the system in order.
     """
-    k = sys.index(var)
-    new_vars = list(sys.variables[:k] + sys.variables[k + 1:])
-    for v in expr:
-        if v not in new_vars:
-            new_vars.append(v)
-    rows = []
-    for r in sys.rows:
-        c = r.coeffs[k]
-        out = {v: r.coeffs[i] for i, v in enumerate(sys.variables) if v != var}
-        for v, e in expr.items():
-            out[v] = out.get(v, 0) + c * e
-        coeffs, bound = _primitive(tuple(out.get(v, 0) for v in new_vars), r.bound)
-        rows.append(Halfspace(coeffs, bound, r.label))
-    return InequalitySystem(tuple(new_vars), tuple(rows))
+    new_vars, plan = _substitution_plan(sys.variables, [r.coeffs for r in sys.rows],
+                                        sys.index(var), expr)
+    return InequalitySystem(new_vars, tuple(_substitution_apply(plan, sys.rows)))
 
 
 def _infeasible_constant(rows, tol: float) -> bool:

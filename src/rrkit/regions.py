@@ -12,6 +12,17 @@ family, rate variables and rows; one row builder serves them and the 37-row
 intermediate list.  The pre-binning budget system's projection reproduces
 the user-2 rows.
 
+Catalogued systems have fixed integer coefficients; only their bounds
+depend on the joint.  So each description is compiled once, on first use:
+its rows' primitive coefficients and scales and, for a family's own system,
+the integer plan of each substitution and elimination step to (R1, R2),
+keyed by the step's coefficient pattern.  Per joint, ``build_system`` and
+``ratepair_projection`` compute only the float bounds, in elimination's own
+order, merging duplicates after each step as elimination does, so they give
+``project_to_ratepair(build_system(...))``'s rows bit for bit.
+``project_to_ratepair``, which eliminates on the rows it is given, is the
+reference the compiled projection is tested against.
+
 Every constant is defined only on inputs of its family's guard form, so each
 constants call first checks it.  A joint ``compose`` built along a chain
 that implies the form (for example ``hk3``, ``dmt5``, ``ic1`` or ``crc2``
@@ -26,10 +37,13 @@ Constants are floats in bits; inequality coefficients are primitive integers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from .measures import InfoTerm, eval_terms, seed_marginal
-from .polytope import (Halfspace, InequalitySystem, make_row,
+from .polytope import (Halfspace, InequalitySystem, _fm_apply, _fm_plan,
+                       _merge_duplicates, _primitive, _scaled,
+                       _substitution_apply, _substitution_plan, make_row,
                        nonnegativity_rows)
 from .prob import FORMS, JointDistribution, ModelError, validate_factorization
 
@@ -384,30 +398,46 @@ def _vector_row(variables, rates: dict[str, int], bound: float, label: str) -> H
     return make_row([rates.get(v, 0) for v in variables], bound, label)
 
 
-def _rows_system(constants: BoundConstants, variables, rows) -> InequalitySystem:
+_LIST37 = "37-row list"  # the intermediate list's name in the compiled-row cache
+
+
+@functools.cache
+def _row_plan(description: str) -> tuple:
+    """A catalogued description compiled once: its variables, then per row
+    (label, primitive coefficients, scale, constant labels), then its
+    -x <= 0 rows."""
+    variables, rows = ((_RATE_PAIR, _ROWS37) if description == _LIST37
+                       else _SYSTEMS[description][1:])
+    plan = tuple((label, *_primitive(tuple(rates.get(v, 0) for v in variables)),
+                  tuple(combo)) for label, rates, combo in rows)
+    return variables, plan, tuple(nonnegativity_rows(variables))
+
+
+def _rows_system(constants: BoundConstants, description: str) -> InequalitySystem:
     """Each row bounds its rate vector by the sum of its constants; then -x <= 0."""
-    out = [_vector_row(variables, rates, sum(constants[k] for k in combo), label)
-           for label, rates, combo in rows]
-    out += nonnegativity_rows(variables)
-    return InequalitySystem(variables, tuple(out))
+    variables, plan, nonnegative = _row_plan(description)
+    values = constants.values
+    rows = [Halfspace(coeffs, _scaled(float(sum(values[k] for k in combo)), scale), label)
+            for label, coeffs, scale, combo in plan]
+    return InequalitySystem(variables, tuple(rows) + nonnegative)
 
 
 def build_system(constants: BoundConstants, description: str) -> InequalitySystem:
     """Assemble a catalogued inequality system from evaluated constants."""
     if description not in _SYSTEMS:
         raise ValueError(f"unknown system description {description!r}")
-    family, variables, rows = _SYSTEMS[description]
+    family = _SYSTEMS[description][0]
     if constants.family != family:
         raise ValueError(
             f"{description} needs {family!r} constants, got {constants.family!r}")
-    return _rows_system(constants, variables, rows)
+    return _rows_system(constants, description)
 
 
 def intermediate37_system(constants: BoundConstants) -> InequalitySystem:
     """The catalogued 37-row intermediate list over (R1, R2)."""
     if constants.family != "hod":
         raise ValueError(f"37-row list needs 'hod' constants, got {constants.family!r}")
-    return _rows_system(constants, _RATE_PAIR, _ROWS37)
+    return _rows_system(constants, _LIST37)
 
 
 # --- pre-binning decoding budgets at the cognitive receiver, plus the two
@@ -511,24 +541,63 @@ COROLLARY6_NARROW_S1_DELTA = _terms("I(W2;W1)", "I(W2;U1b|W1,U1a)")
 EQ14_MARKOV_RESIDUAL = iterm("I(W2;W1|Q,X1)")
 
 
+# How each rate space reaches (R1, R2): substitutions, then eliminations.
+_TO_RATEPAIR = {
+    _QUAD_VARS: ((("S1", {"R1": 1, "T1": -1}), ("S2", {"R2": 1, "T2": -1})), ("T1", "T2")),
+    _RTD_VARS: ((("S1a", {"R1": 1, "T1": -1, "S1b": -1}), ("S2", {"R2": 1, "T2": -1})),
+                ("T1", "S1b", "T2")),
+}
+
+
 def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
     """Eliminate the per-message rates, leaving (R1, R2).
 
+    Runs substitution and Fourier-Motzkin elimination on the rows as given:
+    the reference that the compiled ``ratepair_projection`` matches.
     Quadruple systems use R1 = S1 + T1, R2 = S2 + T2; the quintuple system
     uses R1 = T1 + S1a + S1b, R2 = T2 + S2.
     """
     from . import polytope as _p
 
-    if set(sys.variables) == set(_QUAD_VARS):
-        s = _p.substitute(sys, "S1", {"R1": 1, "T1": -1})
-        s = _p.substitute(s, "S2", {"R2": 1, "T2": -1})
-        for var in ("T1", "T2"):
-            s = _p.fm_eliminate(s, var)
-    elif set(sys.variables) == set(_RTD_VARS):
-        s = _p.substitute(sys, "S1a", {"R1": 1, "T1": -1, "S1b": -1})
-        s = _p.substitute(s, "S2", {"R2": 1, "T2": -1})
-        for var in ("T1", "S1b", "T2"):
-            s = _p.fm_eliminate(s, var)
+    for variables, (substitutions, eliminations) in _TO_RATEPAIR.items():
+        if set(sys.variables) == set(variables):
+            break
     else:
         raise ValueError(f"no rate-pair mapping for variables {sys.variables}")
+    s = sys
+    for var, expr in substitutions:
+        s = _p.substitute(s, var, expr)
+    for var in eliminations:
+        s = _p.fm_eliminate(s, var)
     return _p.reorder(s, _RATE_PAIR)
+
+
+@functools.cache
+def _step_plan(description: str, step: int, variables: tuple, pattern: tuple) -> tuple:
+    """Step ``step`` of projecting ``description`` to (R1, R2) on rows over
+    ``variables`` with coefficient vectors ``pattern``: the variables after
+    it and the step's integer plan.  Only the pure-constant row an
+    elimination keeps or drops varies a pattern, so there are few."""
+    substitutions, eliminations = _TO_RATEPAIR[_SYSTEMS[description][1]]
+    if step < len(substitutions):
+        var, expr = substitutions[step]
+        return _substitution_plan(variables, pattern, variables.index(var), expr)
+    k = variables.index(eliminations[step - len(substitutions)])
+    return variables[:k] + variables[k + 1:], _fm_plan(pattern, k)
+
+
+def ratepair_projection(constants: BoundConstants) -> InequalitySystem:
+    """The family's own quadruple/quintuple system projected to (R1, R2):
+    ``project_to_ratepair(build_system(constants, <that system>))``, labels,
+    row order and bound bits included, from compiled plans (see the module
+    docstring)."""
+    description = _FAMILIES[constants.family].system
+    sys = _rows_system(constants, description)
+    substitutions, eliminations = _TO_RATEPAIR[sys.variables]
+    variables, rows = sys.variables, sys.rows
+    for step in range(len(substitutions) + len(eliminations)):
+        variables, plan = _step_plan(description, step, variables,
+                                     tuple(r.coeffs for r in rows))
+        rows = (_substitution_apply(plan, rows) if step < len(substitutions)
+                else _merge_duplicates(_fm_apply(plan, rows)))
+    return InequalitySystem(variables, tuple(rows))

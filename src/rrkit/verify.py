@@ -160,8 +160,7 @@ def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: f
     fam = regions._FAMILIES[family]
     d, draw = _draw(fam.form, seed, index)
     consts = regions.constants_for(d, family)
-    quad = regions.build_system(consts, fam.system)
-    raw = regions.project_to_ratepair(quad)
+    raw = regions.ratepair_projection(consts)
     listed = regions.build_system(consts, ratepair)
     pairs = [("projection inside closed-form list", listed, raw),
              ("closed-form list inside projection", raw, listed)]
@@ -190,7 +189,8 @@ def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: f
     one_sided = all(why.endswith("inside projection") for why, _, _ in problems)
     why_all = "; ".join(why for why, _, _ in problems)
     divergent = (projection_empty and one_sided
-                 and not lp_feasible(quad, tol=tol_polytope))
+                 and not lp_feasible(regions.build_system(consts, fam.system),
+                                     tol=tol_polytope))
     if divergent:
         why_all = f"source system infeasible: {why_all}"
     return _result(draw, divergent, max(p[2] for p in problems), why_all,
@@ -277,8 +277,7 @@ def _cor5_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     for low, (high, delta) in regions.COROLLARY5_TABLE.items():
         identity_dev[low] = abs(cd[low] - (ch[high] - eval_terms(d, delta)))
         dominance_excess[low] = cd[low] - ch[high]
-    hod_rp, dmt_rp = (regions.project_to_ratepair(
-        regions.build_system(c, regions._FAMILIES[c.family].system)) for c in (ch, cd))
+    hod_rp, dmt_rp = regions.ratepair_projection(ch), regions.ratepair_projection(cd)
     inclusion, witness = contains(hod_rp, dmt_rp, tol_polytope)
     worst_identity = max(identity_dev.values())
     worst_excess = max(dominance_excess.values())
@@ -451,6 +450,8 @@ def run_check(name: str, samples: int, seed: int,
     gives the same report)."""
     if name not in _CHECKS:
         raise KeyError(f"unknown check {name!r}; choose from {sorted(_CHECKS)}")
+    if samples < 1:
+        raise ValueError(f"{name} needs at least 1 sample, got {samples}")
     one, fixed, recorded = _CHECKS[name]
     tolerances = {"polytope": tol_polytope, "identity": tol_identity,
                   "addon": TOL_ADDON, "collapse": TOL_COLLAPSE}

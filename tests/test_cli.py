@@ -205,8 +205,8 @@ def test_compare_strict_outcomes(tmp_path, form_a, form_b, seed_b, strict):
     assert main(["compare", a, b, "--family", "hod", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["strict"] == strict
-    sys_a, sys_b = (reduced_ratepair(constants_for(load_scenario(p).draw(0), "hod"),
-                                     "hod", 1e-9)[1] for p in (a, b))
+    sys_a, sys_b = (reduced_ratepair(constants_for(load_scenario(p).draw(0), "hod"), 1e-9)[1]
+                    for p in (a, b))
     if strict == "incomparable":
         assert "witness_strict" not in data
         # each witness is a point of one region outside the other

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -290,3 +292,121 @@ def test_guard_route_leaves_constants_bitwise_equal(family, form):
         structural = R.constants_for(d, family).values
         numeric = R.constants_for(JointDistribution(d.variables, d.table), family).values
         assert [v.hex() for v in structural.values()] == [v.hex() for v in numeric.values()]
+
+
+# --- the compiled rows and rate-pair projection --------------------------------
+
+_FAMILY_FORMS = {"hod": "hod9", "dmt": "dmt5", "rtd": "rtd7", "hod1": "hod12"}
+
+
+def _rows_key(sys):
+    """Everything a system's rows hold, bounds by their exact bits."""
+    return sys.variables, [(r.label, r.coeffs, r.bound.hex()) for r in sys.rows]
+
+
+def _adversarial_constants(family: str) -> list[R.BoundConstants]:
+    """Constant vectors that reach ties, the first-strict-minimum rule and
+    dropped or kept pure-constant rows."""
+    labels = list(R._FAMILIES[family].terms)
+    rng = np.random.default_rng(1009)
+    vectors = [[0.0] * len(labels), [0.5] * len(labels), [-1.0] * len(labels)]
+    vectors += [list(rng.choice([-1e-15, 0.0, 1e-15, 0.5, 1.0], len(labels)))
+                for _ in range(150)]
+    vectors += [list(rng.standard_normal(len(labels))) for _ in range(150)]
+    return [R.BoundConstants(family, {k: float(v) for k, v in zip(labels, vec)})
+            for vec in vectors]
+
+
+def _drawn_constants(family: str, seeds, per_seed: int = 6) -> list[R.BoundConstants]:
+    from rrkit.verify import _draw
+    return [R.constants_for(_draw(_FAMILY_FORMS[family], seed, i)[0], family)
+            for seed in seeds for i in range(per_seed)]
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_FORMS))
+def test_compiled_projection_matches_fm_reference(family):
+    system = R._FAMILIES[family].system
+    for c in _drawn_constants(family, range(1001, 1008)) + _adversarial_constants(family):
+        compiled = R.ratepair_projection(c)
+        assert _rows_key(compiled) == _rows_key(R.project_to_ratepair(R.build_system(c, system)))
+        assert all(x.__class__ is int for r in compiled.rows for x in r.coeffs)
+
+
+def test_compiled_rows_match_make_row():
+    from rrkit.polytope import make_row, nonnegativity_rows
+
+    def by_make_row(c, variables, rows):
+        built = [make_row([rates.get(v, 0) for v in variables],
+                          sum(c[k] for k in combo), label) for label, rates, combo in rows]
+        return R.InequalitySystem(variables, tuple(built + nonnegativity_rows(variables)))
+
+    for description, (family, variables, rows) in R._SYSTEMS.items():
+        for c in _drawn_constants(family, [1001], 3) + _adversarial_constants(family)[:20]:
+            assert _rows_key(R.build_system(c, description)) == \
+                _rows_key(by_make_row(c, variables, rows))
+            if family == "hod":
+                assert _rows_key(R.intermediate37_system(c)) == \
+                    _rows_key(by_make_row(c, R._RATE_PAIR, R._ROWS37))
+
+
+def test_plan_cache_stops_growing():
+    for family in _FAMILY_FORMS:
+        for c in _drawn_constants(family, range(1001, 1008)):
+            R.ratepair_projection(c)
+    plans = R._step_plan.cache_info().currsize
+    for family in _FAMILY_FORMS:
+        for c in _drawn_constants(family, range(2001, 2004)):
+            R.ratepair_projection(c)
+    assert R._step_plan.cache_info().currsize == plans
+
+
+def _symbolic_projection(description: str):
+    """Fourier-Motzkin on ``description`` with each bound kept as its
+    multiset of constant labels and nothing merged: the compiled plans
+    applied to symbols.  Rows are (coefficients, sorted labels), with a
+    row's scaling undone so its coefficients read as the catalogue writes
+    them (2R1 + 2R2, not R1 + R2)."""
+    from rrkit.polytope import _fm_plan, _substitution_plan
+    variables, plan, nonnegative = R._row_plan(description)
+    rows = [(coeffs, Counter(combo)) for _, coeffs, _, combo in plan]
+    rows += [(r.coeffs, Counter()) for r in nonnegative]
+    substitutions, eliminations = R._TO_RATEPAIR[variables]
+    for var, expr in substitutions:
+        variables, sub = _substitution_plan(variables, [c for c, _ in rows],
+                                            variables.index(var), expr)
+        rows = [(coeffs, labels) for (coeffs, _), (_, labels) in zip(sub, rows)]
+    for var in eliminations:
+        k = variables.index(var)
+        kept, pairs = _fm_plan([c for c, _ in rows], k)
+        out = [(coeffs, rows[i][1]) for i, coeffs, _ in kept]
+        for i, j, mi, mj, coeffs, scale in pairs:
+            labels = Counter({lab: int(mi) * n for lab, n in rows[i][1].items()})
+            labels.update({lab: int(mj) * n for lab, n in rows[j][1].items()})
+            g = 1 if scale is None else round(1 / scale)
+            out.append((tuple(g * x for x in coeffs), labels))
+        rows, variables = out, variables[:k] + variables[k + 1:]
+    return [(coeffs, tuple(sorted(labels.elements()))) for coeffs, labels in rows]
+
+
+def test_symbolic_projection_derives_the_37_row_list():
+    rows = _symbolic_projection("thm3-quadruple")
+    constant = [labels for coeffs, labels in rows if not any(coeffs)]
+    moving = [row for row in rows if any(row[0])]
+    assert (len(rows), len(constant), len(moving)) == (67, 10, 57)
+    # the feasibility rows behind details.infeasible_source: 0 <= each of these
+    assert sorted(constant) == sorted((k,) for k in ("A1", "B1", "C1", "E1", "F1",
+                                                     "A2", "B2", "C2", "E2", "F2"))
+    listed = {((rates.get("R1", 0), rates.get("R2", 0)), tuple(sorted(combo)))
+              for rates, combo in R.INTERMEDIATE37_ROWS}
+    nonnegative = {((-1, 0), ()), ((0, -1), ())}
+    extras = {((0, 1), ("A2", "F1")), ((0, 1), ("A2", "F2")), ((0, 1), ("B2", "E2")),
+              ((0, 1), ("C1", "E2")), ((0, 1), ("E1", "E2")), ((0, 1), ("E2", "F1")),
+              ((0, 1), ("E2", "F2")), ((0, 1), ("G2",)),
+              ((1, 1), ("A1", "E2", "F1")), ((1, 1), ("A1", "E2", "F2")),
+              ((1, 1), ("B1", "E1", "E2")), ((1, 1), ("C2", "E1", "E2")),
+              ((1, 1), ("E2", "G1")),
+              ((1, 2), ("E1", "E2", "E2", "F1")), ((1, 2), ("E1", "E2", "E2", "F2")),
+              ((1, 2), ("E1", "E2", "G2"))}
+    assert len(listed) == 37 and len(extras) == 16
+    assert set(moving) == nonnegative | listed | extras
+    assert len(set(moving)) == 55

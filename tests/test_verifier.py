@@ -209,3 +209,10 @@ def test_parallel_mapper_matches_sequential():
         pytest.skip("process pools unavailable in this environment")
     assert json.dumps(seq.to_json_dict(), sort_keys=True) == \
         json.dumps(par.to_json_dict(), sort_keys=True)
+
+
+def test_checks_refuse_fewer_than_one_sample():
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        V.run_check("thm4", 0, 1)
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        V.check_binning_derivation(samples=-3)
