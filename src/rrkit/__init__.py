@@ -6,7 +6,7 @@ Fourier-Motzkin polytope engine, machine checks for the catalog's reductions,
 and a CLI (``rrkit``).
 """
 
-from .measures import InfoTerm, cmi, entropy, eval_term, eval_terms
+from .measures import InfoTerm, TermTable, cmi, entropy, eval_term, eval_terms
 from .polytope import (Halfspace, InequalitySystem, Polytope2D, contains,
                        fm_eliminate, lp_feasible, remove_redundant, substitute,
                        vertices2d)
@@ -25,7 +25,7 @@ __all__ = [
     "FORMS", "ChannelModel", "FactorizationSpec", "JointDistribution",
     "ModelError", "Variable", "compose", "condition", "embed_channel",
     "marginalize", "sample_distribution", "validate_factorization",
-    "InfoTerm", "cmi", "entropy", "eval_term", "eval_terms",
+    "InfoTerm", "TermTable", "cmi", "entropy", "eval_term", "eval_terms",
     "Halfspace", "InequalitySystem", "Polytope2D", "contains", "fm_eliminate",
     "lp_feasible", "remove_redundant", "substitute", "vertices2d",
     "BoundConstants", "binning_budget_system", "build_system", "dmt_constants",

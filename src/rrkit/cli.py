@@ -324,6 +324,13 @@ def _sample_count(text: str) -> int:
     return n
 
 
+def _index(text: str) -> int:
+    n = int(text)
+    if not 0 <= n < 2**128:
+        raise argparse.ArgumentTypeError(f"sample index must be in [0, 2**128), got {n}")
+    return n
+
+
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not (math.isfinite(tol) and tol >= 0):
@@ -423,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--family", choices=list(regions._FAMILIES), required=True)
         if index:
-            p.add_argument("--index", type=int, default=0,
+            p.add_argument("--index", type=_index, default=0,
                            help="sample index within the scenario's stream")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario's sampling seed")

@@ -1,95 +1,60 @@
 """Entropy and conditional mutual information over joint tables, in bits.
 
-Conditional quantities are computed as entropy differences (base-2 logs,
-0 log 0 = 0) and returned as computed: round-off can leave a quantity that
-is 0 in exact arithmetic slightly negative (about 1e-12), and nothing clamps
-it, so checks compare such values against their stated tolerances.
+Every term is a fixed integer combination of subset entropies H(S) of one
+joint, the entropic-vector view of Yeung (1997): H(A|C) = H(AC) - H(C) and
+I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), with base-2 logs and 0 log 0 = 0.
 
-Each subset entropy H(S) is computed once per joint: the first request
-marginalises onto S the smallest marginal the joint already holds over a
-superset of S (the full table if there is none), and stores both that
-marginal and the float in the joint's own memos (keyed by the frozenset of
-names, so the order of S does not matter); later requests for the same S on
-the same joint read the float back.  ``seed_marginal`` stores one marginal
-ahead of a batch of terms, so every subset they need is summed from it.
-Which table a subset is summed from depends on what was asked before, so a
-value can differ from the full-table sum by a few ulps; the same requests in
-the same order on equal joints give bitwise equal floats.
+``TermTable`` is the compiled core behind every constant and identity table.
+On first use it compiles its named term lists into the distinct non-empty
+subsets they touch and an integer matrix M with one row per list.  Per joint
+variable order and shape it compiles one marginal plan: sum out the
+variables no term mentions, then, largest subset first, sum each subset from
+the smallest planned table that contains it.  Per joint it runs the plan on
+plain arrays, takes each subset's entropy and returns M @ h.  Nothing is
+kept on the joint, so a value never depends on what was evaluated before.
+
+``entropy``, ``cmi`` and ``eval_term(s)`` are the plain definitions, which
+marginalise the full table on every call: the independent reference the core
+is tested against.  Round-off can leave a quantity that is 0 in exact
+arithmetic slightly negative (about 1e-12); nothing clamps it, so checks
+compare such values against their stated tolerances.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .prob import JointDistribution, marginalize
-
-
-def _smallest_superset(d: JointDistribution, key: frozenset) -> JointDistribution:
-    """The smallest held marginal of d over a superset of key, else d itself."""
-    best = d
-    for names, m in d._marginals.items():
-        if key <= names and m.table.size < best.table.size:
-            best = m
-    return best
-
-
-def seed_marginal(d: JointDistribution, names) -> None:
-    """Hold d's marginal onto ``names``, so later subset entropies over those
-    variables are summed from it; nothing to do if it covers every variable."""
-    key = frozenset(names)
-    if key != frozenset(d.names) and key not in d._marginals:
-        d._marginals[key] = marginalize(d, key)
+from .prob import JointDistribution, ModelError, marginalize
 
 
 def _plain_entropy(d: JointDistribution, names) -> float:
-    key = frozenset(names)
-    h = d._entropies.get(key)
-    if h is None:
-        m = d._marginals.get(key)
-        if m is None:
-            m = d._marginals[key] = marginalize(_smallest_superset(d, key), key)
-        p = m.table.ravel()
-        p = p[p > 0.0]
-        h = d._entropies[key] = float(-np.sum(p * np.log2(p)))
-    return h
+    p = marginalize(d, names).table.ravel()
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
 
 
 def entropy(d: JointDistribution, vars, given=()) -> float:
-    """H(vars | given) in bits."""
-    vars, given = tuple(vars), tuple(given)
-    if not vars:
-        raise ValueError("entropy needs at least one variable")
-    if set(vars) & set(given):
-        raise ValueError(f"variables {set(vars) & set(given)} appear on both sides")
-    if not given:
-        return _plain_entropy(d, vars)
-    return _plain_entropy(d, vars + given) - _plain_entropy(d, given)
+    """H(vars | given) in bits, via H(vars given) - H(given)."""
+    return eval_term(d, InfoTerm("H", tuple(vars), cond=tuple(given)))
 
 
 def cmi(d: JointDistribution, a, b, c=()) -> float:
     """I(a ; b | c) in bits, via H(ac) + H(bc) - H(abc) - H(c)."""
-    a, b, c = tuple(a), tuple(b), tuple(c)
-    if not a or not b:
-        raise ValueError("cmi needs nonempty variable sets on both sides")
-    for x, y in ((a, b), (a, c), (b, c)):
-        if set(x) & set(y):
-            raise ValueError(f"overlapping variable sets: {set(x) & set(y)}")
-    h_ac = _plain_entropy(d, a + c)
-    h_bc = _plain_entropy(d, b + c)
-    h_abc = _plain_entropy(d, a + b + c)
-    h_c = _plain_entropy(d, c) if c else 0.0
-    return h_ac + h_bc - h_abc - h_c
+    return eval_term(d, InfoTerm("I", tuple(a), tuple(b), tuple(c)))
 
 
 @dataclass(frozen=True)
 class InfoTerm:
-    """One signed, scaled entropy or mutual-information term.
+    """One signed entropy or mutual-information term.
 
-    kind "H": coefficient * sign * H(left | cond)
-    kind "I": coefficient * sign * I(left ; right | cond)
+    kind "H": sign * H(left | cond)
+    kind "I": sign * I(left ; right | cond)
     """
 
     kind: str
@@ -97,7 +62,6 @@ class InfoTerm:
     right: tuple[str, ...] = ()
     cond: tuple[str, ...] = ()
     sign: int = 1
-    coefficient: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.kind not in ("H", "I"):
@@ -113,16 +77,106 @@ class InfoTerm:
             inner += ";" + ",".join(self.right)
         if self.cond:
             inner += "|" + ",".join(self.cond)
-        prefix = "-" if self.sign < 0 else ""
-        if self.coefficient != 1:
-            prefix += f"{self.coefficient}*"
-        return f"{prefix}{self.kind}({inner})"
+        return f"{'-' if self.sign < 0 else ''}{self.kind}({inner})"
+
+    def entropy_weights(self) -> tuple[tuple[frozenset, int], ...]:
+        """The term as (S, +-1) pairs, one per H(S) it adds or subtracts."""
+        a, b, c = frozenset(self.left), frozenset(self.right), frozenset(self.cond)
+        if not a or a & b or a & c or b & c:
+            raise ValueError(f"{self.describe()}: empty or overlapping variable sets")
+        pairs = (((a | c, 1), (c, -1)) if self.kind == "H" else
+                 ((a | c, 1), (b | c, 1), (a | b | c, -1), (c, -1)))
+        return tuple((s, self.sign * n) for s, n in pairs if s)
 
 
 def eval_term(d: JointDistribution, t: InfoTerm) -> float:
-    value = entropy(d, t.left, t.cond) if t.kind == "H" else cmi(d, t.left, t.right, t.cond)
-    return float(t.coefficient) * t.sign * value
+    """t in bits, each subset entropy marginalised from the full table."""
+    return sum(n * _plain_entropy(d, s) for s, n in t.entropy_weights())
 
 
 def eval_terms(d: JointDistribution, terms) -> float:
     return sum(eval_term(d, t) for t in terms)
+
+
+class MarginalPlan(NamedTuple):
+    """Table 0 is the joint's own; step i sums ``axes`` out of table
+    ``source`` to give table i + 1.  Subset j is read from table ``reads[j]``
+    and, laid end to end with the others, starts at cell ``offsets[j]``."""
+
+    tables: tuple[frozenset, ...]
+    steps: tuple[tuple[int, tuple[int, ...]], ...]
+    reads: tuple[int, ...]
+    offsets: np.ndarray
+
+
+def _marginal_plan(subsets: tuple[frozenset, ...], names: tuple[str, ...],
+                   shape: tuple[int, ...]) -> MarginalPlan:
+    cells = dict(zip(names, shape))
+    mentioned = frozenset().union(*subsets)
+    if not mentioned <= cells.keys():
+        raise ModelError(f"unknown variables {sorted(mentioned - cells.keys())}; "
+                         f"have {names}")
+    size = lambda s: math.prod(cells[n] for n in s)
+    tables, steps = [frozenset(names)], []
+    for target in ([mentioned] if subsets else []) + list(subsets):  # largest first
+        if target not in tables:
+            source = min((i for i, s in enumerate(tables) if target <= s),
+                         key=lambda i: size(tables[i]))
+            kept = [n for n in names if n in tables[source]]
+            steps.append((source, tuple(i for i, n in enumerate(kept) if n not in target)))
+            tables.append(target)
+    return MarginalPlan(tuple(tables), tuple(steps), tuple(tables.index(s) for s in subsets),
+                        np.cumsum([0] + [size(s) for s in subsets[:-1]]))
+
+
+class TermTable:
+    """Named lists of ``InfoTerm``s, each evaluated as the sum of its terms
+    (see the module docstring).  Compiled on first use: building one is cheap."""
+
+    def __init__(self, rows):
+        self.rows = {label: tuple(terms) for label, terms in rows.items()}
+        self._plans: dict[tuple, MarginalPlan] = {}
+
+    @functools.cached_property
+    def _weights(self) -> list[Counter]:
+        weights = [Counter() for _ in self.rows]
+        for row, terms in zip(weights, self.rows.values()):
+            for t in terms:
+                row.update(dict(t.entropy_weights()))
+        return weights
+
+    @functools.cached_property
+    def subsets(self) -> tuple[frozenset, ...]:
+        """The subsets some row weighs by a nonzero integer, largest first."""
+        return tuple(sorted({s for row in self._weights for s, n in row.items() if n},
+                            key=lambda s: (-len(s), sorted(s))))
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """M: one row per list, its integer weights over ``subsets``."""
+        return np.array([[row[s] for s in self.subsets] for row in self._weights],
+                        dtype=np.int64).reshape(len(self.rows), len(self.subsets))
+
+    def plan(self, d: JointDistribution) -> MarginalPlan:
+        """The marginal plan for d's variable order and shape, compiled once."""
+        key = (d.names, d.table.shape)
+        if key not in self._plans:
+            self._plans[key] = _marginal_plan(self.subsets, *key)
+        return self._plans[key]
+
+    def subset_entropies(self, d: JointDistribution) -> np.ndarray:
+        """H(S) in bits on d for every S in ``subsets``, in that order."""
+        plan = self.plan(d)
+        tables = [d.table]
+        for source, axes in plan.steps:
+            tables.append(np.add.reduce(tables[source], axis=axes))
+        if not plan.reads:
+            return np.zeros(0)
+        p = np.concatenate([tables[i].ravel() for i in plan.reads])
+        plogp = np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
+        plogp *= p
+        return -np.add.reduceat(plogp, plan.offsets)
+
+    def evaluate(self, d: JointDistribution) -> dict:
+        """Each list's value on d, in bits, by label."""
+        return dict(zip(self.rows, (self.matrix @ self.subset_entropies(d)).tolist()))

@@ -193,15 +193,11 @@ class JointDistribution:
     """Dense joint probability table over named finite variables.
 
     Two joints are equal when their variables and tables are exactly equal;
-    joints are unhashable.  Each joint carries two private memos, both keyed
-    by the frozenset of variable names and filled by ``measures``:
-    ``_entropies`` holds subset entropies in bits and ``_marginals`` the
-    marginal joints they were summed from, so a later subset can be summed
-    from a smaller table than this one.  ``_spec`` is the chain ``compose``
-    multiplied to build the joint, and None for every other joint.  None of
-    the three is a dataclass field, so ``__eq__`` and ``repr`` do not see
-    them, and every new joint (including those returned by ``marginalize``,
-    ``condition`` and ``compose``) starts with empty memos.
+    joints are unhashable.  ``_spec`` is the chain ``compose`` multiplied to
+    build the joint, and None for every other joint; it is not a dataclass
+    field, so ``__eq__`` and ``repr`` do not see it.  A joint holds nothing
+    else: ``measures`` keeps its compiled plans per variable order and
+    shape, not per joint.
     """
 
     variables: tuple[Variable, ...]
@@ -223,12 +219,10 @@ class JointDistribution:
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
-        self._start_memos(tuple(names))
+        self._start(tuple(names))
 
-    def _start_memos(self, names: tuple[str, ...]) -> None:
+    def _start(self, names: tuple[str, ...]) -> None:
         object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_entropies", {})
-        object.__setattr__(self, "_marginals", {})
         object.__setattr__(self, "_spec", None)
 
     @classmethod
@@ -239,7 +233,7 @@ class JointDistribution:
         d = object.__new__(cls)
         object.__setattr__(d, "variables", variables)
         object.__setattr__(d, "table", table)
-        d._start_memos(tuple(v.name for v in variables))
+        d._start(tuple(v.name for v in variables))
         return d
 
     def __eq__(self, other):
@@ -395,8 +389,10 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based random stream: Philox keyed by seed, block per sample index.
 
     Disjoint 2**128-step counter blocks keep per-sample draws independent and
-    reproducible across platforms.
+    reproducible across platforms; ``index`` must lie in [0, 2**128).
     """
+    if not 0 <= index < 2**128:
+        raise ModelError(f"sample index must be in [0, 2**128), got {index}")
     return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1),
                                                 counter=index * 2**128))
 

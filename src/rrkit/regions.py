@@ -5,12 +5,14 @@ general binning region's 14 quadruple constants), "dmt" (the 14 baseline
 constants), "rtd" (the 8 split-private-message quintuple bounds) and "hod1"
 (the 8 simplified constants).  ``_FAMILIES`` is the one place a family is
 defined: its guard form, its defining terms in row order, its catalogue row
-labels, its own system description, its add-on parts and the variables its
-terms mention.  ``_SYSTEMS`` maps every catalogued inequality description
-(quadruple/quintuple systems, the 20- and 11-row rate-pair systems) to its
-family, rate variables and rows; one row builder serves them and the 37-row
-intermediate list.  The pre-binning budget system's projection reproduces
-the user-2 rows.
+labels, its own system description and its add-on parts.  Its constants,
+collapsed cores and add-ons, like the budget bounds, are each evaluated as
+one compiled ``measures.TermTable``: one marginal plan, one entropy per
+subset and one integer matrix product per joint.  ``_SYSTEMS`` maps every
+catalogued inequality description (quadruple/quintuple systems, the 20- and
+11-row rate-pair systems) to its family, rate variables and rows; one row
+builder serves them and the 37-row intermediate list.  The pre-binning
+budget system's projection reproduces the user-2 rows.
 
 Catalogued systems have fixed integer coefficients; only their bounds
 depend on the joint.  So each description is compiled once, on first use:
@@ -29,8 +31,8 @@ that implies the form (for example ``hk3``, ``dmt5``, ``ic1`` or ``crc2``
 under ``hod9``, ``cmg4`` under ``hod12``) passes without a look at its
 table.  Every other joint, user-built or composed along a chain that does
 not imply the form, is rebuilt by ``validate_factorization`` and refused
-above ``CONSTANT_REJECT_TOL``.  The check reads no memo, so the constants do
-not depend on which way it went.
+above ``CONSTANT_REJECT_TOL``.  The constants do not depend on which way
+it went.
 
 Constants are floats in bits; inequality coefficients are primitive integers.
 """
@@ -40,7 +42,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 
-from .measures import InfoTerm, eval_terms, seed_marginal
+from .measures import InfoTerm, TermTable
 from .polytope import (Halfspace, InequalitySystem, _fm_apply, _fm_plan,
                        _merge_duplicates, _primitive, _scaled,
                        _substitution_apply, _substitution_plan, make_row,
@@ -205,12 +207,19 @@ class _Family:
     system: str  # its own quadruple/quintuple description for build_system
     parts: dict | None = None  # add-on decomposition behind the terms, if any
     equations: dict[str, str] = field(init=False)
-    variables: frozenset[str] = field(init=False)  # what the terms mention
+    table: TermTable = field(init=False)  # the constants
+    cores: TermTable | None = field(init=False)  # the constants' core terms only
+    addons: TermTable | None = field(init=False)  # each distinct add-on term, by spelling
 
     def __post_init__(self):
         self.equations = {k: f"{self.eq_prefix}-{i + 1}" for i, k in enumerate(self.terms)}
-        self.variables = frozenset(v for terms in self.terms.values() for t in terms
-                                   for v in t.left + t.right + t.cond)
+        self.table = TermTable(self.terms)
+        self.cores = self.addons = None
+        if self.parts is not None:
+            self.cores = TermTable({k: p["core"] for k, p in self.parts.items()})
+            self.addons = TermTable({t.describe(): (t,) for p in self.parts.values()
+                                     for key in ("correlation", "interference", "binning")
+                                     for t in p.get(key, ())})
 
 
 # The one place a family is defined.
@@ -237,8 +246,7 @@ def _guarded(d: JointDistribution, form: str):
 def _constants(d: JointDistribution, family: str) -> BoundConstants:
     fam = _FAMILIES[family]
     _guarded(d, fam.form)
-    seed_marginal(d, fam.variables)
-    return BoundConstants(family, {k: eval_terms(d, terms) for k, terms in fam.terms.items()})
+    return BoundConstants(family, fam.table.evaluate(d))
 
 
 def constants_for(d: JointDistribution, family: str) -> BoundConstants:
@@ -267,23 +275,26 @@ def hod1_constants(d: JointDistribution) -> BoundConstants:
     return _constants(d, "hod1")
 
 
+def _with_parts(family: str) -> _Family:
+    fam = _FAMILIES[family]
+    if fam.parts is None:
+        raise ValueError(f"family {family!r} has no add-on parts; only "
+                         f"{sorted(k for k, f in _FAMILIES.items() if f.parts)} do")
+    return fam
+
+
 def collapsed_constants(d: JointDistribution, family: str) -> dict[str, float]:
     """Core decoding terms only: the constants with every add-on deleted.
 
     For "hod" this is the classical simultaneous-decoding region of the
     interference channel; for "hod1" its simplified superposition form.
     """
-    return {k: eval_terms(d, p["core"]) for k, p in _FAMILIES[family].parts.items()}
+    return _with_parts(family).cores.evaluate(d)
 
 
 def addon_values(d: JointDistribution, family: str) -> dict[str, float]:
     """The distinct correlation/interference/binning add-on terms, by spelling."""
-    out: dict[str, float] = {}
-    for p in _FAMILIES[family].parts.values():
-        for key in ("correlation", "interference", "binning"):
-            for t in p.get(key, ()):
-                out.setdefault(t.describe(), eval_terms(d, [t]))
-    return out
+    return _with_parts(family).addons.evaluate(d)
 
 
 # --- rate vectors for the quadruple/quintuple rows, keyed by constant label.
@@ -441,26 +452,26 @@ def intermediate37_system(constants: BoundConstants) -> InequalitySystem:
 
 
 # --- pre-binning decoding budgets at the cognitive receiver, plus the two
-#     binning costs linking budget rates (s2, t2) to message rates (S2, T2).
-_BUDGET_ROWS = [
-    ({"s2": 1},
-     _terms("I(W1;U2,W2|Q)", "I(Y2;U2|Q,W1,W2)", "I(U2;W2|Q)"), "budget-s2"),
-    ({"T1": 1},
-     _terms("I(U2;W2|Q)", "I(W2,U2;W1|Q)", "I(Y2;W1|Q,U2,W2)"), "budget-T1"),
-    ({"t2": 1},
-     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;W2|Q,W1,U2)"), "budget-t2"),
-    ({"s2": 1, "T1": 1},
-     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;U2,W1|Q,W2)"), "budget-s2T1"),
-    ({"s2": 1, "t2": 1},
-     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;U2,W2|Q,W1)"), "budget-s2t2"),
-    ({"T1": 1, "t2": 1},
-     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;W1,W2|Q,U2)"), "budget-T1t2"),
-    ({"T1": 1, "s2": 1, "t2": 1},
-     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;U2,W1,W2|Q)"), "budget-T1s2t2"),
-]
-
+#     binning costs linking budget rates (s2, t2) to message rates (S2, T2):
+#     (label, rate vector, terms of its bound).
 BINNING_COST_W2 = iterm("I(W2;W1,U1|Q)")
 BINNING_COST_U2 = iterm("I(U2;U1,W1,W2|Q)")
+_BUDGET_ROWS = [
+    ("budget-s2", {"s2": 1}, _terms("I(W1;U2,W2|Q)", "I(Y2;U2|Q,W1,W2)", "I(U2;W2|Q)")),
+    ("budget-T1", {"T1": 1}, _terms("I(U2;W2|Q)", "I(W2,U2;W1|Q)", "I(Y2;W1|Q,U2,W2)")),
+    ("budget-t2", {"t2": 1}, _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;W2|Q,W1,U2)")),
+    ("budget-s2T1", {"s2": 1, "T1": 1},
+     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;U2,W1|Q,W2)")),
+    ("budget-s2t2", {"s2": 1, "t2": 1},
+     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;U2,W2|Q,W1)")),
+    ("budget-T1t2", {"T1": 1, "t2": 1},
+     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;W1,W2|Q,U2)")),
+    ("budget-T1s2t2", {"T1": 1, "s2": 1, "t2": 1},
+     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;U2,W1,W2|Q)")),
+    ("bin-t2", {"T2": 1, "t2": -1}, (replace(BINNING_COST_W2, sign=-1),)),
+    ("bin-s2", {"S2": 1, "s2": -1}, (replace(BINNING_COST_U2, sign=-1),)),
+]
+_BUDGET_TABLE = TermTable({label: terms for label, _, terms in _BUDGET_ROWS})
 
 
 def binning_budget_system(d: JointDistribution) -> InequalitySystem:
@@ -468,13 +479,9 @@ def binning_budget_system(d: JointDistribution) -> InequalitySystem:
     reproduce the user-2 rows of the quadruple region."""
     _guarded(d, _FAMILIES["hod"].form)
     variables = ("S2", "T2", "T1", "s2", "t2")
-    rows = [_vector_row(variables, rates, eval_terms(d, terms), label)
-            for rates, terms, label in _BUDGET_ROWS]
-    rows.append(_vector_row(variables, {"T2": 1, "t2": -1},
-                            -eval_terms(d, [BINNING_COST_W2]), "bin-t2"))
-    rows.append(_vector_row(variables, {"S2": 1, "s2": -1},
-                            -eval_terms(d, [BINNING_COST_U2]), "bin-s2"))
-    return InequalitySystem(variables, tuple(rows))
+    bounds = _BUDGET_TABLE.evaluate(d)
+    return InequalitySystem(variables, tuple(_vector_row(variables, rates, bounds[label], label)
+                                             for label, rates, _ in _BUDGET_ROWS))
 
 
 # --- identity tables used by the verifier ------------------------------------

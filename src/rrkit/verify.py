@@ -10,7 +10,10 @@ for every failure.
 corollary3, corollary5, corollary6, eq14, binning; also the CLI vocabulary)
 with its per-sample function, whose docstring states the claim, the fixed
 arguments and the tolerances its report records; ``run_check`` is the one
-driver, and ``CHECKS`` keeps a callable per name.
+driver, and ``CHECKS`` keeps a callable per name.  The identity tables a
+check evaluates besides the family constants are read from ``regions`` at
+each call, so a line replaced at run time is checked, and each is evaluated
+as one compiled ``measures.TermTable`` per joint.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regions
-from .measures import eval_terms
+from .measures import TermTable
 from .polytope import (TOL, InequalitySystem, contains, fm_eliminate, implies,
                        lp_feasible, remove_redundant)
 from .prob import FORMS, _uniform_simplex, compose, sample_factors, stream
@@ -140,6 +143,20 @@ def _merge(check: str, samples: int, seed: int, tolerances: dict, results) -> Re
                                         "witnesses": divergences}
     return RegionReport(check, samples, seed, tolerances, all(verdicts),
                         tuple(verdicts), max(devs), tuple(failures), details)
+
+
+_TABLES: dict[tuple, TermTable] = {}
+
+
+def _compiled(rows: dict) -> TermTable:
+    """``rows`` as a compiled table, shared by every call that passes the same
+    labels and the same term objects (the table holds those objects, so
+    their ids stay unique while it is cached)."""
+    key = tuple((label, *map(id, terms)) for label, terms in rows.items())
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = TermTable(rows)
+    return table
 
 
 # --- thm4 / thm6: quadruple -> rate-pair equivalence -------------------------
@@ -260,6 +277,11 @@ def _cor24_one(index: int, seed: int, tol_polytope: float, tol_identity: float) 
 
 # --- corollary5: baseline constants vs general constants ---------------------
 
+def _cor5_table() -> TermTable:
+    """Each comparison-table line's delta, by baseline label."""
+    return _compiled({low: delta for low, (_, delta) in regions.COROLLARY5_TABLE.items()})
+
+
 def _cor5_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
     """corollary5: the 14-line comparison table between the baseline and
     general constants, constant-wise dominance, and rate-pair region
@@ -273,9 +295,10 @@ def _cor5_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     d, draw = _draw("dmt5", seed, index)
     cd = regions.dmt_constants(d)
     ch = regions.hod_constants(d)
+    deltas = _cor5_table().evaluate(d)
     identity_dev, dominance_excess = {}, {}
-    for low, (high, delta) in regions.COROLLARY5_TABLE.items():
-        identity_dev[low] = abs(cd[low] - (ch[high] - eval_terms(d, delta)))
+    for low, (high, _) in regions.COROLLARY5_TABLE.items():
+        identity_dev[low] = abs(cd[low] - (ch[high] - deltas[low]))
         dominance_excess[low] = cd[low] - ch[high]
     hod_rp, dmt_rp = regions.ratepair_projection(ch), regions.ratepair_projection(cd)
     inclusion, witness = contains(hod_rp, dmt_rp, tol_polytope)
@@ -298,6 +321,15 @@ def _cor5_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
 
 # --- corollary6: split-private-message relations -----------------------------
 
+def _cor6_table() -> TermTable:
+    """The quadruple bounds on the split joint, each line's delta and the
+    narrow S1 delta."""
+    return _compiled(
+        {("bound", key): terms for key, terms in regions.HOD_ON_SPLIT.items()}
+        | {("delta", key): delta for key, _, _, delta in regions.COROLLARY6_LINES}
+        | {("narrow", "S1"): regions.COROLLARY6_NARROW_S1_DELTA})
+
+
 def _cor6_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
     """corollary6: split-region bounds against the quadruple bounds on the
     merged joint.
@@ -308,20 +340,21 @@ def _cor6_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     """
     d, draw = _draw("rtd7", seed, index)
     cr = regions.rtd_constants(d)
+    table = _cor6_table()
+    v = table.evaluate(d)
     line_dev = {}
-    for key, rtd_label, orient, delta in regions.COROLLARY6_LINES:
-        split_bound = eval_terms(d, regions.HOD_ON_SPLIT[key])
-        dv = eval_terms(d, delta)
+    for key, rtd_label, orient, _ in regions.COROLLARY6_LINES:
+        split_bound, dv = v["bound", key], v["delta", key]
         if orient > 0:
             line_dev[key] = abs(cr[rtd_label] - (split_bound - dv))
         else:
             line_dev[key] = abs(split_bound - (cr[rtd_label] - dv))
-    narrow = eval_terms(d, regions.COROLLARY6_NARROW_S1_DELTA)
-    s1_variant = abs(cr["8-3"] - (eval_terms(d, regions.HOD_ON_SPLIT["S1"]) - narrow))
+    s1_variant = abs(cr["8-3"] - (v["bound", "S1"] - v["narrow", "S1"]))
     # degenerate split part: every bound dominated by its quadruple analogue
     dd, _ = _draw("rtd7", seed, index, u1b=1)
     cdeg = regions.rtd_constants(dd)
-    excess = {key: cdeg[lab] - eval_terms(dd, regions.HOD_ON_SPLIT[key])
+    vdeg = table.evaluate(dd)
+    excess = {key: cdeg[lab] - vdeg["bound", key]
               for key, lab, _, _ in regions.COROLLARY6_LINES}
     worst_dev = max(line_dev.values())
     worst_excess = max(excess.values())
@@ -365,6 +398,11 @@ def _superposition_factors(sizes: dict[str, int], seed: int, index: int):
     return [pq, pw1, px1, pw2, px2, ker]
 
 
+def _eq14_table() -> TermTable:
+    """The auxiliary-variable spellings, then the recoverability residual."""
+    return _compiled(regions.EQ14_UFORM | {"residual": (regions.EQ14_MARKOV_RESIDUAL,)})
+
+
 def _eq14_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
     """eq14: both spellings of each simplified constant agree whenever the
     public messages are deterministic functions of the channel inputs; on
@@ -373,9 +411,10 @@ def _eq14_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     # generic draw: measure every deviation and the recoverability residual
     d, draw = _draw("hod12", seed, index)
     cx = regions.hod1_constants(d)
-    dev = {k: abs(eval_terms(d, regions.EQ14_UFORM[k]) - cx[k])
-           for k in regions.EQ14_UFORM}
-    markov = eval_terms(d, [regions.EQ14_MARKOV_RESIDUAL])
+    table = _eq14_table()
+    v = table.evaluate(d)
+    dev = {k: abs(v[k] - cx[k]) for k in regions.EQ14_UFORM}
+    markov = v["residual"]
     # the A1 gap equals the recoverability residual identically; E1 is the
     # same expression on both sides
     a1_gap_dev = abs(dev["A1"] - markov)
@@ -388,8 +427,8 @@ def _eq14_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     sup_factors = _superposition_factors(sizes_sup, seed, index)
     dsup = compose(sup_factors, FORMS["hod12"], sizes_sup)
     csup = regions.hod1_constants(dsup)
-    sup_dev = {k: abs(eval_terms(dsup, regions.EQ14_UFORM[k]) - csup[k])
-               for k in regions.EQ14_UFORM}
+    vsup = table.evaluate(dsup)
+    sup_dev = {k: abs(vsup[k] - csup[k]) for k in regions.EQ14_UFORM}
     worst_sup = max(sup_dev.values())
     if worst_sup > tol_identity:
         ok = False

@@ -244,6 +244,21 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert data2["failures"][0]["factors"]
 
 
+@pytest.mark.parametrize("verb", ["eval", "project", "compare"])
+def test_negative_index_is_a_usage_error(verb, hk_scenario, capsys):
+    argv = [verb, hk_scenario, "--family", "hod", "--index", "-1"]
+    if verb == "compare":
+        argv += ["--family-b", "dmt"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"rrkit {verb}: error: argument --index: sample index must be in "
+        "[0, 2**128), got -1"]
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_check_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-check"])

@@ -1,12 +1,16 @@
-import dataclasses
 import math
-from fractions import Fraction
+import warnings
 
 import numpy as np
 import pytest
 
-from rrkit.measures import InfoTerm, cmi, entropy, eval_term, eval_terms
-from rrkit.prob import FORMS, condition, marginalize, sample_distribution, stream
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rrkit import regions
+from rrkit import verify as V
+from rrkit.measures import InfoTerm, TermTable, cmi, entropy, eval_term, eval_terms
+from rrkit.prob import FORMS, ModelError, compose, sample_distribution, stream
 
 from conftest import binary_sizes, compose_form, delta, uniform_factors
 
@@ -91,8 +95,8 @@ def test_eval_term_identity_coupling(chain_qwu):
                 chain_qwu, {"Q": 1, "W1": 2, "U1": 2})
     t = InfoTerm("I", ("U1",), ("W1",), ("Q",))
     assert abs(eval_term(d, t) - 1.0) < 1e-12
-    doubled = InfoTerm("I", ("U1",), ("W1",), ("Q",), coefficient=Fraction(2))
-    assert abs(eval_term(d, doubled) - 2.0) < 1e-12
+    negated = InfoTerm("I", ("U1",), ("W1",), ("Q",), sign=-1)
+    assert abs(eval_term(d, negated) + 1.0) < 1e-12
 
 
 def test_eval_terms_sum():
@@ -134,17 +138,10 @@ def test_subadditivity():
                 entropy(d, ("Y1",)) + entropy(d, ("Y2",)) + 1e-12)
 
 
-# --- per-joint memo of subset entropies --------------------------------------
+# --- the compiled core against the full-table reference ----------------------
 
 _MEMO_CASES = [("hod9", "hod_constants", 1001), ("dmt5", "dmt_constants", 1003),
                ("rtd7", "rtd_constants", 1005), ("hod12", "hod1_constants", 1002)]
-
-
-def _memo_free_entropy(d, names) -> float:
-    """Reference: marginalise and sum on every call, no memo."""
-    p = marginalize(d, set(names)).table.ravel()
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
 
 
 def _draw_binary(form, seed, index):
@@ -152,90 +149,141 @@ def _draw_binary(form, seed, index):
                                seed=seed, index=index)
 
 
+def _reference(d, table: TermTable) -> dict:
+    """Each row of ``table`` by the plain full-table definitions."""
+    return {label: eval_terms(d, terms) for label, terms in table.rows.items()}
+
+
+def _tables_for(form: str) -> list[TermTable]:
+    """Every compiled table a constants call or a check evaluates on ``form``."""
+    fams = [f for f in regions._FAMILIES.values() if FORMS[form].implies(FORMS[f.form])]
+    tables = [t for f in fams for t in (f.table, f.cores, f.addons) if t is not None]
+    tables += {"hod9": [regions._BUDGET_TABLE], "dmt5": [V._cor5_table()],
+               "rtd7": [V._cor6_table()], "hod12": [V._eq14_table()]}[form]
+    return tables
+
+
 @pytest.mark.parametrize("form, fn, seed", _MEMO_CASES)
-def test_memoised_constants_bitwise_equal_memo_free(form, fn, seed, monkeypatch):
-    # Equal joints asked the same things in the same order give bitwise equal
-    # constants; summing subsets from held marginals moves them by ulps only.
-    from rrkit import measures, regions
+def test_memoised_constants_bitwise_equal_memo_free(form, fn, seed):
+    # The compiled core keeps nothing on the joint: equal joints give bitwise
+    # equal constants, and each is the plain full-table value within 1e-13.
+    family = fn.removesuffix("_constants")
     for i in range(6):
-        memoised = getattr(regions, fn)(_draw_binary(form, seed, i))
-        assert getattr(regions, fn)(_draw_binary(form, seed, i)).values == memoised.values
-        with monkeypatch.context() as m:
-            m.setattr(measures, "_plain_entropy", _memo_free_entropy)
-            reference = getattr(regions, fn)(_draw_binary(form, seed, i))
-        assert reference.values.keys() == memoised.values.keys()
-        for k, v in reference.values.items():
-            assert abs(memoised[k] - v) <= 1e-13, (form, i, k)
+        compiled = getattr(regions, fn)(_draw_binary(form, seed, i))
+        assert getattr(regions, fn)(_draw_binary(form, seed, i)).values == compiled.values
+        reference = _reference(_draw_binary(form, seed, i), regions._FAMILIES[family].table)
+        assert reference.keys() == compiled.values.keys()
+        for k, v in reference.items():
+            assert abs(compiled[k] - v) <= 1e-13, (form, i, k)
 
 
-def test_entropy_memo_ignores_name_order():
-    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=4)
-    h = entropy(d, ("U1", "W1"))
-    assert entropy(d, ("W1", "U1")) == h
-    assert d._entropies == {frozenset(("U1", "W1")): h}
-    fresh = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=4)
-    assert entropy(fresh, ("W1", "U1")) == h
+@pytest.mark.parametrize("form, fn, seed", _MEMO_CASES)
+def test_every_compiled_table_equals_the_full_table_reference(form, fn, seed):
+    # constants, collapsed cores, add-ons, budget rows and identity tables
+    tables = _tables_for(form)
+    assert len(tables) >= 2
+    for i in range(6):
+        d = _draw_binary(form, seed, i)
+        for table in tables:
+            got, want = table.evaluate(d), _reference(d, table)
+            assert got.keys() == want.keys()
+            for k, v in want.items():
+                assert abs(got[k] - v) <= 1e-13, (form, i, k)
 
 
-def test_derived_joints_do_not_share_memo():
-    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=4)
-    entropy(d, ("Q", "W1"))
-    for child in (marginalize(d, d.names), marginalize(d, ("Q", "W1", "U1")),
-                  condition(d, {"Q": 0})):
-        assert child._entropies == {}
-        entropy(child, ("W1",))
-        assert frozenset(("W1",)) not in d._entropies
-    assert "_entropies" not in {f.name for f in dataclasses.fields(d)}
-    assert repr(d) == repr(marginalize(d, d.names))
+def test_values_do_not_depend_on_what_was_evaluated_before():
+    d, other = (_draw_binary("dmt5", 1003, 5) for _ in range(2))
+    first = regions.dmt_constants(d).values
+    entropy(other, ("Y2", "Q"))
+    cmi(other, ("U2",), ("W1",), ("Q",))
+    for table in _tables_for("dmt5"):
+        table.evaluate(other)
+    assert regions.dmt_constants(other).values == first
+    deltas = V._cor5_table().evaluate(d)
+    assert V._cor5_table().evaluate(_draw_binary("dmt5", 1003, 5)) == deltas
 
 
 def test_hod_constants_marginalise_once_per_subset(monkeypatch):
-    from rrkit import measures, regions
-    seen = []
+    # no call to the reference path; one compiled plan per order and shape
+    # sums every subset exactly once
+    from rrkit import measures
 
-    def counting(d, keep):
-        seen.append(frozenset(keep))
-        return marginalize(d, keep)
+    def refuse(*args):
+        raise AssertionError("the compiled core must not call marginalize")
 
-    monkeypatch.setattr(measures, "marginalize", counting)
+    monkeypatch.setattr(measures, "marginalize", refuse)
+    table = regions._FAMILIES["hod"].table
+    touched = {s for terms in table.rows.values() for t in terms
+               for s, _ in t.entropy_weights()}
+    # H(Q,U2,W1,W2) cancels within every row it appears in
+    assert len(touched) == 29
+    assert set(table.subsets) == touched - {frozenset(("Q", "U2", "W1", "W2"))}
+    assert len(table.subsets) == 28
     d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=1001, index=3)
     first = regions.hod_constants(d)
-    assert seen and len(seen) == len(set(seen))
-    assert set(seen) == set(d._entropies) | {regions._FAMILIES["hod"].variables}
-    n = len(seen)
+    plan = table.plan(d)
+    assert len(set(plan.tables)) == len(plan.tables) == len(plan.steps) + 1
+    assert set(table.subsets) <= set(plan.tables)
     assert regions.hod_constants(d) == first
-    assert len(seen) == n
+    assert table.plan(d) is plan
 
 
-def test_entropy_miss_reads_the_smallest_held_superset(monkeypatch):
-    from rrkit import measures
-    cells = []
-
-    def counting(d, keep):
-        cells.append(d.table.size)
-        return marginalize(d, keep)
-
-    monkeypatch.setattr(measures, "marginalize", counting)
+def test_each_subset_is_summed_from_the_smallest_planned_superset():
     sizes = {n: 3 for n in FORMS["hod9"].variables}
     d = sample_distribution(FORMS["hod9"], sizes, seed=7)
-    entropy(d, ("Q", "W1", "U1"))                            # nothing held yet
-    measures.seed_marginal(d, ("Q", "W1", "U1", "W2", "U2"))
-    entropy(d, ("W1", "Q"))      # held: 27 cells over Q,W1,U1 and 243 over five
-    entropy(d, ("Q",))           # the 9 cells just held over Q,W1
-    entropy(d, ("Q", "W2"))      # only the 243-cell marginal covers it
-    entropy(d, ("Y1", "Q"))      # nothing held covers Y1
-    entropy(d, ("Q", "W1"))      # a hit: no call
-    assert cells == [3**9, 3**9, 27, 9, 243, 3**9]
-    for names in d._entropies:
-        assert abs(d._entropies[names] - _memo_free_entropy(d, names)) <= 1e-13
+    table = regions._FAMILIES["hod"].table
+    plan = table.plan(d)
+    cells = lambda s: 3 ** len(s)
+    read = [cells(plan.tables[source]) for source, _ in plan.steps]
+    # the full 3**9 table is read once, to sum out X1 and X2
+    assert read[0] == 3**9 and all(n < 3**9 for n in read[1:])
+    assert plan.tables[1] == frozenset(d.names) - {"X1", "X2"}
+    for j, (source, axes) in enumerate(plan.steps):
+        target, earlier = plan.tables[j + 1], plan.tables[:j + 1]
+        assert target <= plan.tables[source]
+        assert read[j] == min(cells(s) for s in earlier if target <= s)
+        kept = [n for n in d.names if n in plan.tables[source]]
+        assert {kept[a] for a in axes} == plan.tables[source] - target
+    # larger subsets are planned first, and summing from the full table
+    # each time would read far more
+    assert [len(s) for s in plan.tables[1:]] == sorted(
+        (len(s) for s in plan.tables[1:]), reverse=True)
+    assert sum(read) < len(table.subsets) * 3**9 / 10
+    h = table.subset_entropies(d)
+    for s, value in zip(table.subsets, h):
+        assert abs(value - entropy(d, tuple(s))) <= 1e-13
+
+
+def test_entropy_ignores_name_order():
+    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=4)
+    h = entropy(d, ("U1", "W1"))
+    assert entropy(d, ("W1", "U1")) == h
+    fresh = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=4)
+    assert entropy(fresh, ("W1", "U1")) == h
+    t = TermTable({"a": [InfoTerm("I", ("U1", "W1"), ("Y1",), ("Q",))]})
+    swapped = TermTable({"a": [InfoTerm("I", ("W1", "U1"), ("Y1",), ("Q",))]})
+    assert t.evaluate(d) == swapped.evaluate(fresh)
+    assert t.matrix.tolist() == swapped.matrix.tolist()
+
+
+def test_term_table_input_guards():
+    d = sample_distribution(FORMS["hk3"], binary_sizes("hk3"), seed=1)
+    assert TermTable({"none": ()}).evaluate(d) == {"none": 0.0}
+    with pytest.raises(ValueError):
+        TermTable({"a": [InfoTerm("I", ("Q", "U1"), ("U1",))]}).evaluate(d)
+    with pytest.raises(ValueError):
+        TermTable({"a": [InfoTerm("H", ("Q",), cond=("Q",))]}).evaluate(d)
+    with pytest.raises(ModelError):
+        TermTable({"a": [InfoTerm("H", ("U1a",))]}).evaluate(d)
 
 
 _FAMILY_CASES = [("hod", "hod9"), ("dmt", "dmt5"), ("rtd", "rtd7"), ("hod1", "hod12")]
 
 
 @pytest.mark.parametrize("family, form", _FAMILY_CASES)
-def test_seed_set_is_the_variables_of_the_family_terms(family, form, monkeypatch):
-    from rrkit import measures, regions
+def test_seed_set_is_the_variables_of_the_family_terms(family, form):
+    # The first planned reduction keeps exactly the variables the family's
+    # terms mention, so one pass over the full table serves every subset.
     tables = {"hod": [t for parts in regions.HOD_PARTS.values() for ts in parts.values()
                       for t in ts],
               "dmt": [t for ts in regions.DMT_TERMS.values() for t in ts],
@@ -243,19 +291,69 @@ def test_seed_set_is_the_variables_of_the_family_terms(family, form, monkeypatch
               "hod1": [t for parts in regions.HOD1_PARTS.values() for ts in parts.values()
                        for t in ts]}
     mentioned = {v for t in tables[family] for v in t.left + t.right + t.cond}
-    assert regions._FAMILIES[family].variables == mentioned
+    table = regions._FAMILIES[family].table
+    assert frozenset().union(*table.subsets) == mentioned
     if family == "hod":
         assert not mentioned & {"X1", "X2"}
-    seen = []
-
-    def counting(d, keep):
-        seen.append(frozenset(keep))
-        return marginalize(d, keep)
-
-    monkeypatch.setattr(measures, "marginalize", counting)
     d = _draw_binary(form, 1001, 0)
-    getattr(regions, f"{family}_constants")(d)
-    if mentioned == set(d.names):  # hod1: nothing smaller to seed
-        assert set(seen) == set(d._entropies)
+    plan = table.plan(d)
+    if mentioned == set(d.names):  # hod1: nothing to sum out first
+        assert plan.tables[1] in table.subsets
     else:
-        assert seen[0] == mentioned and set(seen[1:]) == set(d._entropies)
+        assert [source for source, _ in plan.steps].count(0) == 1  # full table read once
+        assert plan.tables[1] == mentioned
+        assert plan.steps[0] == (0, tuple(i for i, n in enumerate(d.names)
+                                          if n not in mentioned))
+
+
+# --- degenerate inputs: deterministic conditionals, size-1 alphabets ----------
+
+def _degenerate_joint(form: str, unit: str | None, seed: int, one_hot: list[bool]):
+    """A joint of ``form`` with alphabet size 1 for ``unit`` and, for each
+    factor flagged in ``one_hot``, a deterministic conditional."""
+    sizes = {n: 2 for n in FORMS[form].variables}
+    if unit is not None:
+        sizes[unit] = 1
+    rng = np.random.default_rng(seed)
+    factors = []
+    for f, hot in zip(FORMS[form].factors, one_hot):
+        given = tuple(sizes[n] for n in f.given)
+        targets = tuple(sizes[n] for n in f.targets)
+        if hot:
+            flat = np.zeros(given + (math.prod(targets),))
+            for cell in np.ndindex(*given):
+                flat[cell + (int(rng.integers(flat.shape[-1])),)] = 1.0
+            factors.append(flat.reshape(given + targets))
+        else:
+            raw = rng.random(given + targets) + 1e-3
+            axes = tuple(range(len(given), raw.ndim))
+            factors.append(raw / raw.sum(axis=axes, keepdims=True))
+    return compose(factors, FORMS[form], sizes)
+
+
+@st.composite
+def _degenerate_cases(draw):
+    form = draw(st.sampled_from(sorted(FORMS)))
+    unit = draw(st.sampled_from([None, *FORMS[form].variables]))
+    one_hot = draw(st.lists(st.booleans(), min_size=len(FORMS[form].factors),
+                            max_size=len(FORMS[form].factors)))
+    return form, unit, draw(st.integers(0, 2**32 - 1)), one_hot
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_degenerate_cases())
+def test_degenerate_joints_match_the_reference_without_warnings(case):
+    form, unit, seed, one_hot = case
+    d = _degenerate_joint(form, unit, seed, one_hot)
+    fams = [k for k, f in regions._FAMILIES.items() if FORMS[form].implies(FORMS[f.form])]
+    assert fams
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for family in fams:
+            got = regions.constants_for(d, family).values
+            fam = regions._FAMILIES[family]
+            for table, values in [(fam.table, got)] + [
+                    (t, t.evaluate(d)) for t in (fam.cores, fam.addons) if t is not None]:
+                for k, v in _reference(d, table).items():
+                    assert math.isfinite(values[k])
+                    assert abs(values[k] - v) <= 1e-12, (form, unit, family, k)

@@ -164,6 +164,12 @@ def test_sample_deterministic_in_seed():
     assert np.max(np.abs(a.table - c.table)) > 1e-6
 
 
+@pytest.mark.parametrize("index", [-1, 2**128])
+def test_sample_index_out_of_range_is_a_model_error(index):
+    with pytest.raises(ModelError, match="sample index"):
+        sample_factors(FORMS["hk3"], binary_sizes("hk3"), seed=1, index=index)
+
+
 def test_samples_pass_own_validation():
     sizes = binary_sizes("hod9")
     for i in range(50):
