@@ -7,8 +7,11 @@ free), redundancy removal, containment with witness points, and 2-D vertex
 enumeration.
 
 Questions about a 2-variable system (free feasibility, containment,
-implication, boundedness) are answered from one exact half-plane
-intersection of its rows; redundancy removal adds one more per facet row.
+implication, boundedness, vertices) are answered from one exact half-plane
+intersection of its rows, built on first use and kept on the immutable
+system; redundancy removal adds one more per facet row.  The order of the
+intersection's directions and its recession rays depend only on the set of
+integer normals, so they are compiled once per set.
 Fourier-Motzkin elimination projects systems down to two variables and
 answers those questions for systems with any other number of variables.
 Elimination and substitution each run in two steps: an integer plan from the
@@ -47,9 +50,11 @@ class UnboundedRegionError(ValueError):
     """2-D vertex enumeration was asked for an unbounded region."""
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """One inequality sum_j coeffs[j] * x_j <= bound."""
+class Halfspace(NamedTuple):
+    """One inequality sum_j coeffs[j] * x_j <= bound.
+
+    A named tuple: it compares equal to the plain (coeffs, bound, label).
+    """
 
     coeffs: Coeffs
     bound: float
@@ -108,6 +113,12 @@ class InequalitySystem:
             return self.variables.index(var)
         except ValueError:
             raise VariableMismatchError(f"no variable {var!r} in {self.variables}") from None
+
+    @functools.cached_property
+    def _plane_region(self) -> "_Region":
+        """The half-plane intersection of a 2-variable system's rows, built
+        once: every 2-D question about the system reads it."""
+        return _region([_canon(r.coeffs, r.bound) for r in self.rows])
 
 
 def system(variables, rows) -> InequalitySystem:
@@ -266,14 +277,14 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
             sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound + tol
             for r in sys.rows)
     if len(sys.variables) == 2:
-        return _feasible_2d(sys, _plane_region(sys.rows), tol)
+        return _feasible_2d(sys, tol)
     return _fm_feasible(sys, tol)
 
 
-def _feasible_2d(sys: InequalitySystem, region, tol: float) -> bool:
+def _feasible_2d(sys: InequalitySystem, tol: float) -> bool:
     """Free feasibility as elimination decides it: exact at tol 0, while an
     empty region can still pass elimination's tol-relaxed constant test."""
-    if region.edges and tol >= 0:
+    if sys._plane_region.edges and tol >= 0:
         return True
     return tol != 0 and _fm_feasible(sys, tol)
 
@@ -347,13 +358,11 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
     and what is kept could be unbounded.  Kept rows keep their own bounds.
     """
     flat = len(sys.variables) == 2
-    region = _plane_region(sys.rows) if flat else None
-    empty = not region.edges if flat else not _fm_feasible(sys, 0.0)
+    empty = not sys._plane_region.edges if flat else not _fm_feasible(sys, 0.0)
     work = sys
     if empty and tol > 0 and _fm_feasible(sys, tol):
         work = sys.with_rows(Halfspace(r.coeffs, r.bound + tol, r.label) for r in sys.rows)
-        region = _plane_region(work.rows) if flat else None
-    keep = _greedy_2d(work, region, tol) if flat else _greedy_fm(work, tol)
+    keep = _greedy_2d(work, tol) if flat else _greedy_fm(work, tol)
     return sys.with_rows(sys.rows[k] for k in keep)
 
 
@@ -375,7 +384,7 @@ def _greedy_fm(sys: InequalitySystem, tol: float) -> list[int]:
 def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
     """Does every solution of sys satisfy the row (within tol slack)?"""
     if len(sys.variables) == 2 == len(row.coeffs):
-        return _reach(_plane_region(sys.rows), row.coeffs, row.bound + tol) is None
+        return _reach(sys._plane_region, row.coeffs, row.bound + tol) is None
     probe = InequalitySystem(sys.variables, sys.rows + (negate_row(row, tol),))
     return not lp_feasible(probe, tol=0.0)
 
@@ -391,7 +400,7 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
         raise VariableMismatchError(
             f"systems over different variables: {outer.variables} vs {inner.variables}")
     if len(inner.variables) == 2:
-        region = _plane_region(inner.rows)
+        region = inner._plane_region
         for row in outer.rows:
             witness = _reach(region, row.coeffs, row.bound + tol)
             if witness is not None:
@@ -431,6 +440,8 @@ def reorder(sys: InequalitySystem, variables) -> InequalitySystem:
 # vertices and skip those a proven error bound puts below a threshold.
 
 _BOX = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_ANGLE_PLANS = 256  # normal sets whose angle plan is kept; greedy subsets
+                    # and user systems are arbitrary, so the cache is bounded
 _SMALL = 1 << 20  # |p|, |q| below this: products of cross products with
                   # float bounds round only once
 
@@ -534,12 +545,23 @@ class _Region(NamedTuple):
     edges: list   # edge lines counterclockwise, box sides included; [] if empty
     points: list  # points[t]: float meet of edges[t] and edges[t + 1]
     facets: set   # edge lines whose edge has positive length
-    rays: list    # integer generators of the recession cone; [] if bounded
+    rays: tuple   # integer generators of the recession cone; () if bounded
     err: float    # float error of p*x + q*y at a point, per unit of |p| + |q|
 
 
-def _plane_region(rows) -> _Region:
-    return _region([_canon(r.coeffs, r.bound) for r in rows])
+# The region of rows that keep a constant row 0 <= beta < 0, for
+# _greedy_2d's probes (recession rays are left out; nothing reads them there).
+_EMPTY = _Region([], [], set(), (), 0.0)
+
+
+@functools.lru_cache(maxsize=_ANGLE_PLANS)
+def _angle_plan(real: frozenset) -> tuple[tuple, tuple, int]:
+    """The integer part of ``_region`` for the normals ``real``: every
+    direction (box sides included) sorted by angle, the recession rays, and
+    the largest normal entry."""
+    dirs = _by_angle(real.union(_BOX))
+    rays = tuple(_rays([d for d in dirs if d in real]))
+    return tuple(dirs), rays, max((max(abs(p), abs(q)) for p, q in real), default=1)
 
 
 def _region(lines) -> _Region:
@@ -557,14 +579,10 @@ def _region(lines) -> _Region:
             consistent = consistent and beta >= 0
         elif beta < tight.get((p, q), math.inf):
             tight[(p, q)] = beta
-    real = set(tight)
-    big = max((max(abs(p), abs(q)) for p, q in real), default=1)
+    dirs, rays, big = _angle_plan(frozenset(tight))
     side = 4.0 * big * max((abs(float(b)) for b in tight.values()), default=0.0) + 1.0
-    for d in _BOX:
-        tight.setdefault(d, side)
-    dirs = _by_angle(tight)
-    rays = _rays([d for d in dirs if d in real])
-    edges = _intersect([(p, q, tight[(p, q)]) for p, q in dirs]) if consistent else []
+    edges = (_intersect([(p, q, tight.get((p, q), side)) for p, q in dirs])
+             if consistent else [])
     # An edge has positive length iff its first vertex is strictly inside the
     # next edge line; _intersect leaves no vertex outside it.
     facets = {e for t, e in enumerate(edges)
@@ -602,28 +620,36 @@ def _reach(region: _Region, coeffs, bound: float):
     return None
 
 
-def _greedy_2d(sys: InequalitySystem, region: _Region, tol: float) -> list[int]:
+def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
     """remove_redundant's greedy rule from one intersection per facet row.
 
-    ``region`` is the intersection of every row.  While the region of the
-    remaining rows is full-dimensional, dropping a row that is not the only
-    copy of one of its facets leaves the region as it is, so only those facet
-    rows need the rest intersected again.
+    Starts from the system's own region.  While the region of the remaining
+    rows is full-dimensional, dropping a row that is not the only copy of one
+    of its facets leaves the region as it is, so only those facet rows need
+    the rest intersected again.  While the rest keeps a constant row
+    0 <= beta with beta < 0, it is empty without an intersection.
     """
-    rows = sys.rows
+    rows, region = sys.rows, sys._plane_region
     lines = [_canon(r.coeffs, r.bound) for r in rows]
     copies = Counter(lines)
+    contradiction = [p == 0 == q and beta < 0 for p, q, beta in lines]
+    contradictions = sum(contradiction)  # among the remaining rows
     alive = list(range(len(rows)))
     i = 0
     while i < len(alive):
         j = alive[i]
         rest = alive[:i] + alive[i + 1:]
-        unchanged = len(region.facets) >= 3 and (
-            lines[j] not in region.facets or copies[lines[j]] > 1)
-        sub = region if unchanged else _region([lines[k] for k in rest])
+        if contradictions > contradiction[j]:
+            sub = _EMPTY
+        elif len(region.facets) >= 3 and (
+                lines[j] not in region.facets or copies[lines[j]] > 1):
+            sub = region
+        else:
+            sub = _region([lines[k] for k in rest])
         if _reach(sub, rows[j].coeffs, rows[j].bound + tol) is None:
             alive, region = rest, sub
             copies[lines[j]] -= 1
+            contradictions -= contradiction[j]
         else:
             i += 1
     return alive
@@ -641,10 +667,9 @@ def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
     """Enumerate vertices of a bounded 2-variable system, counterclockwise."""
     if len(sys.variables) != 2:
         raise VariableMismatchError(f"vertices2d needs 2 variables, got {sys.variables}")
-    region = _plane_region(sys.rows)
-    if not _feasible_2d(sys, region, tol):
+    if not _feasible_2d(sys, tol):
         return Polytope2D((), "empty")
-    if region.rays:
+    if sys._plane_region.rays:
         raise UnboundedRegionError("region is unbounded; cannot enumerate vertices")
     pts: list[tuple[float, float]] = []
     rows = sys.rows

@@ -318,3 +318,50 @@ def test_constant_row_handling():
     s2 = system(("x",), (Halfspace((Fraction(0),), 1.0, "vacuous"),
                          Halfspace((Fraction(1),), 1.0, "cap")))
     assert lp_feasible(s2)
+
+
+def _fields(r):
+    """A row field by field, with the types of its parts and its bound's bits."""
+    return (r.coeffs, [type(c).__name__ for c in r.coeffs], r.bound.hex(),
+            type(r.bound).__name__, r.label)
+
+
+# sha256 of _fields over every ratepair_projection row (193 rows) of the
+# draws below, as the frozen-dataclass rows gave them.
+PROJECTION_ROWS_SHA256 = "a194345a7a0d743baaef004dac17731f7cb8519d27e041a5fd4215e4aaf9a4f5"
+
+
+def test_halfspace_contract():
+    import hashlib
+
+    from rrkit import regions
+    from rrkit.verify import _draw
+
+    r = Halfspace((1, -2), 0.5)
+    assert (r.coeffs, r.bound, r.label) == ((1, -2), 0.5, "")
+    assert r == ((1, -2), 0.5, "") and Halfspace((1, -2), 0.5, "x") != r
+    assert not r.is_constant() and Halfspace((0, 0), -1.0, "c").is_constant()
+    for name in ("coeffs", "bound", "label"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+
+    assert _fields(make_row((2, 4), 3.0, "a")) == ((1, 2), ["int", "int"], "0x1.8000000000000p+0",
+                                                   "float", "a")
+    assert _fields(make_row((0.5, 1.5), 1.0)) == ((1, 3), ["int", "int"], "0x1.0000000000000p+1",
+                                                  "float", "")
+    assert _fields(make_row((Fraction(2, 3), -4), 1.0, "q")) == (
+        (1, -6), ["int", "int"], "0x1.8000000000000p+0", "float", "q")
+    assert [_fields(r) for r in nonnegativity_rows(("R1", "R2", "S"), {"R1", "S"})] == [
+        ((-1, 0, 0), ["int"] * 3, "0x0.0p+0", "float", "R1>=0"),
+        ((0, 0, -1), ["int"] * 3, "0x0.0p+0", "float", "S>=0")]
+
+    digest, count = hashlib.sha256(), 0
+    for family, form in (("hod", "hod9"), ("dmt", "dmt5"), ("rtd", "rtd7"), ("hod1", "hod12")):
+        for seed in (1001, 1002):
+            for index in range(3):
+                c = regions.constants_for(_draw(form, seed, index)[0], family)
+                for row in regions.ratepair_projection(c).rows:
+                    assert type(row) is Halfspace
+                    digest.update(repr(_fields(row)).encode())
+                    count += 1
+    assert (count, digest.hexdigest()) == (193, PROJECTION_ROWS_SHA256)

@@ -12,15 +12,18 @@ within FACET_BAND of a facet; exact ties are kept and pinned to the
 reference's answer.
 """
 
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rrkit.polytope import (Halfspace, UnboundedRegionError, contains, implies, lp_feasible,
-                            make_row, nonnegativity_rows, remove_redundant, system,
-                            vertices2d)
+from rrkit.polytope import (_ANGLE_PLANS, Halfspace, UnboundedRegionError, _angle_plan,
+                            contains, implies, lp_feasible, make_row, nonnegativity_rows,
+                            remove_redundant, system, vertices2d)
+from rrkit.verify import run_check
 
 VARS = ("x", "y")
 TOLS = (0.0, 1e-9)
@@ -184,6 +187,73 @@ def test_remove_redundant_agrees_with_fm(s):
         reference = [r.label for r in remove_redundant(lifted(s), tol).rows
                      if not r.label.startswith("z")]
         assert kept == reference
+
+
+CONTRADICTIONS = (-1.0, -1e-17, -1e-10)  # -1e-10 vanishes once bounds are relaxed by tol
+
+
+@SETTINGS
+@given(systems(max_rows=8),
+       st.lists(st.tuples(st.sampled_from(CONTRADICTIONS),
+                          st.sampled_from(["first", "middle", "last"])), min_size=1, max_size=3))
+def test_remove_redundant_with_contradictions_agrees_with_fm(s, placed):
+    rows = list(s.rows)
+    for k, (bound, where) in enumerate(placed):
+        at = {"first": 0, "middle": len(rows) // 2, "last": len(rows)}[where]
+        rows.insert(at, Halfspace((0, 0), bound, f"c{k}"))
+    s = system(VARS, rows)
+    for tol in TOLS:
+        if not _exact_greedy_is_clear(s, tol):
+            continue
+        kept = [r.label for r in remove_redundant(s, tol).rows]
+        reference = [r.label for r in remove_redundant(lifted(s), tol).rows
+                     if not r.label.startswith("z")]
+        assert kept == reference
+
+
+# --- one region per system ------------------------------------------------------------
+
+QUESTIONS = {
+    "free": lambda s, other: [lp_feasible(s, tol=tol) for tol in TOLS],
+    "implies": lambda s, other: [implies(s, r, tol) for r in other.rows for tol in TOLS],
+    "inner": lambda s, other: [contains(other, s, tol) for tol in TOLS],
+    "outer": lambda s, other: [contains(s, other, tol) for tol in TOLS],
+    "reduced": lambda s, other: [[r.label for r in remove_redundant(s, tol).rows]
+                                 for tol in TOLS],
+    "vertices": lambda s, other: [_vertices_or_unbounded(s, tol) for tol in TOLS],
+}
+
+
+@SETTINGS
+@given(systems(), systems(max_rows=4))
+def test_answers_do_not_depend_on_what_was_asked_before(s, other):
+    fresh = lambda: system(s.variables, s.rows)
+    expected = {name: ask(fresh(), system(other.variables, other.rows))
+                for name, ask in QUESTIONS.items()}
+    names = list(QUESTIONS)
+    for order in (names, names[::-1]):
+        kept = fresh()
+        for name in order + order:  # the second round reads only the kept region
+            assert QUESTIONS[name](kept, other) == expected[name], name
+    lp_feasible(s)
+    assert "_plane_region" in vars(s)
+    copy = pickle.loads(pickle.dumps(s))
+    for name, ask in QUESTIONS.items():
+        assert ask(copy, other) == expected[name], name
+
+
+def test_angle_plan_cache_stops_growing():
+    rng = random.Random(12)
+    seen = set()
+    while len(seen) <= 2 * _ANGLE_PLANS:
+        rows = [make_row((rng.randint(-5, 5), rng.randint(-5, 5)), 1.0) for _ in range(6)]
+        lp_feasible(system(VARS, rows))
+        seen.add(frozenset(r.coeffs for r in rows if any(r.coeffs)))
+    assert _angle_plan.cache_info().currsize <= _ANGLE_PLANS
+    run_check("thm4", 8, 5)
+    misses = _angle_plan.cache_info().misses
+    run_check("thm4", 8, 5)
+    assert _angle_plan.cache_info().misses == misses
 
 
 # --- named shapes -------------------------------------------------------------------
