@@ -17,8 +17,10 @@ answers those questions for systems with any other number of variables.
 Elimination and substitution each run in two steps: an integer plan from the
 coefficient vectors alone (which rows combine, with what multipliers, and
 each new row's primitive coefficients and scale), then a float step that
-applies it to the bounds.  ``regions`` keeps the plans of its catalogued
-systems and runs only the float step per joint.
+applies it to the bounds.  A plan depends only on the coefficient pattern,
+so the most recent plans are cached by it (a bounded cache) and a repeated
+pattern (a catalogued system's projection, whatever the joint) costs only
+the float step.
 
 Coefficient arithmetic is exact integer arithmetic: rational input (floats or
 fractions.Fraction) is scaled to primitive integers when a row is built, and
@@ -79,7 +81,7 @@ def _primitive(coeffs) -> tuple[Coeffs, float | None]:
     exact = [Fraction(c) for c in coeffs]
     factor = Fraction(math.lcm(*(c.denominator for c in exact)),
                       math.gcd(*(c.numerator for c in exact)) or 1)
-    return tuple(int(c * factor) for c in exact), float(factor)
+    return tuple(int(c * factor) for c in exact), None if factor == 1 else float(factor)
 
 
 def _scaled(bound: float, scale: float | None) -> float:
@@ -115,10 +117,15 @@ class InequalitySystem:
             raise VariableMismatchError(f"no variable {var!r} in {self.variables}") from None
 
     @functools.cached_property
+    def _lines(self) -> list:
+        """A 2-variable system's rows as canonical lines (``_canon``), in order."""
+        return [_canon(r.coeffs, r.bound) for r in self.rows]
+
+    @functools.cached_property
     def _plane_region(self) -> "_Region":
         """The half-plane intersection of a 2-variable system's rows, built
         once: every 2-D question about the system reads it."""
-        return _region([_canon(r.coeffs, r.bound) for r in self.rows])
+        return _region(self._lines)
 
 
 def system(variables, rows) -> InequalitySystem:
@@ -153,7 +160,12 @@ def _merge_duplicates(rows) -> list[Halfspace]:
     return [best[c] for c in order]
 
 
-def _fm_plan(coeff_rows, k: int) -> tuple[tuple, tuple]:
+_PLANS = 128  # elimination and substitution plans kept per kind; probe
+             # systems and user systems are arbitrary, so the caches are bounded
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _fm_plan(coeff_rows: tuple, k: int) -> tuple[tuple, tuple]:
     """The integer work of eliminating variable ``k`` from rows with these
     coefficient vectors, in the order ``fm_eliminate`` emits its rows.
 
@@ -184,19 +196,6 @@ def _fm_plan(coeff_rows, k: int) -> tuple[tuple, tuple]:
     return tuple(kept), tuple(pairs)
 
 
-def _fm_apply(plan: tuple[tuple, tuple], rows) -> list[Halfspace]:
-    """The rows an ``_fm_plan`` describes, with their float bounds, before
-    ``_merge_duplicates``."""
-    kept, pairs = plan
-    out = [Halfspace(coeffs, _scaled(rows[i].bound, scale), rows[i].label)
-           for i, coeffs, scale in kept]
-    for i, j, mi, mj, coeffs, scale in pairs:
-        up, lo = rows[i], rows[j]
-        out.append(Halfspace(coeffs, _scaled(mi * up.bound + mj * lo.bound, scale),
-                             f"fm:{{{up.label}+{lo.label}}}"))
-    return out
-
-
 def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
     """Project ``var`` out by pairing each upper bound with each lower bound;
     equal coefficient vectors keep the tightest bound, vacuous rows go."""
@@ -204,33 +203,35 @@ def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
         warnings.warn(f"variable {var!r} not in system; elimination is the identity")
         return sys
     k = sys.index(var)
-    rows = _fm_apply(_fm_plan([r.coeffs for r in sys.rows], k), sys.rows)
+    rows = sys.rows
+    kept, pairs = _fm_plan(tuple(r.coeffs for r in rows), k)
+    out = [Halfspace(coeffs, _scaled(rows[i].bound, scale), rows[i].label)
+           for i, coeffs, scale in kept]
+    for i, j, mi, mj, coeffs, scale in pairs:
+        up, lo = rows[i], rows[j]
+        out.append(Halfspace(coeffs, _scaled(mi * up.bound + mj * lo.bound, scale),
+                             f"fm:{{{up.label}+{lo.label}}}"))
     return InequalitySystem(sys.variables[:k] + sys.variables[k + 1:],
-                            tuple(_merge_duplicates(rows)))
+                            tuple(_merge_duplicates(out)))
 
 
-def _substitution_plan(variables, coeff_rows, k: int, expr: dict):
-    """The integer work of ``substitute`` for variable ``k``: the new
-    variables and (coeffs, scale) per row."""
+@functools.lru_cache(maxsize=_PLANS)
+def _substitution_plan(variables: tuple, coeff_rows: tuple, k: int, expr: tuple):
+    """The integer work of ``substitute`` for variable ``k`` and the items
+    ``expr`` of its expression: the new variables and (coeffs, scale) per row."""
     var = variables[k]
     new_vars = list(variables[:k] + variables[k + 1:])
-    for v in expr:
+    for v, _ in expr:
         if v not in new_vars:
             new_vars.append(v)
     plan = []
     for cs in coeff_rows:
         c = cs[k]
         out = {v: cs[i] for i, v in enumerate(variables) if v != var}
-        for v, e in expr.items():
+        for v, e in expr:
             out[v] = out.get(v, 0) + c * e
         plan.append(_primitive(tuple(out.get(v, 0) for v in new_vars)))
     return tuple(new_vars), tuple(plan)
-
-
-def _substitution_apply(plan, rows) -> list[Halfspace]:
-    """The rows a ``_substitution_plan`` describes, with their float bounds."""
-    return [Halfspace(coeffs, _scaled(r.bound, scale), r.label)
-            for (coeffs, scale), r in zip(plan, rows)]
 
 
 def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
@@ -240,9 +241,10 @@ def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
     to primitive integers.  New variables named in ``expr`` are appended to
     the system in order.
     """
-    new_vars, plan = _substitution_plan(sys.variables, [r.coeffs for r in sys.rows],
-                                        sys.index(var), expr)
-    return InequalitySystem(new_vars, tuple(_substitution_apply(plan, sys.rows)))
+    new_vars, plan = _substitution_plan(sys.variables, tuple(r.coeffs for r in sys.rows),
+                                        sys.index(var), tuple(expr.items()))
+    return InequalitySystem(new_vars, tuple(Halfspace(coeffs, _scaled(r.bound, scale), r.label)
+                                            for (coeffs, scale), r in zip(plan, sys.rows)))
 
 
 def _infeasible_constant(rows, tol: float) -> bool:
@@ -422,6 +424,8 @@ def equivalent(a: InequalitySystem, b: InequalitySystem, tol: float = TOL) -> bo
 def reorder(sys: InequalitySystem, variables) -> InequalitySystem:
     """Permute the variable order (same solution set, relabelled columns)."""
     variables = tuple(variables)
+    if variables == sys.variables:
+        return sys
     if set(variables) != set(sys.variables):
         raise VariableMismatchError(f"cannot reorder {sys.variables} as {variables}")
     perm = [sys.index(v) for v in variables]
@@ -629,8 +633,7 @@ def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
     the rest intersected again.  While the rest keeps a constant row
     0 <= beta with beta < 0, it is empty without an intersection.
     """
-    rows, region = sys.rows, sys._plane_region
-    lines = [_canon(r.coeffs, r.bound) for r in rows]
+    rows, region, lines = sys.rows, sys._plane_region, sys._lines
     copies = Counter(lines)
     contradiction = [p == 0 == q and beta < 0 for p, q, beta in lines]
     contradictions = sum(contradiction)  # among the remaining rows
@@ -682,10 +685,6 @@ def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
                 continue
             x = (b1 * float(c2) - float(a2) * b2) / float(det) + 0.0
             y = (float(a1) * b2 - b1 * float(c1)) / float(det) + 0.0
-            if x == 0.0:
-                x = 0.0  # drop negative zero for stable serialization
-            if y == 0.0:
-                y = 0.0
             if lp_feasible(sys, point=(x, y), tol=tol):
                 if not any(abs(x - p) <= tol and abs(y - q) <= tol for p, q in pts):
                     pts.append((x, y))

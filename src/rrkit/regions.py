@@ -15,15 +15,13 @@ builder serves them and the 37-row intermediate list.  The pre-binning
 budget system's projection reproduces the user-2 rows.
 
 Catalogued systems have fixed integer coefficients; only their bounds
-depend on the joint.  So each description is compiled once, on first use:
-its rows' primitive coefficients and scales and, for a family's own system,
-the integer plan of each substitution and elimination step to (R1, R2),
-keyed by the step's coefficient pattern.  Per joint, ``build_system`` and
-``ratepair_projection`` compute only the float bounds, in elimination's own
-order, merging duplicates after each step as elimination does, so they give
-``project_to_ratepair(build_system(...))``'s rows bit for bit.
-``project_to_ratepair``, which eliminates on the rows it is given, is the
-reference the compiled projection is tested against.
+depend on the joint.  So each description's rows (primitive coefficients
+and scales) are compiled once, on first use, and ``build_system`` computes
+only the float bounds per joint.  ``ratepair_projection`` is
+``project_to_ratepair`` of a family's own system: substitution and
+Fourier-Motzkin elimination, whose integer plans ``polytope`` caches by
+coefficient pattern, so per joint only the float bounds are computed there
+too.
 
 Every constant is defined only on inputs of its family's guard form, so each
 constants call first checks it.  A joint ``compose`` built along a chain
@@ -43,9 +41,7 @@ import functools
 from dataclasses import dataclass, field, replace
 
 from .measures import InfoTerm, TermTable
-from .polytope import (Halfspace, InequalitySystem, _fm_apply, _fm_plan,
-                       _merge_duplicates, _primitive, _scaled,
-                       _substitution_apply, _substitution_plan, make_row,
+from .polytope import (Halfspace, InequalitySystem, _primitive, _scaled, make_row,
                        nonnegativity_rows)
 from .prob import FORMS, JointDistribution, ModelError, validate_factorization
 
@@ -559,8 +555,7 @@ _TO_RATEPAIR = {
 def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
     """Eliminate the per-message rates, leaving (R1, R2).
 
-    Runs substitution and Fourier-Motzkin elimination on the rows as given:
-    the reference that the compiled ``ratepair_projection`` matches.
+    Runs substitution and Fourier-Motzkin elimination on the rows as given.
     Quadruple systems use R1 = S1 + T1, R2 = S2 + T2; the quintuple system
     uses R1 = T1 + S1a + S1b, R2 = T2 + S2.
     """
@@ -579,32 +574,7 @@ def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
     return _p.reorder(s, _RATE_PAIR)
 
 
-@functools.cache
-def _step_plan(description: str, step: int, variables: tuple, pattern: tuple) -> tuple:
-    """Step ``step`` of projecting ``description`` to (R1, R2) on rows over
-    ``variables`` with coefficient vectors ``pattern``: the variables after
-    it and the step's integer plan.  Only the pure-constant row an
-    elimination keeps or drops varies a pattern, so there are few."""
-    substitutions, eliminations = _TO_RATEPAIR[_SYSTEMS[description][1]]
-    if step < len(substitutions):
-        var, expr = substitutions[step]
-        return _substitution_plan(variables, pattern, variables.index(var), expr)
-    k = variables.index(eliminations[step - len(substitutions)])
-    return variables[:k] + variables[k + 1:], _fm_plan(pattern, k)
-
-
 def ratepair_projection(constants: BoundConstants) -> InequalitySystem:
     """The family's own quadruple/quintuple system projected to (R1, R2):
-    ``project_to_ratepair(build_system(constants, <that system>))``, labels,
-    row order and bound bits included, from compiled plans (see the module
-    docstring)."""
-    description = _FAMILIES[constants.family].system
-    sys = _rows_system(constants, description)
-    substitutions, eliminations = _TO_RATEPAIR[sys.variables]
-    variables, rows = sys.variables, sys.rows
-    for step in range(len(substitutions) + len(eliminations)):
-        variables, plan = _step_plan(description, step, variables,
-                                     tuple(r.coeffs for r in rows))
-        rows = (_substitution_apply(plan, rows) if step < len(substitutions)
-                else _merge_duplicates(_fm_apply(plan, rows)))
-    return InequalitySystem(variables, tuple(rows))
+    ``project_to_ratepair(build_system(constants, <that system>))``."""
+    return project_to_ratepair(_rows_system(constants, _FAMILIES[constants.family].system))

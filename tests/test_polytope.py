@@ -13,6 +13,7 @@ from rrkit.polytope import (Halfspace, UnboundedRegionError,
                             lp_feasible, make_row, nonnegativity_rows,
                             remove_redundant, reorder, substitute, system,
                             vertices2d)
+from rrkit.polytope import _fm_plan, _substitution_plan
 
 
 def rows_of(variables, *triples):
@@ -269,11 +270,18 @@ def assert_primitive_multiple(row, coeffs):
     assert k > 0 and all(c == k * e for c, e in zip(row.coeffs, coeffs))
 
 
+def cold(operation, *args):
+    """``operation`` planned from scratch: both plan caches emptied first."""
+    _fm_plan.cache_clear()
+    _substitution_plan.cache_clear()
+    return operation(*args)
+
+
 @PROPERTY
 @given(int_rows, st.sampled_from(VARS3))
 def test_fm_eliminate_int_and_fraction_input_agree(rows, var):
-    assert_same_int_rows(fm_eliminate(as_system(rows, int), var),
-                         fm_eliminate(as_system(rows, Fraction), var))
+    assert_same_int_rows(cold(fm_eliminate, as_system(rows, int), var),
+                         cold(fm_eliminate, as_system(rows, Fraction), var))
 
 
 @PROPERTY
@@ -281,8 +289,24 @@ def test_fm_eliminate_int_and_fraction_input_agree(rows, var):
        st.dictionaries(st.sampled_from(VARS3 + ("w",)), small_int, min_size=1))
 def test_substitute_int_and_fraction_input_agree(rows, var, expr):
     frac_expr = {v: Fraction(e) for v, e in expr.items()}
-    assert_same_int_rows(substitute(as_system(rows, int), var, expr),
-                         substitute(as_system(rows, Fraction), var, frac_expr))
+    assert_same_int_rows(cold(substitute, as_system(rows, int), var, expr),
+                         cold(substitute, as_system(rows, Fraction), var, frac_expr))
+
+
+@PROPERTY
+@given(int_rows, st.sampled_from(VARS3),
+       st.dictionaries(st.sampled_from(VARS3 + ("w",)), small_int, min_size=1))
+def test_cached_plans_give_the_rows_of_a_cold_cache(rows, var, expr):
+    frac_expr = {v: Fraction(e) for v, e in expr.items()}
+    operations = {int: [(fm_eliminate, var), (substitute, var, expr)],
+                  Fraction: [(fm_eliminate, var), (substitute, var, frac_expr)]}
+    for kind, other in ((int, Fraction), (Fraction, int)):
+        s, t = as_system(rows, kind), as_system(rows, other)
+        for (operation, *args), (_, *other_args) in zip(operations[kind], operations[other]):
+            planned = [_fields(r) for r in cold(operation, s, *args).rows]
+            assert [_fields(r) for r in operation(s, *args).rows] == planned
+            cold(operation, t, *other_args)  # the cache now holds the other kind's plan
+            assert [_fields(r) for r in operation(s, *args).rows] == planned
 
 
 @PROPERTY

@@ -303,7 +303,7 @@ def test_guard_route_leaves_constants_bitwise_equal(family, form):
         assert [v.hex() for v in structural.values()] == [v.hex() for v in numeric.values()]
 
 
-# --- the compiled rows and rate-pair projection --------------------------------
+# --- the compiled rows and the rate-pair projection ----------------------------
 
 _FAMILY_FORMS = {"hod": "hod9", "dmt": "dmt5", "rtd": "rtd7", "hod1": "hod12"}
 
@@ -333,12 +333,12 @@ def _drawn_constants(family: str, seeds, per_seed: int = 6) -> list[R.BoundConst
 
 
 @pytest.mark.parametrize("family", list(_FAMILY_FORMS))
-def test_compiled_projection_matches_fm_reference(family):
+def test_ratepair_projection_is_the_projection_of_the_built_system(family):
     system = R._FAMILIES[family].system
     for c in _drawn_constants(family, range(1001, 1008)) + _adversarial_constants(family):
-        compiled = R.ratepair_projection(c)
-        assert _rows_key(compiled) == _rows_key(R.project_to_ratepair(R.build_system(c, system)))
-        assert all(x.__class__ is int for r in compiled.rows for x in r.coeffs)
+        projected = R.ratepair_projection(c)
+        assert _rows_key(projected) == _rows_key(R.project_to_ratepair(R.build_system(c, system)))
+        assert all(x.__class__ is int for r in projected.rows for x in r.coeffs)
 
 
 def test_compiled_rows_match_make_row():
@@ -359,20 +359,23 @@ def test_compiled_rows_match_make_row():
 
 
 def test_plan_cache_stops_growing():
+    from rrkit.polytope import _fm_plan, _substitution_plan
+    caches = (_fm_plan, _substitution_plan)
+    assert all(0 < cache.cache_info().maxsize < 10_000 for cache in caches)
     for family in _FAMILY_FORMS:
         for c in _drawn_constants(family, range(1001, 1008)):
             R.ratepair_projection(c)
-    plans = R._step_plan.cache_info().currsize
+    misses = [cache.cache_info().misses for cache in caches]
     for family in _FAMILY_FORMS:
         for c in _drawn_constants(family, range(2001, 2004)):
             R.ratepair_projection(c)
-    assert R._step_plan.cache_info().currsize == plans
+    assert [cache.cache_info().misses for cache in caches] == misses
 
 
 def _symbolic_projection(description: str):
     """Fourier-Motzkin on ``description`` with each bound kept as its
-    multiset of constant labels and nothing merged: the compiled plans
-    applied to symbols.  Rows are (coefficients, sorted labels), with a
+    multiset of constant labels and nothing merged: elimination's integer
+    plans applied to symbols.  Rows are (coefficients, sorted labels), with a
     row's scaling undone so its coefficients read as the catalogue writes
     them (2R1 + 2R2, not R1 + R2)."""
     from rrkit.polytope import _fm_plan, _substitution_plan
@@ -381,12 +384,12 @@ def _symbolic_projection(description: str):
     rows += [(r.coeffs, Counter()) for r in nonnegative]
     substitutions, eliminations = R._TO_RATEPAIR[variables]
     for var, expr in substitutions:
-        variables, sub = _substitution_plan(variables, [c for c, _ in rows],
-                                            variables.index(var), expr)
+        variables, sub = _substitution_plan(variables, tuple(c for c, _ in rows),
+                                            variables.index(var), tuple(expr.items()))
         rows = [(coeffs, labels) for (coeffs, _), (_, labels) in zip(sub, rows)]
     for var in eliminations:
         k = variables.index(var)
-        kept, pairs = _fm_plan([c for c, _ in rows], k)
+        kept, pairs = _fm_plan(tuple(c for c, _ in rows), k)
         out = [(coeffs, rows[i][1]) for i, coeffs, _ in kept]
         for i, j, mi, mj, coeffs, scale in pairs:
             labels = Counter({lab: int(mi) * n for lab, n in rows[i][1].items()})
