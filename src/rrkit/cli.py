@@ -403,10 +403,19 @@ def cmd_plot(args) -> int:
     for path in args.regions:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ScenarioError(f"{path}: top level must be a JSON object")
         if "vertices" not in data:
             raise ScenarioError(f"{path}: no 'vertices' key")
         name = data.get("name") or os.path.splitext(os.path.basename(path))[0]
-        named.append((name, [(float(x), float(y)) for x, y in data["vertices"]]))
+        try:
+            vertices = [(float(x), float(y)) for x, y in data["vertices"]]
+            if not np.isfinite(vertices).all():
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ScenarioError(
+                f"{path}: vertices must be [x, y] pairs of finite numbers") from None
+        named.append((name, vertices))
     svg = render_svg(named)
     if args.out:
         with open(args.out, "w") as fh:

@@ -4,7 +4,9 @@ Every term is a fixed integer combination of subset entropies H(S) of one
 joint, the entropic-vector view of Yeung (1997): H(A|C) = H(AC) - H(C) and
 I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), with base-2 logs and 0 log 0 = 0.
 
-``TermTable`` is the compiled core behind every constant and identity table.
+``TermTable`` is the compiled core behind every constant and identity table;
+term lists read together on one joint go in one table, so they share one
+marginal plan.
 On first use it compiles its named term lists into the distinct non-empty
 subsets they touch and an integer matrix M with one row per list.  Per joint
 variable order and shape it compiles one marginal plan: sum out the

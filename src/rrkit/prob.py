@@ -214,27 +214,13 @@ class JointDistribution:
                 f"{tuple(v.size for v in self.variables)}")
         if t.min(initial=0.0) < -SUM_TOL:
             raise ModelError(f"negative probability {t.min()}")
-        if abs(t.sum() - 1.0) > SUM_TOL:
+        if not abs(t.sum() - 1.0) <= SUM_TOL:  # NaN mass fails too
             raise ModelError(f"total mass {t.sum()} != 1")
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
-        self._start(tuple(names))
-
-    def _start(self, names: tuple[str, ...]) -> None:
-        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_names", tuple(names))
         object.__setattr__(self, "_spec", None)
-
-    @classmethod
-    def _trusted(cls, variables: tuple[Variable, ...], table: np.ndarray) -> "JointDistribution":
-        """A joint over a read-only table already known to match ``variables``
-        and to be a distribution: no checks, no copy.  Only ``marginalize``
-        builds joints this way."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "variables", variables)
-        object.__setattr__(d, "table", table)
-        d._start(tuple(v.name for v in variables))
-        return d
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -262,7 +248,7 @@ def _normalize_conditional(table: np.ndarray, n_given_axes: int) -> np.ndarray:
         raise ModelError(f"negative entry {t.min()} in conditional table")
     target_axes = tuple(range(n_given_axes, t.ndim))
     sums = t.sum(axis=target_axes)
-    if np.max(np.abs(sums - 1.0)) > SUM_TOL:
+    if not np.max(np.abs(sums - 1.0)) <= SUM_TOL:  # a NaN entry fails too
         raise ModelError(
             f"conditional slices must sum to 1; worst deviation {np.max(np.abs(sums - 1.0))}")
     return t
@@ -318,11 +304,8 @@ def marginalize(d: JointDistribution, keep) -> JointDistribution:
     for name in keep:
         d.axis(name)
     axes = tuple(i for i, v in enumerate(d.variables) if v.name not in keep)
-    table = d.table
-    if axes:
-        table = np.asarray(table.sum(axis=axes))  # a 0-d array when nothing is kept
-        table.flags.writeable = False
-    return JointDistribution._trusted(tuple(v for v in d.variables if v.name in keep), table)
+    return JointDistribution(tuple(v for v in d.variables if v.name in keep),
+                             d.table.sum(axis=axes))  # 0-d when nothing is kept
 
 
 def condition(d: JointDistribution, given: dict[str, int]) -> JointDistribution:

@@ -5,10 +5,14 @@ general binning region's 14 quadruple constants), "dmt" (the 14 baseline
 constants), "rtd" (the 8 split-private-message quintuple bounds) and "hod1"
 (the 8 simplified constants).  ``_FAMILIES`` is the one place a family is
 defined: its guard form, its defining terms in row order, its catalogue row
-labels, its own system description and its add-on parts.  Its constants,
-collapsed cores and add-ons, like the budget bounds, are each evaluated as
-one compiled ``measures.TermTable``: one marginal plan, one entropy per
-subset and one integer matrix product per joint.  ``_SYSTEMS`` maps every
+labels, its own system description and its add-on parts, from which its
+collapsed cores and distinct add-ons are derived as plain row dicts.  Its
+constants, like the budget bounds, are evaluated as one compiled
+``measures.TermTable``: one marginal plan, one entropy per subset and one
+integer matrix product per joint.  ``part_table`` compiles a family's
+constants together with other named rows (cores, add-ons, identity tables),
+keyed (part, label), and ``evaluate_parts`` guards each family, evaluates
+such a table once per joint and splits it by part.  ``_SYSTEMS`` maps every
 catalogued inequality description (quadruple/quintuple systems, the 20- and
 11-row rate-pair systems) to its family, rate variables and rows; one row
 builder serves them and the 37-row intermediate list.  The pre-binning
@@ -41,8 +45,8 @@ import functools
 from dataclasses import dataclass, field, replace
 
 from .measures import InfoTerm, TermTable
-from .polytope import (Halfspace, InequalitySystem, _primitive, _scaled, make_row,
-                       nonnegativity_rows)
+from .polytope import (Halfspace, InequalitySystem, _primitive, _scaled, fm_eliminate,
+                       make_row, nonnegativity_rows, reorder, substitute)
 from .prob import FORMS, JointDistribution, ModelError, validate_factorization
 
 CONSTANT_REJECT_TOL = 1e-6  # factorization violation above this rejects the input
@@ -204,18 +208,18 @@ class _Family:
     parts: dict | None = None  # add-on decomposition behind the terms, if any
     equations: dict[str, str] = field(init=False)
     table: TermTable = field(init=False)  # the constants
-    cores: TermTable | None = field(init=False)  # the constants' core terms only
-    addons: TermTable | None = field(init=False)  # each distinct add-on term, by spelling
+    cores: dict | None = field(init=False)  # each constant's core terms only, by label
+    addons: dict | None = field(init=False)  # each distinct add-on term, by spelling
 
     def __post_init__(self):
         self.equations = {k: f"{self.eq_prefix}-{i + 1}" for i, k in enumerate(self.terms)}
         self.table = TermTable(self.terms)
         self.cores = self.addons = None
         if self.parts is not None:
-            self.cores = TermTable({k: p["core"] for k, p in self.parts.items()})
-            self.addons = TermTable({t.describe(): (t,) for p in self.parts.values()
-                                     for key in ("correlation", "interference", "binning")
-                                     for t in p.get(key, ())})
+            self.cores = {k: p["core"] for k, p in self.parts.items()}
+            self.addons = {t.describe(): (t,) for p in self.parts.values()
+                           for key in ("correlation", "interference", "binning")
+                           for t in p.get(key, ())}
 
 
 # The one place a family is defined.
@@ -237,6 +241,27 @@ def _guarded(d: JointDistribution, form: str):
         raise ModelError(
             f"distribution violates factorization {form} by {worst:.3g} "
             f"(limit {CONSTANT_REJECT_TOL})")
+
+
+def part_table(families, **parts) -> TermTable:
+    """One compiled table over the constants of ``families`` and the named
+    ``parts`` (each a label -> terms dict), its rows keyed (part, label); a
+    family's constants are the part named after it."""
+    rows = {family: _FAMILIES[family].terms for family in families} | parts
+    return TermTable({(part, label): terms for part, by_label in rows.items()
+                      for label, terms in by_label.items()})
+
+
+def evaluate_parts(d: JointDistribution, table: TermTable) -> dict[str, dict[str, float]]:
+    """A ``part_table`` on d, split by part, then label.  d is first guarded
+    for every family whose constants the table holds."""
+    parts: dict[str, dict[str, float]] = {part: {} for part, _ in table.rows}
+    for part in parts:
+        if part in _FAMILIES:
+            _guarded(d, _FAMILIES[part].form)
+    for (part, label), value in table.evaluate(d).items():
+        parts[part][label] = value
+    return parts
 
 
 def _constants(d: JointDistribution, family: str) -> BoundConstants:
@@ -269,28 +294,6 @@ def rtd_constants(d: JointDistribution) -> BoundConstants:
 def hod1_constants(d: JointDistribution) -> BoundConstants:
     """The 8 simplified-region constants, channel-input form (rows 14-1..14-8)."""
     return _constants(d, "hod1")
-
-
-def _with_parts(family: str) -> _Family:
-    fam = _FAMILIES[family]
-    if fam.parts is None:
-        raise ValueError(f"family {family!r} has no add-on parts; only "
-                         f"{sorted(k for k, f in _FAMILIES.items() if f.parts)} do")
-    return fam
-
-
-def collapsed_constants(d: JointDistribution, family: str) -> dict[str, float]:
-    """Core decoding terms only: the constants with every add-on deleted.
-
-    For "hod" this is the classical simultaneous-decoding region of the
-    interference channel; for "hod1" its simplified superposition form.
-    """
-    return _with_parts(family).cores.evaluate(d)
-
-
-def addon_values(d: JointDistribution, family: str) -> dict[str, float]:
-    """The distinct correlation/interference/binning add-on terms, by spelling."""
-    return _with_parts(family).addons.evaluate(d)
 
 
 # --- rate vectors for the quadruple/quintuple rows, keyed by constant label.
@@ -559,8 +562,6 @@ def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
     Quadruple systems use R1 = S1 + T1, R2 = S2 + T2; the quintuple system
     uses R1 = T1 + S1a + S1b, R2 = T2 + S2.
     """
-    from . import polytope as _p
-
     for variables, (substitutions, eliminations) in _TO_RATEPAIR.items():
         if set(sys.variables) == set(variables):
             break
@@ -568,10 +569,10 @@ def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
         raise ValueError(f"no rate-pair mapping for variables {sys.variables}")
     s = sys
     for var, expr in substitutions:
-        s = _p.substitute(s, var, expr)
+        s = substitute(s, var, expr)
     for var in eliminations:
-        s = _p.fm_eliminate(s, var)
-    return _p.reorder(s, _RATE_PAIR)
+        s = fm_eliminate(s, var)
+    return reorder(s, _RATE_PAIR)
 
 
 def ratepair_projection(constants: BoundConstants) -> InequalitySystem:

@@ -9,11 +9,13 @@ for every failure.
 ``_CHECKS`` names each check (thm4, thm6, corollary1, corollary2-4,
 corollary3, corollary5, corollary6, eq14, binning; also the CLI vocabulary)
 with its per-sample function, whose docstring states the claim, the fixed
-arguments and the tolerances its report records; ``run_check`` is the one
-driver, and ``CHECKS`` keeps a callable per name.  The identity tables a
-check evaluates besides the family constants are read from ``regions`` at
-each call, so a line replaced at run time is checked, and each is evaluated
-as one compiled ``measures.TermTable`` per joint.
+arguments and the tolerances its report records; ``run_check`` runs every
+check, and ``CHECKS`` keeps a callable per name.  A check that reads
+identity or add-on rows beside family constants (corollary1, corollary3,
+corollary5, corollary6, eq14) has one ``regions.part_table``, compiled at
+import: the constants and the rows together, keyed (part, label).  Per joint
+``regions.evaluate_parts`` guards each family, evaluates the table once and
+splits the values by part.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regions
-from .measures import TermTable
 from .polytope import (TOL, InequalitySystem, contains, fm_eliminate, implies,
                        lp_feasible, remove_redundant)
 from .prob import FORMS, _uniform_simplex, compose, sample_factors, stream
@@ -145,20 +146,6 @@ def _merge(check: str, samples: int, seed: int, tolerances: dict, results) -> Re
                         tuple(verdicts), max(devs), tuple(failures), details)
 
 
-_TABLES: dict[tuple, TermTable] = {}
-
-
-def _compiled(rows: dict) -> TermTable:
-    """``rows`` as a compiled table, shared by every call that passes the same
-    labels and the same term objects (the table holds those objects, so
-    their ids stay unique while it is cached)."""
-    key = tuple((label, *map(id, terms)) for label, terms in rows.items())
-    table = _TABLES.get(key)
-    if table is None:
-        table = _TABLES[key] = TermTable(rows)
-    return table
-
-
 # --- thm4 / thm6: quadruple -> rate-pair equivalence -------------------------
 
 def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: float,
@@ -216,6 +203,12 @@ def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: f
 
 # --- corollary1 / corollary3: add-on collapse --------------------------------
 
+# family -> its constants, their cores and the distinct add-ons
+_COLLAPSE_TABLES = {family: regions.part_table((family,), core=regions._FAMILIES[family].cores,
+                                               addon=regions._FAMILIES[family].addons)
+                    for family in ("hod", "hod1")}
+
+
 def _collapse_one(index: int, seed: int, tol_polytope: float, tol_identity: float,
                   form: str, family: str) -> dict:
     """corollary1 / corollary3: on independent-auxiliary inputs (hk3, for the
@@ -223,9 +216,8 @@ def _collapse_one(index: int, seed: int, tol_polytope: float, tol_identity: floa
     every correlation/interference/binning add-on vanishes and the constants
     equal their collapsed forms."""
     d, draw = _draw(form, seed, index)
-    addons = regions.addon_values(d, family)
-    consts = regions.constants_for(d, family)
-    collapsed = regions.collapsed_constants(d, family)
+    v = regions.evaluate_parts(d, _COLLAPSE_TABLES[family])
+    consts, collapsed, addons = v[family], v["core"], v["addon"]
     worst_addon = max(addons.values())
     collapse_dev = {k: abs(consts[k] - collapsed[k]) for k in collapsed}
     worst_collapse = max(collapse_dev.values())
@@ -277,9 +269,9 @@ def _cor24_one(index: int, seed: int, tol_polytope: float, tol_identity: float) 
 
 # --- corollary5: baseline constants vs general constants ---------------------
 
-def _cor5_table() -> TermTable:
-    """Each comparison-table line's delta, by baseline label."""
-    return _compiled({low: delta for low, (_, delta) in regions.COROLLARY5_TABLE.items()})
+# both families' constants and each comparison-table line's delta, by baseline label
+_COR5_TABLE = regions.part_table(
+    ("dmt", "hod"), delta={low: delta for low, (_, delta) in regions.COROLLARY5_TABLE.items()})
 
 
 def _cor5_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
@@ -293,14 +285,14 @@ def _cor5_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     the baseline rate-pair region is not inside the general one.
     """
     d, draw = _draw("dmt5", seed, index)
-    cd = regions.dmt_constants(d)
-    ch = regions.hod_constants(d)
-    deltas = _cor5_table().evaluate(d)
+    v = regions.evaluate_parts(d, _COR5_TABLE)
+    cd, ch, deltas = v["dmt"], v["hod"], v["delta"]
     identity_dev, dominance_excess = {}, {}
     for low, (high, _) in regions.COROLLARY5_TABLE.items():
         identity_dev[low] = abs(cd[low] - (ch[high] - deltas[low]))
         dominance_excess[low] = cd[low] - ch[high]
-    hod_rp, dmt_rp = regions.ratepair_projection(ch), regions.ratepair_projection(cd)
+    hod_rp = regions.ratepair_projection(regions.BoundConstants("hod", ch))
+    dmt_rp = regions.ratepair_projection(regions.BoundConstants("dmt", cd))
     inclusion, witness = contains(hod_rp, dmt_rp, tol_polytope)
     worst_identity = max(identity_dev.values())
     worst_excess = max(dominance_excess.values())
@@ -321,13 +313,12 @@ def _cor5_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
 
 # --- corollary6: split-private-message relations -----------------------------
 
-def _cor6_table() -> TermTable:
-    """The quadruple bounds on the split joint, each line's delta and the
-    narrow S1 delta."""
-    return _compiled(
-        {("bound", key): terms for key, terms in regions.HOD_ON_SPLIT.items()}
-        | {("delta", key): delta for key, _, _, delta in regions.COROLLARY6_LINES}
-        | {("narrow", "S1"): regions.COROLLARY6_NARROW_S1_DELTA})
+# the split bounds, the quadruple bounds on the split joint, each line's
+# delta and the narrow S1 delta
+_COR6_TABLE = regions.part_table(
+    ("rtd",), bound=regions.HOD_ON_SPLIT,
+    delta={key: delta for key, _, _, delta in regions.COROLLARY6_LINES},
+    narrow={"S1": regions.COROLLARY6_NARROW_S1_DELTA})
 
 
 def _cor6_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
@@ -339,22 +330,20 @@ def _cor6_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     under details.s1_narrow_grouping_residual.
     """
     d, draw = _draw("rtd7", seed, index)
-    cr = regions.rtd_constants(d)
-    table = _cor6_table()
-    v = table.evaluate(d)
+    v = regions.evaluate_parts(d, _COR6_TABLE)
+    cr = v["rtd"]
     line_dev = {}
     for key, rtd_label, orient, _ in regions.COROLLARY6_LINES:
-        split_bound, dv = v["bound", key], v["delta", key]
+        split_bound, dv = v["bound"][key], v["delta"][key]
         if orient > 0:
             line_dev[key] = abs(cr[rtd_label] - (split_bound - dv))
         else:
             line_dev[key] = abs(split_bound - (cr[rtd_label] - dv))
-    s1_variant = abs(cr["8-3"] - (v["bound", "S1"] - v["narrow", "S1"]))
+    s1_variant = abs(cr["8-3"] - (v["bound"]["S1"] - v["narrow"]["S1"]))
     # degenerate split part: every bound dominated by its quadruple analogue
     dd, _ = _draw("rtd7", seed, index, u1b=1)
-    cdeg = regions.rtd_constants(dd)
-    vdeg = table.evaluate(dd)
-    excess = {key: cdeg[lab] - vdeg["bound", key]
+    vdeg = regions.evaluate_parts(dd, _COR6_TABLE)
+    excess = {key: vdeg["rtd"][lab] - vdeg["bound"][key]
               for key, lab, _, _ in regions.COROLLARY6_LINES}
     worst_dev = max(line_dev.values())
     worst_excess = max(excess.values())
@@ -398,9 +387,10 @@ def _superposition_factors(sizes: dict[str, int], seed: int, index: int):
     return [pq, pw1, px1, pw2, px2, ker]
 
 
-def _eq14_table() -> TermTable:
-    """The auxiliary-variable spellings, then the recoverability residual."""
-    return _compiled(regions.EQ14_UFORM | {"residual": (regions.EQ14_MARKOV_RESIDUAL,)})
+# the simplified constants, their auxiliary-variable spellings and the
+# recoverability residual (the A1 gap)
+_EQ14_TABLE = regions.part_table(("hod1",), uform=regions.EQ14_UFORM,
+                                 residual={"A1": (regions.EQ14_MARKOV_RESIDUAL,)})
 
 
 def _eq14_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
@@ -410,11 +400,9 @@ def _eq14_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     A1 gap checked against the recoverability residual I(W2;W1|Q,X1)."""
     # generic draw: measure every deviation and the recoverability residual
     d, draw = _draw("hod12", seed, index)
-    cx = regions.hod1_constants(d)
-    table = _eq14_table()
-    v = table.evaluate(d)
-    dev = {k: abs(v[k] - cx[k]) for k in regions.EQ14_UFORM}
-    markov = v["residual"]
+    v = regions.evaluate_parts(d, _EQ14_TABLE)
+    dev = {k: abs(v["uform"][k] - v["hod1"][k]) for k in regions.EQ14_UFORM}
+    markov = v["residual"]["A1"]
     # the A1 gap equals the recoverability residual identically; E1 is the
     # same expression on both sides
     a1_gap_dev = abs(dev["A1"] - markov)
@@ -426,9 +414,8 @@ def _eq14_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     sizes_sup = {"Q": 2, "W1": 2, "X1": 4, "W2": 2, "X2": 4, "Y1": 2, "Y2": 2}
     sup_factors = _superposition_factors(sizes_sup, seed, index)
     dsup = compose(sup_factors, FORMS["hod12"], sizes_sup)
-    csup = regions.hod1_constants(dsup)
-    vsup = table.evaluate(dsup)
-    sup_dev = {k: abs(vsup[k] - csup[k]) for k in regions.EQ14_UFORM}
+    vsup = regions.evaluate_parts(dsup, _EQ14_TABLE)
+    sup_dev = {k: abs(vsup["uform"][k] - vsup["hod1"][k]) for k in regions.EQ14_UFORM}
     worst_sup = max(sup_dev.values())
     if worst_sup > tol_identity:
         ok = False

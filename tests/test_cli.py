@@ -120,6 +120,18 @@ def test_eval_factorization_violation_exits_3(tmp_path, capsys):
     assert "invalid model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["eval", "project"])
+def test_nan_factor_entry_is_a_model_error(verb, tmp_path, capsys):
+    # NaN fails every probability check instead of giving nan constants or
+    # a wrong "unbounded" verdict
+    scen = tmp_path / "nan.json"
+    scen.write_text('{"form": "hk3", "factors": {"U1|Q": [[NaN, 1.0]]}}')
+    assert main([verb, str(scen), "--family", "hod"]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "error: invalid model: conditional slices must sum to 1; worst deviation nan"]
+
+
 def test_eval_explicit_factors_and_channel(tmp_path):
     # fully pinned two-bit scenario: uniform W1, X1 = W1, clean channel
     kernel = np.zeros((2, 1, 2, 1))
@@ -233,9 +245,11 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     # a wrong identity-table line must exit 1 with a witness; the patch lives
     # in this process, so the campaign runs in-process
     import rrkit.regions as regions_mod
+    import rrkit.verify as verify_mod
+    from rrkit.measures import TermTable
     monkeypatch.delenv("RRK_THREADS", raising=False)
-    monkeypatch.setitem(regions_mod.COROLLARY5_TABLE, "f1",
-                        ("F1", regions_mod._terms("I(W2;U1|Q)")))
+    monkeypatch.setattr(verify_mod, "_COR5_TABLE", TermTable(
+        verify_mod._COR5_TABLE.rows | {("delta", "f1"): regions_mod._terms("I(W2;U1|Q)")}))
     rep2 = tmp_path / "r2.json"
     assert main(["verify", "corollary5", "--samples", "4", "--seed", "3",
                  "--out", str(rep2)]) == 1
@@ -366,6 +380,20 @@ def test_plot_deterministic_and_roundtrip(hk_scenario, tmp_path):
     region2.write_text(json.dumps(first))
     assert main(["plot", str(region2), "--out", str(svg2)]) == 0
     assert svg1.read_bytes() == svg2.read_bytes()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[1, 2]", "top level must be a JSON object"),
+    ('{"vertices": [[1]]}', "vertices must be [x, y] pairs of finite numbers"),
+    ('{"vertices": [["a", 1]]}', "vertices must be [x, y] pairs of finite numbers"),
+    ('{"vertices": [[NaN, 1], [0, 0]]}', "vertices must be [x, y] pairs of finite numbers"),
+])
+def test_plot_malformed_region_is_a_usage_error(body, message, tmp_path, capsys):
+    region = tmp_path / "r.json"
+    region.write_text(body)
+    assert main(["plot", str(region)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {region}: {message}"]
 
 
 def test_plot_requires_regions(capsys):

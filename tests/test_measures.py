@@ -156,10 +156,11 @@ def _reference(d, table: TermTable) -> dict:
 
 def _tables_for(form: str) -> list[TermTable]:
     """Every compiled table a constants call or a check evaluates on ``form``."""
-    fams = [f for f in regions._FAMILIES.values() if FORMS[form].implies(FORMS[f.form])]
-    tables = [t for f in fams for t in (f.table, f.cores, f.addons) if t is not None]
-    tables += {"hod9": [regions._BUDGET_TABLE], "dmt5": [V._cor5_table()],
-               "rtd7": [V._cor6_table()], "hod12": [V._eq14_table()]}[form]
+    fams = [k for k, f in regions._FAMILIES.items() if FORMS[form].implies(FORMS[f.form])]
+    tables = [regions._FAMILIES[k].table for k in fams]
+    tables += [V._COLLAPSE_TABLES[k] for k in fams if k in V._COLLAPSE_TABLES]
+    tables += {"hod9": [regions._BUDGET_TABLE], "dmt5": [V._COR5_TABLE],
+               "rtd7": [V._COR6_TABLE], "hod12": [V._EQ14_TABLE]}[form]
     return tables
 
 
@@ -199,8 +200,8 @@ def test_values_do_not_depend_on_what_was_evaluated_before():
     for table in _tables_for("dmt5"):
         table.evaluate(other)
     assert regions.dmt_constants(other).values == first
-    deltas = V._cor5_table().evaluate(d)
-    assert V._cor5_table().evaluate(_draw_binary("dmt5", 1003, 5)) == deltas
+    deltas = V._COR5_TABLE.evaluate(d)
+    assert V._COR5_TABLE.evaluate(_draw_binary("dmt5", 1003, 5)) == deltas
 
 
 def test_hod_constants_marginalise_once_per_subset(monkeypatch):
@@ -353,7 +354,7 @@ def test_degenerate_joints_match_the_reference_without_warnings(case):
             got = regions.constants_for(d, family).values
             fam = regions._FAMILIES[family]
             for table, values in [(fam.table, got)] + [
-                    (t, t.evaluate(d)) for t in (fam.cores, fam.addons) if t is not None]:
+                    (t, t.evaluate(d)) for k, t in V._COLLAPSE_TABLES.items() if k == family]:
                 for k, v in _reference(d, table).items():
                     assert math.isfinite(values[k])
                     assert abs(values[k] - v) <= 1e-12, (form, unit, family, k)

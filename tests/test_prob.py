@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrkit.measures import cmi, entropy
-from rrkit.prob import (FORMS, ChannelModel, Factor, FactorizationSpec, ModelError, Variable,
-                        ZeroProbabilityError, compose, condition,
+from rrkit.prob import (FORMS, ChannelModel, Factor, FactorizationSpec, JointDistribution,
+                        ModelError, Variable, ZeroProbabilityError, compose, condition,
                         embed_channel, marginalize, sample_distribution,
                         sample_factors, validate_factorization)
 
@@ -48,6 +48,15 @@ def test_compose_rejects_bad_conditional(chain_qwu):
     pu = np.stack([delta(2), delta(2)])
     with pytest.raises(ModelError):
         compose([pq, bad, pu], chain_qwu, {"Q": 2, "W1": 2, "U1": 2})
+
+
+def test_nan_entries_are_rejected(chain_qwu):
+    pq = np.array([0.5, 0.5])
+    pw = np.array([[np.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(ModelError, match="sum to 1"):
+        compose([pq, pw, delta(2)], chain_qwu, {"Q": 2, "W1": 2, "U1": 2})
+    with pytest.raises(ModelError, match="total mass nan"):
+        JointDistribution((Variable("Q", 2),), np.array([np.nan, 1.0]))
 
 
 def test_compose_rejects_shape_mismatch(chain_qwu):

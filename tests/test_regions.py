@@ -66,15 +66,6 @@ def test_hod_constants_reject_wrong_form():
         R.dmt_constants(d)
 
 
-@pytest.mark.parametrize("fn, family", [(R.collapsed_constants, "dmt"),
-                                        (R.addon_values, "rtd")])
-def test_families_without_addons_are_refused_by_name(fn, family):
-    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=3)
-    with pytest.raises(ValueError, match=rf"{family!r} has no add-on parts; "
-                                         r"only \['hod', 'hod1'\] do"):
-        fn(d, family)
-
-
 def test_constants_match_defining_terms():
     d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=5)
     c = R.hod_constants(d)

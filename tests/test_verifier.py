@@ -5,6 +5,7 @@ import pytest
 
 from rrkit.prob import FORMS, sample_distribution, sample_factors
 from rrkit import regions as R
+from rrkit.measures import TermTable
 from rrkit import verify as V
 
 from conftest import binary_sizes
@@ -47,7 +48,7 @@ def test_corollary1_counterexample_names_term():
     factors[2] = np.broadcast_to(np.eye(2), (1, 2, 2)).copy()  # U1 = W1
     from rrkit.prob import compose
     d = compose(factors, FORMS["hod9"], sizes)
-    addons = R.addon_values(d, "hod")
+    addons = R.evaluate_parts(d, V._COLLAPSE_TABLES["hod"])["addon"]
     worst = max(addons, key=addons.get)
     assert addons[worst] > 1e-3
     assert "U1" in worst and "W1" in worst
@@ -103,7 +104,8 @@ def test_corollary5_check_surfaces_table_defects(monkeypatch):
 
     # one wrong delta (I(W2;U1|Q) in place of I(W2;W1|Q) on the f1 line) is
     # caught by name with a replayable witness, and inclusion is still reported
-    monkeypatch.setitem(R.COROLLARY5_TABLE, "f1", ("F1", R._terms("I(W2;U1|Q)")))
+    monkeypatch.setattr(V, "_COR5_TABLE", TermTable(
+        V._COR5_TABLE.rows | {("delta", "f1"): R._terms("I(W2;U1|Q)")}))
     r = V.check_corollary5(samples=N, seed=5)
     assert not r.passed
     dev = r.details["identity_dev"]
@@ -209,6 +211,27 @@ def test_parallel_mapper_matches_sequential():
         pytest.skip("process pools unavailable in this environment")
     assert json.dumps(seq.to_json_dict(), sort_keys=True) == \
         json.dumps(par.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name, per_sample", [
+    ("corollary1", 1), ("corollary3", 1), ("corollary5", 1), ("corollary6", 2), ("eq14", 2)])
+def test_identity_checks_evaluate_one_table_per_joint(name, per_sample, monkeypatch):
+    # constants, cores, add-ons and identity rows share one table per joint
+    calls = []
+    original = TermTable.subset_entropies
+    monkeypatch.setattr(TermTable, "subset_entropies",
+                        lambda self, d: calls.append(self) or original(self, d))
+    assert V.run_check(name, 3, 7).passed
+    assert len(calls) == 3 * per_sample
+
+
+def test_run_check_constructs_no_term_table(monkeypatch):
+    # every table a check reads is compiled at import, not per call
+    def refuse(self, rows):
+        raise AssertionError("TermTable built while a check runs")
+    monkeypatch.setattr(TermTable, "__init__", refuse)
+    for name in V._CHECKS:
+        assert V.run_check(name, 2, 3).passed, name
 
 
 def test_checks_refuse_fewer_than_one_sample():
