@@ -55,6 +55,10 @@ class Scenario:
 
 
 _SCENARIO_KEYS = {"form", "alphabets", "channel", "factors", "sampling", "tol"}
+# the keys of each fixed-key block (alphabets and factors follow the form)
+_BLOCK_KEYS = {"channel": {"x1", "x2", "y1", "y2", "kernel"},
+               "sampling": {"count", "seed"},
+               "tol": {"polytope", "identity"}}
 
 
 def _number(path: str, what: str, value, integer: bool = True):
@@ -93,6 +97,10 @@ def load_scenario(path: str) -> Scenario:
     for key in ("alphabets", "channel", "factors", "sampling", "tol"):
         if key in raw and not isinstance(raw[key], dict):
             raise ScenarioError(f"{path}: {key!r} must be a JSON object")
+    for block, keys in _BLOCK_KEYS.items():
+        unknown = set(raw.get(block, {})) - keys
+        if unknown:
+            raise ScenarioError(f"{path}: unknown keys {sorted(unknown)} in {block!r}")
     form = raw.get("form")
     if form not in FORMS:
         raise ScenarioError(f"{path}: form must be one of {sorted(FORMS)}, got {form!r}")
@@ -100,36 +108,41 @@ def load_scenario(path: str) -> Scenario:
     sizes = {n: 2 for n in spec.variables}
     if "Q" in sizes:
         sizes["Q"] = 1
-    for name, size in raw.get("alphabets", {}).items():
+    alphabets = raw.get("alphabets", {})
+    for name, size in alphabets.items():
         if name not in sizes:
             raise ScenarioError(f"{path}: alphabet for unknown variable {name!r}")
         sizes[name] = _size(path, f"alphabet size of {name}", size)
-    overrides: dict[str, np.ndarray] = {}
-    channel = raw.get("channel")
-    if channel is not None:
-        if "kernel" not in channel:
-            raise ScenarioError(f"{path}: channel block needs a 'kernel' array")
-        for key, var in (("x1", "X1"), ("x2", "X2"), ("y1", "Y1"), ("y2", "Y2")):
-            if key in channel:
-                sizes[var] = _size(path, f"channel size {key}", channel[key])
-        shape = tuple(sizes[v] for v in ("X1", "X2", "Y1", "Y2"))
-        kernel = _table(path, "kernel", channel["kernel"])
-        if kernel.size != int(np.prod(shape)):
-            raise ScenarioError(
-                f"{path}: kernel has {kernel.size} entries, expected {np.prod(shape)}")
-        overrides["p(Y1,Y2|X1,X2)"] = kernel.reshape(shape)
     labels = {f.label(): f for f in spec.factors}
+    tables = {}  # factor label -> (what, table)
     for key, flat in raw.get("factors", {}).items():
         label = key if key.startswith("p(") else f"p({key})"
         if label not in labels:
             raise ScenarioError(f"{path}: factor {key!r} not in form {form}; "
                                 f"expected one of {sorted(labels)}")
+        tables[label] = (f"factor {key!r}", _table(path, f"factor {key!r}", flat))
+    # the channel block is shorthand for the X/Y alphabets and the kernel factor
+    channel = raw.get("channel")
+    if channel is not None:
+        if "kernel" not in channel:
+            raise ScenarioError(f"{path}: channel block needs a 'kernel' array")
+        for key in sorted(set(channel) - {"kernel"}):
+            size, name = _size(path, f"channel size {key}", channel[key]), key.upper()
+            if alphabets.get(name, size) != size:
+                raise ScenarioError(f"{path}: channel {key} = {size} conflicts with "
+                                    f"alphabet {name} = {sizes[name]}")
+            sizes[name] = size
+        kernel = _table(path, "kernel", channel["kernel"])
+        what, table = tables.setdefault("p(Y1,Y2|X1,X2)", ("kernel", kernel))
+        if not np.array_equal(table.ravel(), kernel.ravel(), equal_nan=True):
+            raise ScenarioError(f"{path}: channel kernel conflicts with {what}")
+    overrides: dict[str, np.ndarray] = {}
+    for label, (what, table) in tables.items():
         f = labels[label]
         shape = tuple(sizes[n] for n in f.given) + tuple(sizes[n] for n in f.targets)
-        table = _table(path, f"factor {key!r}", flat)
         if table.size != int(np.prod(shape)):
             raise ScenarioError(
-                f"{path}: factor {key!r} has {table.size} entries, expected {np.prod(shape)}")
+                f"{path}: {what} has {table.size} entries, expected {np.prod(shape)}")
         overrides[label] = table.reshape(shape)
     sampling = raw.get("sampling", {})
     count = _number(path, "sampling count", sampling.get("count", 50))
@@ -140,8 +153,7 @@ def load_scenario(path: str) -> Scenario:
         value = _number(path, f"tol {key}", tol.get(key, 0.0), integer=False)
         if not (math.isfinite(value) and value >= 0):
             raise ScenarioError(f"{path}: tol {key} must be finite and >= 0, got {value}")
-    return Scenario(form, sizes, overrides,
-                    count=count,
+    return Scenario(form, sizes, overrides, count=count,
                     seed=_number(path, "sampling seed", sampling.get("seed", 0)),
                     tol_polytope=float(tol.get("polytope", TOL)))
 
@@ -224,18 +236,22 @@ def render_svg(named_regions: list[tuple[str, list[tuple[float, float]]]]) -> st
         ly = _MARGIN_T + 18 + 18 * i
         out.append(f'<rect x="{_VIEW_W - _MARGIN_R - 150}" y="{ly - 10}" width="12" '
                    f'height="12" fill="{color}" fill-opacity="0.5"/>')
+        label = str(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(f'<text x="{_VIEW_W - _MARGIN_R - 132}" y="{ly}" '
-                   f'font-size="12">{name}</text>')
+                   f'font-size="12">{label}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
 # --- verbs --------------------------------------------------------------------
 
-def _load(args) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
+def _load(args, path: str | None = None) -> Scenario:
+    """The scenario at ``path`` (default: the verb's), with --seed and --tol-polytope."""
+    scenario = load_scenario(path or args.scenario)
+    if args.seed is not None:
         scenario.seed = args.seed
+    if args.tol_polytope is not None:
+        scenario.tol_polytope = args.tol_polytope
     return scenario
 
 
@@ -256,9 +272,8 @@ def cmd_project(args) -> int:
     scenario = _load(args)
     d = scenario.draw(args.index)
     consts = regions.constants_for(d, args.family)
-    tol = args.tol_polytope if args.tol_polytope is not None else scenario.tol_polytope
-    raw, reduced = reduced_ratepair(consts, tol)
-    poly = vertices2d(reduced, tol)
+    raw, reduced = reduced_ratepair(consts, scenario.tol_polytope)
+    poly = vertices2d(reduced, scenario.tol_polytope)
     name = os.path.splitext(os.path.basename(args.scenario))[0]
     out = {"name": f"{name}:{args.family}",
            "family": args.family,
@@ -277,13 +292,11 @@ def cmd_project(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario_a = _load(args)
-    scenario_b = load_scenario(args.scenario_b) if args.scenario_b else scenario_a
-    if args.scenario_b and args.seed is not None:
-        scenario_b.seed = args.seed
+    scenario_b = _load(args, args.scenario_b) if args.scenario_b else scenario_a
     family_b = args.family_b or args.family
     if scenario_b is scenario_a and family_b == args.family:
         raise ScenarioError("compare needs two scenarios or two families")
-    tol = args.tol_polytope if args.tol_polytope is not None else scenario_a.tol_polytope
+    tol = scenario_a.tol_polytope
     da, db = scenario_a.draw(args.index), scenario_b.draw(args.index)
     _, sys_a = reduced_ratepair(regions.constants_for(da, args.family), tol)
     _, sys_b = reduced_ratepair(regions.constants_for(db, family_b), tol)
@@ -340,10 +353,9 @@ def _tolerance(text: str) -> float:
 
 def cmd_verify(args) -> int:
     kwargs = dict(samples=args.samples, seed=args.seed,
-                  tol_polytope=args.tol_polytope if args.tol_polytope is not None
-                  else TOL,
-                  tol_identity=args.tol_identity if args.tol_identity is not None
-                  else TOL_IDENTITY)
+                  tol_polytope=TOL if args.tol_polytope is None else args.tol_polytope,
+                  tol_identity=TOL_IDENTITY if args.tol_identity is None
+                  else args.tol_identity)
     n = _threads()
     if n > 1:
         try:
@@ -372,7 +384,7 @@ def cmd_verify(args) -> int:
 def cmd_union(args) -> int:
     scenario = _load(args)
     samples = args.samples if args.samples is not None else scenario.count
-    tol = args.tol_polytope if args.tol_polytope is not None else scenario.tol_polytope
+    tol = scenario.tol_polytope
     per_sample: list[dict] = []
     points: list[tuple[float, float]] = []
     for i in range(samples):

@@ -4,7 +4,8 @@ Each check samples input distributions of the relevant factorization form,
 evaluates both sides of a claimed reduction/identity/inclusion, and returns
 a RegionReport.  Checks are deterministic in (samples, seed), never mutate
 their inputs, and record a replayable witness (seed, factor tables, point)
-for every failure.
+for every failure: the (index, seed, sizes, factors) of the first draw that
+failed, in the check's order.  ``prob.sample_factors`` draws every joint.
 
 ``_CHECKS`` names each check (thm4, thm6, corollary1, corollary2-4,
 corollary3, corollary5, corollary6, eq14, binning; also the CLI vocabulary)
@@ -29,7 +30,7 @@ import numpy as np
 from . import regions
 from .polytope import (TOL, InequalitySystem, contains, fm_eliminate, implies,
                        lp_feasible, remove_redundant)
-from .prob import FORMS, _uniform_simplex, compose, sample_factors, stream
+from .prob import FORMS, compose, sample_factors
 
 TOL_IDENTITY = 1e-12
 TOL_ADDON = 1e-9     # single add-on mutual information on a factorized input
@@ -70,19 +71,11 @@ class RegionReport:
                 f"max deviation {self.max_deviation:.3e} bits)")
 
 
-def _binary_sizes(form: str, index: int, u1b: int = 2) -> dict[str, int]:
-    """All-binary alphabets; the time-sharing alphabet alternates 1/2."""
-    sizes = {n: 2 for n in FORMS[form].variables}
-    if "Q" in sizes:
-        sizes["Q"] = 1 if index % 2 == 0 else 2
-    if "U1b" in sizes:
-        sizes["U1b"] = u1b
-    return sizes
-
-
-def _draw(form: str, seed: int, index: int, u1b: int = 2):
-    """A binary joint of ``form`` and the (index, seed, sizes, factors) that replay it."""
-    sizes = _binary_sizes(form, index, u1b)
+def _draw(form: str, seed: int, index: int, sizes: dict[str, int] | None = None):
+    """A joint of ``form`` and the (index, seed, sizes, factors) that replay it;
+    ``sizes`` defaults to binary alphabets with |Q| alternating 1/2 by index."""
+    if sizes is None:
+        sizes = {n: 1 if n == "Q" and index % 2 == 0 else 2 for n in FORMS[form].variables}
     factors = sample_factors(FORMS[form], sizes, seed, index)
     return compose(factors, FORMS[form], sizes), (index, seed, sizes, factors)
 
@@ -92,9 +85,9 @@ def _result(draw, ok: bool, deviation: float, why: str, aggregate: dict | None =
             tally: dict | None = None, divergent: bool = False) -> dict:
     """One sample's record for ``_merge``: the verdict, the deviation, the
     ``aggregate`` entries (folded by max) and ``tally`` entries (summed) and,
-    for a failed sample, a replayable witness of ``draw`` saying ``why``.  A
-    ``divergent`` sample passes but keeps its witness, under
-    details.infeasible_source."""
+    for a failed sample, a replayable witness of ``draw`` saying ``why`` (of
+    a check's draws, the first that failed).  A ``divergent`` sample passes
+    but keeps its witness, under details.infeasible_source."""
     record = {"ok": ok, "deviation": deviation, "aggregate": aggregate or {},
               "tally": tally or {}}
     if not ok or divergent:
@@ -319,6 +312,8 @@ _COR6_TABLE = regions.part_table(
     ("rtd",), bound=regions.HOD_ON_SPLIT,
     delta={key: delta for key, _, _, delta in regions.COROLLARY6_LINES},
     narrow={"S1": regions.COROLLARY6_NARROW_S1_DELTA})
+# the degenerate split draw: binary alphabets with U1b constant
+_DEGENERATE_SIZES = {n: 1 if n == "U1b" else 2 for n in FORMS["rtd7"].variables}
 
 
 def _cor6_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:
@@ -341,50 +336,42 @@ def _cor6_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
             line_dev[key] = abs(split_bound - (cr[rtd_label] - dv))
     s1_variant = abs(cr["8-3"] - (v["bound"]["S1"] - v["narrow"]["S1"]))
     # degenerate split part: every bound dominated by its quadruple analogue
-    dd, _ = _draw("rtd7", seed, index, u1b=1)
+    dd, draw_deg = _draw("rtd7", seed, index, _DEGENERATE_SIZES)
     vdeg = regions.evaluate_parts(dd, _COR6_TABLE)
     excess = {key: vdeg["rtd"][lab] - vdeg["bound"][key]
               for key, lab, _, _ in regions.COROLLARY6_LINES}
     worst_dev = max(line_dev.values())
     worst_excess = max(excess.values())
-    return _result(draw, worst_dev <= tol_identity and worst_excess <= tol_identity,
+    split_ok = worst_dev <= tol_identity
+    return _result(draw_deg if split_ok else draw, split_ok and worst_excess <= tol_identity,
                    worst_dev,
                    f"relation deviation {worst_dev:.3e}, "
                    f"degenerate dominance excess {worst_excess:.3e}",
                    {"line_dev": line_dev,
                     "degenerate_excess": excess,
                     "s1_narrow_grouping_residual": {"max": s1_variant}},
-                   failure_deviation=max(worst_dev, worst_excess))
+                   failure_deviation=worst_excess if split_ok else worst_dev)
 
 
 # --- eq14: dual spellings of the simplified constants ------------------------
 
-def _superposition_factors(sizes: dict[str, int], seed: int, index: int):
-    """Form-hod12 factors where W1 is recoverable from X1 and W2 from X2.
+# eq14's superposition draw: each |X| a multiple of its |W|
+_SUPERPOSITION_SIZES = {"Q": 2, "W1": 2, "X1": 4, "W2": 2, "X2": 4, "Y1": 2, "Y2": 2}
 
-    The channel-input alphabets are split into |W| classes (x mod |W|); each
-    conditional puts mass only on the matching class.
-    """
-    rng = stream(seed, index)
-    q, w1, x1, w2, x2 = (sizes[n] for n in ("Q", "W1", "X1", "W2", "X2"))
-    y1, y2 = sizes["Y1"], sizes["Y2"]
-    pq = _uniform_simplex(rng, (q,), 0)
-    pw1 = _uniform_simplex(rng, (q, w1), 1)
-    # weights within each class x % w1 == w
-    raw1 = _uniform_simplex(rng, (q, w1, x1 // w1), 2)
-    px1 = np.zeros((q, w1, x1))
-    for qq in range(q):
-        for w in range(w1):
-            for j in range(x1 // w1):
-                px1[qq, w, j * w1 + w] = raw1[qq, w, j]
-    pw2 = _uniform_simplex(rng, (q, w1, x1, w2), 3)
-    raw2 = _uniform_simplex(rng, (q, w2, w1, x1, x2 // w2), 4)
-    px2 = np.zeros((q, w2, w1, x1, x2))
-    for idx in np.ndindex(q, w2, w1, x1):
-        for j in range(x2 // w2):
-            px2[idx + (j * w2 + idx[1],)] = raw2[idx + (j,)]
-    ker = _uniform_simplex(rng, (x1, x2, y1, y2), 2)
-    return [pq, pw1, px1, pw2, px2, ker]
+
+def _superposition_draw(seed: int, index: int):
+    """A hod12 joint with W1 recoverable from X1 and W2 from X2 (Cover
+    superposition) and its replay record: p(X1|Q,W1) and p(X2|Q,W2,W1,X1)
+    (W on axis 1, X last) keep only x mod |W| = w, each slice renormalised;
+    a simplex-uniform slice restricted to one class is uniform on that class."""
+    spec, sizes = FORMS["hod12"], _SUPERPOSITION_SIZES
+    factors = sample_factors(spec, sizes, seed, index)
+    for i in (2, 4):  # p(X1|Q,W1) and p(X2|Q,W2,W1,X1)
+        t = factors[i]
+        w = np.arange(t.shape[1]).reshape((1, -1) + (1,) * (t.ndim - 2))
+        t = np.where(np.arange(t.shape[-1]) % t.shape[1] == w, t, 0.0)
+        factors[i] = t / t.sum(axis=-1, keepdims=True)
+    return compose(factors, spec, sizes), (index, seed, sizes, factors)
 
 
 # the simplified constants, their auxiliary-variable spellings and the
@@ -406,25 +393,24 @@ def _eq14_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -
     # the A1 gap equals the recoverability residual identically; E1 is the
     # same expression on both sides
     a1_gap_dev = abs(dev["A1"] - markov)
-    ok = dev["E1"] <= tol_identity and a1_gap_dev <= tol_identity
+    generic_ok = dev["E1"] <= tol_identity and a1_gap_dev <= tol_identity
     why = []
-    if not ok:
+    if not generic_ok:
         why.append(f"E1 dev {dev['E1']:.3e}, A1-vs-residual dev {a1_gap_dev:.3e}")
     # superposition draw: all eight spellings must agree
-    sizes_sup = {"Q": 2, "W1": 2, "X1": 4, "W2": 2, "X2": 4, "Y1": 2, "Y2": 2}
-    sup_factors = _superposition_factors(sizes_sup, seed, index)
-    dsup = compose(sup_factors, FORMS["hod12"], sizes_sup)
+    dsup, draw_sup = _superposition_draw(seed, index)
     vsup = regions.evaluate_parts(dsup, _EQ14_TABLE)
     sup_dev = {k: abs(vsup["uform"][k] - vsup["hod1"][k]) for k in regions.EQ14_UFORM}
     worst_sup = max(sup_dev.values())
-    if worst_sup > tol_identity:
-        ok = False
+    sup_ok = worst_sup <= tol_identity
+    if not sup_ok:
         why.append(f"superposition-structure deviation {worst_sup:.3e}")
-    return _result(draw, ok, worst_sup, "; ".join(why),
+    return _result(draw_sup if generic_ok else draw, generic_ok and sup_ok, worst_sup,
+                   "; ".join(why),
                    {"generic_dev": dev,
                     "superposition_dev": sup_dev,
                     "recoverability_residual": {"max": markov}},
-                   failure_deviation=max(worst_sup, dev["E1"], a1_gap_dev))
+                   failure_deviation=worst_sup if generic_ok else max(dev["E1"], a1_gap_dev))
 
 
 # --- binning: budget system projects onto the user-2 rows --------------------

@@ -78,6 +78,46 @@ def test_eval_malformed_scenario_values_exit_2(extra, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb, extra, block, key", [
+    ("project", {"tol": {"polytop": 0.5}}, "tol", "polytop"),
+    ("union", {"sampling": {"cout": 2}}, "sampling", "cout"),
+    ("eval", {"channel": {"y3": 2, "kernel": [0.25] * 16}}, "channel", "y3"),
+])
+def test_unknown_key_in_a_block_is_a_usage_error(verb, extra, block, key, tmp_path, capsys):
+    scen = write_scenario(tmp_path / "typo.json", extra=extra)
+    assert main([verb, scen, "--family", "hod"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {scen}: unknown keys [{key!r}] in {block!r}"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"alphabets": {"X1": 3}, "channel": {"x1": 2, "kernel": [0.25] * 16}},
+     "channel x1 = 2 conflicts with alphabet X1 = 3"),
+    ({"channel": {"kernel": [0.25] * 16},
+      "factors": {"Y1,Y2|X1,X2": [1.0, 0.0, 0.0, 0.0] * 4}},
+     "channel kernel conflicts with factor 'Y1,Y2|X1,X2'"),
+    ({"channel": {"x1": 2}}, "channel block needs a 'kernel' array"),
+])
+def test_channel_block_conflicts_are_usage_errors(extra, message, tmp_path, capsys):
+    scen = write_scenario(tmp_path / "chan.json", extra=extra)
+    assert main(["eval", scen, "--family", "hod"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {scen}: {message}"]
+
+
+def test_channel_block_equal_to_alphabets_and_factors_is_accepted(tmp_path):
+    kernel = np.eye(4).ravel().tolist()  # Y1, Y2 copy X1, X2
+    paths = [write_scenario(tmp_path / "short.json", extra={
+                 "channel": {"x1": 2, "kernel": kernel}}),
+             write_scenario(tmp_path / "long.json", extra={
+                 "alphabets": {"Q": 2, "X1": 2},
+                 "channel": {"x1": 2, "kernel": kernel},
+                 "factors": {"p(Y1,Y2|X1,X2)": kernel}})]
+    outs = [tmp_path / "short.out", tmp_path / "long.out"]
+    for path, out in zip(paths, outs):
+        assert main(["eval", path, "--family", "hod", "--out", str(out)]) == 0
+    assert outs[0].read_text() == outs[1].read_text()
+
+
 _CATALOGUE_LABELS = {
     "hod": (["A1", "B1", "C1", "D1", "E1", "F1", "G1",
              "A2", "B2", "C2", "D2", "E2", "F2", "G2"], "10", "hod9"),
@@ -394,6 +434,16 @@ def test_plot_malformed_region_is_a_usage_error(body, message, tmp_path, capsys)
     assert main(["plot", str(region)]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {region}: {message}"]
+
+
+def test_plot_escapes_legend_names(tmp_path):
+    from xml.dom import minidom
+    region = tmp_path / "r.json"
+    region.write_text(json.dumps({"name": "R&D <hk3>", "vertices": [[0, 0], [1, 0], [0, 1]]}))
+    svg = tmp_path / "r.svg"
+    assert main(["plot", str(region), "--out", str(svg)]) == 0
+    texts = minidom.parse(str(svg)).getElementsByTagName("text")
+    assert texts[-1].firstChild.data == "R&D <hk3>"
 
 
 def test_plot_requires_regions(capsys):

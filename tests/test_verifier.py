@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rrkit.prob import FORMS, sample_distribution, sample_factors
+from rrkit.prob import FORMS, compose, sample_distribution, sample_factors
 from rrkit import regions as R
-from rrkit.measures import TermTable
+from rrkit.measures import TermTable, entropy
 from rrkit import verify as V
 
 from conftest import binary_sizes
@@ -139,6 +141,44 @@ def test_eq14_a1_gap_equals_recoverability_residual():
     gap = eval_terms(d, R.EQ14_UFORM["A1"]) - c["A1"]
     residual = eval_terms(d, [R.EQ14_MARKOV_RESIDUAL])
     assert abs(gap - residual) < 1e-12
+
+
+def _replay(failure, form, table):
+    """Compose a failure's recorded factors and evaluate ``table`` on the joint."""
+    factors = [np.array(f) for f in failure["factors"]]
+    return R.evaluate_parts(compose(factors, FORMS[form], failure["sizes"]), table)
+
+
+def test_eq14_superposition_failure_witnesses_the_superposition_draw():
+    # at 1e-15 round-off fails only the superposition part of some samples;
+    # each witness must be that draw, and replaying it gives the deviation
+    r = V.run_check("eq14", 40, 1001, tol_identity=1e-15)
+    only_sup = [f for f in r.failures if f["why"].startswith("superposition")]
+    assert only_sup
+    for f in only_sup:
+        assert f["sizes"] == V._SUPERPOSITION_SIZES
+        v = _replay(f, "hod12", V._EQ14_TABLE)
+        assert max(abs(v["uform"][k] - v["hod1"][k]) for k in R.EQ14_UFORM) == f["deviation"]
+
+
+def test_corollary6_degenerate_failure_witnesses_the_u1b_1_draw():
+    # sample 60 keeps its relations within 6e-16 but not the degenerate dominance
+    r = V.run_check("corollary6", 61, 1001, tol_identity=6e-16)
+    f = r.failures[-1]
+    assert f["sample"] == 60 and "relation deviation 4.441e-16" in f["why"]
+    assert f["sizes"]["U1b"] == 1 and f["sizes"] == V._DEGENERATE_SIZES
+    v = _replay(f, "rtd7", V._COR6_TABLE)
+    excess = max(v["rtd"][lab] - v["bound"][key] for key, lab, _, _ in R.COROLLARY6_LINES)
+    assert excess == f["deviation"] > 6e-16
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**20))
+def test_superposition_draw_makes_each_public_message_recoverable(seed, index):
+    d, (i, s, sizes, _) = V._superposition_draw(seed, index)
+    assert (i, s, sizes) == (index, seed, V._SUPERPOSITION_SIZES)
+    assert abs(entropy(d, ["W1"], ["X1"])) <= 1e-12
+    assert abs(entropy(d, ["W2"], ["X2"])) <= 1e-12
 
 
 def test_binning_check_passes():
