@@ -10,9 +10,9 @@ from .measures import InfoTerm, TermTable, cmi, entropy, eval_term, eval_terms
 from .polytope import (Halfspace, InequalitySystem, Polytope2D, contains,
                        fm_eliminate, lp_feasible, remove_redundant, substitute,
                        vertices2d)
-from .prob import (FORMS, ChannelModel, FactorizationSpec, JointDistribution,
-                   ModelError, Variable, compose, condition, embed_channel,
-                   marginalize, sample_distribution, validate_factorization)
+from .prob import (FORMS, FactorizationSpec, JointDistribution, ModelError,
+                   Variable, compose, marginalize, sample_distribution,
+                   validate_factorization)
 from .regions import (BoundConstants, binning_budget_system, build_system,
                       dmt_constants, hod1_constants, hod_constants,
                       project_to_ratepair, ratepair_projection,
@@ -22,9 +22,9 @@ from .verify import CHECKS, RegionReport, run_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "FORMS", "ChannelModel", "FactorizationSpec", "JointDistribution",
-    "ModelError", "Variable", "compose", "condition", "embed_channel",
-    "marginalize", "sample_distribution", "validate_factorization",
+    "FORMS", "FactorizationSpec", "JointDistribution", "ModelError",
+    "Variable", "compose", "marginalize", "sample_distribution",
+    "validate_factorization",
     "InfoTerm", "TermTable", "cmi", "entropy", "eval_term", "eval_terms",
     "Halfspace", "InequalitySystem", "Polytope2D", "contains", "fm_eliminate",
     "lp_feasible", "remove_redundant", "substitute", "vertices2d",

@@ -58,7 +58,7 @@ _SCENARIO_KEYS = {"form", "alphabets", "channel", "factors", "sampling", "tol"}
 # the keys of each fixed-key block (alphabets and factors follow the form)
 _BLOCK_KEYS = {"channel": {"x1", "x2", "y1", "y2", "kernel"},
                "sampling": {"count", "seed"},
-               "tol": {"polytope", "identity"}}
+               "tol": {"polytope"}}
 
 
 def _number(path: str, what: str, value, integer: bool = True):
@@ -148,14 +148,13 @@ def load_scenario(path: str) -> Scenario:
     count = _number(path, "sampling count", sampling.get("count", 50))
     if count < 1:
         raise ScenarioError(f"{path}: sampling count must be at least 1, got {count}")
-    tol = raw.get("tol", {})
-    for key in ("polytope", "identity"):
-        value = _number(path, f"tol {key}", tol.get(key, 0.0), integer=False)
-        if not (math.isfinite(value) and value >= 0):
-            raise ScenarioError(f"{path}: tol {key} must be finite and >= 0, got {value}")
+    tol = _number(path, "tol polytope", raw.get("tol", {}).get("polytope", TOL),
+                  integer=False)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ScenarioError(f"{path}: tol polytope must be finite and >= 0, got {tol}")
     return Scenario(form, sizes, overrides, count=count,
                     seed=_number(path, "sampling seed", sampling.get("seed", 0)),
-                    tol_polytope=float(tol.get("polytope", TOL)))
+                    tol_polytope=float(tol))
 
 
 def reduced_ratepair(consts: regions.BoundConstants,
@@ -297,6 +296,10 @@ def cmd_compare(args) -> int:
     if scenario_b is scenario_a and family_b == args.family:
         raise ScenarioError("compare needs two scenarios or two families")
     tol = scenario_a.tol_polytope
+    if scenario_b.tol_polytope != tol:  # --tol-polytope sets both
+        raise ScenarioError(
+            f"{args.scenario} and {args.scenario_b} set different tol.polytope "
+            f"({tol} and {scenario_b.tol_polytope}); pick one with --tol-polytope")
     da, db = scenario_a.draw(args.index), scenario_b.draw(args.index)
     _, sys_a = reduced_ratepair(regions.constants_for(da, args.family), tol)
     _, sys_b = reduced_ratepair(regions.constants_for(db, family_b), tol)

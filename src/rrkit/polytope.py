@@ -415,12 +415,6 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
     return True, None
 
 
-def equivalent(a: InequalitySystem, b: InequalitySystem, tol: float = TOL) -> bool:
-    ok_ab, _ = contains(a, b, tol)
-    ok_ba, _ = contains(b, a, tol)
-    return ok_ab and ok_ba
-
-
 def reorder(sys: InequalitySystem, variables) -> InequalitySystem:
     """Permute the variable order (same solution set, relabelled columns)."""
     variables = tuple(variables)

@@ -3,17 +3,17 @@
 Dense probability tables over a small set of named variables
 (Q, W1, U1, W2, U2, X1, X2, Y1, Y2, plus the split U1a/U1b), with
 
-- chain-structured construction from conditional factor tables,
-- marginalization / conditioning,
+- chain-structured construction from conditional factor tables (each
+  catalogued chain ends in the channel kernel p(y1,y2|x1,x2)),
+- marginalization,
 - factorization validation (does a table factor according to a given chain),
   numerically on any table and structurally between chains,
-- reproducible sampling of factor tables uniform on the probability simplex,
-- channel embedding p(y1,y2|x1,x2).
+- reproducible sampling of factor tables uniform on the probability simplex.
 
 Tables are numpy arrays indexed by the variables in a fixed order; all
 values are immutable after construction.  A joint is at most ``MAX_CELLS``
-cells: ``sample_factors``, ``compose`` and ``embed_channel`` refuse larger
-alphabets before they allocate any table.
+cells: ``sample_factors`` and ``compose`` refuse larger alphabets before
+they allocate any table.
 
 A joint built by ``compose`` remembers the chain it multiplied (``_spec``);
 every other joint has none.  ``FactorizationSpec.implies`` decides by
@@ -41,10 +41,6 @@ KNOWN_NAMES = ("Q", "U1", "W1", "U2", "W2", "X1", "X2", "Y1", "Y2", "U1a", "U1b"
 
 class ModelError(ValueError):
     """A table violates its probabilistic contract (shape, mass, support)."""
-
-
-class ZeroProbabilityError(ModelError):
-    """Conditioning event has zero probability."""
 
 
 @dataclass(frozen=True)
@@ -308,22 +304,6 @@ def marginalize(d: JointDistribution, keep) -> JointDistribution:
                              d.table.sum(axis=axes))  # 0-d when nothing is kept
 
 
-def condition(d: JointDistribution, given: dict[str, int]) -> JointDistribution:
-    """Renormalized slice p(rest | given); errors on a zero-probability event."""
-    idx: list = [slice(None)] * len(d.variables)
-    for name, value in given.items():
-        ax = d.axis(name)
-        if not 0 <= value < d.variables[ax].size:
-            raise ModelError(f"{name}={value} outside alphabet of size {d.variables[ax].size}")
-        idx[ax] = value
-    slab = d.table[tuple(idx)]
-    mass = slab.sum()
-    if mass <= 0.0:
-        raise ZeroProbabilityError(f"conditioning event {given} has probability {mass}")
-    return JointDistribution(
-        tuple(v for v in d.variables if v.name not in given), slab / mass)
-
-
 def _conditional_from(d: JointDistribution, f: Factor, sizes: dict[str, int]) -> np.ndarray:
     """Extract p(targets|given) from d's own marginals.
 
@@ -414,45 +394,3 @@ def sample_distribution(spec: FactorizationSpec, sizes: dict[str, int], seed: in
     Deterministic in (seed, index); ``sample_factors`` takes pinned tables.
     """
     return compose(sample_factors(spec, sizes, seed, index), spec, sizes)
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Memoryless channel kernel p(y1,y2|x1,x2), indexed (x1, x2, y1, y2)."""
-
-    kernel: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        k = _normalize_conditional(self.kernel, 2)
-        if k.ndim != 4:
-            raise ModelError(f"kernel must have 4 axes (x1,x2,y1,y2), got {k.ndim}")
-        k = k.copy()
-        k.flags.writeable = False
-        object.__setattr__(self, "kernel", k)
-
-    @property
-    def input_sizes(self) -> tuple[int, int]:
-        return self.kernel.shape[0], self.kernel.shape[1]
-
-    @property
-    def output_sizes(self) -> tuple[int, int]:
-        return self.kernel.shape[2], self.kernel.shape[3]
-
-
-def embed_channel(d: JointDistribution, ch: ChannelModel) -> JointDistribution:
-    """Extend d (over ..., X1, X2) with Y1, Y2 drawn through the channel kernel."""
-    for name in ("Y1", "Y2"):
-        if name in d.names:
-            raise ModelError(f"{name} already present")
-    a1, a2 = d.axis("X1"), d.axis("X2")
-    if (d.variables[a1].size, d.variables[a2].size) != ch.input_sizes:
-        raise ModelError(
-            f"channel inputs {ch.input_sizes} do not match X alphabets "
-            f"{(d.variables[a1].size, d.variables[a2].size)}")
-    y1, y2 = ch.output_sizes
-    sizes = {v.name: v.size for v in d.variables} | {"Y1": y1, "Y2": y2}
-    _check_cells("channel-embedded", tuple(sizes), sizes)
-    letters = "abcdefghijklmnop"
-    subs = letters[:len(d.variables)]
-    out = np.einsum(f"{subs},{subs[a1]}{subs[a2]}yz->{subs}yz", d.table, ch.kernel)
-    return JointDistribution(d.variables + (Variable("Y1", y1), Variable("Y2", y2)), out)

@@ -7,16 +7,16 @@ their inputs, and record a replayable witness (seed, factor tables, point)
 for every failure: the (index, seed, sizes, factors) of the first draw that
 failed, in the check's order.  ``prob.sample_factors`` draws every joint.
 
-``_CHECKS`` names each check (thm4, thm6, corollary1, corollary2-4,
-corollary3, corollary5, corollary6, eq14, binning; also the CLI vocabulary)
-with its per-sample function, whose docstring states the claim, the fixed
-arguments and the tolerances its report records; ``run_check`` runs every
-check, and ``CHECKS`` keeps a callable per name.  A check that reads
-identity or add-on rows beside family constants (corollary1, corollary3,
-corollary5, corollary6, eq14) has one ``regions.part_table``, compiled at
-import: the constants and the rows together, keyed (part, label).  Per joint
-``regions.evaluate_parts`` guards each family, evaluates the table once and
-splits the values by part.
+``CHECKS`` is the one table of checks.  It names each check (thm4, thm6,
+corollary1, corollary2-4, corollary3, corollary5, corollary6, eq14, binning;
+also the CLI vocabulary) with its per-sample function, whose docstring
+states the claim, the fixed arguments and the tolerances its report
+records; ``run_check(name, samples, seed)`` runs any of them.  A check that
+reads identity or add-on rows beside family constants (corollary1,
+corollary3, corollary5, corollary6, eq14) has one ``regions.part_table``,
+compiled at import: the constants and the rows together, keyed (part,
+label).  Per joint ``regions.evaluate_parts`` guards each family, evaluates
+the table once and splits the values by part.
 """
 
 from __future__ import annotations
@@ -439,7 +439,7 @@ def _binning_one(index: int, seed: int, tol_polytope: float, tol_identity: float
 
 
 # name -> (per-sample function, fixed arguments, tolerances recorded in the report)
-_CHECKS = {
+CHECKS = {
     "thm4": (_equivalence_one, dict(family="hod", ratepair="thm4-ratepair", with_37=True),
              ("polytope",)),
     "thm6": (_equivalence_one, dict(family="hod1", ratepair="thm6-ratepair", with_37=False),
@@ -460,11 +460,11 @@ def run_check(name: str, samples: int, seed: int,
     """Run check ``name`` on ``samples`` draws from ``seed``; ``mapper`` maps
     the per-sample function over the sample indices (a process pool's map
     gives the same report)."""
-    if name not in _CHECKS:
-        raise KeyError(f"unknown check {name!r}; choose from {sorted(_CHECKS)}")
+    if name not in CHECKS:
+        raise KeyError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
     if samples < 1:
         raise ValueError(f"{name} needs at least 1 sample, got {samples}")
-    one, fixed, recorded = _CHECKS[name]
+    one, fixed, recorded = CHECKS[name]
     tolerances = {"polytope": tol_polytope, "identity": tol_identity,
                   "addon": TOL_ADDON, "collapse": TOL_COLLAPSE}
     results = list(mapper(functools.partial(one, seed=seed, tol_polytope=tol_polytope,
@@ -472,23 +472,3 @@ def run_check(name: str, samples: int, seed: int,
                           range(samples)))
     return _merge(name, samples, seed, {k: tolerances[k] for k in recorded}, results)
 
-
-def _public(name: str, default_samples: int):
-    def check(samples: int = default_samples, seed: int = 0,
-              tol_polytope: float = TOL, tol_identity: float = TOL_IDENTITY,
-              mapper=map) -> RegionReport:
-        return run_check(name, samples, seed, tol_polytope, tol_identity, mapper)
-    check.__doc__ = _CHECKS[name][0].__doc__
-    return check
-
-
-CHECKS = {name: _public(name, 100 if name == "binning" else 200) for name in _CHECKS}
-check_thm4_equivalence = CHECKS["thm4"]
-check_thm6_equivalence = CHECKS["thm6"]
-check_corollary1 = CHECKS["corollary1"]
-check_corollary2_and_4 = CHECKS["corollary2-4"]
-check_corollary3 = CHECKS["corollary3"]
-check_corollary5 = CHECKS["corollary5"]
-check_corollary6 = CHECKS["corollary6"]
-check_eq14_duality = CHECKS["eq14"]
-check_binning_derivation = CHECKS["binning"]

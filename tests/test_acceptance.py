@@ -16,7 +16,7 @@ import scipy.sparse
 
 from rrkit.cli import main
 from rrkit.measures import cmi, entropy
-from rrkit.polytope import (equivalent, fm_eliminate, lp_feasible, make_row,
+from rrkit.polytope import (contains, fm_eliminate, lp_feasible, make_row,
                             nonnegativity_rows, remove_redundant, system)
 from rrkit.prob import FORMS, sample_distribution, stream
 from rrkit import verify as V
@@ -41,8 +41,7 @@ def _divergences(report):
 
 def test_criterion_1_projection_equivalence_20_rows():
     t0 = time.time()
-    r = V.check_thm4_equivalence(samples=CAMPAIGN, seed=1001,
-                                 tol_polytope=POLYTOPE_TOL)
+    r = V.run_check("thm4", CAMPAIGN, 1001, tol_polytope=POLYTOPE_TOL)
     elapsed = time.time() - t0
     div = _divergences(r)
     detail = (f"{sum(r.verdicts)}/{CAMPAIGN} samples equivalent "
@@ -55,8 +54,7 @@ def test_criterion_1_projection_equivalence_20_rows():
 
 
 def test_criterion_2_projection_equivalence_11_rows():
-    r = V.check_thm6_equivalence(samples=CAMPAIGN, seed=1002,
-                                 tol_polytope=POLYTOPE_TOL)
+    r = V.run_check("thm6", CAMPAIGN, 1002, tol_polytope=POLYTOPE_TOL)
     div = _divergences(r)
     _line(2, r.passed, f"{sum(r.verdicts)}/{CAMPAIGN} samples equivalent, "
           f"{r.details['empty_projection']} with an empty projection, "
@@ -65,8 +63,8 @@ def test_criterion_2_projection_equivalence_11_rows():
 
 
 def test_criterion_3_identity_table_and_inclusion():
-    r = V.check_corollary5(samples=CAMPAIGN, seed=1003,
-                           tol_polytope=POLYTOPE_TOL, tol_identity=IDENTITY_TOL)
+    r = V.run_check("corollary5", CAMPAIGN, 1003,
+                    tol_polytope=POLYTOPE_TOL, tol_identity=IDENTITY_TOL)
     dev = r.details["identity_dev"]
     bad = sorted(k for k, v in dev.items() if v > IDENTITY_TOL)
     inclusion_ok = r.details["inclusion"]["failed_any"] == 0.0
@@ -80,11 +78,10 @@ def test_criterion_3_identity_table_and_inclusion():
 
 
 def test_criterion_4_collapse_and_orderings():
-    r1 = V.check_corollary1(samples=CAMPAIGN, seed=1004)
-    r3 = V.check_corollary3(samples=CAMPAIGN, seed=1004)
-    r24 = V.check_corollary2_and_4(samples=CAMPAIGN, seed=1004,
-                                   tol_polytope=POLYTOPE_TOL,
-                                   tol_identity=IDENTITY_TOL)
+    r1 = V.run_check("corollary1", CAMPAIGN, 1004)
+    r3 = V.run_check("corollary3", CAMPAIGN, 1004)
+    r24 = V.run_check("corollary2-4", CAMPAIGN, 1004,
+                      tol_polytope=POLYTOPE_TOL, tol_identity=IDENTITY_TOL)
     passed = r1.passed and r3.passed and r24.passed
     _line(4, passed,
           f"add-ons max {max(r1.max_deviation, r3.max_deviation):.1e}; "
@@ -95,7 +92,7 @@ def test_criterion_4_collapse_and_orderings():
 
 
 def test_criterion_5_split_region_relations():
-    r = V.check_corollary6(samples=CAMPAIGN, seed=1005, tol_identity=IDENTITY_TOL)
+    r = V.run_check("corollary6", CAMPAIGN, 1005, tol_identity=IDENTITY_TOL)
     worst_exact = max(r.details["line_dev"].values())
     worst_degenerate = max(r.details["degenerate_excess"].values())
     _line(5, r.passed,
@@ -105,8 +102,7 @@ def test_criterion_5_split_region_relations():
 
 
 def test_criterion_6_binning_budget_projection():
-    r = V.check_binning_derivation(samples=100, seed=1006,
-                                   tol_identity=IDENTITY_TOL)
+    r = V.run_check("binning", 100, 1006, tol_identity=IDENTITY_TOL)
     _line(6, r.passed, f"coefficients exact on 100 samples, "
           f"constants max dev {r.max_deviation:.1e}")
     assert r.passed, r.failures[:1]
@@ -156,7 +152,8 @@ def test_criterion_7_projection_oracle_and_redundancy():
         sys = _random_system(rng)
         proj = fm_eliminate(fm_eliminate(sys, "w"), "x")
         red = remove_redundant(proj, POLYTOPE_TOL)
-        assert equivalent(proj, red, POLYTOPE_TOL), f"system {s}"
+        assert (contains(proj, red, POLYTOPE_TOL)[0]
+                and contains(red, proj, POLYTOPE_TOL)[0]), f"system {s}"
         points = rng.uniform(-6.0, 6.0, size=(1000, 2))
         # distance of every point to every facet line, one row per facet
         facets = [r for r in proj.rows if not r.is_constant()]

@@ -82,6 +82,7 @@ def test_eval_malformed_scenario_values_exit_2(extra, tmp_path, capsys):
     ("project", {"tol": {"polytop": 0.5}}, "tol", "polytop"),
     ("union", {"sampling": {"cout": 2}}, "sampling", "cout"),
     ("eval", {"channel": {"y3": 2, "kernel": [0.25] * 16}}, "channel", "y3"),
+    ("project", {"tol": {"identity": 1e-12}}, "tol", "identity"),  # no verb reads it
 ])
 def test_unknown_key_in_a_block_is_a_usage_error(verb, extra, block, key, tmp_path, capsys):
     scen = write_scenario(tmp_path / "typo.json", extra=extra)
@@ -233,6 +234,24 @@ def test_compare_same_region_equal(hk_scenario, tmp_path, capsys):
 
 def test_compare_families_needs_two(hk_scenario, capsys):
     assert main(["compare", hk_scenario, "--family", "hod"]) == 2
+
+
+def test_compare_refuses_two_scenario_tolerances(hk_scenario, tmp_path, capsys):
+    loose = write_scenario(tmp_path / "loose.json", extra={"tol": {"polytope": 1e-6}})
+    assert main(["compare", hk_scenario, loose, "--family", "hod"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {hk_scenario} and {loose} set different tol.polytope (1e-09 and 1e-06); "
+        "pick one with --tol-polytope"]
+    # the default written out is the same tolerance
+    same = write_scenario(tmp_path / "same.json", extra={"tol": {"polytope": 1e-9}})
+    assert main(["compare", hk_scenario, same, "--family", "hod"]) == 0
+
+
+def test_compare_tolerance_flag_settles_both_scenarios(hk_scenario, tmp_path, capsys):
+    loose = write_scenario(tmp_path / "loose.json", extra={"tol": {"polytope": 1e-6}})
+    assert main(["--tol-polytope", "1e-6", "compare", hk_scenario, loose,
+                 "--family", "hod"]) == 0
+    assert "(equal)" in capsys.readouterr().out
 
 
 def test_compare_baseline_inside_general(dmt_scenario, tmp_path, capsys):
@@ -539,7 +558,7 @@ def test_tolerance_flags_must_be_finite_and_nonnegative(flag, value, hk_scenario
 
 
 @pytest.mark.parametrize("tol", [-1, -1e-300, float("nan"), float("inf")])
-@pytest.mark.parametrize("key", ["polytope", "identity"])
+@pytest.mark.parametrize("key", ["polytope"])
 def test_scenario_tolerances_must_be_finite_and_nonnegative(key, tol, tmp_path, capsys):
     scen = write_scenario(tmp_path / "tol.json", extra={"tol": {key: tol}})
     assert main(["project", scen, "--family", "hod"]) == 2

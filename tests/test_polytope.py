@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rrkit.polytope import (Halfspace, UnboundedRegionError,
                             VariableMismatchError, contains, convex_hull,
-                            equivalent, find_point, fm_eliminate, implies,
+                            find_point, fm_eliminate, implies,
                             lp_feasible, make_row, nonnegativity_rows,
                             remove_redundant, reorder, substitute, system,
                             vertices2d)
@@ -59,7 +59,7 @@ def test_fm_order_insensitive_solution_set():
         s = system(("a", "b", "c"), rows)
         ab = fm_eliminate(fm_eliminate(s, "a"), "b")
         ba = reorder(fm_eliminate(fm_eliminate(s, "b"), "a"), ab.variables)
-        assert equivalent(ab, ba)
+        assert contains(ab, ba)[0] and contains(ba, ab)[0]
 
 
 def test_substitute_rewrites_rows():
@@ -146,7 +146,7 @@ def test_remove_redundant_preserves_solution_set():
         rows += nonnegativity_rows(("x", "y"))
         s = system(("x", "y"), rows)
         red = remove_redundant(s)
-        assert equivalent(s, red)
+        assert contains(s, red)[0] and contains(red, s)[0]
 
 
 def test_contains_self_and_quarter():

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrkit.measures import cmi, entropy
-from rrkit.prob import (FORMS, ChannelModel, Factor, FactorizationSpec, JointDistribution,
-                        ModelError, Variable, ZeroProbabilityError, compose, condition,
-                        embed_channel, marginalize, sample_distribution,
+from rrkit.prob import (FORMS, Factor, FactorizationSpec, JointDistribution, ModelError,
+                        Variable, compose, marginalize, sample_distribution,
                         sample_factors, validate_factorization)
 
 from conftest import binary_sizes, compose_form, delta, uniform_factors
@@ -111,31 +110,6 @@ def test_marginalize_commutes():
     np.testing.assert_allclose(two.table, direct.table, atol=1e-12)
 
 
-def test_condition_independent_pair(chain_qwu):
-    pq = np.array([0.4, 0.6])
-    pw = np.tile([0.2, 0.8], (2, 1))
-    pu = np.tile([0.5, 0.5], (2, 2, 1))
-    d = compose([pq, pw, pu], chain_qwu, {"Q": 2, "W1": 2, "U1": 2})
-    c = condition(d, {"Q": 0})
-    np.testing.assert_allclose(marginalize(c, {"W1"}).table, [0.2, 0.8], atol=1e-12)
-
-
-def test_condition_correlated_bits(chain_qwu):
-    pq = np.array([0.5, 0.5])
-    d = compose([pq, delta(2), np.stack([delta(2), delta(2)])],
-                chain_qwu, {"Q": 2, "W1": 2, "U1": 2})
-    c = condition(d, {"Q": 1})
-    np.testing.assert_allclose(marginalize(c, {"W1"}).table, [0.0, 1.0], atol=1e-15)
-
-
-def test_condition_zero_probability_errors(chain_qwu):
-    pq = np.array([1.0, 0.0])
-    d = compose([pq, delta(2), np.stack([delta(2), delta(2)])],
-                chain_qwu, {"Q": 2, "W1": 2, "U1": 2})
-    with pytest.raises(ZeroProbabilityError):
-        condition(d, {"Q": 1})
-
-
 def test_validate_product_uniform_is_hk():
     sizes = binary_sizes("hk3", q=2)
     d = compose_form("hk3", uniform_factors("hk3", sizes), sizes)
@@ -222,72 +196,69 @@ def test_oversized_alphabets_rejected_before_allocating():
     assert peak < 2**20
 
 
-def _pre_channel(seed=13):
-    sizes = binary_sizes("hod9", q=1)
+def _with_kernel(kernel, seed=13):
+    """The hod9 joint whose chain ends in ``kernel`` = p(Y1,Y2|X1,X2)."""
+    sizes = binary_sizes("hod9", q=1) | {"Y1": kernel.shape[-2], "Y2": kernel.shape[-1]}
     factors = sample_factors(FORMS["hod9"], sizes, seed=seed)
-    spec = FORMS["hod9"]
-    from rrkit.prob import FactorizationSpec
-    pre_spec = FactorizationSpec("pre", spec.factors[:-1])
-    return compose(factors[:-1], pre_spec, sizes)
+    return compose(factors[:-1] + [kernel], FORMS["hod9"], sizes)
 
 
 def test_embed_identity_channel():
-    d = _pre_channel()
     kernel = np.zeros((2, 2, 2, 2))
     for x1 in range(2):
         for x2 in range(2):
             kernel[x1, x2, x1, x2] = 1.0
-    e = embed_channel(d, ChannelModel(kernel))
+    e = _with_kernel(kernel)
     assert abs(cmi(e, ("Y1",), ("X1",)) - entropy(e, ("X1",))) < 1e-12
 
 
 def test_embed_constant_channel():
-    d = _pre_channel()
-    kernel = np.full((2, 2, 2, 2), 0.25)
-    e = embed_channel(d, ChannelModel(kernel))
+    e = _with_kernel(np.full((2, 2, 2, 2), 0.25))
     assert cmi(e, ("Y1",), ("X1", "X2")) < 1e-12
 
 
 def test_embed_binary_symmetric_conditional_entropy():
     # crossover 0.1 on Y1, Y2 deterministic: H(Y1|X1) is the binary entropy
-    d = _pre_channel()
     kernel = np.zeros((2, 2, 2, 1))
     for x1 in range(2):
         for x2 in range(2):
             kernel[x1, x2, x1, 0] = 0.9
             kernel[x1, x2, 1 - x1, 0] = 0.1
-    e = embed_channel(d, ChannelModel(kernel))
+    e = _with_kernel(kernel)
     h = -(0.1 * np.log2(0.1) + 0.9 * np.log2(0.9))
     assert abs(entropy(e, ("Y1",), ("X1",)) - h) < 1e-12
     assert abs(h - 0.468996) < 1e-6
 
 
 def test_embed_preserves_marginal():
-    d = _pre_channel()
-    kernel = sample_factors(FORMS["hod9"], binary_sizes("hod9", q=1), seed=23)[-1]
-    e = embed_channel(d, ChannelModel(kernel))
-    m = marginalize(e, set(d.names))
-    table = m.table.transpose([m.axis(n) for n in d.names])
-    np.testing.assert_allclose(table, d.table, atol=1e-12)
+    # the kernel factor leaves the joint of the chain before it unchanged
+    spec, sizes = FORMS["hod9"], binary_sizes("hod9", q=1)
+    factors = sample_factors(spec, sizes, seed=13)
+    pre = compose(factors[:-1], FactorizationSpec("pre", spec.factors[:-1]), sizes)
+    kernel = sample_factors(spec, sizes, seed=23)[-1]
+    e = _with_kernel(kernel)
+    m = marginalize(e, set(pre.names))
+    table = m.table.transpose([m.axis(n) for n in pre.names])
+    np.testing.assert_allclose(table, pre.table, atol=1e-12)
 
 
 def test_embed_alphabet_mismatch():
-    d = _pre_channel()
-    with pytest.raises(ModelError):
-        embed_channel(d, ChannelModel(np.full((3, 2, 2, 2), 0.25)))
+    sizes = binary_sizes("hod9", q=1)
+    factors = sample_factors(FORMS["hod9"], sizes, seed=13)
+    with pytest.raises(ModelError, match=r"p\(Y1,Y2\|X1,X2\) has shape \(3, 2, 2, 2\)"):
+        compose(factors[:-1] + [np.full((3, 2, 2, 2), 0.25)], FORMS["hod9"], sizes)
 
 
 def test_oversized_channel_embedding_rejected_before_allocating():
     import tracemalloc
-    from rrkit.prob import MAX_CELLS, JointDistribution
-    # 2**12 joint cells x |Y1| x |Y2| = 2**24 cells
-    variables = (Variable("W1", 1024), Variable("X1", 2), Variable("X2", 2))
-    d = JointDistribution(variables, np.full((1024, 2, 2), 2.0**-12))
-    channel = ChannelModel(np.full((2, 2, 64, 64), 2.0**-12))
+    from rrkit.prob import MAX_CELLS
+    # 2**12 cells before the kernel x |Y1| x |Y2| = 2**24 cells
+    sizes = dict(binary_sizes("hod9", q=1), W1=128, Y1=64, Y2=64)
+    factors = uniform_factors("hod9", sizes)
     tracemalloc.start()
     try:
         with pytest.raises(ModelError, match=f"16777216 cells.*Y1=64, Y2=64.*limit is {MAX_CELLS}"):
-            embed_channel(d, channel)
+            compose(factors, FORMS["hod9"], sizes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -16,12 +16,12 @@ N = 8  # small per-check campaigns; the acceptance suite runs the full sizes
 
 
 def test_thm4_check_passes():
-    r = V.check_thm4_equivalence(samples=N, seed=5)
+    r = V.run_check("thm4", N, 5)
     assert r.passed and len(r.verdicts) == N
 
 
 def test_thm6_check_passes_and_reports_drops():
-    r = V.check_thm6_equivalence(samples=N, seed=5)
+    r = V.run_check("thm6", N, 5)
     assert r.passed
     assert isinstance(r.details.get("dropped_projection_rows"), dict)
 
@@ -30,14 +30,14 @@ def test_equivalence_reports_count_empty_projections():
     # binary draws of the full chains mostly have a negative constant, so the
     # projection is empty and every containment holds vacuously: all 8 thm4
     # samples and 3 of the 8 thm6 samples here
-    r4 = V.check_thm4_equivalence(samples=N, seed=5)
-    r6 = V.check_thm6_equivalence(samples=N, seed=5)
+    r4 = V.run_check("thm4", N, 5)
+    r6 = V.run_check("thm6", N, 5)
     assert (r4.details["empty_projection"], r6.details["empty_projection"]) == (8, 3)
     assert r4.details["dropped_projection_rows"]["10-11"] == N
 
 
 def test_corollary1_check_passes():
-    r = V.check_corollary1(samples=N, seed=5)
+    r = V.run_check("corollary1", N, 5)
     assert r.passed
     assert r.max_deviation < 1e-9
 
@@ -57,7 +57,7 @@ def test_corollary1_counterexample_names_term():
 
 
 def test_corollary2_and_4_check_passes():
-    r = V.check_corollary2_and_4(samples=N, seed=5)
+    r = V.run_check("corollary2-4", N, 5)
     assert r.passed
     assert r.details["orderings"]["D1-G1"] <= 1e-12
 
@@ -91,13 +91,13 @@ def test_corollary2_rows_can_fail_outside_reduced_family():
 
 
 def test_corollary3_check_passes():
-    r = V.check_corollary3(samples=N, seed=5)
+    r = V.run_check("corollary3", N, 5)
     assert r.passed
 
 
 def test_corollary5_check_surfaces_table_defects(monkeypatch):
     # the catalogued table holds line by line
-    r = V.check_corollary5(samples=N, seed=5)
+    r = V.run_check("corollary5", N, 5)
     assert r.passed
     dev = r.details["identity_dev"]
     assert len(dev) == 14 and all(v <= 1e-12 for v in dev.values())
@@ -108,7 +108,7 @@ def test_corollary5_check_surfaces_table_defects(monkeypatch):
     # caught by name with a replayable witness, and inclusion is still reported
     monkeypatch.setattr(V, "_COR5_TABLE", TermTable(
         V._COR5_TABLE.rows | {("delta", "f1"): R._terms("I(W2;U1|Q)")}))
-    r = V.check_corollary5(samples=N, seed=5)
+    r = V.run_check("corollary5", N, 5)
     assert not r.passed
     dev = r.details["identity_dev"]
     assert [k for k, v in dev.items() if v > 1e-12] == ["f1"]
@@ -120,13 +120,13 @@ def test_corollary5_check_surfaces_table_defects(monkeypatch):
 
 
 def test_corollary6_check_passes_and_reports_variant():
-    r = V.check_corollary6(samples=N, seed=5)
+    r = V.run_check("corollary6", N, 5)
     assert r.passed
     assert r.details["s1_narrow_grouping_residual"]["max"] > 1e-6
 
 
 def test_eq14_check_passes():
-    r = V.check_eq14_duality(samples=N, seed=5)
+    r = V.run_check("eq14", N, 5)
     assert r.passed
     # the identical-spelling constant never deviates; the others may
     assert r.details["generic_dev"]["E1"] <= 1e-12
@@ -182,7 +182,7 @@ def test_superposition_draw_makes_each_public_message_recoverable(seed, index):
 
 
 def test_binning_check_passes():
-    r = V.check_binning_derivation(samples=N, seed=5)
+    r = V.run_check("binning", N, 5)
     assert r.passed
 
 
@@ -228,8 +228,8 @@ def test_thm4_both_empty_counts_as_equivalent():
 
 
 def test_reports_deterministic():
-    a = V.check_thm6_equivalence(samples=4, seed=9)
-    b = V.check_thm6_equivalence(samples=4, seed=9)
+    a = V.run_check("thm6", 4, 9)
+    b = V.run_check("thm6", 4, 9)
     ja = json.dumps(a.to_json_dict(), sort_keys=True)
     jb = json.dumps(b.to_json_dict(), sort_keys=True)
     assert ja == jb
@@ -242,11 +242,10 @@ def test_run_check_unknown_name():
 
 def test_parallel_mapper_matches_sequential():
     from concurrent.futures import ProcessPoolExecutor
-    seq = V.check_binning_derivation(samples=4, seed=9)
+    seq = V.run_check("binning", 4, 9)
     try:
         with ProcessPoolExecutor(max_workers=2) as pool:
-            par = V.check_binning_derivation(
-                samples=4, seed=9, mapper=lambda f, it: list(pool.map(f, it)))
+            par = V.run_check("binning", 4, 9, mapper=lambda f, it: list(pool.map(f, it)))
     except OSError:
         pytest.skip("process pools unavailable in this environment")
     assert json.dumps(seq.to_json_dict(), sort_keys=True) == \
@@ -270,7 +269,7 @@ def test_run_check_constructs_no_term_table(monkeypatch):
     def refuse(self, rows):
         raise AssertionError("TermTable built while a check runs")
     monkeypatch.setattr(TermTable, "__init__", refuse)
-    for name in V._CHECKS:
+    for name in V.CHECKS:
         assert V.run_check(name, 2, 3).passed, name
 
 
@@ -278,4 +277,4 @@ def test_checks_refuse_fewer_than_one_sample():
     with pytest.raises(ValueError, match="at least 1 sample"):
         V.run_check("thm4", 0, 1)
     with pytest.raises(ValueError, match="at least 1 sample"):
-        V.check_binning_derivation(samples=-3)
+        V.run_check("binning", -3, 0)
