@@ -558,12 +558,15 @@ def test_tolerance_flags_must_be_finite_and_nonnegative(flag, value, hk_scenario
 
 
 @pytest.mark.parametrize("tol", [-1, -1e-300, float("nan"), float("inf")])
-@pytest.mark.parametrize("key", ["polytope"])
+@pytest.mark.parametrize("key", ["polytope", "identity"])
 def test_scenario_tolerances_must_be_finite_and_nonnegative(key, tol, tmp_path, capsys):
     scen = write_scenario(tmp_path / "tol.json", extra={"tol": {key: tol}})
     assert main(["project", scen, "--family", "hod"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "finite and >= 0" in err
+    if key == "identity":  # no scenario key: refused before its value is read
+        assert err.splitlines() == [f"error: {scen}: unknown keys ['identity'] in 'tol'"]
+    else:
+        assert err.startswith("error: ") and "finite and >= 0" in err
 
 
 def test_zero_tolerance_stays_legal(hk_scenario, tmp_path):
