@@ -8,6 +8,10 @@ Verbs:
   union    sampled union approximation of a region family over distributions
   plot     render region JSON files as an SVG
 
+Each tolerance flag is taken only by the verbs that read it: --tol-polytope
+by project, compare, union and verify, --tol-identity by verify alone, and
+verify refuses one its check does not record.
+
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse error, 3 invalid
 model, 4 incompatible comparison.  All outputs are deterministic for fixed
 inputs, flags and seeds; RRK_THREADS caps worker processes for campaigns.
@@ -30,13 +34,14 @@ from .polytope import (TOL, InequalitySystem, UnboundedRegionError,
                        VariableMismatchError, contains, convex_hull,
                        remove_redundant, vertices2d)
 from .prob import FORMS, JointDistribution, ModelError, compose, sample_factors
-from .verify import CHECKS, TOL_IDENTITY, run_check
+from .verify import CHECKS, run_check
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_MODEL, EXIT_COMPARE = 0, 1, 2, 3, 4
 
 
 class ScenarioError(ValueError):
-    """Scenario file is malformed (missing/unknown keys, bad shapes)."""
+    """Usage error past the parser: a malformed scenario file (missing/unknown
+    keys, bad shapes) or a flag the chosen check does not read."""
 
 
 @dataclass
@@ -102,7 +107,7 @@ def load_scenario(path: str) -> Scenario:
         if unknown:
             raise ScenarioError(f"{path}: unknown keys {sorted(unknown)} in {block!r}")
     form = raw.get("form")
-    if form not in FORMS:
+    if not isinstance(form, str) or form not in FORMS:
         raise ScenarioError(f"{path}: form must be one of {sorted(FORMS)}, got {form!r}")
     spec = FORMS[form]
     sizes = {n: 2 for n in spec.variables}
@@ -150,7 +155,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: sampling count must be at least 1, got {count}")
     tol = _number(path, "tol polytope", raw.get("tol", {}).get("polytope", TOL),
                   integer=False)
-    if not (math.isfinite(tol) and tol >= 0):
+    if not 0 <= tol <= sys.float_info.max:  # also refuses ints beyond any float
         raise ScenarioError(f"{path}: tol polytope must be finite and >= 0, got {tol}")
     return Scenario(form, sizes, overrides, count=count,
                     seed=_number(path, "sampling seed", sampling.get("seed", 0)),
@@ -245,13 +250,16 @@ def render_svg(named_regions: list[tuple[str, list[tuple[float, float]]]]) -> st
 # --- verbs --------------------------------------------------------------------
 
 def _load(args, path: str | None = None) -> Scenario:
-    """The scenario at ``path`` (default: the verb's), with --seed and --tol-polytope."""
+    """The scenario at ``path`` (default: the verb's), with --seed."""
     scenario = load_scenario(path or args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    if args.tol_polytope is not None:
-        scenario.tol_polytope = args.tol_polytope
     return scenario
+
+
+def _tol_polytope(args, scenario: Scenario) -> float:
+    """--tol-polytope if given, else the scenario's tol.polytope."""
+    return scenario.tol_polytope if args.tol_polytope is None else args.tol_polytope
 
 
 def cmd_eval(args) -> int:
@@ -271,8 +279,9 @@ def cmd_project(args) -> int:
     scenario = _load(args)
     d = scenario.draw(args.index)
     consts = regions.constants_for(d, args.family)
-    raw, reduced = reduced_ratepair(consts, scenario.tol_polytope)
-    poly = vertices2d(reduced, scenario.tol_polytope)
+    tol = _tol_polytope(args, scenario)
+    raw, reduced = reduced_ratepair(consts, tol)
+    poly = vertices2d(reduced, tol)
     name = os.path.splitext(os.path.basename(args.scenario))[0]
     out = {"name": f"{name}:{args.family}",
            "family": args.family,
@@ -295,8 +304,8 @@ def cmd_compare(args) -> int:
     family_b = args.family_b or args.family
     if scenario_b is scenario_a and family_b == args.family:
         raise ScenarioError("compare needs two scenarios or two families")
-    tol = scenario_a.tol_polytope
-    if scenario_b.tol_polytope != tol:  # --tol-polytope sets both
+    tol = _tol_polytope(args, scenario_a)
+    if args.tol_polytope is None and scenario_b.tol_polytope != tol:  # the flag settles both
         raise ScenarioError(
             f"{args.scenario} and {args.scenario_b} set different tol.polytope "
             f"({tol} and {scenario_b.tol_polytope}); pick one with --tol-polytope")
@@ -355,10 +364,13 @@ def _tolerance(text: str) -> float:
 
 
 def cmd_verify(args) -> int:
+    given = {"polytope": args.tol_polytope, "identity": args.tol_identity}
+    unread = [f"--tol-{key}" for key, tol in given.items()
+              if tol is not None and key not in CHECKS[args.check][2]]
+    if unread:
+        raise ScenarioError(f"check {args.check} does not read {', '.join(unread)}")
     kwargs = dict(samples=args.samples, seed=args.seed,
-                  tol_polytope=TOL if args.tol_polytope is None else args.tol_polytope,
-                  tol_identity=TOL_IDENTITY if args.tol_identity is None
-                  else args.tol_identity)
+                  **{f"tol_{key}": tol for key, tol in given.items() if tol is not None})
     n = _threads()
     if n > 1:
         try:
@@ -387,7 +399,7 @@ def cmd_verify(args) -> int:
 def cmd_union(args) -> int:
     scenario = _load(args)
     samples = args.samples if args.samples is not None else scenario.count
-    tol = scenario.tol_polytope
+    tol = _tol_polytope(args, scenario)
     per_sample: list[dict] = []
     points: list[tuple[float, float]] = []
     for i in range(samples):
@@ -444,11 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rrkit",
         description="Achievable rate regions: evaluate, project, compare, verify.")
-    parser.add_argument("--tol-polytope", type=_tolerance, default=None,
-                        help="tolerance for polytope comparisons (default 1e-9)")
-    parser.add_argument("--tol-identity", type=_tolerance, default=None,
-                        help="tolerance for identity checks (default 1e-12)")
     sub = parser.add_subparsers(dest="verb", required=True)
+    # each tolerance flag, defined once, as a parent of the verbs that read it
+    tol_polytope = argparse.ArgumentParser(add_help=False)
+    tol_polytope.add_argument("--tol-polytope", type=_tolerance, default=None,
+                              help="tolerance for polytope comparisons (default 1e-9)")
+    tol_identity = argparse.ArgumentParser(add_help=False)
+    tol_identity.add_argument("--tol-identity", type=_tolerance, default=None,
+                              help="tolerance for identity checks (default 1e-12)")
 
     def add_scenario(p, index=True):
         p.add_argument("scenario", help="scenario JSON file")
@@ -464,26 +479,28 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("project", help="rate-pair projection of a region")
+    p = sub.add_parser("project", parents=[tol_polytope], help="rate-pair projection of a region")
     add_scenario(p)
     p.add_argument("--csv", default=None, help="write vertex CSV here")
     p.set_defaults(fn=cmd_project)
 
-    p = sub.add_parser("compare", help="containment of two projected regions")
+    p = sub.add_parser("compare", parents=[tol_polytope],
+                       help="containment of two projected regions")
     add_scenario(p)
     p.add_argument("scenario_b", nargs="?", default=None,
                    help="second scenario (defaults to the first)")
     p.add_argument("--family-b", choices=list(regions._FAMILIES), default=None)
     p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("verify", help="run a machine check")
+    p = sub.add_parser("verify", parents=[tol_polytope, tol_identity], help="run a machine check")
     p.add_argument("check", choices=sorted(CHECKS))
     p.add_argument("--samples", type=_sample_count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("union", help="sampled union approximation over inputs")
+    p = sub.add_parser("union", parents=[tol_polytope],
+                       help="sampled union approximation over inputs")
     add_scenario(p, index=False)
     p.add_argument("--samples", type=_sample_count, default=None)
     p.add_argument("--csv", default=None)
@@ -506,7 +523,7 @@ def main(argv=None) -> int:
         print(f"error: parse failure at line {exc.lineno}, column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return EXIT_USAGE
-    except (ScenarioError, FileNotFoundError) as exc:
+    except (ScenarioError, OSError) as exc:  # OSError: a file that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ModelError, UnboundedRegionError) as exc:

@@ -415,18 +415,6 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
     return True, None
 
 
-def reorder(sys: InequalitySystem, variables) -> InequalitySystem:
-    """Permute the variable order (same solution set, relabelled columns)."""
-    variables = tuple(variables)
-    if variables == sys.variables:
-        return sys
-    if set(variables) != set(sys.variables):
-        raise VariableMismatchError(f"cannot reorder {sys.variables} as {variables}")
-    perm = [sys.index(v) for v in variables]
-    rows = [Halfspace(tuple(r.coeffs[i] for i in perm), r.bound, r.label) for r in sys.rows]
-    return InequalitySystem(variables, tuple(rows))
-
-
 # --- 2-variable systems: one exact half-plane intersection -------------------
 #
 # Each row becomes a line (p, q, beta): a primitive integer normal and its

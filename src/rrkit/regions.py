@@ -14,8 +14,8 @@ constants together with other named rows (cores, add-ons, identity tables),
 keyed (part, label), and ``evaluate_parts`` guards each family, evaluates
 such a table once per joint and splits it by part.  ``_SYSTEMS`` maps every
 catalogued inequality description (quadruple/quintuple systems, the 20- and
-11-row rate-pair systems) to its family, rate variables and rows; one row
-builder serves them and the 37-row intermediate list.  The pre-binning
+11-row rate-pair systems, the 37-row intermediate list) to its family, rate
+variables and rows; one row builder serves them all.  The pre-binning
 budget system's projection reproduces the user-2 rows.
 
 Catalogued systems have fixed integer coefficients; only their bounds
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 from .measures import InfoTerm, TermTable
 from .polytope import (Halfspace, InequalitySystem, _primitive, _scaled, fm_eliminate,
-                       make_row, nonnegativity_rows, reorder, substitute)
+                       make_row, nonnegativity_rows, substitute)
 from .prob import FORMS, JointDistribution, ModelError, validate_factorization
 
 CONSTANT_REJECT_TOL = 1e-6  # factorization violation above this rejects the input
@@ -401,6 +401,7 @@ _SYSTEMS = {
     "rtd-quintuple": ("rtd", _RTD_VARS, _own_rows("rtd", _RTD_RATES)),
     "thm4-ratepair": ("hod", _RATE_PAIR, THM4_ROWS),
     "thm6-ratepair": ("hod1", _RATE_PAIR, THM6_ROWS),
+    "thm4-intermediate37": ("hod", _RATE_PAIR, _ROWS37),
 }
 
 
@@ -408,16 +409,12 @@ def _vector_row(variables, rates: dict[str, int], bound: float, label: str) -> H
     return make_row([rates.get(v, 0) for v in variables], bound, label)
 
 
-_LIST37 = "37-row list"  # the intermediate list's name in the compiled-row cache
-
-
 @functools.cache
 def _row_plan(description: str) -> tuple:
     """A catalogued description compiled once: its variables, then per row
     (label, primitive coefficients, scale, constant labels), then its
     -x <= 0 rows."""
-    variables, rows = ((_RATE_PAIR, _ROWS37) if description == _LIST37
-                       else _SYSTEMS[description][1:])
+    variables, rows = _SYSTEMS[description][1:]
     plan = tuple((label, *_primitive(tuple(rates.get(v, 0) for v in variables)),
                   tuple(combo)) for label, rates, combo in rows)
     return variables, plan, tuple(nonnegativity_rows(variables))
@@ -441,13 +438,6 @@ def build_system(constants: BoundConstants, description: str) -> InequalitySyste
         raise ValueError(
             f"{description} needs {family!r} constants, got {constants.family!r}")
     return _rows_system(constants, description)
-
-
-def intermediate37_system(constants: BoundConstants) -> InequalitySystem:
-    """The catalogued 37-row intermediate list over (R1, R2)."""
-    if constants.family != "hod":
-        raise ValueError(f"37-row list needs 'hod' constants, got {constants.family!r}")
-    return _rows_system(constants, _LIST37)
 
 
 # --- pre-binning decoding budgets at the cognitive receiver, plus the two
@@ -560,7 +550,9 @@ def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
 
     Runs substitution and Fourier-Motzkin elimination on the rows as given.
     Quadruple systems use R1 = S1 + T1, R2 = S2 + T2; the quintuple system
-    uses R1 = T1 + S1a + S1b, R2 = T2 + S2.
+    uses R1 = T1 + S1a + S1b, R2 = T2 + S2.  Substitution appends R1, then
+    R2, and the eliminations leave only those two, so the result is over
+    ("R1", "R2") whatever the input's variable order.
     """
     for variables, (substitutions, eliminations) in _TO_RATEPAIR.items():
         if set(sys.variables) == set(variables):
@@ -572,7 +564,7 @@ def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
         s = substitute(s, var, expr)
     for var in eliminations:
         s = fm_eliminate(s, var)
-    return reorder(s, _RATE_PAIR)
+    return s
 
 
 def ratepair_projection(constants: BoundConstants) -> InequalitySystem:

@@ -162,7 +162,7 @@ def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: f
     pairs = [("projection inside closed-form list", listed, raw),
              ("closed-form list inside projection", raw, listed)]
     if with_37:
-        b37 = regions.intermediate37_system(consts)
+        b37 = regions.build_system(consts, "thm4-intermediate37")
         pairs += [("projection inside 37-row list", b37, raw),
                   ("37-row list inside projection", raw, b37)]
     problems = []

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rrkit.cli import load_scenario, main, reduced_ratepair
+from rrkit.cli import build_parser, load_scenario, main, reduced_ratepair
 from rrkit.polytope import lp_feasible, make_row, system
 from rrkit.prob import FORMS, sample_distribution
-from rrkit.regions import constants_for, hod_constants
+from rrkit.regions import _FAMILIES, constants_for, hod_constants
+from rrkit.verify import CHECKS
 
 from conftest import binary_sizes
 
@@ -69,6 +74,8 @@ def test_eval_unknown_key(tmp_path, capsys):
     {"sampling": {"seed": 2.5}},
     {"channel": {"x1": 2.5, "kernel": [0.25] * 16}},
     {"channel": {"kernel": [[0.5, 0.5], [1.0]]}},
+    {"form": ["hk3"]},
+    {"form": {"a": 1}},
 ])
 def test_eval_malformed_scenario_values_exit_2(extra, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -249,8 +256,8 @@ def test_compare_refuses_two_scenario_tolerances(hk_scenario, tmp_path, capsys):
 
 def test_compare_tolerance_flag_settles_both_scenarios(hk_scenario, tmp_path, capsys):
     loose = write_scenario(tmp_path / "loose.json", extra={"tol": {"polytope": 1e-6}})
-    assert main(["--tol-polytope", "1e-6", "compare", hk_scenario, loose,
-                 "--family", "hod"]) == 0
+    assert main(["compare", hk_scenario, loose, "--family", "hod",
+                 "--tol-polytope", "1e-6"]) == 0
     assert "(equal)" in capsys.readouterr().out
 
 
@@ -551,8 +558,10 @@ def test_scenario_sizes_below_one_are_usage_errors(extra, tmp_path, capsys):
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["--tol-polytope", "--tol-identity"])
 def test_tolerance_flags_must_be_finite_and_nonnegative(flag, value, hk_scenario, capsys):
+    verb = (["project", hk_scenario, "--family", "hod"] if flag == "--tol-polytope"
+            else ["verify", "corollary5"])
     with pytest.raises(SystemExit) as exc:
-        main([f"{flag}={value}", "project", hk_scenario, "--family", "hod"])
+        main([*verb, f"{flag}={value}"])
     assert exc.value.code == 2
     assert "finite and >= 0" in capsys.readouterr().err
 
@@ -571,7 +580,115 @@ def test_scenario_tolerances_must_be_finite_and_nonnegative(key, tol, tmp_path, 
 
 def test_zero_tolerance_stays_legal(hk_scenario, tmp_path):
     out = tmp_path / "zero.json"
-    assert main(["--tol-polytope", "0", "project", hk_scenario, "--family", "hod",
+    assert main(["project", hk_scenario, "--family", "hod", "--tol-polytope", "0",
                  "--out", str(out)]) == 0
     scen = write_scenario(tmp_path / "tol0.json", extra={"tol": {"polytope": 0}})
     assert main(["project", scen, "--family", "hod", "--out", str(out)]) == 0
+
+
+# the verbs that read each tolerance flag; every other verb refuses it
+_TOL_READERS = {"--tol-polytope": {"project", "compare", "union", "verify"},
+                "--tol-identity": {"verify"}}
+_VERB_ARGS = {"eval": ["s.json", "--family", "hod"], "project": ["s.json", "--family", "hod"],
+              "compare": ["s.json", "--family", "hod"], "union": ["s.json", "--family", "hod"],
+              "verify": ["thm4"], "plot": ["r.json"]}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGS))
+@pytest.mark.parametrize("flag", sorted(_TOL_READERS))
+def test_tolerance_flag_accepted_only_by_the_verbs_that_read_it(flag, verb, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:  # no verb takes it before the verb
+        build_parser().parse_args([flag, "1e-10", verb, *_VERB_ARGS[verb]])
+    assert exc.value.code == 2
+    argv = [verb, *_VERB_ARGS[verb], flag, "1e-10"]
+    if verb not in _TOL_READERS[flag]:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1e-10" in capsys.readouterr().err
+        return
+    assert vars(build_parser().parse_args(argv))[flag[2:].replace("-", "_")] == 1e-10
+    if verb != "verify":
+        return
+    # verify takes the flag only for a check whose report records that tolerance
+    key = flag.removeprefix("--tol-")
+    for check, (_, _, recorded) in CHECKS.items():
+        capsys.readouterr()
+        out = tmp_path / f"{check}.json"
+        code = main(["verify", check, "--samples", "1", flag, "1e-10", "--out", str(out)])
+        if key in recorded:
+            assert code == 0, check
+            assert json.loads(out.read_text())["tolerances"][key] == 1e-10
+        else:
+            assert code == 2 and not out.exists(), check
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: check {check} does not read {flag}"]
+
+
+def test_verify_records_the_flag_and_the_default(tmp_path, capsys):
+    out = tmp_path / "c5.json"
+    assert main(["verify", "corollary5", "--samples", "2", "--tol-identity", "1e-10",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerances"] == {"identity": 1e-10, "polytope": 1e-9}
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d, s: ["eval", d, "--family", "hod"],
+    lambda d, s: ["eval", s, "--family", "hod", "--out", d],
+    lambda d, s: ["plot", d],
+], ids=["eval-scenario", "eval-out", "plot-region"])
+def test_directory_path_is_a_usage_error(argv, hk_scenario, tmp_path, capsys):
+    code = main(argv(str(tmp_path), hk_scenario))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith("error: ") and str(tmp_path) in err[0]
+
+
+# JSON values of every kind but an integer, so no draw asks for a large alphabet
+_MISTYPED = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.one_of(st.none(), st.floats(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.one_of(st.none(), st.integers(0, 3)), max_size=2))
+
+
+@st.composite
+def _scenario_bodies(draw):
+    """(scenario JSON, family): each key absent, valid or (one time in four)
+    mistyped; the form is often the family's own guard form."""
+    family = draw(st.sampled_from(sorted(_FAMILIES)))
+    forms = st.sampled_from([_FAMILIES[family].form, *sorted(FORMS)])
+    blocks = {
+        "alphabets": st.dictionaries(st.sampled_from(["Q", "W1", "X2", "U1b", "Z"]),
+                                     st.one_of(st.integers(-1, 3), _MISTYPED), max_size=2),
+        "factors": st.dictionaries(st.sampled_from(["W1|Q", "p(Q)", "Y1,Y2|X1,X2", "Z"]),
+                                   st.one_of(st.lists(st.floats(0, 1), max_size=4), _MISTYPED),
+                                   max_size=2),
+        "sampling": st.fixed_dictionaries({}, optional={
+            "count": st.one_of(st.integers(), _MISTYPED),
+            "seed": st.one_of(st.integers(), _MISTYPED)}),
+        "tol": st.fixed_dictionaries({}, optional={
+            "polytope": st.one_of(st.floats(), st.integers(), _MISTYPED)}),
+    }
+    body = {"form": draw(_MISTYPED if draw(st.integers(0, 3)) == 3 else forms)}
+    for key, valid in blocks.items():
+        if draw(st.booleans()):
+            body[key] = draw(_MISTYPED if draw(st.integers(0, 3)) == 3 else valid)
+    return body, family
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_scenario_bodies())
+@example(case=({"form": ["hk3"]}, "hod"))
+@example(case=({"form": "hk3", "tol": {"polytope": 10**400}}, "hod"))
+def test_scenario_files_exit_cleanly(case, tmp_path_factory):
+    body, family = case
+    path = tmp_path_factory.getbasetemp() / "property-scenario.json"
+    path.write_text(json.dumps(body))
+    for verb in ("eval", "project"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([verb, str(path), "--family", family])  # raises on a crash
+        assert code in (0, 2, 3), (verb, body)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (verb, body, lines)

@@ -160,7 +160,7 @@ def test_build_system_row_counts():
     assert [r.label for r in s3.rows[:3]] == ["10-1", "10-2", "10-3"]
     s4 = R.build_system(c, "thm4-ratepair")
     assert len(s4.rows) == 20 + 2
-    b37 = R.intermediate37_system(c)
+    b37 = R.build_system(c, "thm4-intermediate37")
     assert len(b37.rows) == 37 + 2
 
     d12 = sample_distribution(FORMS["hod12"], binary_sizes("hod12"), seed=61)
@@ -237,6 +237,22 @@ def test_project_to_ratepair_rtd_variables():
     c = R.rtd_constants(d)
     rp = R.project_to_ratepair(R.build_system(c, "rtd-quintuple"))
     assert rp.variables == ("R1", "R2")
+
+
+@pytest.mark.parametrize("family, form", [("hod", "hod9"), ("rtd", "rtd7")])
+def test_project_to_ratepair_is_over_r1_r2_for_every_variable_order(family, form):
+    from itertools import permutations
+    from rrkit.polytope import Halfspace, contains
+    d = sample_distribution(FORMS[form], binary_sizes(form), seed=79)
+    built = R.build_system(R.constants_for(d, family), R._FAMILIES[family].system)
+    expected = R.project_to_ratepair(built)
+    for order in permutations(built.variables):
+        cols = [built.index(v) for v in order]
+        permuted = R.InequalitySystem(order, tuple(
+            Halfspace(tuple(r.coeffs[i] for i in cols), r.bound, r.label) for r in built.rows))
+        rp = R.project_to_ratepair(permuted)
+        assert rp.variables == ("R1", "R2"), order
+        assert contains(rp, expected)[0] and contains(expected, rp)[0], order
 
 
 # --- which joints the factorization guard checks numerically ----------------------
@@ -345,7 +361,7 @@ def test_compiled_rows_match_make_row():
             assert _rows_key(R.build_system(c, description)) == \
                 _rows_key(by_make_row(c, variables, rows))
             if family == "hod":
-                assert _rows_key(R.intermediate37_system(c)) == \
+                assert _rows_key(R.build_system(c, "thm4-intermediate37")) == \
                     _rows_key(by_make_row(c, R._RATE_PAIR, R._ROWS37))
 
 
