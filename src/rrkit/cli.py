@@ -91,9 +91,20 @@ def _table(path: str, what: str, flat) -> np.ndarray:
     return table.astype(float)
 
 
+def _read_json(path: str):
+    """The JSON value in ``path``; text that is not UTF-8 or nests too deeply
+    for the parser is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)  # json.JSONDecodeError carries line/column
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        raw = json.load(fh)  # json.JSONDecodeError carries line/column
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be a JSON object")
     unknown = set(raw) - _SCENARIO_KEYS
@@ -428,8 +439,7 @@ def cmd_union(args) -> int:
 def cmd_plot(args) -> int:
     named = []
     for path in args.regions:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = _read_json(path)
         if not isinstance(data, dict):
             raise ScenarioError(f"{path}: top level must be a JSON object")
         if "vertices" not in data:

@@ -8,7 +8,8 @@ Dense probability tables over a small set of named variables
 - marginalization,
 - factorization validation (does a table factor according to a given chain),
   numerically on any table and structurally between chains,
-- reproducible sampling of factor tables uniform on the probability simplex.
+- reproducible sampling of factor tables uniform on the probability simplex,
+  one Philox call per draw split across the factors in chain order.
 
 Tables are numpy arrays indexed by the variables in a fixed order; all
 values are immutable after construction.  A joint is at most ``MAX_CELLS``
@@ -27,6 +28,7 @@ level only.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -237,19 +239,6 @@ class JointDistribution:
         return self.variables[self.axis(name)].size
 
 
-def _normalize_conditional(table: np.ndarray, n_given_axes: int) -> np.ndarray:
-    """Validate that every conditional slice sums to 1; return as float array."""
-    t = np.asarray(table, dtype=float)
-    if t.min(initial=0.0) < -SUM_TOL:
-        raise ModelError(f"negative entry {t.min()} in conditional table")
-    target_axes = tuple(range(n_given_axes, t.ndim))
-    sums = t.sum(axis=target_axes)
-    if not np.max(np.abs(sums - 1.0)) <= SUM_TOL:  # a NaN entry fails too
-        raise ModelError(
-            f"conditional slices must sum to 1; worst deviation {np.max(np.abs(sums - 1.0))}")
-    return t
-
-
 def _check_cells(what: str, names, sizes: dict[str, int]) -> None:
     """Refuse a joint over ``names`` larger than ``MAX_CELLS``, before allocating."""
     for name in names:
@@ -261,6 +250,45 @@ def _check_cells(what: str, names, sizes: dict[str, int]) -> None:
             f"{what} joint would have {cells} cells "
             f"({', '.join(f'{n}={sizes[n]}' for n in names)}); "
             f"the limit is {MAX_CELLS}")
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(spec: FactorizationSpec, shape: tuple[int, ...]):
+    """Each table's shape, slice of the tables laid end to end, and compose step
+    (transpose, joint and broadcast shapes) at alphabet sizes ``shape``; ``gather``
+    regroups the entries by target-cell count t into ``(rows, t)`` ``blocks``."""
+    sizes, pos = dict(zip(spec.variables, shape)), {n: i for i, n in enumerate(spec.variables)}
+    shapes, steps, grown, ts = [], [], (), []
+    for f in spec.factors:
+        src = f.given + f.targets
+        shapes.append(tuple(sizes[n] for n in src))
+        steps.append((sorted(range(len(src)), key=lambda j: pos[src[j]]),
+                      tuple(sizes[n] for n in grown) + (1,) * len(f.targets),
+                      tuple(sizes[n] if n in src else 1 for n in grown + f.targets)))
+        grown += f.targets
+        ts.append(math.prod(sizes[n] for n in f.targets))
+    cells, groups = [math.prod(s) for s in shapes], list(dict.fromkeys(ts))
+    gather = np.argsort(np.repeat([groups.index(t) for t in ts], cells), kind="stable")
+    gather.flags.writeable = False
+    starts = [0, *itertools.accumulate(cells)]
+    ends = [0, *itertools.accumulate(sum(c for c, u in zip(cells, ts) if u == t) for t in groups)]
+    blocks = tuple((a, b, t) for a, b, t in zip(ends, ends[1:], groups) if b > a)
+    return tuple(shapes), tuple(map(slice, starts, starts[1:])), tuple(steps), gather, blocks
+
+
+def _grouped_tables(factors, shapes, gather, blocks):
+    """``factors`` as float tables if each has its shape, no entry below ``-SUM_TOL``
+    and every slice within ``SUM_TOL`` of 1, else None; one slice-sum per block."""
+    try:
+        tables = [np.asarray(raw, dtype=float) for raw in factors]
+    except ValueError:  # a ragged table
+        return None
+    if tuple(t.shape for t in tables) != shapes:
+        return None
+    flat = np.concatenate([t.ravel() for t in tables])[gather]
+    sums = np.concatenate([flat[a:b].reshape(-1, t).sum(axis=1) for a, b, t in blocks])
+    ok = flat.min() >= -SUM_TOL and abs(sums - 1.0).max() <= SUM_TOL  # NaN fails both
+    return tables if ok else None
 
 
 def compose(factors: list[np.ndarray], spec: FactorizationSpec,
@@ -276,20 +304,24 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
     _check_cells(spec.form, spec.variables, sizes)
-    order = spec.variables
-    pos = {n: i for i, n in enumerate(order)}
-    joint, grown = np.ones(()), ()
-    for raw, f in zip(factors, spec.factors):
-        t = _normalize_conditional(raw, len(f.given))
-        expect = tuple(sizes[n] for n in f.given) + tuple(sizes[n] for n in f.targets)
-        if t.shape != expect:
-            raise ModelError(f"factor {f.label()} has shape {t.shape}, expected {expect}")
-        src = list(f.given) + list(f.targets)
-        grown += f.targets
-        perm = sorted(range(len(src)), key=lambda i: pos[src[i]])
-        aligned = t.transpose(perm).reshape([sizes[n] if n in src else 1 for n in grown])
-        joint = joint.reshape(joint.shape + (1,) * len(f.targets)) * aligned
-    d = JointDistribution(tuple(Variable(n, sizes[n]) for n in order), joint)
+    shape = tuple(sizes[n] for n in spec.variables)
+    shapes, _, steps, gather, blocks = _layout(spec, shape)
+    tables = None if 0 in shape else _grouped_tables(factors, shapes, gather, blocks)
+    if tables is None:  # the per-factor checks, in chain order, raise the first fault
+        tables = []
+        for raw, f, expect in zip(factors, spec.factors, shapes):
+            tables.append(t := np.asarray(raw, dtype=float))
+            if t.min(initial=0.0) < -SUM_TOL:
+                raise ModelError(f"negative entry {t.min()} in conditional table")
+            worst = np.max(np.abs(t.sum(axis=tuple(range(len(f.given), t.ndim))) - 1.0))
+            if not worst <= SUM_TOL:  # a NaN entry fails too
+                raise ModelError(f"conditional slices must sum to 1; worst deviation {worst}")
+            if t.shape != expect:
+                raise ModelError(f"factor {f.label()} has shape {t.shape}, expected {expect}")
+    joint = np.ones(())
+    for t, (perm, jshape, bshape) in zip(tables, steps):
+        joint = joint.reshape(jshape) * t.transpose(perm).reshape(bshape)
+    d = JointDistribution(tuple(Variable(n, sizes[n]) for n in spec.variables), joint)
     object.__setattr__(d, "_spec", spec)
     return d
 
@@ -336,18 +368,6 @@ def validate_factorization(d: JointDistribution, spec: FactorizationSpec):
     return worst <= FACTORIZATION_TOL, worst
 
 
-def _uniform_simplex(rng: np.random.Generator, shape: tuple[int, ...],
-                     n_given_axes: int) -> np.ndarray:
-    """Conditional table with every slice uniform on the simplex (normalized exponentials)."""
-    e = -np.log1p(-rng.random(shape))
-    target_axes = tuple(range(n_given_axes, len(shape)))
-    total = e.sum(axis=target_axes, keepdims=True)
-    flat_cells = int(np.prod([shape[a] for a in target_axes])) if target_axes else 1
-    e = np.where(total > 0, e, 1.0)
-    total = np.where(total > 0, total, float(flat_cells))
-    return e / total
-
-
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based random stream: Philox keyed by seed, block per sample index.
 
@@ -364,26 +384,31 @@ def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
                    index: int = 0,
                    overrides: dict[str, np.ndarray] | None = None) -> list[np.ndarray]:
     """Draw one conditional table per chain factor, each slice uniform on the
-    simplex.  Deterministic in (seed, index).
+    simplex (normalized exponentials).  Deterministic in (seed, index).
 
-    ``overrides`` maps factor labels (e.g. "p(W1|Q)") to fixed tables; the
-    stream position does not depend on which factors are overridden.
+    One Philox call draws the whole chain, split across the factors in chain
+    order (each table in C order).  ``overrides`` maps factor labels (e.g.
+    "p(W1|Q)") to fixed tables; the stream position does not depend on which
+    factors are overridden.
     """
     _check_cells(spec.form, spec.variables, sizes)
-    rng = stream(seed, index)
-    factors = []
-    for f in spec.factors:
-        shape = tuple(sizes[n] for n in f.given) + tuple(sizes[n] for n in f.targets)
-        drawn = _uniform_simplex(rng, shape, len(f.given))
-        fixed = (overrides or {}).get(f.label())
-        if fixed is not None:
-            fixed = np.asarray(fixed, dtype=float)
-            if fixed.shape != shape:
-                raise ModelError(f"override for {f.label()} has shape {fixed.shape}, "
-                                 f"expected {shape}")
-            factors.append(fixed)
-        else:
-            factors.append(drawn)
+    shapes, slices, _, gather, blocks = _layout(spec, tuple(sizes[n] for n in spec.variables))
+    u = stream(seed, index).random(gather.size)
+    e = -np.log1p(-u[gather])
+    for a, b, t in blocks:
+        block = e[a:b].reshape(-1, t)
+        total = block.sum(axis=1, keepdims=True)
+        if not total.min() > 0:  # an all-zero slice is drawn as uniform
+            block[:], total = np.where(total > 0, block, 1.0), np.where(total > 0, total, float(t))
+        block /= total
+    u[gather] = e  # back in chain order
+    factors = [u[sl].reshape(s) for sl, s in zip(slices, shapes)]
+    for i, f in enumerate(spec.factors if overrides else ()):
+        if (fixed := overrides.get(f.label())) is not None:
+            factors[i] = np.asarray(fixed, dtype=float)
+            if factors[i].shape != shapes[i]:
+                raise ModelError(f"override for {f.label()} has shape {factors[i].shape}, "
+                                 f"expected {shapes[i]}")
     return factors
 
 

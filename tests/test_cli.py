@@ -644,6 +644,25 @@ def test_directory_path_is_a_usage_error(argv, hk_scenario, tmp_path, capsys):
     assert err[0].startswith("error: ") and str(tmp_path) in err[0]
 
 
+
+_DEEP = 100_000  # far past the parser's recursion limit
+
+
+@pytest.mark.parametrize("verb", ["eval", "project", "plot"])
+@pytest.mark.parametrize("body, message", [
+    (b'{"form": "hk3\xff", "vertices": [[0, 0]]}', "not UTF-8 text"),
+    (b'{"form": "hod9", "factors": {"p(Q)": ' + b"[" * _DEEP + b"]" * _DEEP + b"}}",
+     "JSON nested too deeply to parse"),
+    (b'{"vertices": ' + b"[" * _DEEP + b"]" * _DEEP + b"}", "JSON nested too deeply to parse"),
+], ids=["not-utf8", "deep-factors", "deep-vertices"])
+def test_unreadable_json_is_a_usage_error(verb, body, message, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(body)
+    argv = ["plot", str(path)] if verb == "plot" else [verb, str(path), "--family", "hod"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}")
+
 # JSON values of every kind but an integer, so no draw asks for a large alphabet
 _MISTYPED = st.one_of(
     st.none(), st.booleans(), st.floats(), st.text(max_size=3),

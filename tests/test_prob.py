@@ -1,14 +1,17 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrkit import prob
 from rrkit.measures import cmi, entropy
 from rrkit.prob import (FORMS, Factor, FactorizationSpec, JointDistribution, ModelError,
                         Variable, compose, marginalize, sample_distribution,
-                        sample_factors, validate_factorization)
+                        sample_factors, stream, validate_factorization)
 
 from conftest import binary_sizes, compose_form, delta, uniform_factors
 
@@ -46,6 +49,14 @@ def test_compose_rejects_bad_conditional(chain_qwu):
     bad = np.array([[0.9, 0.2], [0.5, 0.5]])  # first slice sums to 1.1
     pu = np.stack([delta(2), delta(2)])
     with pytest.raises(ModelError):
+        compose([pq, bad, pu], chain_qwu, {"Q": 2, "W1": 2, "U1": 2})
+
+
+def test_negative_entry_is_rejected_even_when_its_slice_sums_to_one(chain_qwu):
+    pq = np.array([0.5, 0.5])
+    bad = np.array([[1.5, -0.5], [0.5, 0.5]])
+    pu = np.stack([delta(2), delta(2)])
+    with pytest.raises(ModelError, match=r"negative entry -0\.5 in conditional table"):
         compose([pq, bad, pu], chain_qwu, {"Q": 2, "W1": 2, "U1": 2})
 
 
@@ -309,6 +320,130 @@ def test_compose_equals_the_out_of_place_product(form, sizes):
         factors = sample_factors(FORMS[form], sizes, seed=606, index=index)
         d = compose(factors, FORMS[form], sizes)
         assert np.array_equal(d.table, _out_of_place_product(factors, FORMS[form], sizes))
+
+
+def _per_factor_draw(spec, sizes, rng):
+    """The reference draw: one ``random`` call and one normalisation per factor."""
+    out = []
+    for f in spec.factors:
+        shape = tuple(sizes[n] for n in f.given + f.targets)
+        e = -np.log1p(-rng.random(shape))
+        total = e.sum(axis=tuple(range(len(f.given), len(shape))), keepdims=True)
+        cells = float(math.prod(shape[len(f.given):]))
+        out.append(np.where(total > 0, e, 1.0) / np.where(total > 0, total, cells))
+    return out
+
+
+def _sizes(form, k, q):
+    return {n: q if n == "Q" else k for n in FORMS[form].variables}
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("form, k, q", [
+    *((form, 2, q) for form in sorted(FORMS) for q in (1, 2)),
+    ("hk3", 4, 2), ("hod9", 4, 2), ("hod12", 4, 2), ("rtd7", 3, 1)])
+def test_one_call_draw_is_bitwise_the_per_factor_draw(form, k, q):
+    sizes = _sizes(form, k, q)
+    for index in range(6):
+        got = sample_factors(FORMS[form], sizes, seed=1001, index=index)
+        _assert_bitwise(got, _per_factor_draw(FORMS[form], sizes, stream(1001, index)))
+
+
+@pytest.mark.parametrize("form, label", [("hod9", "p(W2|Q,U1,W1)"), ("ic1", "p(U1,W1|Q)"),
+                                         ("hod9", "p(Y1,Y2|X1,X2)")])
+def test_an_override_leaves_the_other_draws_unchanged(form, label):
+    spec, sizes = FORMS[form], binary_sizes(form)
+    want = _per_factor_draw(spec, sizes, stream(5, 3))
+    i = [f.label() for f in spec.factors].index(label)
+    fixed = np.full(want[i].shape, 1.0 / math.prod(want[i].shape[len(spec.factors[i].given):]))
+    got = sample_factors(spec, sizes, seed=5, index=3, overrides={label: fixed})
+    assert np.array_equal(got[i], fixed)
+    _assert_bitwise(got[:i] + got[i + 1:], want[:i] + want[i + 1:])
+
+
+class _Scripted:
+    """A stand-in generator handing out ``values`` in order."""
+
+    def __init__(self, values):
+        self.values, self.at = values, 0
+
+    def random(self, shape):
+        n = math.prod(shape) if isinstance(shape, tuple) else shape
+        self.at += n
+        return self.values[self.at - n:self.at].reshape(shape).copy()
+
+
+def test_all_zero_slices_are_drawn_uniform(monkeypatch):
+    spec, sizes = FORMS["hod9"], binary_sizes("hod9")
+    monkeypatch.setattr(prob, "stream", lambda seed, index=0: _Scripted(np.zeros(10**4)))
+    for f, t in zip(spec.factors, sample_factors(spec, sizes, seed=1)):
+        assert np.array_equal(t, np.full(t.shape, 1.0 / math.prod(sizes[n] for n in f.targets)))
+
+
+def test_zero_slices_in_both_groups_match_the_reference(monkeypatch):
+    # hod9 binary with |Q| = 2: p(Q) is the first 2 draws, the kernel the last 16
+    spec, sizes = FORMS["hod9"], binary_sizes("hod9")
+    values = stream(3).random(10**4)
+    values[:2] = 0.0
+    n = sum(math.prod(sizes[v] for v in f.given + f.targets) for f in spec.factors)
+    values[n - 8:n - 4] = 0.0  # one Y1,Y2 slice
+    monkeypatch.setattr(prob, "stream", lambda seed, index=0: _Scripted(values))
+    got = sample_factors(spec, sizes, seed=1)
+    _assert_bitwise(got, _per_factor_draw(spec, sizes, _Scripted(values)))
+    assert np.array_equal(got[0], [0.5, 0.5]) and np.array_equal(got[-1][1, 0], np.full((2, 2), 0.25))
+
+
+@pytest.mark.parametrize("form, early, late", [("hod9", 1, 7), ("ic1", 1, 3)])
+def test_compose_raises_the_first_fault_in_chain_order(form, early, late):
+    # the two factors sit in different target-cell groups
+    spec, sizes = FORMS[form], binary_sizes(form)
+    factors = sample_factors(spec, sizes, seed=8)
+
+    def faulty(i, kind):
+        if kind == "ragged":
+            return [[0.5, 0.5], [1.0]]
+        if kind == "nan":
+            t = factors[i].copy()
+            t.flat[0] = np.nan
+            return t
+        shape = factors[i].shape[:-1] + (4,)  # slices still sum to 1
+        return np.full(shape, 1 / math.prod(shape[-len(spec.factors[i].targets):]))
+
+    def with_faults(first, second):
+        return [*factors[:early], faulty(early, first), *factors[early + 1:late],
+                faulty(late, second), *factors[late + 1:]]
+
+    for late_fault in ("shape", "ragged"):
+        with pytest.raises(ModelError, match="sum to 1; worst deviation nan"):
+            compose(with_faults("nan", late_fault), spec, sizes)
+    label = spec.factors[early].label()
+    with pytest.raises(ModelError, match=rf"factor {re.escape(label)} has shape"):
+        compose(with_faults("shape", "nan"), spec, sizes)
+
+
+@pytest.mark.parametrize("name", ["Q", "X1", "Y2"])
+def test_an_empty_alphabet_draws_empty_tables_that_compose_refuses(name):
+    spec, sizes = FORMS["hod9"], dict(binary_sizes("hod9"), **{name: 0})
+    factors = sample_factors(spec, sizes, seed=4)
+    assert [t.shape for t in factors] == [
+        tuple(sizes[n] for n in f.given + f.targets) for f in spec.factors]
+    with pytest.raises(ModelError, match="sum to 1; worst deviation 1.0"):
+        compose(factors, spec, sizes)
+
+
+@pytest.mark.parametrize("form, k", [("hod9", 2), ("hk3", 4)])
+def test_fortran_ordered_factors_compose_like_contiguous_ones(form, k):
+    spec, sizes = FORMS[form], _sizes(form, k, 2)
+    factors = sample_factors(spec, sizes, seed=21, index=1)
+    transposed = [np.ascontiguousarray(t.T).T for t in factors]  # F-ordered views
+    assert all(t.flags.f_contiguous and not t.flags.c_contiguous for t in transposed[1:])
+    got = compose(transposed, spec, sizes).table
+    assert got.tobytes() == compose(factors, spec, sizes).table.tobytes()
 
 
 def test_marginals_are_read_only_valid_joints():
