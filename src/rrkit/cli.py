@@ -91,22 +91,26 @@ def _table(path: str, what: str, flat) -> np.ndarray:
     return table.astype(float)
 
 
-def _read_json(path: str):
-    """The JSON value in ``path``; text that is not UTF-8 or nests too deeply
-    for the parser is a usage error."""
+def _read_json(path: str) -> dict:
+    """The JSON object in ``path``; text that is not UTF-8, not JSON, nests too
+    deeply for the parser or is not an object at the top level is a usage error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)  # json.JSONDecodeError carries line/column
+            data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: parse failure at line {exc.lineno}, "
+                            f"column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ScenarioError(f"{path}: JSON nested too deeply to parse") from None
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{path}: top level must be a JSON object")
+    return data
 
 
 def load_scenario(path: str) -> Scenario:
     raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: top level must be a JSON object")
     unknown = set(raw) - _SCENARIO_KEYS
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
@@ -440,8 +444,6 @@ def cmd_plot(args) -> int:
     named = []
     for path in args.regions:
         data = _read_json(path)
-        if not isinstance(data, dict):
-            raise ScenarioError(f"{path}: top level must be a JSON object")
         if "vertices" not in data:
             raise ScenarioError(f"{path}: no 'vertices' key")
         name = data.get("name") or os.path.splitext(os.path.basename(path))[0]
@@ -529,10 +531,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: parse failure at line {exc.lineno}, column {exc.colno}: "
-              f"{exc.msg}", file=sys.stderr)
-        return EXIT_USAGE
     except (ScenarioError, OSError) as exc:  # OSError: a file that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -77,7 +77,7 @@ def _primitive(coeffs) -> tuple[Coeffs, float | None]:
         g = math.gcd(*coeffs)
         if g <= 1:
             return coeffs, None
-        return tuple(c // g for c in coeffs), float(Fraction(1, g))
+        return tuple(c // g for c in coeffs), 1 / g
     exact = [Fraction(c) for c in coeffs]
     factor = Fraction(math.lcm(*(c.denominator for c in exact)),
                       math.gcd(*(c.numerator for c in exact)) or 1)
@@ -269,7 +269,9 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
 
     Free feasibility of a 2-variable system comes from its half-plane
     intersection; any other system is decided by eliminating every variable
-    on the exact coefficients and checking the residual constant rows.
+    on the exact coefficients and checking the residual constant rows.  The
+    intersection is exact, so at tol 0 it decides alone; a 2-variable system
+    it finds empty can still pass elimination's tol-relaxed constant test.
     """
     if point is not None:
         if len(point) != len(sys.variables):
@@ -278,14 +280,8 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
         return all(
             sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound + tol
             for r in sys.rows)
-    if len(sys.variables) == 2:
-        return _feasible_2d(sys, tol)
-    return _fm_feasible(sys, tol)
-
-
-def _feasible_2d(sys: InequalitySystem, tol: float) -> bool:
-    """Free feasibility as elimination decides it: exact at tol 0, while an
-    empty region can still pass elimination's tol-relaxed constant test."""
+    if len(sys.variables) != 2:
+        return _fm_feasible(sys, tol)
     if sys._plane_region.edges and tol >= 0:
         return True
     return tol != 0 and _fm_feasible(sys, tol)
@@ -359,12 +355,10 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
     larger.  Otherwise rows would be dropped only because the rest is empty,
     and what is kept could be unbounded.  Kept rows keep their own bounds.
     """
-    flat = len(sys.variables) == 2
-    empty = not sys._plane_region.edges if flat else not _fm_feasible(sys, 0.0)
     work = sys
-    if empty and tol > 0 and _fm_feasible(sys, tol):
+    if tol > 0 and not lp_feasible(sys, tol=0.0) and lp_feasible(sys, tol=tol):
         work = sys.with_rows(Halfspace(r.coeffs, r.bound + tol, r.label) for r in sys.rows)
-    keep = _greedy_2d(work, tol) if flat else _greedy_fm(work, tol)
+    keep = _greedy_2d(work, tol) if len(sys.variables) == 2 else _greedy_fm(work, tol)
     return sys.with_rows(sys.rows[k] for k in keep)
 
 
@@ -652,7 +646,7 @@ def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
     """Enumerate vertices of a bounded 2-variable system, counterclockwise."""
     if len(sys.variables) != 2:
         raise VariableMismatchError(f"vertices2d needs 2 variables, got {sys.variables}")
-    if not _feasible_2d(sys, tol):
+    if not lp_feasible(sys, tol=tol):
         return Polytope2D((), "empty")
     if sys._plane_region.rays:
         raise UnboundedRegionError("region is unbounded; cannot enumerate vertices")

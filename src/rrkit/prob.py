@@ -14,7 +14,8 @@ Dense probability tables over a small set of named variables
 Tables are numpy arrays indexed by the variables in a fixed order; all
 values are immutable after construction.  A joint is at most ``MAX_CELLS``
 cells: ``sample_factors`` and ``compose`` refuse larger alphabets before
-they allocate any table.
+they allocate any table.  A joint from ``compose`` or ``marginalize`` is checked
+once, by its inputs, and keeps its fresh table read-only without a copy.
 
 A joint built by ``compose`` remembers the chain it multiplied (``_spec``);
 every other joint has none.  ``FactorizationSpec.implies`` decides by
@@ -191,11 +192,12 @@ class JointDistribution:
     """Dense joint probability table over named finite variables.
 
     Two joints are equal when their variables and tables are exactly equal;
-    joints are unhashable.  ``_spec`` is the chain ``compose`` multiplied to
-    build the joint, and None for every other joint; it is not a dataclass
-    field, so ``__eq__`` and ``repr`` do not see it.  A joint holds nothing
-    else: ``measures`` keeps its compiled plans per variable order and
-    shape, not per joint.
+    joints are unhashable.  The constructor checks and copies a table from
+    outside.  ``_spec`` is the chain ``compose`` multiplied to build the
+    joint, and None for every other joint; it is not a dataclass field, so
+    ``__eq__`` and ``repr`` do not see it.  A joint holds nothing else:
+    ``measures`` keeps its compiled plans per variable order and shape, not
+    per joint.
     """
 
     variables: tuple[Variable, ...]
@@ -216,9 +218,7 @@ class JointDistribution:
             raise ModelError(f"total mass {t.sum()} != 1")
         t = t.copy()
         t.flags.writeable = False
-        object.__setattr__(self, "table", t)
-        object.__setattr__(self, "_names", tuple(names))
-        object.__setattr__(self, "_spec", None)
+        self.__dict__.update(table=t, _names=tuple(names), _spec=None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -237,6 +237,17 @@ class JointDistribution:
 
     def size(self, name: str) -> int:
         return self.variables[self.axis(name)].size
+
+
+def _joint(variables: tuple[Variable, ...], table: np.ndarray,
+           spec: FactorizationSpec | None = None) -> JointDistribution:
+    """A joint over a fresh C-ordered table that its checked inputs make valid:
+    the table is made read-only and kept as is, without ``__post_init__``."""
+    table.flags.writeable = False
+    d = object.__new__(JointDistribution)
+    d.__dict__.update(variables=variables, table=table,
+                      _names=tuple(v.name for v in variables), _spec=spec)
+    return d
 
 
 def _check_cells(what: str, names, sizes: dict[str, int]) -> None:
@@ -298,8 +309,8 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
     ``factors[i]`` corresponds to ``spec.factors[i]`` and is indexed by the
     factor's given variables first (in the listed order), then its targets.
     The table grows one factor at a time, each factor's targets becoming new
-    trailing axes, so every cell is multiplied in chain order.  The joint
-    records ``spec`` as its ``_spec``.
+    trailing axes, so every cell is multiplied in chain order, into a C-ordered
+    table the joint keeps without a copy; the joint records ``spec`` as ``_spec``.
     """
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
@@ -320,10 +331,8 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
                 raise ModelError(f"factor {f.label()} has shape {t.shape}, expected {expect}")
     joint = np.ones(())
     for t, (perm, jshape, bshape) in zip(tables, steps):
-        joint = joint.reshape(jshape) * t.transpose(perm).reshape(bshape)
-    d = JointDistribution(tuple(Variable(n, sizes[n]) for n in spec.variables), joint)
-    object.__setattr__(d, "_spec", spec)
-    return d
+        joint = np.multiply(joint.reshape(jshape), t.transpose(perm).reshape(bshape), order="C")
+    return _joint(tuple(Variable(n, sizes[n]) for n in spec.variables), joint, spec)
 
 
 def marginalize(d: JointDistribution, keep) -> JointDistribution:
@@ -332,8 +341,8 @@ def marginalize(d: JointDistribution, keep) -> JointDistribution:
     for name in keep:
         d.axis(name)
     axes = tuple(i for i, v in enumerate(d.variables) if v.name not in keep)
-    return JointDistribution(tuple(v for v in d.variables if v.name in keep),
-                             d.table.sum(axis=axes))  # 0-d when nothing is kept
+    return _joint(tuple(v for v in d.variables if v.name in keep),
+                  np.asarray(d.table.sum(axis=axes)))  # 0-d when nothing is kept
 
 
 def _conditional_from(d: JointDistribution, f: Factor, sizes: dict[str, int]) -> np.ndarray:

@@ -405,10 +405,6 @@ _SYSTEMS = {
 }
 
 
-def _vector_row(variables, rates: dict[str, int], bound: float, label: str) -> Halfspace:
-    return make_row([rates.get(v, 0) for v in variables], bound, label)
-
-
 @functools.cache
 def _row_plan(description: str) -> tuple:
     """A catalogued description compiled once: its variables, then per row
@@ -469,8 +465,9 @@ def binning_budget_system(d: JointDistribution) -> InequalitySystem:
     _guarded(d, _FAMILIES["hod"].form)
     variables = ("S2", "T2", "T1", "s2", "t2")
     bounds = _BUDGET_TABLE.evaluate(d)
-    return InequalitySystem(variables, tuple(_vector_row(variables, rates, bounds[label], label)
-                                             for label, rates, _ in _BUDGET_ROWS))
+    return InequalitySystem(variables, tuple(
+        make_row([rates.get(v, 0) for v in variables], bounds[label], label)
+        for label, rates, _ in _BUDGET_ROWS))
 
 
 # --- identity tables used by the verifier ------------------------------------

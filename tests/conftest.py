@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,15 @@ def uniform_factors(form: str, sizes: dict[str, int]) -> list[np.ndarray]:
         t = np.ones(shape)
         target_axes = tuple(range(len(f.given), len(shape)))
         out.append(t / t.sum(axis=target_axes, keepdims=True))
+    return out
+
+
+def margin_factors(form: str, sizes: dict[str, int], excess: float = 9e-13) -> list[np.ndarray]:
+    """Uniform factors whose every slice sums to 1 + excess: within ``SUM_TOL``
+    each, while the product's total mass of about 1 + 8 * excess is not."""
+    out = uniform_factors(form, sizes)
+    for t, f in zip(out, FORMS[form].factors):
+        t.reshape(math.prod(sizes[n] for n in f.given), -1)[:, -1] += excess
     return out
 
 

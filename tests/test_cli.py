@@ -14,7 +14,7 @@ from rrkit.prob import FORMS, sample_distribution
 from rrkit.regions import _FAMILIES, constants_for, hod_constants
 from rrkit.verify import CHECKS
 
-from conftest import binary_sizes
+from conftest import binary_sizes, margin_factors
 
 
 def write_scenario(path, form="hk3", q=2, extra=None, count=10, seed=11):
@@ -110,6 +110,27 @@ def test_channel_block_conflicts_are_usage_errors(extra, message, tmp_path, caps
     scen = write_scenario(tmp_path / "chan.json", extra=extra)
     assert main(["eval", scen, "--family", "hod"]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {scen}: {message}"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"alphabets": {"U1b": 2}}, "alphabet for unknown variable 'U1b'"),
+    ({"factors": {"W1|Q": [0.5, 0.5]}}, "factor 'W1|Q' has 2 entries, expected 4"),
+])
+def test_scenario_entries_that_do_not_fit_the_form_are_usage_errors(extra, message, tmp_path,
+                                                                    capsys):
+    scen = write_scenario(tmp_path / "misfit.json", extra=extra)
+    assert main(["eval", scen, "--family", "hod"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {scen}: {message}"]
+
+
+def test_eval_accepts_a_chain_whose_slices_are_each_within_tolerance(tmp_path, capsys):
+    # every slice sums to 1 + 9e-13, so the joint's total mass is about 1 + 7.2e-12
+    sizes = binary_sizes("hk3", q=1)
+    factors = {f.label(): t.ravel().tolist()
+               for f, t in zip(FORMS["hk3"].factors, margin_factors("hk3", sizes))}
+    scen = write_scenario(tmp_path / "margin.json", q=1, extra={"factors": factors})
+    assert main(["eval", scen, "--family", "hod"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_channel_block_equal_to_alphabets_and_factors_is_accepted(tmp_path):
@@ -243,6 +264,14 @@ def test_compare_families_needs_two(hk_scenario, capsys):
     assert main(["compare", hk_scenario, "--family", "hod"]) == 2
 
 
+def test_compare_names_the_scenario_that_does_not_parse(hk_scenario, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"form": "hk3",\n  "alphabets": }')
+    assert main(["compare", hk_scenario, str(bad), "--family", "hod"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: parse failure at line 2, column 16: Expecting value"]
+
+
 def test_compare_refuses_two_scenario_tolerances(hk_scenario, tmp_path, capsys):
     loose = write_scenario(tmp_path / "loose.json", extra={"tol": {"polytope": 1e-6}})
     assert main(["compare", hk_scenario, loose, "--family", "hod"]) == 2
@@ -370,6 +399,18 @@ def test_verify_fault_injection_detected(tmp_path, monkeypatch):
     assert data["failures"][0]["witness"] is not None
 
 
+@pytest.mark.parametrize("verb", ["eval", "project", "union"])
+def test_seed_flag_overrides_the_scenario_seed(verb, tmp_path):
+    outs = []
+    for run, seed, flag in (("flag", 11, ["--seed", "5"]), ("file", 5, []), ("own", 11, [])):
+        (tmp_path / run).mkdir()
+        scen = write_scenario(tmp_path / run / "s.json", count=2, seed=seed)
+        out = tmp_path / run / "out.json"
+        assert main([verb, scen, "--family", "hod", "--out", str(out), *flag]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1] != outs[2]
+
+
 def test_union_single_sample_equals_polytope(hk_scenario, tmp_path):
     u1 = tmp_path / "u1.json"
     p1 = tmp_path / "p1.json"
@@ -453,6 +494,7 @@ def test_plot_deterministic_and_roundtrip(hk_scenario, tmp_path):
     ('{"vertices": [[1]]}', "vertices must be [x, y] pairs of finite numbers"),
     ('{"vertices": [["a", 1]]}', "vertices must be [x, y] pairs of finite numbers"),
     ('{"vertices": [[NaN, 1], [0, 0]]}', "vertices must be [x, y] pairs of finite numbers"),
+    ('{"name": "no vertices"}', "no 'vertices' key"),
 ])
 def test_plot_malformed_region_is_a_usage_error(body, message, tmp_path, capsys):
     region = tmp_path / "r.json"

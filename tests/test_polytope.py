@@ -13,7 +13,7 @@ from rrkit.polytope import (Halfspace, UnboundedRegionError,
                             lp_feasible, make_row, nonnegativity_rows,
                             remove_redundant, substitute, system,
                             vertices2d)
-from rrkit.polytope import _fm_plan, _substitution_plan
+from rrkit.polytope import _fm_plan, _primitive, _substitution_plan
 
 
 def rows_of(variables, *triples):
@@ -389,3 +389,12 @@ def test_halfspace_contract():
                     digest.update(repr(_fields(row)).encode())
                     count += 1
     assert (count, digest.hexdigest()) == (193, PROJECTION_ROWS_SHA256)
+
+
+@pytest.mark.parametrize("gs", [range(2, 10_001), [2**53 + 1, 2**60 + 3, 3**40, 10**30 + 7]],
+                         ids=["small", "beyond-2**53"])
+def test_primitive_scale_is_the_float_of_the_exact_factor(gs):
+    for g in gs:
+        coeffs, scale = _primitive((g, -2 * g))
+        assert coeffs == (1, -2)
+        assert scale.hex() == float(Fraction(1, g)).hex()

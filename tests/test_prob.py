@@ -13,7 +13,7 @@ from rrkit.prob import (FORMS, Factor, FactorizationSpec, JointDistribution, Mod
                         Variable, compose, marginalize, sample_distribution,
                         sample_factors, stream, validate_factorization)
 
-from conftest import binary_sizes, compose_form, delta, uniform_factors
+from conftest import binary_sizes, compose_form, delta, margin_factors, uniform_factors
 
 
 def test_compose_all_uniform_is_uniform():
@@ -457,6 +457,48 @@ def test_marginals_are_read_only_valid_joints():
         assert m == d.__class__(m.variables, m.table)  # the checked constructor agrees
         with pytest.raises(ModelError):
             m.axis("U1b")
+
+
+# --- a joint is checked once: by its inputs, or by the public constructor ---------
+
+def test_a_chain_within_the_slice_tolerance_composes_although_its_mass_is_not():
+    sizes = binary_sizes("hk3")
+    factors = margin_factors("hk3", sizes)
+    d = compose(factors, FORMS["hk3"], sizes)
+    assert not abs(d.table.sum() - 1.0) <= prob.SUM_TOL  # eight slices of 1 + 9e-13
+    assert not d.table.flags.writeable and d.table.flags.c_contiguous
+    assert not any(np.shares_memory(d.table, t) for t in factors)
+    assert marginalize(d, {"Q", "Y1"}).table.shape == (2, 2)
+    assert math.isfinite(entropy(d, ["Y1", "Y2"], ["X1", "X2"]))
+    assert validate_factorization(d, FORMS["hk3"])[0]
+    with pytest.raises(ModelError, match=r"total mass 1\.0000000000071"):
+        JointDistribution(d.variables, d.table)  # a table from outside keeps the mass check
+
+
+def test_compose_and_marginalize_never_run_the_public_checks(monkeypatch):
+    def refuse(self):
+        raise AssertionError("JointDistribution.__post_init__ ran")
+
+    monkeypatch.setattr(JointDistribution, "__post_init__", refuse)
+    d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=5)
+    assert d._spec is FORMS["hod9"]
+    for keep in (d.names, ("Q", "X1"), ()):
+        m = marginalize(d, keep)
+        assert m._spec is None and not m.table.flags.writeable
+        assert not np.shares_memory(m.table, d.table)
+    assert validate_factorization(d, FORMS["hod9"])[0]
+    with pytest.raises(AssertionError):
+        JointDistribution(d.variables, d.table)
+
+
+@pytest.mark.parametrize("variables, table, message", [
+    ((Variable("Q", 2), Variable("Q", 2)), np.full((2, 2), 0.25), "duplicate variable names"),
+    ((Variable("Q", 2),), np.full(3, 1 / 3), r"table shape \(3,\) does not match alphabets \(2,\)"),
+    ((Variable("Q", 2),), np.array([1.5, -0.5]), r"negative probability -0\.5"),
+], ids=["duplicate-names", "shape", "negative"])
+def test_the_public_constructor_refuses_a_bad_outside_table(variables, table, message):
+    with pytest.raises(ModelError, match=message):
+        JointDistribution(variables, table)
 
 
 # --- structural implication between chains ---------------------------------------
