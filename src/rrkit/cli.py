@@ -93,10 +93,19 @@ def _table(path: str, what: str, flat) -> np.ndarray:
 
 def _read_json(path: str) -> dict:
     """The JSON object in ``path``; text that is not UTF-8, not JSON, nests too
-    deeply for the parser or is not an object at the top level is a usage error."""
+    deeply for the parser, repeats a key in an object or is not an object at
+    the top level is a usage error."""
+    def unique(pairs):
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ScenarioError(f"{path}: duplicate key {key!r}")
+            data[key] = value
+        return data
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique)
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
@@ -140,6 +149,9 @@ def load_scenario(path: str) -> Scenario:
         if label not in labels:
             raise ScenarioError(f"{path}: factor {key!r} not in form {form}; "
                                 f"expected one of {sorted(labels)}")
+        if label in tables:
+            raise ScenarioError(f"{path}: {label} given twice, as {tables[label][0]} "
+                                f"and factor {key!r}")
         tables[label] = (f"factor {key!r}", _table(path, f"factor {key!r}", flat))
     # the channel block is shorthand for the X/Y alphabets and the kernel factor
     channel = raw.get("channel")
@@ -165,16 +177,15 @@ def load_scenario(path: str) -> Scenario:
                 f"{path}: {what} has {table.size} entries, expected {np.prod(shape)}")
         overrides[label] = table.reshape(shape)
     sampling = raw.get("sampling", {})
-    count = _number(path, "sampling count", sampling.get("count", 50))
-    if count < 1:
-        raise ScenarioError(f"{path}: sampling count must be at least 1, got {count}")
+    count = _size(path, "sampling count", sampling.get("count", 50))
     tol = _number(path, "tol polytope", raw.get("tol", {}).get("polytope", TOL),
                   integer=False)
     if not 0 <= tol <= sys.float_info.max:  # also refuses ints beyond any float
         raise ScenarioError(f"{path}: tol polytope must be finite and >= 0, got {tol}")
-    return Scenario(form, sizes, overrides, count=count,
-                    seed=_number(path, "sampling seed", sampling.get("seed", 0)),
-                    tol_polytope=float(tol))
+    seed = _number(path, "sampling seed", sampling.get("seed", 0))
+    if not 0 <= seed < 2**64:
+        raise ScenarioError(f"{path}: sampling seed must be in [0, 2**64), got {seed}")
+    return Scenario(form, sizes, overrides, count=count, seed=seed, tol_polytope=float(tol))
 
 
 def reduced_ratepair(consts: regions.BoundConstants,
@@ -371,6 +382,13 @@ def _index(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    n = int(text)
+    if not 0 <= n < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {n}")
+    return n
+
+
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not (math.isfinite(tol) and tol >= 0):
@@ -483,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         if index:
             p.add_argument("--index", type=_index, default=0,
                            help="sample index within the scenario's stream")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the scenario's sampling seed")
         p.add_argument("--out", default=None, help="write JSON output here")
 
@@ -507,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[tol_polytope, tol_identity], help="run a machine check")
     p.add_argument("check", choices=sorted(CHECKS))
     p.add_argument("--samples", type=_sample_count, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 

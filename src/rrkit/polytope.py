@@ -12,8 +12,10 @@ intersection of its rows, built on first use and kept on the immutable
 system; redundancy removal adds one more per facet row.  The order of the
 intersection's directions and its recession rays depend only on the set of
 integer normals, so they are compiled once per set.
-Fourier-Motzkin elimination projects systems down to two variables and
-answers those questions for systems with any other number of variables.
+Fourier-Motzkin elimination projects systems down to two variables.  Over
+any other number of variables every question goes through one probe
+(``_outside``: the system with a row's relaxed negation) and one
+cheapest-first elimination loop (``find_point``).
 Elimination and substitution each run in two steps: an integer plan from the
 coefficient vectors alone (which rows combine, with what multipliers, and
 each new row's primitive coefficients and scale), then a float step that
@@ -66,31 +68,25 @@ class Halfspace(NamedTuple):
         return not any(self.coeffs)
 
 
-def _primitive(coeffs) -> tuple[Coeffs, float | None]:
+def _primitive(coeffs) -> tuple[Coeffs, float]:
     """The coefficients scaled to integers with gcd 1 (direction preserved),
-    and the float of the exact factor the bound is multiplied by (None: 1).
+    and the float of the exact factor the bound is multiplied by.
 
     Scaling a bound by the float of the exact factor gives int rows and the
     same rows given as rationals bitwise equal bounds.
     """
     if all(c.__class__ is int for c in coeffs):
-        g = math.gcd(*coeffs)
-        if g <= 1:
-            return coeffs, None
+        g = math.gcd(*coeffs) or 1
         return tuple(c // g for c in coeffs), 1 / g
     exact = [Fraction(c) for c in coeffs]
     factor = Fraction(math.lcm(*(c.denominator for c in exact)),
                       math.gcd(*(c.numerator for c in exact)) or 1)
-    return tuple(int(c * factor) for c in exact), None if factor == 1 else float(factor)
-
-
-def _scaled(bound: float, scale: float | None) -> float:
-    return bound if scale is None else bound * scale
+    return tuple(int(c * factor) for c in exact), float(factor)
 
 
 def make_row(coeffs, bound: float, label: str = "") -> Halfspace:
     c, scale = _primitive(tuple(coeffs))
-    return Halfspace(c, _scaled(float(bound), scale), label)
+    return Halfspace(c, float(bound) * scale, label)
 
 
 @dataclass(frozen=True)
@@ -134,30 +130,20 @@ def system(variables, rows) -> InequalitySystem:
 
 def nonnegativity_rows(variables, subset=None) -> list[Halfspace]:
     """-x <= 0 rows for each variable in subset (default all)."""
-    out = []
-    for i, v in enumerate(variables):
-        if subset is not None and v not in subset:
-            continue
-        coeffs = [0] * len(variables)
-        coeffs[i] = -1
-        out.append(Halfspace(tuple(coeffs), 0.0, f"{v}>=0"))
-    return out
+    return [Halfspace(tuple(-1 if j == i else 0 for j in range(len(variables))), 0.0, f"{v}>=0")
+            for i, v in enumerate(variables) if subset is None or v in subset]
 
 
 def _merge_duplicates(rows) -> list[Halfspace]:
     """Keep one row per coefficient vector (tightest bound wins); drop vacuous."""
-    best: dict[Coeffs, Halfspace] = {}
-    order: list[Coeffs] = []
+    best: dict[Coeffs, Halfspace] = {}  # a replaced row keeps its first place
     for r in rows:
         if r.is_constant() and r.bound >= 0.0:
             continue
         old = best.get(r.coeffs)
-        if old is None:
+        if old is None or r.bound < old.bound:
             best[r.coeffs] = r
-            order.append(r.coeffs)
-        elif r.bound < old.bound:
-            best[r.coeffs] = r
-    return [best[c] for c in order]
+    return list(best.values())
 
 
 _PLANS = 128  # elimination and substitution plans kept per kind; probe
@@ -205,11 +191,11 @@ def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
     k = sys.index(var)
     rows = sys.rows
     kept, pairs = _fm_plan(tuple(r.coeffs for r in rows), k)
-    out = [Halfspace(coeffs, _scaled(rows[i].bound, scale), rows[i].label)
+    out = [Halfspace(coeffs, rows[i].bound * scale, rows[i].label)
            for i, coeffs, scale in kept]
     for i, j, mi, mj, coeffs, scale in pairs:
         up, lo = rows[i], rows[j]
-        out.append(Halfspace(coeffs, _scaled(mi * up.bound + mj * lo.bound, scale),
+        out.append(Halfspace(coeffs, (mi * up.bound + mj * lo.bound) * scale,
                              f"fm:{{{up.label}+{lo.label}}}"))
     return InequalitySystem(sys.variables[:k] + sys.variables[k + 1:],
                             tuple(_merge_duplicates(out)))
@@ -243,7 +229,7 @@ def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
     """
     new_vars, plan = _substitution_plan(sys.variables, tuple(r.coeffs for r in sys.rows),
                                         sys.index(var), tuple(expr.items()))
-    return InequalitySystem(new_vars, tuple(Halfspace(coeffs, _scaled(r.bound, scale), r.label)
+    return InequalitySystem(new_vars, tuple(Halfspace(coeffs, r.bound * scale, r.label)
                                             for (coeffs, scale), r in zip(plan, sys.rows)))
 
 
@@ -253,23 +239,16 @@ def _infeasible_constant(rows, tol: float) -> bool:
 
 def _greedy_order(sys: InequalitySystem) -> list[str]:
     """Cheapest-first elimination order (fewest upper*lower pairings)."""
-    remaining = list(sys.variables)
-    counts = {v: [0, 0] for v in remaining}
-    for r in sys.rows:
-        for v, c in zip(sys.variables, r.coeffs):
-            if c > 0:
-                counts[v][0] += 1
-            elif c < 0:
-                counts[v][1] += 1
-    return sorted(remaining, key=lambda v: counts[v][0] * counts[v][1])
+    pairs = [sum(r.coeffs[k] > 0 for r in sys.rows) * sum(r.coeffs[k] < 0 for r in sys.rows)
+             for k in range(len(sys.variables))]
+    return [sys.variables[k] for k in sorted(range(len(pairs)), key=pairs.__getitem__)]
 
 
 def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
     """Point given: every row satisfied within tol.  No point: any solution?
 
     Free feasibility of a 2-variable system comes from its half-plane
-    intersection; any other system is decided by eliminating every variable
-    on the exact coefficients and checking the residual constant rows.  The
+    intersection; any other system is decided by ``find_point``.  The
     intersection is exact, so at tol 0 it decides alone; a 2-variable system
     it finds empty can still pass elimination's tol-relaxed constant test.
     """
@@ -281,65 +260,85 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
             sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound + tol
             for r in sys.rows)
     if len(sys.variables) != 2:
-        return _fm_feasible(sys, tol)
+        return find_point(sys, tol) is not None
     if sys._plane_region.edges and tol >= 0:
         return True
-    return tol != 0 and _fm_feasible(sys, tol)
-
-
-def _fm_feasible(sys: InequalitySystem, tol: float) -> bool:
-    cur = sys
-    if _infeasible_constant(cur.rows, tol):
-        return False
-    for var in _greedy_order(sys):
-        cur = fm_eliminate(cur, var)
-        if _infeasible_constant(cur.rows, tol):
-            return False
-    return True
+    return tol != 0 and find_point(sys, tol) is not None
 
 
 def find_point(sys: InequalitySystem, tol: float = TOL):
-    """A feasible point (list of floats, variable order) or None.
+    """A point within tol of every row (list of floats, variable order) or None.
 
-    Eliminates variables back to front, then back-substitutes midpoints of
-    the remaining feasible intervals.
+    Eliminates the variables cheapest first (``_greedy_order``), giving up as
+    soon as a constant row is below -tol, then back-substitutes, last
+    eliminated first: each variable takes the midpoint of its interval, or
+    sits 1 inside a half-line, or 0 on a free line.
     """
+    if _infeasible_constant(sys.rows, tol):
+        return None
     stages = []
     cur = sys
-    for var in reversed(sys.variables):
-        stages.append(cur)
+    for var in _greedy_order(sys):
+        stages.append((var, cur))
         cur = fm_eliminate(cur, var)
         if _infeasible_constant(cur.rows, tol):
             return None
-    values: list[float] = []
-    for pre in reversed(stages):
-        k = len(values)  # variables 0..k-1 already assigned; choose variable k
+    point: dict[str, float] = {}
+    for var, pre in reversed(stages):
+        k = pre.index(var)
         lo, hi = -math.inf, math.inf
         for r in pre.rows:
             c = r.coeffs[k]
             if c == 0:
                 continue
-            partial = sum(float(a) * x for a, x in zip(r.coeffs[:k], values))
+            partial = sum(float(a) * point[v]
+                          for v, a in zip(pre.variables, r.coeffs) if a and v != var)
             limit = (r.bound - partial) / float(c)
             if c > 0:
                 hi = min(hi, limit)
             else:
                 lo = max(lo, limit)
         if lo == -math.inf and hi == math.inf:
-            values.append(0.0)
+            point[var] = 0.0
         elif lo == -math.inf:
-            values.append(hi - 1.0)
+            point[var] = hi - 1.0
         elif hi == math.inf:
-            values.append(lo + 1.0)
+            point[var] = lo + 1.0
         else:
-            values.append((lo + hi) / 2.0)
-    return values
+            point[var] = (lo + hi) / 2.0
+    return [point[v] for v in sys.variables]
 
 
-def negate_row(row: Halfspace, slack: float) -> Halfspace:
-    """a.x >= bound + slack, as a <=-row (the relaxed negation)."""
-    return Halfspace(tuple(-c for c in row.coeffs), -(row.bound + slack),
-                     f"not:{row.label}")
+def _outside(sys: InequalitySystem, row: Halfspace, tol: float):
+    """A point of sys whose left side of ``row`` reaches ``row.bound + tol``,
+    or None.  Over 2 variables it is read off the half-plane intersection;
+    otherwise it is ``find_point`` of sys and the row's relaxed negation."""
+    if len(sys.variables) == 2 == len(row.coeffs):
+        return _reach(sys._plane_region, row.coeffs, row.bound + tol)
+    negation = Halfspace(tuple(-c for c in row.coeffs), -(row.bound + tol), f"not:{row.label}")
+    return find_point(sys.with_rows(sys.rows + (negation,)), tol=0.0)
+
+
+def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
+    """Does every solution of sys satisfy the row (within tol slack)?"""
+    return _outside(sys, row, tol) is None
+
+
+def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL):
+    """(True, None) if inner's solution set lies inside outer's.
+
+    On failure returns (False, witness) with a point feasible for inner that
+    violates some outer row by at least tol; over 2 variables it is the inner
+    vertex maximising that row.
+    """
+    if outer.variables != inner.variables:
+        raise VariableMismatchError(
+            f"systems over different variables: {outer.variables} vs {inner.variables}")
+    for row in outer.rows:
+        witness = _outside(inner, row, tol)
+        if witness is not None:
+            return False, witness
+    return True, None
 
 
 def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySystem:
@@ -363,50 +362,16 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
 
 
 def _greedy_fm(sys: InequalitySystem, tol: float) -> list[int]:
-    """Indices of the rows remove_redundant keeps, by elimination probes."""
+    """Indices of the rows remove_redundant keeps, by ``implies``."""
     alive = list(range(len(sys.rows)))
     i = 0
     while i < len(alive):
         trial = alive[:i] + alive[i + 1:]
-        probe = InequalitySystem(sys.variables, tuple(sys.rows[k] for k in trial)
-                                 + (negate_row(sys.rows[alive[i]], tol),))
-        if not lp_feasible(probe, tol=0.0):
+        if implies(sys.with_rows(sys.rows[k] for k in trial), sys.rows[alive[i]], tol):
             alive = trial
         else:
             i += 1
     return alive
-
-
-def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
-    """Does every solution of sys satisfy the row (within tol slack)?"""
-    if len(sys.variables) == 2 == len(row.coeffs):
-        return _reach(sys._plane_region, row.coeffs, row.bound + tol) is None
-    probe = InequalitySystem(sys.variables, sys.rows + (negate_row(row, tol),))
-    return not lp_feasible(probe, tol=0.0)
-
-
-def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL):
-    """(True, None) if inner's solution set lies inside outer's.
-
-    On failure returns (False, witness) with a point feasible for inner that
-    violates some outer row by at least tol; over 2 variables it is the inner
-    vertex maximising that row.
-    """
-    if outer.variables != inner.variables:
-        raise VariableMismatchError(
-            f"systems over different variables: {outer.variables} vs {inner.variables}")
-    if len(inner.variables) == 2:
-        region = inner._plane_region
-        for row in outer.rows:
-            witness = _reach(region, row.coeffs, row.bound + tol)
-            if witness is not None:
-                return False, witness
-        return True, None
-    for row in outer.rows:
-        probe = InequalitySystem(inner.variables, inner.rows + (negate_row(row, tol),))
-        if lp_feasible(probe, tol=0.0):
-            return False, find_point(probe, tol=0.0)
-    return True, None
 
 
 # --- 2-variable systems: one exact half-plane intersection -------------------

@@ -101,10 +101,9 @@ class FactorizationSpec:
                 if t in seen:
                     raise ModelError(f"{self.form}: {t} targeted twice")
                 seen.append(t)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(t for f in self.factors for t in f.targets)
+        # the targets in chain order; an attribute, not a field, so ==, hash
+        # and repr read only the form and the factors
+        object.__setattr__(self, "variables", tuple(seen))
 
     @functools.cache
     def implies(self, other: FactorizationSpec) -> bool:
@@ -381,12 +380,14 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based random stream: Philox keyed by seed, block per sample index.
 
     Disjoint 2**128-step counter blocks keep per-sample draws independent and
-    reproducible across platforms; ``index`` must lie in [0, 2**128).
+    reproducible across platforms; ``seed`` must lie in [0, 2**64) and
+    ``index`` in [0, 2**128).
     """
+    if not 0 <= seed < 2**64:
+        raise ModelError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= index < 2**128:
         raise ModelError(f"sample index must be in [0, 2**128), got {index}")
-    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1),
-                                                counter=index * 2**128))
+    return np.random.Generator(np.random.Philox(key=seed, counter=index * 2**128))
 
 
 def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,

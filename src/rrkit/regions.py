@@ -45,7 +45,7 @@ import functools
 from dataclasses import dataclass, field, replace
 
 from .measures import InfoTerm, TermTable
-from .polytope import (Halfspace, InequalitySystem, _primitive, _scaled, fm_eliminate,
+from .polytope import (Halfspace, InequalitySystem, _primitive, fm_eliminate,
                        make_row, nonnegativity_rows, substitute)
 from .prob import FORMS, JointDistribution, ModelError, validate_factorization
 
@@ -420,7 +420,7 @@ def _rows_system(constants: BoundConstants, description: str) -> InequalitySyste
     """Each row bounds its rate vector by the sum of its constants; then -x <= 0."""
     variables, plan, nonnegative = _row_plan(description)
     values = constants.values
-    rows = [Halfspace(coeffs, _scaled(float(sum(values[k] for k in combo)), scale), label)
+    rows = [Halfspace(coeffs, float(sum(values[k] for k in combo)) * scale, label)
             for label, coeffs, scale, combo in plan]
     return InequalitySystem(variables, tuple(rows) + nonnegative)
 

@@ -231,11 +231,7 @@ REDUNDANT_UNDER_CMG = ("15-3", "15-9")
 def redundant_rows(sys: InequalitySystem, labels, tol: float) -> list[str]:
     """Labels from ``labels`` NOT implied by the system's remaining rows."""
     base = sys.with_rows([r for r in sys.rows if r.label not in labels])
-    missed = []
-    for r in sys.rows:
-        if r.label in labels and not implies(base, r, tol):
-            missed.append(r.label)
-    return missed
+    return [r.label for r in sys.rows if r.label in labels and not implies(base, r, tol)]
 
 
 def _cor24_one(index: int, seed: int, tol_polytope: float, tol_identity: float) -> dict:

@@ -753,3 +753,66 @@ def test_scenario_files_exit_cleanly(case, tmp_path_factory):
         if code:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (verb, body, lines)
+
+
+def _verb_argv(verb, scenario):
+    argv = [verb, scenario, "--family", "hod"]
+    return argv + ["--family-b", "dmt"] if verb == "compare" else argv
+
+
+@pytest.mark.parametrize("seed", [2**64, -1, -2**64])
+@pytest.mark.parametrize("verb", ["eval", "project", "union", "compare", "verify"])
+def test_seed_flag_outside_64_bits_is_a_usage_error(verb, seed, hk_scenario, capsys):
+    argv = ["verify", "binning"] if verb == "verify" else _verb_argv(verb, hk_scenario)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", str(seed)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"rrkit {verb}: error: argument --seed: seed must be in [0, 2**64), got {seed}"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+@pytest.mark.parametrize("verb", ["eval", "project", "union", "compare"])
+def test_scenario_seed_outside_64_bits_is_a_usage_error(verb, seed, tmp_path, capsys):
+    scen = write_scenario(tmp_path / "s.json", count=1, seed=seed)
+    assert main(_verb_argv(verb, scen)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {scen}: sampling seed must be in [0, 2**64), got {seed}"]
+
+
+def test_largest_seed_is_accepted_and_differs_from_seed_zero(tmp_path):
+    outs = []
+    for seed in (2**64 - 1, 0):
+        out = tmp_path / f"{seed}.json"
+        assert main(["eval", write_scenario(tmp_path / "s.json", seed=seed), "--family", "hod",
+                     "--out", str(out)]) == 0
+        outs.append(out.read_text())
+        assert main(["verify", "binning", "--samples", "1", "--seed", str(seed),
+                     "--out", str(tmp_path / "v.json")]) == 0
+        assert json.loads((tmp_path / "v.json").read_text())["seed"] == seed
+    assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("verb", ["eval", "project", "union", "compare", "plot"])
+@pytest.mark.parametrize("body, key", [
+    ('{"form": "hk3", "form": "hod9", "vertices": [[0, 0]]}', "form"),
+    ('{"vertices": [[0, 0]], "form": "hk3", "sampling": {"seed": 1, "seed": 2}}', "seed"),
+], ids=["top-level", "nested"])
+def test_repeated_json_key_is_a_usage_error(verb, body, key, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(body)
+    argv = ["plot", str(path)] if verb == "plot" else _verb_argv(verb, str(path))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: duplicate key {key!r}"]
+
+
+@pytest.mark.parametrize("verb", ["eval", "project", "union", "compare"])
+@pytest.mark.parametrize("first, second", [("W1|Q", "p(W1|Q)"), ("p(W1|Q)", "W1|Q")])
+def test_factor_given_under_both_labels_is_a_usage_error(verb, first, second, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"form": "hk3", "factors": {first: [[1, 0]], second: [[0, 1]]}}))
+    assert main(_verb_argv(verb, str(path))) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: p(W1|Q) given twice, as factor {first!r} and factor {second!r}"]

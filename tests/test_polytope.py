@@ -104,6 +104,25 @@ def test_lp_feasible_free():
     assert p is not None and 1.0 - 1e-9 <= p[0] <= 2.0 + 1e-9
 
 
+def test_find_point_checks_the_constant_rows_of_a_zero_variable_system():
+    empty = system((), (Halfspace((), -1.0, "0<=-1"),))
+    assert find_point(empty) is None and not lp_feasible(empty)
+    assert find_point(empty, tol=2.0) == [] and lp_feasible(empty, tol=2.0)
+    vacuous = system((), (Halfspace((), 1.0, "0<=1"),))
+    assert find_point(vacuous) == [] and lp_feasible(vacuous)
+
+
+def test_find_point_returns_a_point_of_the_system():
+    # a triangle in (x, y) with z tied to x + y; every interval is bounded
+    s = rows_of(("x", "y", "z"), ((-1, 0, 0), 0.0, "x>=0"), ((0, -1, 0), 0.0, "y>=0"),
+                ((1, 1, 0), 1.0, "x+y<=1"), ((1, 1, -1), 0.0, "z>=x+y"),
+                ((-1, -1, 1), 0.0, "z<=x+y"))
+    p = find_point(s, tol=0.0)
+    assert p is not None and len(p) == 3
+    assert lp_feasible(s, point=p, tol=1e-12)
+    assert find_point(s.with_rows(s.rows + (make_row((0, 0, 1), -0.5, "z<=-1/2"),))) is None
+
+
 def test_projection_agrees_with_grid_oracle():
     # fine-lattice search over the eliminated variable as an independent oracle
     s = rows_of(("T", "R"),

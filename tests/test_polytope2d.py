@@ -161,6 +161,25 @@ def test_contains_agrees_with_fm_and_witness_violates(outer, inner):
             >= row.bound + tol - WITNESS_SLACK
 
 
+@SETTINGS
+@given(systems(max_rows=4), systems())
+def test_lifted_contains_witness_lies_in_inner_and_past_the_outer_row(outer, inner):
+    """Over three variables the witness is find_point's point of the probe:
+    inside inner within tol, and past the first outer row inner does not
+    imply by at least tol."""
+    big_outer, big_inner = lifted_outer(outer), lifted(inner)
+    for tol in TOLS:
+        ok, witness = contains(big_outer, big_inner, tol)
+        if ok:
+            assert witness is None
+            continue
+        assert len(witness) == 3
+        assert lp_feasible(big_inner, point=witness, tol=tol + WITNESS_SLACK)
+        row = next(r for r in big_outer.rows if not implies(big_inner, r, tol))
+        assert sum(float(c) * v for c, v in zip(row.coeffs, witness)) \
+            >= row.bound + tol - WITNESS_SLACK
+
+
 def _exact_greedy_is_clear(s, tol) -> bool:
     """No decision along the exact greedy path is within MARGIN_BAND (ties allowed)."""
     alive = list(s.rows)

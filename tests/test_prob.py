@@ -164,6 +164,33 @@ def test_sample_index_out_of_range_is_a_model_error(index):
         sample_factors(FORMS["hk3"], binary_sizes("hk3"), seed=1, index=index)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, -2**64, 2**64 + 5])
+def test_seed_outside_64_bits_is_a_model_error(seed):
+    with pytest.raises(ModelError, match=r"seed must be in \[0, 2\*\*64\)"):
+        stream(seed)
+    with pytest.raises(ModelError, match="seed"):
+        sample_factors(FORMS["hk3"], binary_sizes("hk3"), seed=seed, index=0)
+
+
+def test_seeds_at_the_ends_of_the_range_draw_distinct_streams():
+    first, last = stream(0).random(4), stream(2**64 - 1).random(4)
+    assert not np.array_equal(first, last)
+
+
+def test_spec_variables_are_set_once_and_are_not_a_field():
+    import dataclasses
+    import pickle
+
+    spec = FORMS["hod9"]
+    assert spec.variables == tuple(t for f in spec.factors for t in f.targets)
+    assert spec.variables is spec.variables
+    assert [f.name for f in dataclasses.fields(spec)] == ["form", "factors"]
+    twin = FactorizationSpec(spec.form, list(spec.factors))
+    assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+    assert "variables" not in repr(spec)
+    assert pickle.loads(pickle.dumps(spec)).variables == spec.variables
+
+
 def test_samples_pass_own_validation():
     sizes = binary_sizes("hod9")
     for i in range(50):
