@@ -9,9 +9,13 @@ enumeration.
 Questions about a 2-variable system (free feasibility, containment,
 implication, boundedness, vertices) are answered from one exact half-plane
 intersection of its rows, built on first use and kept on the immutable
-system; redundancy removal adds one more per facet row.  The order of the
-intersection's directions and its recession rays depend only on the set of
-integer normals, so they are compiled once per set.
+system; redundancy removal adds one more per facet row.  A vertex is the
+meet of two consecutive edges, solved from the system's own rows; meets are
+taken in row-pair order and merged within tol.  A system empty but feasible
+within tol is reduced and read as its rows with every bound raised by tol
+(``_relaxed``).  The order of the intersection's directions and its
+recession rays depend only on the set of integer normals, so they are
+compiled once per set.
 Fourier-Motzkin elimination projects systems down to two variables.  Over
 any other number of variables every question goes through one probe
 (``_outside``: the system with a row's relaxed negation) and one
@@ -349,16 +353,21 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
     already imply it.  That is decided exactly (threshold 0) so the slack is
     not cancelled by a feasibility tolerance.
 
-    A system that is empty but feasible within tol (a point or segment that
-    round-off pushed just past empty) is reduced as if every bound were tol
-    larger.  Otherwise rows would be dropped only because the rest is empty,
-    and what is kept could be unbounded.  Kept rows keep their own bounds.
+    A system empty but feasible within tol is reduced as ``_relaxed`` (else
+    rows would go only because the rest is empty, and what is kept could be
+    unbounded); kept rows keep their own bounds.
     """
-    work = sys
-    if tol > 0 and not lp_feasible(sys, tol=0.0) and lp_feasible(sys, tol=tol):
-        work = sys.with_rows(Halfspace(r.coeffs, r.bound + tol, r.label) for r in sys.rows)
+    work = _relaxed(sys, tol)
     keep = _greedy_2d(work, tol) if len(sys.variables) == 2 else _greedy_fm(work, tol)
     return sys.with_rows(sys.rows[k] for k in keep)
+
+
+def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
+    """sys with every bound raised by tol if it is empty but feasible within
+    tol (round-off pushed a point or segment just past empty), else sys."""
+    if tol > 0 and not lp_feasible(sys, tol=0.0) and lp_feasible(sys, tol=tol):
+        return sys.with_rows(Halfspace(r.coeffs, r.bound + tol, r.label) for r in sys.rows)
+    return sys
 
 
 def _greedy_fm(sys: InequalitySystem, tol: float) -> list[int]:
@@ -608,36 +617,32 @@ class Polytope2D:
 
 
 def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
-    """Enumerate vertices of a bounded 2-variable system, counterclockwise."""
+    """Vertices of a bounded 2-variable system, counterclockwise.
+
+    Each is the meet of two consecutive edges of its half-plane intersection
+    (``_relaxed``'s if it is empty), solved from the system's own first
+    tightest row with each edge's normal.  Meets are taken in row-pair order;
+    one within tol of a meet already kept is dropped."""
     if len(sys.variables) != 2:
         raise VariableMismatchError(f"vertices2d needs 2 variables, got {sys.variables}")
     if not lp_feasible(sys, tol=tol):
         return Polytope2D((), "empty")
     if sys._plane_region.rays:
         raise UnboundedRegionError("region is unbounded; cannot enumerate vertices")
-    pts: list[tuple[float, float]] = []
-    rows = sys.rows
-    for i in range(len(rows)):
-        (a1, a2), b1 = rows[i].coeffs, rows[i].bound
-        for j in range(i + 1, len(rows)):
-            (c1, c2), b2 = rows[j].coeffs, rows[j].bound
-            det = a1 * c2 - a2 * c1
-            if det == 0:
-                continue
-            x = (b1 * float(c2) - float(a2) * b2) / float(det) + 0.0
-            y = (float(a1) * b2 - b1 * float(c1)) / float(det) + 0.0
-            if lp_feasible(sys, point=(x, y), tol=tol):
-                if not any(abs(x - p) <= tol and abs(y - q) <= tol for p, q in pts):
-                    pts.append((x, y))
-    if not pts:
+    edges = sys._plane_region.edges or _relaxed(sys, tol)._plane_region.edges
+    if not edges:
         return Polytope2D((), "empty")
-    if len(pts) == 1:
-        return Polytope2D(tuple(pts), "point")
-    cx = sum(p for p, _ in pts) / len(pts)
-    cy = sum(q for _, q in pts) / len(pts)
+    lines = sys._lines
+    rows = [min((k for k, line in enumerate(lines) if line[:2] == e[:2]),
+                key=lambda k: lines[k][2]) for e in edges]
+    pts: list[tuple[float, float]] = []
+    for i, j in sorted((min(a, b), max(a, b)) for a, b in zip(rows, rows[1:] + rows[:1])):
+        x, y = _meet(lines[i], lines[j])
+        if not any(abs(x - p) <= tol and abs(y - q) <= tol for p, q in pts):
+            pts.append((x, y))
+    cx, cy = (sum(c) / len(pts) for c in zip(*pts))
     pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-    kind = "segment" if len(pts) == 2 else "polygon"
-    return Polytope2D(tuple(pts), kind)
+    return Polytope2D(tuple(pts), {1: "point", 2: "segment"}.get(len(pts), "polygon"))
 
 
 def convex_hull(points) -> list[tuple[float, float]]:

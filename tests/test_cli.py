@@ -745,10 +745,12 @@ def test_scenario_files_exit_cleanly(case, tmp_path_factory):
     body, family = case
     path = tmp_path_factory.getbasetemp() / "property-scenario.json"
     path.write_text(json.dumps(body))
-    for verb in ("eval", "project"):
+    other = next(f for f in sorted(_FAMILIES) if f != family)
+    for verb, *flags in (["eval"], ["project"], ["union", "--samples", "2"],
+                         ["compare", "--family-b", other]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([verb, str(path), "--family", family])  # raises on a crash
+            code = main([verb, str(path), "--family", family, *flags])  # raises on a crash
         assert code in (0, 2, 3), (verb, body)
         if code:
             lines = err.getvalue().splitlines()

@@ -16,6 +16,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,11 @@ from hypothesis import strategies as st
 from rrkit.polytope import (_ANGLE_PLANS, Halfspace, UnboundedRegionError, _angle_plan,
                             contains, implies, lp_feasible, make_row, nonnegativity_rows,
                             remove_redundant, system, vertices2d)
+from rrkit.prob import FORMS, compose, sample_factors
+from rrkit.regions import _FAMILIES, constants_for, ratepair_projection
 from rrkit.verify import run_check
+
+from conftest import binary_sizes
 
 VARS = ("x", "y")
 TOLS = (0.0, 1e-9)
@@ -392,3 +397,100 @@ def test_remove_redundant_keeps_the_kind_of_near_degenerate_regions(s):
     assert reduced is not None and reduced.kind == raw.kind
     assert _within(reduced.vertices, raw.vertices, tol)
     assert _within(raw.vertices, reduced.vertices, tol)
+
+
+# --- vertices against the exact pairwise enumeration ----------------------------------
+
+def _exact_vertices(s, tol):
+    """Every meet of two rows that satisfies all rows exactly, in row-pair
+    order, dropping one within tol of a meet already kept: a pairwise search
+    in rational arithmetic, independent of the half-plane intersection."""
+    rows, pts = _exact(s.rows), []
+    for i, (a1, b1, c1) in enumerate(rows):
+        for a2, b2, c2 in rows[i + 1:]:
+            det = a1 * b2 - b1 * a2
+            if det:
+                x, y = (c1 * b2 - b1 * c2) / det, (a1 * c2 - c1 * a2) / det
+                if all(a * x + b * y <= c for a, b, c in rows) and not _within([(x, y)], pts, tol):
+                    pts.append((x, y))
+    return pts
+
+
+@st.composite
+def boxed_systems(draw):
+    """Rows with normal entries up to 2**20, each line about -1 to 2 from the
+    origin, inside the box |x|, |y| <= 2: bounded, so vertices2d answers."""
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(1 << 20), 1 << 20))
+    rows = [make_row((a, b), (abs(a) + abs(b)) * draw(st.floats(-1.0, 2.0)), f"r{i}")
+            for i, (a, b) in enumerate(draw(st.lists(st.tuples(entry, entry), min_size=1,
+                                                     max_size=6)))]
+    box = [make_row(c, 2.0, f"box{k}") for k, c in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1)))]
+    return system(VARS, draw(st.permutations(rows + box)))
+
+
+@SETTINGS
+@given(boxed_systems())
+def test_vertices_match_the_exact_pairwise_enumeration(s):
+    for tol in TOLS:
+        exact = _exact_vertices(s, tol)
+        assume(exact or not lp_feasible(s, tol=tol))  # round-off-empty systems: own tests
+        poly = vertices2d(s, tol)
+        assert poly.kind == {0: "empty", 1: "point", 2: "segment"}.get(len(exact), "polygon")
+        assert _within(poly.vertices, exact, tol + WITNESS_SLACK)
+        assert _within(exact, poly.vertices, tol + WITNESS_SLACK)
+
+
+def test_vertices_keep_the_vertex_a_float_probe_missed():
+    # the float meet at the fourth vertex exceeds a row by 1.4e-9, past tol
+    s = system(VARS, [make_row((181356, 157847), 224694.85714285713),
+                      make_row((1024564, 1030399), 1348169.142857143)] + nonnegativity_rows(VARS))
+    exact = _exact_vertices(s, 0.0)
+    poly = vertices2d(s)
+    assert poly.kind == "polygon" and len(poly.vertices) == len(exact) == 4
+    assert _within(poly.vertices, exact, 1e-12) and _within(exact, poly.vertices, 1e-12)
+
+
+def test_vertices_are_empty_where_the_relaxed_region_is_empty():
+    # empty, feasible within tol by elimination, yet empty with every bound raised by tol
+    s = _rows(((-1, -1), 1.055002500888702e-09), ((-1, 4), -2.7338953912216885e-09),
+              ((2, 1), 1.0000018139900395e-09), ((-1, -4), -1.8925459868705807e-09))
+    assert lp_feasible(s, tol=1e-9) and not lp_feasible(s, tol=0.0)
+    assert vertices2d(s, 1e-9).kind == "empty"
+
+
+VERTEX_TOLS = (1e-9, 1e-6)  # at tol 0 a float meet may pass a row by round-off
+
+
+def _vertices_satisfy_rows(s):
+    for tol in VERTEX_TOLS:
+        poly = _vertices_or_unbounded(s, tol)
+        assert poly is None or all(lp_feasible(s, point=v, tol=tol) for v in poly.vertices)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_named_shape_vertices_satisfy_every_row(name):
+    _vertices_satisfy_rows(SHAPES[name])
+
+
+@SETTINGS
+@given(near_degenerate())
+def test_near_degenerate_vertices_satisfy_every_row(s):
+    _vertices_satisfy_rows(s)
+    _vertices_satisfy_rows(remove_redundant(s, 1e-9))
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_rate_pair_vertices_satisfy_every_row(form):
+    """Each family's rate-pair projection, raw and reduced, on drawn joints
+    and on a uniform-kernel joint (every constant 0 up to round-off)."""
+    sizes = binary_sizes(form)
+    for index in range(6):
+        factors = sample_factors(FORMS[form], sizes, 31, index)
+        if index == 0:
+            factors[-1] = np.full_like(factors[-1], 0.25)
+        d = compose(factors, FORMS[form], sizes)
+        for family, fam in _FAMILIES.items():
+            if FORMS[form].implies(FORMS[fam.form]):
+                raw = ratepair_projection(constants_for(d, family))
+                _vertices_satisfy_rows(raw)
+                _vertices_satisfy_rows(remove_redundant(raw, 1e-9))
