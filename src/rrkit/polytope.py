@@ -7,15 +7,13 @@ free), redundancy removal, containment with witness points, and 2-D vertex
 enumeration.
 
 Questions about a 2-variable system (free feasibility, containment,
-implication, boundedness, vertices) are answered from one exact half-plane
-intersection of its rows, built on first use and kept on the immutable
-system; redundancy removal adds one more per facet row.  A vertex is the
-meet of two consecutive edges, solved from the system's own rows; meets are
-taken in row-pair order and merged within tol.  A system empty but feasible
-within tol is reduced and read as its rows with every bound raised by tol
-(``_relaxed``).  The order of the intersection's directions and its
-recession rays depend only on the set of integer normals, so they are
-compiled once per set.
+implication, boundedness, vertices) are answered from exact half-plane
+intersections, each built on first use and kept on the immutable system;
+redundancy removal adds one more per facet row.  A vertex is the meet of
+two consecutive edges, solved from the system's own rows; meets are taken
+in row-pair order and merged within tol.  The order of the intersection's
+directions and its recession rays depend only on the set of integer
+normals, so they are compiled once per set.
 Fourier-Motzkin elimination projects systems down to two variables.  Over
 any other number of variables every question goes through one probe
 (``_outside``: the system with a row's relaxed negation) and one
@@ -32,7 +30,8 @@ Coefficient arithmetic is exact integer arithmetic: rational input (floats or
 fractions.Fraction) is scaled to primitive integers when a row is built, and
 Fraction remains only where a floating bound must be compared exactly.  Every
 comparison against the floating bounds uses an absolute tolerance (default
-1e-9).
+1e-9).  Feasible within tol means the rows with every bound raised by tol
+(``_raised``) meet; an empty system feasible within tol is read as them.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ class VariableMismatchError(ValueError):
 
 
 class UnboundedRegionError(ValueError):
-    """2-D vertex enumeration was asked for an unbounded region."""
+    """2-D vertices of an unbounded region, or 2-D bounds past the float range."""
 
 
 class Halfspace(NamedTuple):
@@ -237,7 +236,7 @@ def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
                                             for (coeffs, scale), r in zip(plan, sys.rows)))
 
 
-def _infeasible_constant(rows, tol: float) -> bool:
+def _infeasible_constant(rows, tol: float = 0.0) -> bool:
     return any(r.is_constant() and r.bound < -tol for r in rows)
 
 
@@ -249,43 +248,49 @@ def _greedy_order(sys: InequalitySystem) -> list[str]:
 
 
 def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
-    """Point given: every row satisfied within tol.  No point: any solution?
-
-    Free feasibility of a 2-variable system comes from its half-plane
-    intersection; any other system is decided by ``find_point``.  The
-    intersection is exact, so at tol 0 it decides alone; a 2-variable system
-    it finds empty can still pass elimination's tol-relaxed constant test.
-    """
+    """Is the system feasible within tol: do its rows with every bound raised
+    by tol (``_raised``) meet, at ``point`` if one is given?  Over 2 variables
+    its own intersection, a constant row below -tol or else the raised copy's
+    intersection answers; over others, ``find_point`` of the raised copy."""
     if point is not None:
         if len(point) != len(sys.variables):
             raise VariableMismatchError(
                 f"point has {len(point)} entries for {len(sys.variables)} variables")
-        return all(
-            sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound + tol
-            for r in sys.rows)
+        return all(sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound
+                   for r in _raised(sys, tol).rows)
     if len(sys.variables) != 2:
-        return find_point(sys, tol) is not None
+        return find_point(_raised(sys, tol)) is not None
     if sys._plane_region.edges and tol >= 0:
         return True
-    return tol != 0 and find_point(sys, tol) is not None
+    return not _infeasible_constant(sys.rows, tol) and bool(_raised(sys, tol)._plane_region.edges)
 
 
-def find_point(sys: InequalitySystem, tol: float = TOL):
-    """A point within tol of every row (list of floats, variable order) or None.
+def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
+    """sys with every bound raised by tol (sys at tol 0), kept on sys per tol."""
+    if tol == 0:
+        return sys
+    copies = sys.__dict__.setdefault("_raised", {})  # outside __eq__ and repr
+    if tol not in copies:
+        copies[tol] = sys.with_rows(Halfspace(r.coeffs, r.bound + tol, r.label) for r in sys.rows)
+    return copies[tol]
+
+
+def find_point(sys: InequalitySystem):
+    """A point of the system (list of floats, variable order) or None.
 
     Eliminates the variables cheapest first (``_greedy_order``), giving up as
-    soon as a constant row is below -tol, then back-substitutes, last
+    soon as a constant row is below 0, then back-substitutes, last
     eliminated first: each variable takes the midpoint of its interval, or
     sits 1 inside a half-line, or 0 on a free line.
     """
-    if _infeasible_constant(sys.rows, tol):
+    if _infeasible_constant(sys.rows):
         return None
     stages = []
     cur = sys
     for var in _greedy_order(sys):
         stages.append((var, cur))
         cur = fm_eliminate(cur, var)
-        if _infeasible_constant(cur.rows, tol):
+        if _infeasible_constant(cur.rows):
             return None
     point: dict[str, float] = {}
     for var, pre in reversed(stages):
@@ -320,7 +325,7 @@ def _outside(sys: InequalitySystem, row: Halfspace, tol: float):
     if len(sys.variables) == 2 == len(row.coeffs):
         return _reach(sys._plane_region, row.coeffs, row.bound + tol)
     negation = Halfspace(tuple(-c for c in row.coeffs), -(row.bound + tol), f"not:{row.label}")
-    return find_point(sys.with_rows(sys.rows + (negation,)), tol=0.0)
+    return find_point(sys.with_rows(sys.rows + (negation,)))
 
 
 def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
@@ -363,11 +368,10 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
 
 
 def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
-    """sys with every bound raised by tol if it is empty but feasible within
-    tol (round-off pushed a point or segment just past empty), else sys."""
-    if tol > 0 and not lp_feasible(sys, tol=0.0) and lp_feasible(sys, tol=tol):
-        return sys.with_rows(Halfspace(r.coeffs, r.bound + tol, r.label) for r in sys.rows)
-    return sys
+    """The kept ``_raised(sys, tol)`` if sys is empty but feasible within tol
+    (round-off pushed a point or segment just past empty), else sys."""
+    relax = tol > 0 and not lp_feasible(sys, tol=0.0) and lp_feasible(sys, tol=tol)
+    return _raised(sys, tol) if relax else sys
 
 
 def _greedy_fm(sys: InequalitySystem, tol: float) -> list[int]:
@@ -404,6 +408,8 @@ def _canon(coeffs, bound) -> tuple:
     """The row as (p, q, beta) with gcd(p, q) = 1; (0, 0, bound) if constant."""
     p, q = coeffs
     bound = float(bound)
+    if not math.isfinite(bound) and (p or q):
+        raise UnboundedRegionError(f"row bound {bound} is not finite")
     scale = 1
     if p.__class__ is not int or q.__class__ is not int:  # rationals given directly
         scale = math.lcm(p.denominator, q.denominator)
@@ -534,7 +540,10 @@ def _region(lines) -> _Region:
         elif beta < tight.get((p, q), math.inf):
             tight[(p, q)] = beta
     dirs, rays, big = _angle_plan(frozenset(tight))
-    side = 4.0 * big * max((abs(float(b)) for b in tight.values()), default=0.0) + 1.0
+    largest = max((abs(float(b)) for b in tight.values()), default=0.0)
+    side = 4.0 * big * largest + 1.0
+    if not 2.0 * big * side < math.inf:  # a box vertex must be a finite float
+        raise UnboundedRegionError(f"bound {largest:g} too large for the 2-D intersection")
     edges = (_intersect([(p, q, tight.get((p, q), side)) for p, q in dirs])
              if consistent else [])
     # An edge has positive length iff its first vertex is strictly inside the
@@ -619,22 +628,21 @@ class Polytope2D:
 def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
     """Vertices of a bounded 2-variable system, counterclockwise.
 
-    Each is the meet of two consecutive edges of its half-plane intersection
-    (``_relaxed``'s if it is empty), solved from the system's own first
-    tightest row with each edge's normal.  Meets are taken in row-pair order;
-    one within tol of a meet already kept is dropped."""
+    Each is the meet of two consecutive edges of ``_relaxed``'s half-plane
+    intersection (empty unless feasible within tol), solved from the
+    system's own first tightest row with each edge's normal.  Meets are
+    taken in row-pair order; one within tol of a meet already kept is
+    dropped.  At tol 0 the exact point test may reject a meet by round-off."""
     if len(sys.variables) != 2:
         raise VariableMismatchError(f"vertices2d needs 2 variables, got {sys.variables}")
-    if not lp_feasible(sys, tol=tol):
+    region = _relaxed(sys, tol)._plane_region
+    if not region.edges:
         return Polytope2D((), "empty")
-    if sys._plane_region.rays:
+    if region.rays:
         raise UnboundedRegionError("region is unbounded; cannot enumerate vertices")
-    edges = sys._plane_region.edges or _relaxed(sys, tol)._plane_region.edges
-    if not edges:
-        return Polytope2D((), "empty")
     lines = sys._lines
     rows = [min((k for k, line in enumerate(lines) if line[:2] == e[:2]),
-                key=lambda k: lines[k][2]) for e in edges]
+                key=lambda k: lines[k][2]) for e in region.edges]
     pts: list[tuple[float, float]] = []
     for i, j in sorted((min(a, b), max(a, b)) for a, b in zip(rows, rows[1:] + rows[:1])):
         x, y = _meet(lines[i], lines[j])

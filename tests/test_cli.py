@@ -620,6 +620,14 @@ def test_scenario_tolerances_must_be_finite_and_nonnegative(key, tol, tmp_path, 
         assert err.startswith("error: ") and "finite and >= 0" in err
 
 
+def test_tolerance_past_the_float_range_is_an_invalid_model(capsys):
+    # every bound raised by 1e308 leaves no finite box for the 2-D intersection
+    assert main(["verify", "thm4", "--samples", "2", "--tol-polytope", "1e308"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid model: ") and "1e+308" in err
+    assert err.count("\n") == 1
+
+
 def test_zero_tolerance_stays_legal(hk_scenario, tmp_path):
     out = tmp_path / "zero.json"
     assert main(["project", hk_scenario, "--family", "hod", "--tol-polytope", "0",

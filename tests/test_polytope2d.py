@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rrkit import polytope
 from rrkit.polytope import (_ANGLE_PLANS, Halfspace, UnboundedRegionError, _angle_plan,
                             contains, implies, lp_feasible, make_row, nonnegativity_rows,
                             remove_redundant, system, vertices2d)
@@ -137,6 +138,37 @@ def test_free_feasibility_agrees_with_fm(s):
     assume(_margin(_exact(s.rows)) != "near")
     for tol in TOLS:
         assert lp_feasible(s, tol=tol) == lp_feasible(lifted(s), tol=tol)
+
+
+# Bounds that are small multiples of 5e-10: raised by tol 1e-9 their rows sit
+# on, or a multiple of 5e-10 off, the line between meeting and not.
+@st.composite
+def tiny_systems(draw):
+    return system(VARS, [make_row((draw(st.integers(-2, 2)), draw(st.integers(-2, 2))),
+                                  draw(st.integers(-4, 4)) * 5e-10, f"r{i}")
+                         for i in range(draw(st.integers(1, 6)))])
+
+
+@SETTINGS
+@given(st.one_of(systems(max_rows=8), tiny_systems()))
+def test_free_feasibility_is_the_raised_rows_meeting(s):
+    """Feasible within tol iff the rows with every bound raised by tol meet,
+    over 2 variables and lifted to 3."""
+    for tol in (0.0, 1e-9, 1e-6):
+        raised = _exact([Halfspace(r.coeffs, r.bound + tol) for r in s.rows])
+        if _margin(raised) == "near":
+            continue
+        assert lp_feasible(s, tol=tol) == _nonempty(raised)
+        assert lp_feasible(lifted(s), tol=tol) == _nonempty(raised)
+
+
+def test_point_and_free_feasibility_agree_within_tol():
+    # x <= -1e-9 and x >= 5e-10 miss by 1.5e-9; raised by 1e-9 they meet at x in [-5e-10, 0]
+    s = _rows(((1, 0), -1e-9), ((-1, 0), -5e-10), ((0, 1), 1.0), ((0, -1), 0.0))
+    assert lp_feasible(s, point=(0.0, 0.5), tol=1e-9)
+    assert lp_feasible(s, tol=1e-9) and lp_feasible(lifted(s), tol=1e-9)
+    assert not lp_feasible(s, tol=0.0)
+    assert vertices2d(s, 1e-9).kind != "empty"
 
 
 @SETTINGS
@@ -326,7 +358,7 @@ def test_named_shapes_agree_with_fm(name):
 def test_named_shapes_have_the_expected_kind():
     assert not lp_feasible(SHAPES["empty"], tol=0.0)
     assert not lp_feasible(SHAPES["empty-by-1e-17"], tol=0.0)
-    assert lp_feasible(SHAPES["empty-by-1e-17"], tol=1e-9)  # FM's relaxed test
+    assert lp_feasible(SHAPES["empty-by-1e-17"], tol=1e-9)  # its rows raised by tol meet
     assert vertices2d(SHAPES["point"]).kind == "point"
     assert vertices2d(SHAPES["point-three-rows"]).kind == "point"
     assert vertices2d(SHAPES["segment"]).kind == "segment"
@@ -356,6 +388,33 @@ def test_remove_redundant_keeps_a_roundoff_empty_region_bounded():
     assert all(abs(v) <= 1e-13 for v in poly.vertices[0])
     assert [r.label for r in reduced.rows] == \
         [r.label for r in remove_redundant(lifted(raw), 1e-9).rows if not r.label.startswith("z")]
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES) + ["origin-by-roundoff"])
+def test_two_variable_questions_never_eliminate(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("find_point called on a 2-variable system")
+    monkeypatch.setattr(polytope, "find_point", refuse)
+    s = _rows(*ORIGIN_BY_ROUNDOFF) if name not in SHAPES else system(VARS, SHAPES[name].rows)
+    for tol in TOLS:
+        lp_feasible(s, tol=tol)
+        for row in PROBES:
+            implies(s, row, tol)
+        for other in SHAPES.values():
+            contains(other, s, tol)
+            contains(s, other, tol)
+        remove_redundant(s, tol)
+        _vertices_or_unbounded(s, tol)
+
+
+def test_bounds_past_the_float_range_raise_unbounded_region_error():
+    # a box side of 4 * 1e308 overflows; so does a probe at bound 1e308 raised by tol 1e308
+    huge = _rows(((1, 0), 1e308), ((-1, 0), 0.0), ((0, 1), 1.0), ((0, -1), 0.0))
+    for ask in (lambda: contains(huge, huge), lambda: remove_redundant(huge),
+                lambda: lp_feasible(huge), lambda: vertices2d(huge),
+                lambda: implies(SHAPES["triangle"], make_row((1, 0), 1e308), 1e308)):
+        with pytest.raises(UnboundedRegionError, match="bound"):
+            ask()
 
 
 def _vertices_or_unbounded(s, tol):
@@ -451,10 +510,10 @@ def test_vertices_keep_the_vertex_a_float_probe_missed():
 
 
 def test_vertices_are_empty_where_the_relaxed_region_is_empty():
-    # empty, feasible within tol by elimination, yet empty with every bound raised by tol
+    # empty, and empty with every bound raised by tol: not feasible within tol
     s = _rows(((-1, -1), 1.055002500888702e-09), ((-1, 4), -2.7338953912216885e-09),
               ((2, 1), 1.0000018139900395e-09), ((-1, -4), -1.8925459868705807e-09))
-    assert lp_feasible(s, tol=1e-9) and not lp_feasible(s, tol=0.0)
+    assert not lp_feasible(s, tol=1e-9) and not lp_feasible(s, tol=0.0)
     assert vertices2d(s, 1e-9).kind == "empty"
 
 
