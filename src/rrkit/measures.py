@@ -11,9 +11,14 @@ On first use it compiles its named term lists into the distinct non-empty
 subsets they touch and an integer matrix M with one row per list.  Per joint
 variable order and shape it compiles one marginal plan: sum out the
 variables no term mentions, then, largest subset first, sum each subset from
-the smallest planned table that contains it.  Per joint it runs the plan on
-plain arrays, takes each subset's entropy and returns M @ h.  Nothing is
-kept on the joint, so a value never depends on what was evaluated before.
+the smallest planned table that contains it.  A step reading a table of
+``prob._WIDE`` cells or more sums by BLAS products with ones vectors, one per
+run of adjacent summed axes (a wide joint is read at memory speed); a
+smaller one by ``np.add.reduce``.  Both add in a fixed order for a given
+shape, so values are deterministic; the two differ in round-off only.  Per
+joint it runs the plan on plain arrays, takes each subset's entropy and
+returns M @ h.  Nothing is kept on the joint, so a value never depends on
+what was evaluated before.
 
 ``entropy``, ``cmi`` and ``eval_term(s)`` are the plain definitions, which
 marginalise the full table on every call: the independent reference the core
@@ -32,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .prob import JointDistribution, ModelError, marginalize
+from .prob import _WIDE, JointDistribution, ModelError, marginalize
 
 
 def _plain_entropy(d: JointDistribution, names) -> float:
@@ -102,13 +107,49 @@ def eval_terms(d: JointDistribution, terms) -> float:
 
 class MarginalPlan(NamedTuple):
     """Table 0 is the joint's own; step i sums ``axes`` out of table
-    ``source`` to give table i + 1.  Subset j is read from table ``reads[j]``
-    and, laid end to end with the others, starts at cell ``offsets[j]``."""
+    ``source`` to give table i + 1, as ``sums[i](table, axes)``.  Subset j is
+    read from table ``reads[j]`` and, laid end to end with the others, starts
+    at cell ``offsets[j]``."""
 
     tables: tuple[frozenset, ...]
     steps: tuple[tuple[int, tuple[int, ...]], ...]
     reads: tuple[int, ...]
     offsets: np.ndarray
+    sums: tuple
+
+
+def _sum_kernel(shape: tuple[int, ...], axes: tuple[int, ...]):
+    """The kernel ``(table, axes) -> table`` summing ``axes`` out of a table of
+    ``shape``.
+
+    Below ``_WIDE`` cells it is ``np.add.reduce``.  From ``_WIDE`` cells on,
+    where that reduction runs many short inner loops, it is a contraction
+    compiled for ``axes``: each run of adjacent summed axes, last run first,
+    is a BLAS product with a ones vector over the (a, b, c) view that
+    flattens the run to b, ``(a, b) @ ones`` when c is 1, else
+    ``ones @ (a, b, c)``.
+    """
+    if math.prod(shape) < _WIDE:
+        return np.add.reduce
+    runs: list[list[int]] = []  # [start, stop) of each run, last run first
+    for k in sorted(axes, reverse=True):
+        if runs and runs[-1][0] == k + 1:
+            runs[-1][0] = k
+        else:
+            runs.append([k, k + 1])
+    dims, views = list(shape), []
+    for start, stop in runs:
+        a, b, c = (math.prod(dims[:start]), math.prod(dims[start:stop]),
+                   math.prod(dims[stop:]))
+        views.append((a, b, c, np.ones(b)))
+        del dims[start:stop]
+    kept = tuple(dims)
+
+    def contract(t, _axes):
+        for a, b, c, ones in views:
+            t = t.reshape(a, b) @ ones if c == 1 else ones @ t.reshape(a, b, c)
+        return t.reshape(kept)
+    return contract
 
 
 def _marginal_plan(subsets: tuple[frozenset, ...], names: tuple[str, ...],
@@ -119,16 +160,18 @@ def _marginal_plan(subsets: tuple[frozenset, ...], names: tuple[str, ...],
         raise ModelError(f"unknown variables {sorted(mentioned - cells.keys())}; "
                          f"have {names}")
     size = lambda s: math.prod(cells[n] for n in s)
-    tables, steps = [frozenset(names)], []
+    tables, steps, sums = [frozenset(names)], [], []
     for target in ([mentioned] if subsets else []) + list(subsets):  # largest first
         if target not in tables:
             source = min((i for i, s in enumerate(tables) if target <= s),
                          key=lambda i: size(tables[i]))
             kept = [n for n in names if n in tables[source]]
-            steps.append((source, tuple(i for i, n in enumerate(kept) if n not in target)))
+            axes = tuple(i for i, n in enumerate(kept) if n not in target)
+            steps.append((source, axes))
+            sums.append(_sum_kernel(tuple(cells[n] for n in kept), axes))
             tables.append(target)
     return MarginalPlan(tuple(tables), tuple(steps), tuple(tables.index(s) for s in subsets),
-                        np.cumsum([0] + [size(s) for s in subsets[:-1]]))
+                        np.cumsum([0] + [size(s) for s in subsets[:-1]]), tuple(sums))
 
 
 class TermTable:
@@ -170,8 +213,8 @@ class TermTable:
         """H(S) in bits on d for every S in ``subsets``, in that order."""
         plan = self.plan(d)
         tables = [d.table]
-        for source, axes in plan.steps:
-            tables.append(np.add.reduce(tables[source], axis=axes))
+        for (source, axes), sum_out in zip(plan.steps, plan.sums):
+            tables.append(sum_out(tables[source], axes))
         if not plan.reads:
             return np.zeros(0)
         p = np.concatenate([tables[i].ravel() for i in plan.reads])

@@ -30,8 +30,9 @@ Coefficient arithmetic is exact integer arithmetic: rational input (floats or
 fractions.Fraction) is scaled to primitive integers when a row is built, and
 Fraction remains only where a floating bound must be compared exactly.  Every
 comparison against the floating bounds uses an absolute tolerance (default
-1e-9).  Feasible within tol means the rows with every bound raised by tol
-(``_raised``) meet; an empty system feasible within tol is read as them.
+1e-9; a negative or NaN one is refused).  Feasible within tol means the rows
+with every bound raised by tol (``_raised``) meet; an empty system feasible
+within tol is read as them.
 """
 
 from __future__ import annotations
@@ -131,6 +132,14 @@ def system(variables, rows) -> InequalitySystem:
     return InequalitySystem(tuple(variables), tuple(rows))
 
 
+def _built(variables: tuple, rows: tuple) -> InequalitySystem:
+    """A system over rows that this module built with one coefficient per
+    variable, without ``__post_init__``'s re-check of every row's length."""
+    s = object.__new__(InequalitySystem)
+    s.__dict__.update(variables=variables, rows=rows)
+    return s
+
+
 def nonnegativity_rows(variables, subset=None) -> list[Halfspace]:
     """-x <= 0 rows for each variable in subset (default all)."""
     return [Halfspace(tuple(-1 if j == i else 0 for j in range(len(variables))), 0.0, f"{v}>=0")
@@ -200,8 +209,7 @@ def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
         up, lo = rows[i], rows[j]
         out.append(Halfspace(coeffs, (mi * up.bound + mj * lo.bound) * scale,
                              f"fm:{{{up.label}+{lo.label}}}"))
-    return InequalitySystem(sys.variables[:k] + sys.variables[k + 1:],
-                            tuple(_merge_duplicates(out)))
+    return _built(sys.variables[:k] + sys.variables[k + 1:], tuple(_merge_duplicates(out)))
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -232,8 +240,14 @@ def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
     """
     new_vars, plan = _substitution_plan(sys.variables, tuple(r.coeffs for r in sys.rows),
                                         sys.index(var), tuple(expr.items()))
-    return InequalitySystem(new_vars, tuple(Halfspace(coeffs, r.bound * scale, r.label)
-                                            for (coeffs, scale), r in zip(plan, sys.rows)))
+    return _built(new_vars, tuple(Halfspace(coeffs, r.bound * scale, r.label)
+                                  for (coeffs, scale), r in zip(plan, sys.rows)))
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is negative or NaN: bounds are only ever raised by tol."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
 
 
 def _infeasible_constant(rows, tol: float = 0.0) -> bool:
@@ -252,6 +266,7 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
     by tol (``_raised``) meet, at ``point`` if one is given?  Over 2 variables
     its own intersection, a constant row below -tol or else the raised copy's
     intersection answers; over others, ``find_point`` of the raised copy."""
+    _check_tol(tol)
     if point is not None:
         if len(point) != len(sys.variables):
             raise VariableMismatchError(
@@ -260,7 +275,7 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
                    for r in _raised(sys, tol).rows)
     if len(sys.variables) != 2:
         return find_point(_raised(sys, tol)) is not None
-    if sys._plane_region.edges and tol >= 0:
+    if sys._plane_region.edges:
         return True
     return not _infeasible_constant(sys.rows, tol) and bool(_raised(sys, tol)._plane_region.edges)
 
@@ -271,7 +286,8 @@ def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
         return sys
     copies = sys.__dict__.setdefault("_raised", {})  # outside __eq__ and repr
     if tol not in copies:
-        copies[tol] = sys.with_rows(Halfspace(r.coeffs, r.bound + tol, r.label) for r in sys.rows)
+        copies[tol] = _built(sys.variables, tuple(Halfspace(r.coeffs, r.bound + tol, r.label)
+                                                  for r in sys.rows))
     return copies[tol]
 
 
@@ -330,6 +346,7 @@ def _outside(sys: InequalitySystem, row: Halfspace, tol: float):
 
 def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
     """Does every solution of sys satisfy the row (within tol slack)?"""
+    _check_tol(tol)
     return _outside(sys, row, tol) is None
 
 
@@ -343,6 +360,7 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
     if outer.variables != inner.variables:
         raise VariableMismatchError(
             f"systems over different variables: {outer.variables} vs {inner.variables}")
+    _check_tol(tol)
     for row in outer.rows:
         witness = _outside(inner, row, tol)
         if witness is not None:
@@ -362,6 +380,7 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
     rows would go only because the rest is empty, and what is kept could be
     unbounded); kept rows keep their own bounds.
     """
+    _check_tol(tol)
     work = _relaxed(sys, tol)
     keep = _greedy_2d(work, tol) if len(sys.variables) == 2 else _greedy_fm(work, tol)
     return sys.with_rows(sys.rows[k] for k in keep)
@@ -419,7 +438,14 @@ def _canon(coeffs, bound) -> tuple:
         return 0, 0, bound
     if g == 1 and scale == 1 and abs(p) < _SMALL > abs(q):
         return p, q, bound
-    return p // g, q // g, Fraction(bound) * scale / g
+    beta = Fraction(bound) * scale / g
+    if scale > g:  # the exact bound grew; it must still be a finite float
+        try:
+            float(beta)
+        except OverflowError:
+            raise UnboundedRegionError(
+                f"row bound {bound} scaled by {scale}/{g} is past the float range") from None
+    return p // g, q // g, beta
 
 
 def _cross(a, b) -> int:
@@ -635,6 +661,7 @@ def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
     dropped.  At tol 0 the exact point test may reject a meet by round-off."""
     if len(sys.variables) != 2:
         raise VariableMismatchError(f"vertices2d needs 2 variables, got {sys.variables}")
+    _check_tol(tol)
     region = _relaxed(sys, tol)._plane_region
     if not region.edges:
         return Polytope2D((), "empty")

@@ -9,7 +9,8 @@ Dense probability tables over a small set of named variables
 - factorization validation (does a table factor according to a given chain),
   numerically on any table and structurally between chains,
 - reproducible sampling of factor tables uniform on the probability simplex,
-  one Philox call per draw split across the factors in chain order.
+  one Philox call per draw split across the factors in chain order, from
+  each thread's own generator re-keyed per draw.
 
 Tables are numpy arrays indexed by the variables in a fixed order; all
 values are immutable after construction.  A joint is at most ``MAX_CELLS``
@@ -31,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,8 @@ import numpy as np
 SUM_TOL = 1e-12          # probability mass checks
 FACTORIZATION_TOL = 1e-9  # conditional-independence checks
 MAX_CELLS = 2**22         # largest joint table: 32 MiB of float64
+_WIDE = 2**12             # cells from which whole-table products and sums take
+                          # the kernels for wide tables (compose, measures)
 
 KNOWN_NAMES = ("Q", "U1", "W1", "U2", "W2", "X1", "X2", "Y1", "Y2", "U1a", "U1b")
 
@@ -262,19 +266,33 @@ def _check_cells(what: str, names, sizes: dict[str, int]) -> None:
             f"the limit is {MAX_CELLS}")
 
 
+def _grow_step(grown, src, targets, sizes, pos):
+    """compose's step multiplying the joint over ``grown`` by a factor indexed
+    by ``src``, its targets becoming new trailing axes.  Below ``_WIDE``
+    output cells it is a broadcast multiply of reshaped views; from there on
+    it is ``np.einsum`` over the variables' positions, which multiplies in
+    fewer passes.  Either way each cell is one product, so both are exact."""
+    if math.prod(sizes[n] for n in grown + targets) >= _WIDE:
+        before, factor, after = ([pos[n] for n in names] for names in (grown, src, grown + targets))
+        return lambda joint, t: np.einsum(joint, before, t, factor, after, order="C")
+    perm = sorted(range(len(src)), key=lambda j: pos[src[j]])
+    jshape = tuple(sizes[n] for n in grown) + (1,) * len(targets)
+    bshape = tuple(sizes[n] if n in src else 1 for n in grown + targets)
+    return lambda joint, t: np.multiply(joint.reshape(jshape),
+                                        t.transpose(perm).reshape(bshape), order="C")
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(spec: FactorizationSpec, shape: tuple[int, ...]):
     """Each table's shape, slice of the tables laid end to end, and compose step
-    (transpose, joint and broadcast shapes) at alphabet sizes ``shape``; ``gather``
-    regroups the entries by target-cell count t into ``(rows, t)`` ``blocks``."""
+    (``_grow_step``) at alphabet sizes ``shape``; ``gather`` regroups the
+    entries by target-cell count t into ``(rows, t)`` ``blocks``."""
     sizes, pos = dict(zip(spec.variables, shape)), {n: i for i, n in enumerate(spec.variables)}
     shapes, steps, grown, ts = [], [], (), []
     for f in spec.factors:
         src = f.given + f.targets
         shapes.append(tuple(sizes[n] for n in src))
-        steps.append((sorted(range(len(src)), key=lambda j: pos[src[j]]),
-                      tuple(sizes[n] for n in grown) + (1,) * len(f.targets),
-                      tuple(sizes[n] if n in src else 1 for n in grown + f.targets)))
+        steps.append(_grow_step(grown, src, f.targets, sizes, pos))
         grown += f.targets
         ts.append(math.prod(sizes[n] for n in f.targets))
     cells, groups = [math.prod(s) for s in shapes], list(dict.fromkeys(ts))
@@ -310,6 +328,9 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
     The table grows one factor at a time, each factor's targets becoming new
     trailing axes, so every cell is multiplied in chain order, into a C-ordered
     table the joint keeps without a copy; the joint records ``spec`` as ``_spec``.
+    A step whose output has ``_WIDE`` cells or more multiplies through
+    ``np.einsum``, a smaller one by a broadcast ``np.multiply``; each cell is
+    one product per factor either way, so the joint is bitwise the same.
     """
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
@@ -328,9 +349,10 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
                 raise ModelError(f"conditional slices must sum to 1; worst deviation {worst}")
             if t.shape != expect:
                 raise ModelError(f"factor {f.label()} has shape {t.shape}, expected {expect}")
-    joint = np.ones(())
-    for t, (perm, jshape, bshape) in zip(tables, steps):
-        joint = np.multiply(joint.reshape(jshape), t.transpose(perm).reshape(bshape), order="C")
+    joint = np.ones(())  # every step then has two operands, so the joint is
+                         # never a view of a factor that _joint makes read-only
+    for t, grow in zip(tables, steps):
+        joint = grow(joint, t)
     return _joint(tuple(Variable(n, sizes[n]) for n in spec.variables), joint, spec)
 
 
@@ -383,11 +405,35 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     reproducible across platforms; ``seed`` must lie in [0, 2**64) and
     ``index`` in [0, 2**128).
     """
+    _check_stream(seed, index)
+    return np.random.Generator(np.random.Philox(key=seed, counter=index * 2**128))
+
+
+def _check_stream(seed: int, index: int) -> None:
     if not 0 <= seed < 2**64:
         raise ModelError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= index < 2**128:
         raise ModelError(f"sample index must be in [0, 2**128), got {index}")
-    return np.random.Generator(np.random.Philox(key=seed, counter=index * 2**128))
+
+
+_thread = threading.local()
+
+
+def _rekeyed(seed: int, index: int) -> np.random.Generator:
+    """``stream(seed, index)`` without building a generator: this thread's own
+    Philox, set to that key, that counter and an empty buffer.  Philox is
+    counter-based, so the draws are bitwise those of a fresh generator."""
+    _check_stream(seed, index)
+    gen = getattr(_thread, "generator", None)
+    if gen is None:
+        gen = _thread.generator = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"key": np.array([seed, 0], dtype=np.uint64),
+                  "counter": np.array([0, 0, index & (2**64 - 1), index >> 64], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
@@ -397,13 +443,14 @@ def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
     simplex (normalized exponentials).  Deterministic in (seed, index).
 
     One Philox call draws the whole chain, split across the factors in chain
-    order (each table in C order).  ``overrides`` maps factor labels (e.g.
-    "p(W1|Q)") to fixed tables; the stream position does not depend on which
-    factors are overridden.
+    order (each table in C order), from this thread's generator re-keyed to
+    ``stream(seed, index)``'s start (``_rekeyed``).  ``overrides`` maps
+    factor labels (e.g. "p(W1|Q)") to fixed tables; the stream position does
+    not depend on which factors are overridden.
     """
     _check_cells(spec.form, spec.variables, sizes)
     shapes, slices, _, gather, blocks = _layout(spec, tuple(sizes[n] for n in spec.variables))
-    u = stream(seed, index).random(gather.size)
+    u = _rekeyed(seed, index).random(gather.size)
     e = -np.log1p(-u[gather])
     for a, b, t in blocks:
         block = e[a:b].reshape(-1, t)

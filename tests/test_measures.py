@@ -255,6 +255,19 @@ def test_each_subset_is_summed_from_the_smallest_planned_superset():
         assert abs(value - entropy(d, tuple(s))) <= 1e-13
 
 
+def test_wide_subset_entropies_match_the_full_table_reference():
+    # 131,072 cells: the plan sums the full table and an 8,192-cell table,
+    # some steps over two runs of axes, by products with ones vectors
+    sizes = {n: 2 if n == "Q" else 4 for n in FORMS["hk3"].variables}
+    d = sample_distribution(FORMS["hk3"], sizes, seed=24, index=1)
+    table = regions._FAMILIES["hod"].table
+    assert sum(k != np.add.reduce for k in table.plan(d).sums) == 4
+    h = table.subset_entropies(d)
+    assert len(h) == len(table.subsets) == 28
+    for s, value in zip(table.subsets, h):
+        assert abs(value - entropy(d, tuple(s))) <= 1e-13
+
+
 def test_entropy_ignores_name_order():
     d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=4)
     h = entropy(d, ("U1", "W1"))

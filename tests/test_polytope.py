@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrkit.polytope import (Halfspace, UnboundedRegionError,
+from rrkit.polytope import (Halfspace, InequalitySystem, UnboundedRegionError,
                             VariableMismatchError, contains, convex_hull,
                             find_point, fm_eliminate, implies,
                             lp_feasible, make_row, nonnegativity_rows,
@@ -93,6 +93,25 @@ def test_lp_feasible_point():
     assert not lp_feasible(s, point=(2.0, 0.0))
     with pytest.raises(VariableMismatchError):
         lp_feasible(s, point=(0.0,))
+
+
+def test_caller_rows_are_checked_and_rows_built_here_are_not(monkeypatch):
+    # two equal systems, so the second keeps no copy the first raised by tol
+    s, fresh = (rows_of(("a", "b", "c"), ((1, 1, 0), 2.0, "x"), ((-1, 0, 1), 1.0, "y"),
+                        ((0, -1, -1), 0.0, "z")) for _ in range(2))
+    for build in (lambda: system(("a",), s.rows), lambda: InequalitySystem(("a", "b"), s.rows),
+                  lambda: s.with_rows(s.rows + (make_row((1,), 1.0),))):
+        with pytest.raises(VariableMismatchError, match="coefficients for"):
+            build()
+    asks = (lambda s: fm_eliminate(s, "a"), lambda s: substitute(s, "c", {"a": 1, "d": 2}),
+            lambda s: find_point(fm_eliminate(s, "b")), lambda s: lp_feasible(s, tol=1e-9))
+    want = [ask(s) for ask in asks]
+
+    def refuse(self):
+        raise AssertionError("InequalitySystem.__post_init__ ran")
+
+    monkeypatch.setattr(InequalitySystem, "__post_init__", refuse)
+    assert [ask(fresh) for ask in asks] == want
 
 
 def test_lp_feasible_free():

@@ -417,6 +417,27 @@ def test_bounds_past_the_float_range_raise_unbounded_region_error():
             ask()
 
 
+def test_a_rational_row_scaled_past_the_float_range_raises_unbounded_region_error():
+    # x / 3 <= 1e308 is x <= 3e308 once scaled to integers
+    s = system(VARS, [Halfspace((Fraction(1, 3), 0), 1e308), Halfspace((-1, 0), 0.0),
+                      Halfspace((0, 1), 1.0), Halfspace((0, -1), 0.0)])
+    for ask in (lp_feasible, remove_redundant, vertices2d):
+        with pytest.raises(UnboundedRegionError, match="bound 1e\\+308"):
+            ask(s)
+
+
+@pytest.mark.parametrize("tol", [-0.5, -1e-12, float("nan")])
+def test_a_negative_or_nan_tolerance_is_refused(tol):
+    # the segment x = 0, 0 <= y <= 1
+    s = _rows(((1, 0), 0.0), ((-1, 0), 0.0), ((0, 1), 1.0), ((0, -1), 0.0))
+    for ask in (lambda: lp_feasible(s, tol=tol), lambda: lp_feasible(s, (0.0, 0.5), tol),
+                lambda: implies(s, make_row((0, 1), 2.0), tol), lambda: contains(s, s, tol),
+                lambda: remove_redundant(s, tol), lambda: vertices2d(s, tol)):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            ask()
+    assert vertices2d(s, 0.0).kind == "segment" and lp_feasible(s, tol=0.0)
+
+
 def _vertices_or_unbounded(s, tol):
     try:
         return vertices2d(s, tol)

@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -349,6 +351,34 @@ def test_compose_equals_the_out_of_place_product(form, sizes):
         assert np.array_equal(d.table, _out_of_place_product(factors, FORMS[form], sizes))
 
 
+def _multiply_growth(factors, spec, sizes) -> np.ndarray:
+    """compose's growth by broadcast multiplies at every size: its kernel
+    below ``prob._WIDE`` cells and the reference for the einsum above."""
+    pos = {n: i for i, n in enumerate(spec.variables)}
+    joint, grown = np.ones(()), ()
+    for t, f in zip(factors, spec.factors):
+        src = f.given + f.targets
+        perm = sorted(range(len(src)), key=lambda j: pos[src[j]])
+        jshape = tuple(sizes[n] for n in grown) + (1,) * len(f.targets)
+        bshape = tuple(sizes[n] if n in src else 1 for n in grown + f.targets)
+        joint = np.multiply(joint.reshape(jshape), t.transpose(perm).reshape(bshape), order="C")
+        grown += f.targets
+    return joint
+
+
+@pytest.mark.parametrize("form, k, q", [
+    *((form, k, k) for form in sorted(FORMS) for k in (2, 3)), ("hk3", 4, 2)])
+def test_compose_is_bitwise_the_multiply_growth_on_both_sides_of_wide(form, k, q):
+    spec, sizes = FORMS[form], _sizes(form, k, q)
+    factors = sample_factors(spec, sizes, seed=2024, index=k)
+    got = compose(factors, spec, sizes).table
+    # binary joints stay below _WIDE; hod9 3-ary (19,683 cells) and hk3
+    # 4-ary (131,072) take einsum steps
+    assert (got.size >= prob._WIDE) == (k > 2 and len(spec.variables) == 9)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == _multiply_growth(factors, spec, sizes).tobytes()
+
+
 def _per_factor_draw(spec, sizes, rng):
     """The reference draw: one ``random`` call and one normalisation per factor."""
     out = []
@@ -393,6 +423,47 @@ def test_an_override_leaves_the_other_draws_unchanged(form, label):
     _assert_bitwise(got[:i] + got[i + 1:], want[:i] + want[i + 1:])
 
 
+EDGE_STREAMS = [(0, 0), (5, 3), (2**63 + 3, 2**100 + 9), (2**64 - 1, 2**128 - 1)]
+
+
+@pytest.mark.parametrize("seed, index", EDGE_STREAMS)
+def test_a_draw_is_bitwise_a_fresh_stream_whatever_came_before(seed, index):
+    spec, sizes = FORMS["hod9"], binary_sizes("hod9")
+    want = _per_factor_draw(spec, sizes, stream(seed, index))
+    for other_seed, other_index in EDGE_STREAMS:  # leave the generator mid-buffer
+        prob._rekeyed(other_seed, other_index).random(3)
+        prob._rekeyed(other_seed, other_index).integers(2**32, size=3, dtype=np.uint32)
+        _assert_bitwise(sample_factors(spec, sizes, seed=seed, index=index), want)
+
+
+def test_two_threads_drawing_at_once_get_their_own_tables():
+    spec, sizes = FORMS["hod9"], binary_sizes("hod9")
+    jobs = [(11, 5), (2**64 - 1, 2**127 + 1)]
+    want = [_per_factor_draw(spec, sizes, stream(*job)) for job in jobs]
+    start, wrong, done = threading.Barrier(2, timeout=30), [], []
+
+    def draw(k):
+        start.wait()
+        for _ in range(2000):
+            got = sample_factors(spec, sizes, *jobs[k])
+            if any(g.tobytes() != w.tobytes() for g, w in zip(got, want[k])):
+                wrong.append(k)
+        done.append(k)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1] and wrong == []
+
+
 class _Scripted:
     """A stand-in generator handing out ``values`` in order."""
 
@@ -407,7 +478,7 @@ class _Scripted:
 
 def test_all_zero_slices_are_drawn_uniform(monkeypatch):
     spec, sizes = FORMS["hod9"], binary_sizes("hod9")
-    monkeypatch.setattr(prob, "stream", lambda seed, index=0: _Scripted(np.zeros(10**4)))
+    monkeypatch.setattr(prob, "_rekeyed", lambda seed, index=0: _Scripted(np.zeros(10**4)))
     for f, t in zip(spec.factors, sample_factors(spec, sizes, seed=1)):
         assert np.array_equal(t, np.full(t.shape, 1.0 / math.prod(sizes[n] for n in f.targets)))
 
@@ -419,7 +490,7 @@ def test_zero_slices_in_both_groups_match_the_reference(monkeypatch):
     values[:2] = 0.0
     n = sum(math.prod(sizes[v] for v in f.given + f.targets) for f in spec.factors)
     values[n - 8:n - 4] = 0.0  # one Y1,Y2 slice
-    monkeypatch.setattr(prob, "stream", lambda seed, index=0: _Scripted(values))
+    monkeypatch.setattr(prob, "_rekeyed", lambda seed, index=0: _Scripted(values))
     got = sample_factors(spec, sizes, seed=1)
     _assert_bitwise(got, _per_factor_draw(spec, sizes, _Scripted(values)))
     assert np.array_equal(got[0], [0.5, 0.5]) and np.array_equal(got[-1][1, 0], np.full((2, 2), 0.25))
