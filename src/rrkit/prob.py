@@ -270,8 +270,9 @@ def _grow_step(grown, src, targets, sizes, pos):
     """compose's step multiplying the joint over ``grown`` by a factor indexed
     by ``src``, its targets becoming new trailing axes.  Below ``_WIDE``
     output cells it is a broadcast multiply of reshaped views; from there on
-    it is ``np.einsum`` over the variables' positions, which multiplies in
-    fewer passes.  Either way each cell is one product, so both are exact."""
+    it is ``np.einsum`` over the variables' positions, which is faster on
+    such tables.  Either way each cell is one product, so both give bitwise
+    the same joint."""
     if math.prod(sizes[n] for n in grown + targets) >= _WIDE:
         before, factor, after = ([pos[n] for n in names] for names in (grown, src, grown + targets))
         return lambda joint, t: np.einsum(joint, before, t, factor, after, order="C")
