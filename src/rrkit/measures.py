@@ -12,9 +12,9 @@ subsets they touch and an integer matrix M with one row per list.  Per joint
 variable order and shape it compiles one marginal plan: sum out the
 variables no term mentions, then, largest subset first, sum each subset from
 the smallest planned table that contains it.  A step reading a table of
-``prob._WIDE`` cells or more sums by BLAS products with ones vectors, one per
-run of adjacent summed axes (a wide joint is read at memory speed); a
-smaller one by ``np.add.reduce``.  Both add in a fixed order for a given
+``_WIDE`` cells or more sums by BLAS products with ones vectors, one per run
+of adjacent summed axes (a wide joint is read at memory speed); a smaller
+one by ``np.add.reduce``.  Both add in a fixed order for a given
 shape, so values are deterministic; the two differ in round-off only.  Per
 joint it runs the plan on plain arrays, takes each subset's entropy and
 returns M @ h.  Nothing is kept on the joint, so a value never depends on
@@ -37,7 +37,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .prob import _WIDE, JointDistribution, ModelError, marginalize
+from .prob import JointDistribution, ModelError, marginalize
+
+# Tables of this many cells or more are summed by contractions (_sum_kernel).
+# Timed per plan step over hk3, hod9 and dmt5 joints, np.add.reduce is faster
+# below 2**9 cells, the two are close at 2**9 (the contraction faster on 62
+# of 81 steps, median 1.2x, but up to 1.5x slower on steps over two runs),
+# and from 2**10 on the contraction is faster on nearly every step, by 1.6x
+# at 2**10 and about 5x at 2**15 to 2**17.  Binary joints have at most 2**9
+# cells, so they keep np.add.reduce and its round-off.
+_WIDE = 2**10
 
 
 def _plain_entropy(d: JointDistribution, names) -> float:
@@ -123,11 +132,11 @@ def _sum_kernel(shape: tuple[int, ...], axes: tuple[int, ...]):
     ``shape``.
 
     Below ``_WIDE`` cells it is ``np.add.reduce``.  From ``_WIDE`` cells on,
-    where that reduction runs many short inner loops, it is a contraction
-    compiled for ``axes``: each run of adjacent summed axes, last run first,
-    is a BLAS product with a ones vector over the (a, b, c) view that
-    flattens the run to b, ``(a, b) @ ones`` when c is 1, else
-    ``ones @ (a, b, c)``.
+    where that reduction runs many short inner loops and is the slower, it
+    is a contraction compiled for ``axes``: each run of adjacent summed
+    axes, last run first, is a BLAS product with a ones vector over the
+    (a, b, c) view that flattens the run to b, ``(a, b) @ ones`` when c is
+    1, else ``ones @ (a, b, c)``.
     """
     if math.prod(shape) < _WIDE:
         return np.add.reduce

@@ -40,8 +40,6 @@ import numpy as np
 SUM_TOL = 1e-12          # probability mass checks
 FACTORIZATION_TOL = 1e-9  # conditional-independence checks
 MAX_CELLS = 2**22         # largest joint table: 32 MiB of float64
-_WIDE = 2**12             # cells from which whole-table products and sums take
-                          # the kernels for wide tables (compose, measures)
 
 KNOWN_NAMES = ("Q", "U1", "W1", "U2", "W2", "X1", "X2", "Y1", "Y2", "U1a", "U1b")
 
@@ -266,34 +264,19 @@ def _check_cells(what: str, names, sizes: dict[str, int]) -> None:
             f"the limit is {MAX_CELLS}")
 
 
-def _grow_step(grown, src, targets, sizes, pos):
-    """compose's step multiplying the joint over ``grown`` by a factor indexed
-    by ``src``, its targets becoming new trailing axes.  Below ``_WIDE``
-    output cells it is a broadcast multiply of reshaped views; from there on
-    it is ``np.einsum`` over the variables' positions, which is faster on
-    such tables.  Either way each cell is one product, so both give bitwise
-    the same joint."""
-    if math.prod(sizes[n] for n in grown + targets) >= _WIDE:
-        before, factor, after = ([pos[n] for n in names] for names in (grown, src, grown + targets))
-        return lambda joint, t: np.einsum(joint, before, t, factor, after, order="C")
-    perm = sorted(range(len(src)), key=lambda j: pos[src[j]])
-    jshape = tuple(sizes[n] for n in grown) + (1,) * len(targets)
-    bshape = tuple(sizes[n] if n in src else 1 for n in grown + targets)
-    return lambda joint, t: np.multiply(joint.reshape(jshape),
-                                        t.transpose(perm).reshape(bshape), order="C")
-
-
 @functools.lru_cache(maxsize=64)
 def _layout(spec: FactorizationSpec, shape: tuple[int, ...]):
     """Each table's shape, slice of the tables laid end to end, and compose step
-    (``_grow_step``) at alphabet sizes ``shape``; ``gather`` regroups the
-    entries by target-cell count t into ``(rows, t)`` ``blocks``."""
+    (transpose, joint and broadcast shapes) at alphabet sizes ``shape``; ``gather``
+    regroups the entries by target-cell count t into ``(rows, t)`` ``blocks``."""
     sizes, pos = dict(zip(spec.variables, shape)), {n: i for i, n in enumerate(spec.variables)}
     shapes, steps, grown, ts = [], [], (), []
     for f in spec.factors:
         src = f.given + f.targets
         shapes.append(tuple(sizes[n] for n in src))
-        steps.append(_grow_step(grown, src, f.targets, sizes, pos))
+        steps.append((sorted(range(len(src)), key=lambda j: pos[src[j]]),
+                      tuple(sizes[n] for n in grown) + (1,) * len(f.targets),
+                      tuple(sizes[n] if n in src else 1 for n in grown + f.targets)))
         grown += f.targets
         ts.append(math.prod(sizes[n] for n in f.targets))
     cells, groups = [math.prod(s) for s in shapes], list(dict.fromkeys(ts))
@@ -329,9 +312,6 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
     The table grows one factor at a time, each factor's targets becoming new
     trailing axes, so every cell is multiplied in chain order, into a C-ordered
     table the joint keeps without a copy; the joint records ``spec`` as ``_spec``.
-    A step whose output has ``_WIDE`` cells or more multiplies through
-    ``np.einsum``, a smaller one by a broadcast ``np.multiply``; each cell is
-    one product per factor either way, so the joint is bitwise the same.
     """
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
@@ -350,10 +330,9 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
                 raise ModelError(f"conditional slices must sum to 1; worst deviation {worst}")
             if t.shape != expect:
                 raise ModelError(f"factor {f.label()} has shape {t.shape}, expected {expect}")
-    joint = np.ones(())  # every step then has two operands, so the joint is
-                         # never a view of a factor that _joint makes read-only
-    for t, grow in zip(tables, steps):
-        joint = grow(joint, t)
+    joint = np.ones(())
+    for t, (perm, jshape, bshape) in zip(tables, steps):
+        joint = np.multiply(joint.reshape(jshape), t.transpose(perm).reshape(bshape), order="C")
     return _joint(tuple(Variable(n, sizes[n]) for n in spec.variables), joint, spec)
 
 

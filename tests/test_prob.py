@@ -351,34 +351,6 @@ def test_compose_equals_the_out_of_place_product(form, sizes):
         assert np.array_equal(d.table, _out_of_place_product(factors, FORMS[form], sizes))
 
 
-def _multiply_growth(factors, spec, sizes) -> np.ndarray:
-    """compose's growth by broadcast multiplies at every size: its kernel
-    below ``prob._WIDE`` cells and the reference for the einsum above."""
-    pos = {n: i for i, n in enumerate(spec.variables)}
-    joint, grown = np.ones(()), ()
-    for t, f in zip(factors, spec.factors):
-        src = f.given + f.targets
-        perm = sorted(range(len(src)), key=lambda j: pos[src[j]])
-        jshape = tuple(sizes[n] for n in grown) + (1,) * len(f.targets)
-        bshape = tuple(sizes[n] if n in src else 1 for n in grown + f.targets)
-        joint = np.multiply(joint.reshape(jshape), t.transpose(perm).reshape(bshape), order="C")
-        grown += f.targets
-    return joint
-
-
-@pytest.mark.parametrize("form, k, q", [
-    *((form, k, k) for form in sorted(FORMS) for k in (2, 3)), ("hk3", 4, 2)])
-def test_compose_is_bitwise_the_multiply_growth_on_both_sides_of_wide(form, k, q):
-    spec, sizes = FORMS[form], _sizes(form, k, q)
-    factors = sample_factors(spec, sizes, seed=2024, index=k)
-    got = compose(factors, spec, sizes).table
-    # binary joints stay below _WIDE; hod9 3-ary (19,683 cells) and hk3
-    # 4-ary (131,072) take einsum steps
-    assert (got.size >= prob._WIDE) == (k > 2 and len(spec.variables) == 9)
-    assert got.flags.c_contiguous
-    assert got.tobytes() == _multiply_growth(factors, spec, sizes).tobytes()
-
-
 def _per_factor_draw(spec, sizes, rng):
     """The reference draw: one ``random`` call and one normalisation per factor."""
     out = []
