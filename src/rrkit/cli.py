@@ -14,7 +14,7 @@ verify refuses one its check does not record.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse error, 3 invalid
 model, 4 incompatible comparison.  All outputs are deterministic for fixed
-inputs, flags and seeds; RRK_THREADS caps worker processes for campaigns.
+inputs, flags and seeds.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,15 +358,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _threads() -> int:
-    """Worker processes from RRK_THREADS: at least 1, at most the CPU count."""
-    try:
-        wanted = int(os.environ.get("RRK_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(wanted, os.cpu_count() or 1))
-
-
 def _sample_count(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -402,18 +392,8 @@ def cmd_verify(args) -> int:
               if tol is not None and key not in CHECKS[args.check][2]]
     if unread:
         raise ScenarioError(f"check {args.check} does not read {', '.join(unread)}")
-    kwargs = dict(samples=args.samples, seed=args.seed,
-                  **{f"tol_{key}": tol for key, tol in given.items() if tol is not None})
-    n = _threads()
-    if n > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                report = run_check(args.check, mapper=lambda f, it: list(pool.map(f, it)),
-                                   **kwargs)
-        except OSError:
-            report = run_check(args.check, **kwargs)
-    else:
-        report = run_check(args.check, **kwargs)
+    report = run_check(args.check, args.samples, args.seed,
+                       **{f"tol_{key}": tol for key, tol in given.items() if tol is not None})
     print(report.summary())
     for key, val in sorted(report.details.items()):
         if key == "infeasible_source":

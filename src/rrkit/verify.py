@@ -239,14 +239,14 @@ def _cor24_one(index: int, seed: int, tol_polytope: float, tol_identity: float) 
     reduced input families, and D1 <= G1, E2 <= G2 hold for the simplified
     constants."""
     d3, draw3 = _draw("hk3", seed, index)
-    c3 = regions.hod_constants(d3)
+    c3 = regions.constants_for(d3, "hod")
     sys20 = regions.build_system(c3, "thm4-ratepair")
     missed_hk = redundant_rows(sys20, REDUNDANT_UNDER_HK, tol_polytope)
     if missed_hk:
         return _result(draw3, False, 0.0,
                        f"rows not implied under independence: {missed_hk}")
     d4, draw4 = _draw("cmg4", seed, index)
-    c4 = regions.hod1_constants(d4)
+    c4 = regions.constants_for(d4, "hod1")
     sys11 = regions.build_system(c4, "thm6-ratepair")
     missed_cmg = redundant_rows(sys11, REDUNDANT_UNDER_CMG, tol_polytope)
     order_dev = max(c4["D1"] - c4["G1"], c4["E2"] - c4["G2"], 0.0)
@@ -422,7 +422,7 @@ def _binning_one(index: int, seed: int, tol_polytope: float, tol_identity: float
     d, draw = _draw("hod9", seed, index)
     budget = regions.binning_budget_system(d)
     projected = fm_eliminate(fm_eliminate(budget, "s2"), "t2")
-    consts = regions.hod_constants(d)
+    consts = regions.constants_for(d, "hod")
     got = {tuple(int(c) for c in r.coeffs): r.bound for r in projected.rows}
     if set(got) != set(_USER2_PATTERN):
         return _result(draw, False, 0.0,

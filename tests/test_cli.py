@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +203,16 @@ def test_nan_factor_entry_is_a_model_error(verb, tmp_path, capsys):
         "error: invalid model: conditional slices must sum to 1; worst deviation nan"]
 
 
+def test_zero_mass_conditioning_cell_still_needs_a_full_slice(tmp_path, capsys):
+    # Q = 1 never occurs, but U1's slice under it must still sum to 1
+    scen = write_scenario(tmp_path / "zero.json", extra={
+        "factors": {"Q": [1, 0], "U1|Q": [0.5, 0.5, 0, 0]}})
+    assert main(["eval", scen, "--family", "hod"]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "error: invalid model: conditional slices must sum to 1; worst deviation 1.0"]
+
+
 def test_eval_explicit_factors_and_channel(tmp_path):
     # fully pinned two-bit scenario: uniform W1, X1 = W1, clean channel
     kernel = np.zeros((2, 1, 2, 1))
@@ -337,12 +349,10 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["verify", "corollary5", "--samples", "4", "--seed", "3",
                  "--out", str(tmp_path / "r1.json")]) == 0
 
-    # a wrong identity-table line must exit 1 with a witness; the patch lives
-    # in this process, so the campaign runs in-process
+    # a wrong identity-table line must exit 1 with a witness
     import rrkit.regions as regions_mod
     import rrkit.verify as verify_mod
     from rrkit.measures import TermTable
-    monkeypatch.delenv("RRK_THREADS", raising=False)
     monkeypatch.setattr(verify_mod, "_COR5_TABLE", TermTable(
         verify_mod._COR5_TABLE.rows | {("delta", "f1"): regions_mod._terms("I(W2;U1|Q)")}))
     rep2 = tmp_path / "r2.json"
@@ -520,17 +530,6 @@ def test_plot_requires_regions(capsys):
     assert exc.value.code == 2
 
 
-def test_rrk_threads_parallel_verify(tmp_path, monkeypatch):
-    rep_seq = tmp_path / "seq.json"
-    assert main(["verify", "binning", "--samples", "4", "--seed", "2",
-                 "--out", str(rep_seq)]) == 0
-    monkeypatch.setenv("RRK_THREADS", "2")
-    rep_par = tmp_path / "par.json"
-    assert main(["verify", "binning", "--samples", "4", "--seed", "2",
-                 "--out", str(rep_par)]) == 0
-    assert rep_seq.read_text() == rep_par.read_text()
-
-
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_rejects_vacuous_sample_count(samples, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -570,17 +569,13 @@ def test_union_rejects_oversized_alphabets(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("env, cpus, expected", [
-    (None, 8, 1), ("1", 8, 1), ("4", 8, 4), ("0", 8, 1), ("-3", 8, 1),
-    ("many", 8, 1), ("1000000", 8, 8), ("1000000", 2, 2), ("3", None, 1)])
-def test_threads_clamped_to_cpu_count(env, cpus, expected, monkeypatch):
-    from rrkit import cli
-    if env is None:
-        monkeypatch.delenv("RRK_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("RRK_THREADS", env)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli._threads() == expected
+def test_cli_import_loads_no_process_pool():
+    # campaigns run in the calling process, so the CLI pulls in no pool machinery
+    code = ("import sys, rrkit.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("extra", [

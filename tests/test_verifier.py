@@ -240,14 +240,23 @@ def test_run_check_unknown_name():
         V.run_check("no-such-check", samples=1, seed=0)
 
 
-def test_parallel_mapper_matches_sequential():
+@pytest.fixture(scope="module")
+def pool():
     from concurrent.futures import ProcessPoolExecutor
-    seq = V.run_check("binning", 4, 9)
     try:
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            par = V.run_check("binning", 4, 9, mapper=lambda f, it: list(pool.map(f, it)))
+        shared = ProcessPoolExecutor(max_workers=2)
+        shared.submit(int).result()  # start the workers here, where a failure skips
     except OSError:
         pytest.skip("process pools unavailable in this environment")
+    with shared:
+        yield shared
+
+
+@pytest.mark.parametrize("name", sorted(V.CHECKS))
+def test_parallel_mapper_matches_sequential(name, pool):
+    # every per-sample function pickles, and a pool's map gives the same report
+    seq = V.run_check(name, 2, 9)
+    par = V.run_check(name, 2, 9, mapper=lambda f, it: list(pool.map(f, it)))
     assert json.dumps(seq.to_json_dict(), sort_keys=True) == \
         json.dumps(par.to_json_dict(), sort_keys=True)
 
