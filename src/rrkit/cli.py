@@ -52,10 +52,16 @@ class Scenario:
     seed: int = 0
     tol_polytope: float = TOL
 
-    def draw(self, index: int) -> JointDistribution:
+    def draw(self, index: int, family: str | None = None) -> JointDistribution:
+        """Sample ``index``'s joint.  With ``family``, when the scenario's chain
+        implies the family's form, only the variables its constants mention are
+        kept (the rest summed out along the chain); otherwise the full joint, so
+        the constants' guard checks it numerically."""
         spec = FORMS[self.form]
         factors = sample_factors(spec, self.sizes, self.seed, index, self.overrides)
-        return compose(factors, spec, self.sizes)
+        fam = regions._FAMILIES.get(family)
+        keep = fam.variables if fam and spec.implies(FORMS[fam.form]) else None
+        return compose(factors, spec, self.sizes, keep)
 
 
 _SCENARIO_KEYS = {"form", "alphabets", "channel", "factors", "sampling", "tol"}
@@ -289,7 +295,7 @@ def _tol_polytope(args, scenario: Scenario) -> float:
 
 def cmd_eval(args) -> int:
     scenario = _load(args)
-    d = scenario.draw(args.index)
+    d = scenario.draw(args.index, args.family)
     consts = regions.constants_for(d, args.family)
     eq = regions._FAMILIES[args.family].equations
     print(f"family={args.family} form={scenario.form} (bits)")
@@ -302,7 +308,7 @@ def cmd_eval(args) -> int:
 
 def cmd_project(args) -> int:
     scenario = _load(args)
-    d = scenario.draw(args.index)
+    d = scenario.draw(args.index, args.family)
     consts = regions.constants_for(d, args.family)
     tol = _tol_polytope(args, scenario)
     raw, reduced = reduced_ratepair(consts, tol)
@@ -334,7 +340,7 @@ def cmd_compare(args) -> int:
         raise ScenarioError(
             f"{args.scenario} and {args.scenario_b} set different tol.polytope "
             f"({tol} and {scenario_b.tol_polytope}); pick one with --tol-polytope")
-    da, db = scenario_a.draw(args.index), scenario_b.draw(args.index)
+    da, db = scenario_a.draw(args.index, args.family), scenario_b.draw(args.index, family_b)
     _, sys_a = reduced_ratepair(regions.constants_for(da, args.family), tol)
     _, sys_b = reduced_ratepair(regions.constants_for(db, family_b), tol)
     a_has_b, wit_ab = contains(sys_a, sys_b, tol)
@@ -416,7 +422,7 @@ def cmd_union(args) -> int:
     per_sample: list[dict] = []
     points: list[tuple[float, float]] = []
     for i in range(samples):
-        d = scenario.draw(i)
+        d = scenario.draw(i, args.family)
         consts = regions.constants_for(d, args.family)
         _, reduced = reduced_ratepair(consts, tol)
         poly = vertices2d(reduced, tol)

@@ -45,7 +45,12 @@ from .prob import JointDistribution, ModelError, marginalize
 # of 81 steps, median 1.2x, but up to 1.5x slower on steps over two runs),
 # and from 2**10 on the contraction is faster on nearly every step, by 1.6x
 # at 2**10 and about 5x at 2**15 to 2**17.  Binary joints have at most 2**9
-# cells, so they keep np.add.reduce and its round-off.
+# cells, so they keep np.add.reduce and its round-off.  Re-timed on the
+# tables rrkit union reads once compose keeps only the variables a family
+# mentions (2 cores, numpy 2.4): on the 8,192-cell hod marginal of an hk3
+# chain with Q = 2 and every other alphabet 4, the three steps at 2**13
+# cells take 64 us by contraction against 153 us by np.add.reduce (1.7x to
+# 5x each), and all 28 steps 153 against 240 us.
 _WIDE = 2**10
 
 

@@ -4,7 +4,8 @@ Dense probability tables over a small set of named variables
 (Q, W1, U1, W2, U2, X1, X2, Y1, Y2, plus the split U1a/U1b), with
 
 - chain-structured construction from conditional factor tables (each
-  catalogued chain ends in the channel kernel p(y1,y2|x1,x2)),
+  catalogued chain ends in the channel kernel p(y1,y2|x1,x2)), of the full
+  joint or, summing variables out along the chain, of a marginal,
 - marginalization,
 - factorization validation (does a table factor according to a given chain),
   numerically on any table and structurally between chains,
@@ -15,16 +16,18 @@ Dense probability tables over a small set of named variables
 Tables are numpy arrays indexed by the variables in a fixed order; all
 values are immutable after construction.  A joint is at most ``MAX_CELLS``
 cells: ``sample_factors`` and ``compose`` refuse larger alphabets before
-they allocate any table.  A joint from ``compose`` or ``marginalize`` is checked
+they allocate any table (``compose`` counts the full chain's cells, whatever
+it keeps).  A joint from ``compose`` or ``marginalize`` is checked
 once, by its inputs, and keeps its fresh table read-only without a copy.
 
-A joint built by ``compose`` remembers the chain it multiplied (``_spec``);
-every other joint has none.  ``FactorizationSpec.implies`` decides by
-d-separation whether every joint of one chain also factors along another,
-so a caller can skip the numeric check for a composed joint whose chain
-implies the form it needs.  ``compose`` accepts conditional slices only
-within ``SUM_TOL``, so such a joint violates the implied form at round-off
-level only.
+A joint built by ``compose`` remembers the chain it multiplied (``_spec``),
+and so does a marginal ``compose`` summed along a chain (``keep``), which
+then has fewer variables than its ``_spec``; every other joint has none.
+``FactorizationSpec.implies`` decides by d-separation whether every joint of
+one chain also factors along another, so a caller can skip the numeric check
+for a composed joint, or for such a marginal, whose chain implies the form it
+needs.  ``compose`` accepts conditional slices only within ``SUM_TOL``, so
+such a joint violates the implied form at round-off level only.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,7 +199,8 @@ class JointDistribution:
     Two joints are equal when their variables and tables are exactly equal;
     joints are unhashable.  The constructor checks and copies a table from
     outside.  ``_spec`` is the chain ``compose`` multiplied to build the
-    joint, and None for every other joint; it is not a dataclass field, so
+    joint, or summed it from for a marginal, and None for every other joint
+    (``marginalize``'s too); it is not a dataclass field, so
     ``__eq__`` and ``repr`` do not see it.  A joint holds nothing else:
     ``measures`` keeps its compiled plans per variable order and shape, not
     per joint.
@@ -266,26 +271,97 @@ def _check_cells(what: str, names, sizes: dict[str, int]) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _layout(spec: FactorizationSpec, shape: tuple[int, ...]):
-    """Each table's shape, slice of the tables laid end to end, and compose step
-    (transpose, joint and broadcast shapes) at alphabet sizes ``shape``; ``gather``
-    regroups the entries by target-cell count t into ``(rows, t)`` ``blocks``."""
-    sizes, pos = dict(zip(spec.variables, shape)), {n: i for i, n in enumerate(spec.variables)}
-    shapes, steps, grown, ts = [], [], (), []
-    for f in spec.factors:
-        src = f.given + f.targets
-        shapes.append(tuple(sizes[n] for n in src))
-        steps.append((sorted(range(len(src)), key=lambda j: pos[src[j]]),
-                      tuple(sizes[n] for n in grown) + (1,) * len(f.targets),
-                      tuple(sizes[n] if n in src else 1 for n in grown + f.targets)))
-        grown += f.targets
-        ts.append(math.prod(sizes[n] for n in f.targets))
+    """Each table's shape and slice of the tables laid end to end at alphabet
+    sizes ``shape``; ``gather`` regroups the entries by target-cell count t into
+    ``(rows, t)`` ``blocks``."""
+    sizes = dict(zip(spec.variables, shape))
+    shapes = [tuple(sizes[n] for n in f.given + f.targets) for f in spec.factors]
+    ts = [math.prod(sizes[n] for n in f.targets) for f in spec.factors]
     cells, groups = [math.prod(s) for s in shapes], list(dict.fromkeys(ts))
     gather = np.argsort(np.repeat([groups.index(t) for t in ts], cells), kind="stable")
     gather.flags.writeable = False
     starts = [0, *itertools.accumulate(cells)]
     ends = [0, *itertools.accumulate(sum(c for c, u in zip(cells, ts) if u == t) for t in groups)]
     blocks = tuple((a, b, t) for a, b, t in zip(ends, ends[1:], groups) if b > a)
-    return tuple(shapes), tuple(map(slice, starts, starts[1:])), tuple(steps), gather, blocks
+    return tuple(shapes), tuple(map(slice, starts, starts[1:])), gather, blocks
+
+
+def _grow(grown: tuple[str, ...], f: Factor, sizes: dict[str, int]):
+    """The step multiplying factor f into a table over ``grown``: its targets
+    become new trailing axes, every cell one product."""
+    src, new = f.given + f.targets, grown + f.targets
+    perm = sorted(range(len(src)), key=lambda j: new.index(src[j]))
+    jshape = tuple(sizes[n] for n in grown) + (1,) * len(f.targets)
+    bshape = tuple(sizes[n] if n in src else 1 for n in new)
+    return lambda joint, t: np.multiply(joint.reshape(jshape), t.transpose(perm).reshape(bshape),
+                                        order="C")
+
+
+def _contract(grown: tuple[str, ...], f: Factor, drop: set[str], sizes: dict[str, int]):
+    """The step multiplying factor f into a table over ``grown`` and summing
+    ``drop`` out, and the variables of the table it returns.  f's targets in
+    ``drop`` are summed out of f first; then, with B f's kept givens, S its
+    dropped ones and R the table's other variables, the table's (B, R, S) view
+    times f's (B, S, T) view is one matmul per B cell, giving (B, R, T)."""
+    given = [n for n in grown if n in f.given and n not in drop]
+    summed = [n for n in grown if n in f.given and n in drop]
+    rest = [n for n in grown if n not in f.given]
+    targets = [n for n in f.targets if n not in drop]
+    src, size = f.given + f.targets, lambda names: math.prod(sizes[n] for n in names)
+    fperm = [src.index(n) for n in given + summed + targets + [n for n in f.targets if n in drop]]
+    dropped_targets = tuple(range(len(given) + len(summed) + len(targets), len(src)))
+    gshape, gperm = tuple(sizes[n] for n in grown), [grown.index(n) for n in given + rest + summed]
+    left = (size(given), size(rest), size(summed))
+    right = (size(given), size(summed), size(targets))
+
+    def step(joint, t):
+        t = t.transpose(fperm)
+        if dropped_targets:
+            t = t.sum(axis=dropped_targets)
+        return joint.reshape(gshape).transpose(gperm).reshape(left) @ t.reshape(right)
+    return step, tuple(given + rest + targets)
+
+
+class _Plan(NamedTuple):
+    """compose's compiled work for one chain, alphabet sizes and kept set."""
+
+    shapes: tuple[tuple[int, ...], ...]  # each factor table's shape (``_layout``)
+    gather: np.ndarray
+    blocks: tuple
+    steps: tuple  # one ``(table, factor table) -> table`` per factor
+    finish: object  # ``table -> C-ordered table`` over the kept variables, or None
+    variables: tuple[Variable, ...]  # the kept variables, in chain order
+
+
+@functools.lru_cache(maxsize=64)
+def _elimination(spec: FactorizationSpec, shape: tuple[int, ...],
+                 keep: frozenset | None) -> _Plan:
+    """compose's plan at alphabet sizes ``shape`` keeping ``keep`` (None: all).
+
+    Variable elimination along the chain (Zhang and Poole 1994): a variable
+    outside ``keep`` is summed out in the step of the last factor that reads
+    it, or of its own factor if none does (``_contract``); every other step
+    is ``_grow``.  With nothing to drop every step grows, multiplying each
+    cell in chain order into the C-ordered joint, and nothing is left to
+    finish."""
+    sizes = dict(zip(spec.variables, shape))
+    kept = tuple(n for n in spec.variables if keep is None or n in keep)
+    last = {n: i for i, f in enumerate(spec.factors) for n in f.given + f.targets}
+    grown, steps = (), []
+    for i, f in enumerate(spec.factors):
+        drop = {n for n in f.given + f.targets if last[n] == i and n not in kept}
+        if drop:
+            step, grown = _contract(grown, f, drop, sizes)
+        else:
+            step, grown = _grow(grown, f, sizes), grown + f.targets
+        steps.append(step)
+    gshape, order = tuple(sizes[n] for n in grown), tuple(grown.index(n) for n in kept)
+    finish = None if keep is None else (
+        lambda joint: np.ascontiguousarray(joint.reshape(gshape).transpose(order)))
+    shapes, _, gather, blocks = _layout(spec, shape)
+    # an empty alphabet makes no Variable: compose refuses its factors first
+    variables = () if 0 in shape else tuple(Variable(n, sizes[n]) for n in kept)
+    return _Plan(shapes, gather, blocks, tuple(steps), finish, variables)
 
 
 def _grouped_tables(factors, shapes, gather, blocks):
@@ -304,24 +380,37 @@ def _grouped_tables(factors, shapes, gather, blocks):
 
 
 def compose(factors: list[np.ndarray], spec: FactorizationSpec,
-            sizes: dict[str, int]) -> JointDistribution:
-    """Multiply a chain of conditional tables into the full joint.
+            sizes: dict[str, int], keep=None) -> JointDistribution:
+    """Multiply a chain of conditional tables into the joint over ``keep``
+    (default: every variable of the chain).
 
     ``factors[i]`` corresponds to ``spec.factors[i]`` and is indexed by the
     factor's given variables first (in the listed order), then its targets.
-    The table grows one factor at a time, each factor's targets becoming new
-    trailing axes, so every cell is multiplied in chain order, into a C-ordered
-    table the joint keeps without a copy; the joint records ``spec`` as ``_spec``.
+    The checks read the full chain: its cells against ``MAX_CELLS`` and every
+    factor table, whatever ``keep`` drops.  The table grows one factor at a
+    time, each factor's targets becoming new trailing axes, and each dropped
+    variable is summed out at the last factor that reads it (``_elimination``),
+    so the full joint is never built.  With nothing dropped every cell is
+    multiplied in chain order, into a C-ordered table the joint keeps without
+    a copy.  The joint, kept variables in chain order, records ``spec`` as
+    ``_spec``.
     """
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
     _check_cells(spec.form, spec.variables, sizes)
+    if keep is not None:
+        keep = frozenset(keep)
+        if not keep <= set(spec.variables):
+            raise ModelError(f"unknown variables {sorted(keep - set(spec.variables))}; "
+                             f"have {spec.variables}")
+        keep = None if len(keep) == len(spec.variables) else keep
     shape = tuple(sizes[n] for n in spec.variables)
-    shapes, _, steps, gather, blocks = _layout(spec, shape)
-    tables = None if 0 in shape else _grouped_tables(factors, shapes, gather, blocks)
+    plan = _elimination(spec, shape, keep)
+    tables = None if 0 in shape else _grouped_tables(factors, plan.shapes, plan.gather,
+                                                     plan.blocks)
     if tables is None:  # the per-factor checks, in chain order, raise the first fault
         tables = []
-        for raw, f, expect in zip(factors, spec.factors, shapes):
+        for raw, f, expect in zip(factors, spec.factors, plan.shapes):
             tables.append(t := np.asarray(raw, dtype=float))
             if t.min(initial=0.0) < -SUM_TOL:
                 raise ModelError(f"negative entry {t.min()} in conditional table")
@@ -331,9 +420,9 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
             if t.shape != expect:
                 raise ModelError(f"factor {f.label()} has shape {t.shape}, expected {expect}")
     joint = np.ones(())
-    for t, (perm, jshape, bshape) in zip(tables, steps):
-        joint = np.multiply(joint.reshape(jshape), t.transpose(perm).reshape(bshape), order="C")
-    return _joint(tuple(Variable(n, sizes[n]) for n in spec.variables), joint, spec)
+    for t, step in zip(tables, plan.steps):
+        joint = step(joint, t)
+    return _joint(plan.variables, plan.finish(joint) if plan.finish else joint, spec)
 
 
 def marginalize(d: JointDistribution, keep) -> JointDistribution:
@@ -429,7 +518,7 @@ def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
     not depend on which factors are overridden.
     """
     _check_cells(spec.form, spec.variables, sizes)
-    shapes, slices, _, gather, blocks = _layout(spec, tuple(sizes[n] for n in spec.variables))
+    shapes, slices, gather, blocks = _layout(spec, tuple(sizes[n] for n in spec.variables))
     u = _rekeyed(seed, index).random(gather.size)
     e = -np.log1p(-u[gather])
     for a, b, t in blocks:

@@ -31,10 +31,12 @@ Every constant is defined only on inputs of its family's guard form, so each
 constants call first checks it.  A joint ``compose`` built along a chain
 that implies the form (for example ``hk3``, ``dmt5``, ``ic1`` or ``crc2``
 under ``hod9``, ``cmg4`` under ``hod12``) passes without a look at its
-table.  Every other joint, user-built or composed along a chain that does
-not imply the form, is rebuilt by ``validate_factorization`` and refused
-above ``CONSTANT_REJECT_TOL``.  The constants do not depend on which way
-it went.
+table, and so does its marginal on the variables the family mentions
+(``_Family.variables``; ``compose`` with ``keep``).  A marginal of any other
+chain is refused.  Every other joint, user-built or composed along a chain
+that does not imply the form, is rebuilt by ``validate_factorization`` and
+refused above ``CONSTANT_REJECT_TOL``.  The constants do not depend on which
+way it went.
 
 Constants are floats in bits; inequality coefficients are primitive integers.
 """
@@ -221,6 +223,11 @@ class _Family:
                            for key in ("correlation", "interference", "binning")
                            for t in p.get(key, ())}
 
+    @functools.cached_property
+    def variables(self) -> frozenset:
+        """The variables its terms mention."""
+        return frozenset().union(*self.table.subsets)
+
 
 # The one place a family is defined.
 _FAMILIES: dict[str, _Family] = {
@@ -232,10 +239,15 @@ _FAMILIES: dict[str, _Family] = {
 
 
 def _guarded(d: JointDistribution, form: str):
-    """Refuse d unless it factors along ``form``: at once if ``compose`` built d
-    along a chain that implies the form, else by the numeric check."""
-    if d._spec is not None and d._spec.implies(FORMS[form]):
+    """Refuse d unless it factors along ``form``: at once if ``compose`` built d,
+    or its marginal, along a chain that implies the form, else by the numeric
+    check, which needs every variable of the form."""
+    spec = d._spec
+    if spec is not None and spec.implies(FORMS[form]):
         return
+    if spec is not None and len(d.names) < len(spec.variables):
+        raise ModelError(f"a marginal of a {spec.form} joint cannot be checked against "
+                         f"factorization {form}: {spec.form} does not imply {form}")
     ok, worst = validate_factorization(d, FORMS[form])
     if worst > CONSTANT_REJECT_TOL:
         raise ModelError(

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrkit.cli import build_parser, load_scenario, main, reduced_ratepair
+from rrkit.cli import Scenario, build_parser, load_scenario, main, reduced_ratepair
+from rrkit.measures import eval_terms
 from rrkit.polytope import lp_feasible, make_row, system
-from rrkit.prob import FORMS, sample_distribution
+from rrkit.prob import FORMS
 from rrkit.regions import _FAMILIES, constants_for, hod_constants
 from rrkit.verify import CHECKS
 
@@ -45,10 +46,31 @@ def test_eval_matches_library(hk_scenario, tmp_path, capsys):
     assert "10-1" in printed and "A1" in printed
     data = json.loads(out.read_text())
     assert len(data["constants"]) == 14
-    d = sample_distribution(FORMS["hk3"], binary_sizes("hk3", q=2), seed=11, index=0)
-    expected = hod_constants(d)
+    expected = hod_constants(load_scenario(hk_scenario).draw(0, "hod"))
     for label, value in data["constants"].items():
         assert value == expected[label]  # same code path, bit for bit
+
+
+_IMPLIED_FAMILIES = [(form, family) for form in sorted(FORMS) for family in sorted(_FAMILIES)
+                     if FORMS[form].implies(FORMS[_FAMILIES[family].form])]
+_UNION_WIDE = [2, 4, 4, 4, 4, 4, 4, 4, 4]  # hk3 with Q = 2, every other alphabet 4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_IMPLIED_FAMILIES),
+       alphabets=st.lists(st.integers(1, 3), min_size=9, max_size=9),
+       index=st.integers(0, 2**20))
+@example(case=("hk3", "hod"), alphabets=_UNION_WIDE, index=0)
+def test_family_draw_constants_match_the_plain_definitions(case, alphabets, index):
+    # the CLI's family draw keeps only the variables the constants mention; the
+    # reference marginalises the full joint once per entropy (measures.eval_terms)
+    form, family = case
+    scenario = Scenario(form, dict(zip(FORMS[form].variables, alphabets)), seed=29)
+    d, full = scenario.draw(index, family), scenario.draw(index)
+    assert set(d.names) == _FAMILIES[family].variables and full.names == FORMS[form].variables
+    got = constants_for(d, family).values
+    for label, terms in _FAMILIES[family].terms.items():
+        assert abs(got[label] - eval_terms(full, terms)) <= 1e-12, label
 
 
 def test_eval_malformed_json(tmp_path, capsys):
@@ -189,6 +211,18 @@ def test_eval_factorization_violation_exits_3(tmp_path, capsys):
     scen = write_scenario(tmp_path / "hod.json", form="hod9")
     assert main(["eval", scen, "--family", "dmt"]) == 3
     assert "invalid model" in capsys.readouterr().err
+
+
+def test_family_draw_of_a_chain_not_implying_the_form_keeps_the_numeric_guard(tmp_path,
+                                                                              capsys):
+    # hod9 does not imply dmt5: the draw stays the full joint, so each verb's
+    # refusal is the numeric check's violation, not the marginal guard's
+    scen = write_scenario(tmp_path / "hod.json", form="hod9")
+    assert load_scenario(scen).draw(0, "dmt").names == FORMS["hod9"].variables
+    for verb in ("eval", "project", "union"):
+        assert main([verb, scen, "--family", "dmt"]) == 3
+        assert "invalid model: distribution violates factorization dmt5 by" in \
+            capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["eval", "project"])

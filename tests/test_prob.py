@@ -351,6 +351,77 @@ def test_compose_equals_the_out_of_place_product(form, sizes):
         assert np.array_equal(d.table, _out_of_place_product(factors, FORMS[form], sizes))
 
 
+def _mixed_sizes(form: str) -> dict[str, int]:
+    """Alphabets 2, 3, 2, ... in chain order, so no two neighbours share a size."""
+    return {n: 2 + i % 2 for i, n in enumerate(FORMS[form].variables)}
+
+
+def _kept_sets(form: str):
+    """(id, kept variables): each implied family's variables, every single-variable
+    drop (U1 in hod9 is read last by X1|Q,W1,U1, whose other givens stay, so its
+    product is batched over them) and nothing dropped."""
+    from rrkit.regions import _FAMILIES
+    spec = FORMS[form]
+    yield from ((family, fam.variables) for family, fam in _FAMILIES.items()
+                if spec.implies(FORMS[fam.form]))
+    yield from ((f"drop-{n}", set(spec.variables) - {n}) for n in spec.variables)
+    yield "all", spec.variables
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_a_marginal_compose_equals_marginalizing_the_full_joint(form):
+    spec, sizes = FORMS[form], _mixed_sizes(form)
+    for index in range(3):
+        factors = sample_factors(spec, sizes, seed=808, index=index)
+        full = compose(factors, spec, sizes)
+        for name, keep in _kept_sets(form):
+            m, want = compose(factors, spec, sizes, keep), marginalize(full, keep)
+            assert m.names == want.names and m._spec is spec, name
+            if name == "all":
+                assert m.table.tobytes() == full.table.tobytes()
+            else:
+                assert np.abs(m.table - want.table).max() <= 1e-15, name
+
+
+def test_a_marginal_is_read_only_and_refused_past_max_cells_on_the_full_chain():
+    import tracemalloc
+    spec, sizes = FORMS["hod9"], binary_sizes("hod9")
+    m = compose(sample_factors(spec, sizes, seed=4), spec, sizes, {"Q", "Y1"})
+    assert m.names == ("Q", "Y1") and m._spec is spec
+    assert not m.table.flags.writeable and m.table.flags.c_contiguous
+    with pytest.raises(ValueError):
+        m.table[0, 0] = 1.0
+    with pytest.raises(ModelError, match="unknown variables"):
+        compose(sample_factors(spec, sizes, seed=4), spec, sizes, {"Q", "U1a"})
+    big = dict(sizes, W1=64, U1=64, X1=64)  # 2**24 cells; {Q, Y1} alone has 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match="16777216 cells"):
+            compose([np.ones(1)] * len(spec.factors), spec, big, {"Q", "Y1"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_elimination_plan_cache_stops_growing():
+    info = prob._elimination.cache_info
+    assert 0 < info().maxsize < 10_000
+    spec = FORMS["hk3"]
+    for q, k in itertools.product((1, 2, 3), repeat=2):  # 81 keys, more than it holds
+        sizes = {n: q if n == "Q" else k for n in spec.variables}
+        for n in spec.variables:
+            compose(uniform_factors("hk3", sizes), spec, sizes, set(spec.variables) - {n})
+    assert info().currsize <= info().maxsize < 81
+    sizes = binary_sizes("hk3")
+    factors = uniform_factors("hk3", sizes)
+    compose(factors, spec, sizes, ("Q", "Y1"))
+    misses = info().misses
+    for _ in range(3):
+        compose(factors, spec, sizes, ("Y1", "Q"))  # the same kept set, in any order
+    assert info().misses == misses
+
+
 def _per_factor_draw(spec, sizes, rng):
     """The reference draw: one ``random`` call and one normalisation per factor."""
     out = []

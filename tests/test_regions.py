@@ -6,7 +6,7 @@ import pytest
 from rrkit.measures import cmi, eval_terms
 from rrkit.polytope import fm_eliminate, lp_feasible, vertices2d
 from rrkit.prob import (FORMS, Factor, FactorizationSpec, JointDistribution, ModelError,
-                        marginalize, sample_distribution, sample_factors)
+                        compose, marginalize, sample_distribution, sample_factors)
 from rrkit import regions as R
 
 from conftest import binary_sizes, compose_form, delta, uniform_factors
@@ -298,6 +298,22 @@ def test_guard_rejects_composed_joint_of_non_implying_chain(numeric_guard_calls)
     with pytest.raises(ModelError, match=r"violates factorization dmt5 by .* \(limit 1e-06\)"):
         R.dmt_constants(d)
     assert numeric_guard_calls == ["dmt5"]
+
+
+def test_guard_passes_a_marginal_by_its_chain_and_refuses_one_by_name(numeric_guard_calls):
+    # a marginal can never pass the numeric check, which needs every variable
+    # of the form: its chain implies the form, or it is refused naming the form
+    spec, sizes = FORMS["hod9"], binary_sizes("hod9")
+    factors = sample_factors(spec, sizes, seed=3)
+    hod = compose(factors, spec, sizes, R._FAMILIES["hod"].variables)
+    assert len(hod.names) < len(spec.variables)
+    full = R.hod_constants(compose(factors, spec, sizes)).values
+    assert R.hod_constants(hod).values == pytest.approx(full, rel=0, abs=1e-13)
+    dmt = compose(factors, spec, sizes, R._FAMILIES["dmt"].variables)
+    with pytest.raises(ModelError, match="cannot be checked against factorization dmt5: "
+                                         "hod9 does not imply dmt5"):
+        R.dmt_constants(dmt)
+    assert numeric_guard_calls == []
 
 
 @pytest.mark.parametrize("family, form", [("hod", "hk3"), ("dmt", "dmt5"),

@@ -198,6 +198,24 @@ def test_thm4_infeasible_source_is_classified_not_failed():
     assert res["divergence"]["witness"] is not None
 
 
+@pytest.mark.parametrize("family, form, seed", [
+    ("hod", "hod9", 1001), ("hod1", "hod12", 1002), ("dmt", "dmt5", 1003), ("hod", "dmt5", 1003)],
+    ids=["thm4", "thm6", "corollary5-dmt", "corollary5-hod"])
+def test_min_bound_decides_source_feasibility_like_lp_feasible(family, form, seed):
+    # _equivalence_one classifies a divergence by the smallest source bound: every
+    # source row has coefficients in {0, 1} and the rates are nonnegative
+    from rrkit.polytope import lp_feasible
+    system = R._FAMILIES[family].system
+    for index in range(200):
+        consts = R.constants_for(V._draw(form, seed, index)[0], family)
+        source = R.build_system(consts, system)
+        assert all(set(r.coeffs) <= {0, 1} or (r.bound == 0 and sorted(r.coeffs)
+                                                == [-1] + [0] * (len(r.coeffs) - 1))
+                   for r in source.rows)
+        for tol in (0.0, 1e-9):
+            assert lp_feasible(source, tol=tol) == (min(consts.values.values()) >= -tol)
+
+
 def test_thm4_both_empty_counts_as_equivalent():
     # U2 a copy of U1, outputs carrying nothing: every user-2 rate bound is
     # negative, so the source region and all closed-form lists are empty
