@@ -8,10 +8,11 @@ I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), with base-2 logs and 0 log 0 = 0.
 term lists read together on one joint go in one table, so they share one
 marginal plan.
 On first use it compiles its named term lists into the distinct non-empty
-subsets they touch and an integer matrix M with one row per list.  Per joint
-variable order and shape it compiles one marginal plan: sum out the
-variables no term mentions, then, largest subset first, sum each subset from
-the smallest planned table that contains it.  A step reading a table of
+subsets they touch and an integer matrix M with one row per list.  Per
+subset list, joint variable order and shape one marginal plan is compiled
+(the most recent are kept, in a bounded cache): sum out the variables no
+term mentions, then, largest subset first, sum each subset from the
+smallest planned table that contains it.  A step reading a table of
 ``_WIDE`` cells or more sums by BLAS products with ones vectors, one per run
 of adjacent summed axes (a wide joint is read at memory speed); a smaller
 one by ``np.add.reduce``.  Both add in a fixed order for a given
@@ -166,6 +167,7 @@ def _sum_kernel(shape: tuple[int, ...], axes: tuple[int, ...]):
     return contract
 
 
+@functools.lru_cache(maxsize=64)  # tables and shapes are arbitrary, so bounded
 def _marginal_plan(subsets: tuple[frozenset, ...], names: tuple[str, ...],
                    shape: tuple[int, ...]) -> MarginalPlan:
     cells = dict(zip(names, shape))
@@ -194,7 +196,6 @@ class TermTable:
 
     def __init__(self, rows):
         self.rows = {label: tuple(terms) for label, terms in rows.items()}
-        self._plans: dict[tuple, MarginalPlan] = {}
 
     @functools.cached_property
     def _weights(self) -> list[Counter]:
@@ -217,11 +218,9 @@ class TermTable:
                         dtype=np.int64).reshape(len(self.rows), len(self.subsets))
 
     def plan(self, d: JointDistribution) -> MarginalPlan:
-        """The marginal plan for d's variable order and shape, compiled once."""
-        key = (d.names, d.table.shape)
-        if key not in self._plans:
-            self._plans[key] = _marginal_plan(self.subsets, *key)
-        return self._plans[key]
+        """The marginal plan for d's variable order and shape, compiled once
+        and kept in a bounded cache that all tables share."""
+        return _marginal_plan(self.subsets, d.names, d.table.shape)
 
     def subset_entropies(self, d: JointDistribution) -> np.ndarray:
         """H(S) in bits on d for every S in ``subsets``, in that order."""

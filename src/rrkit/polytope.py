@@ -2,22 +2,22 @@
 
 Rows are a.r <= b with primitive integer coefficient vectors (gcd 1) and
 floating bounds.
-Provides Fourier-Motzkin elimination, substitution, feasibility (point or
-free), redundancy removal, containment with witness points, and 2-D vertex
-enumeration.
+Provides Fourier-Motzkin elimination, substitution, a point test, and, over
+two variables, free feasibility, redundancy removal, containment with
+witness points, and vertex enumeration.
 
-Questions about a 2-variable system (free feasibility, containment,
-implication, boundedness, vertices) are answered from exact half-plane
-intersections, each built on first use and kept on the immutable system;
-redundancy removal adds one more per facet row.  A vertex is the meet of
-two consecutive edges, solved from the system's own rows; meets are taken
-in row-pair order and merged within tol.  The order of the intersection's
-directions and its recession rays depend only on the set of integer
-normals, so they are compiled once per set.
-Fourier-Motzkin elimination projects systems down to two variables.  Over
-any other number of variables every question goes through one probe
-(``_outside``: the system with a row's relaxed negation) and one
-cheapest-first elimination loop (``find_point``).
+Every region the catalogue compares is a rate-pair region, so the free
+questions (feasibility without a point, implication, containment,
+redundancy removal) are asked of 2-variable systems only: a system over any
+other number of variables, or a row with other than 2 coefficients, raises
+VariableMismatchError.  Fourier-Motzkin elimination projects a system down
+to the plane first.  The questions (and vertices) are answered from exact
+half-plane intersections, each built on first use and kept on the immutable
+system; redundancy removal adds one more per facet row.  A vertex is the
+meet of two consecutive edges, solved from the system's own rows; meets are
+taken in row-pair order and merged within tol.  The order of the
+intersection's directions and its recession rays depend only on the set of
+integer normals, so they are compiled once per set.
 Elimination and substitution each run in two steps: an integer plan from the
 coefficient vectors alone (which rows combine, with what multipliers, and
 each new row's primitive coefficients and scale), then a float step that
@@ -250,22 +250,21 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be >= 0, got {tol}")
 
 
-def _infeasible_constant(rows, tol: float = 0.0) -> bool:
-    return any(r.is_constant() and r.bound < -tol for r in rows)
-
-
-def _greedy_order(sys: InequalitySystem) -> list[str]:
-    """Cheapest-first elimination order (fewest upper*lower pairings)."""
-    pairs = [sum(r.coeffs[k] > 0 for r in sys.rows) * sum(r.coeffs[k] < 0 for r in sys.rows)
-             for k in range(len(sys.variables))]
-    return [sys.variables[k] for k in sorted(range(len(pairs)), key=pairs.__getitem__)]
+def _check_plane(sys: InequalitySystem, coeffs=(0, 0)) -> None:
+    """Refuse a free question outside the plane: ``sys`` must have 2
+    variables and the row asked about (``coeffs``) 2 coefficients."""
+    if len(sys.variables) != 2 or len(coeffs) != 2:
+        raise VariableMismatchError(
+            f"free questions need 2 variables and 2-coefficient rows; got "
+            f"{len(sys.variables)} variables and a row of {len(coeffs)} coefficients")
 
 
 def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
     """Is the system feasible within tol: do its rows with every bound raised
-    by tol (``_raised``) meet, at ``point`` if one is given?  Over 2 variables
+    by tol (``_raised``) meet, at ``point`` if one is given?  The point test
+    takes any number of variables.  Without a point the system must have 2:
     its own intersection, a constant row below -tol or else the raised copy's
-    intersection answers; over others, ``find_point`` of the raised copy."""
+    intersection answers."""
     _check_tol(tol)
     if point is not None:
         if len(point) != len(sys.variables):
@@ -273,11 +272,11 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
                 f"point has {len(point)} entries for {len(sys.variables)} variables")
         return all(sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound
                    for r in _raised(sys, tol).rows)
-    if len(sys.variables) != 2:
-        return find_point(_raised(sys, tol)) is not None
+    _check_plane(sys)
     if sys._plane_region.edges:
         return True
-    return not _infeasible_constant(sys.rows, tol) and bool(_raised(sys, tol)._plane_region.edges)
+    return (not any(r.is_constant() and r.bound < -tol for r in sys.rows)
+            and bool(_raised(sys, tol)._plane_region.edges))
 
 
 def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
@@ -291,57 +290,11 @@ def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
     return copies[tol]
 
 
-def find_point(sys: InequalitySystem):
-    """A point of the system (list of floats, variable order) or None.
-
-    Eliminates the variables cheapest first (``_greedy_order``), giving up as
-    soon as a constant row is below 0, then back-substitutes, last
-    eliminated first: each variable takes the midpoint of its interval, or
-    sits 1 inside a half-line, or 0 on a free line.
-    """
-    if _infeasible_constant(sys.rows):
-        return None
-    stages = []
-    cur = sys
-    for var in _greedy_order(sys):
-        stages.append((var, cur))
-        cur = fm_eliminate(cur, var)
-        if _infeasible_constant(cur.rows):
-            return None
-    point: dict[str, float] = {}
-    for var, pre in reversed(stages):
-        k = pre.index(var)
-        lo, hi = -math.inf, math.inf
-        for r in pre.rows:
-            c = r.coeffs[k]
-            if c == 0:
-                continue
-            partial = sum(float(a) * point[v]
-                          for v, a in zip(pre.variables, r.coeffs) if a and v != var)
-            limit = (r.bound - partial) / float(c)
-            if c > 0:
-                hi = min(hi, limit)
-            else:
-                lo = max(lo, limit)
-        if lo == -math.inf and hi == math.inf:
-            point[var] = 0.0
-        elif lo == -math.inf:
-            point[var] = hi - 1.0
-        elif hi == math.inf:
-            point[var] = lo + 1.0
-        else:
-            point[var] = (lo + hi) / 2.0
-    return [point[v] for v in sys.variables]
-
-
 def _outside(sys: InequalitySystem, row: Halfspace, tol: float):
-    """A point of sys whose left side of ``row`` reaches ``row.bound + tol``,
-    or None.  Over 2 variables it is read off the half-plane intersection;
-    otherwise it is ``find_point`` of sys and the row's relaxed negation."""
-    if len(sys.variables) == 2 == len(row.coeffs):
-        return _reach(sys._plane_region, row.coeffs, row.bound + tol)
-    negation = Halfspace(tuple(-c for c in row.coeffs), -(row.bound + tol), f"not:{row.label}")
-    return find_point(sys.with_rows(sys.rows + (negation,)))
+    """A point [x, y] of 2-variable sys whose left side of ``row`` reaches
+    ``row.bound + tol``, or None, read off the half-plane intersection."""
+    _check_plane(sys, row.coeffs)
+    return _reach(sys._plane_region, row.coeffs, row.bound + tol)
 
 
 def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
@@ -353,9 +306,9 @@ def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
 def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL):
     """(True, None) if inner's solution set lies inside outer's.
 
-    On failure returns (False, witness) with a point feasible for inner that
-    violates some outer row by at least tol; over 2 variables it is the inner
-    vertex maximising that row.
+    On failure returns (False, witness): the inner vertex maximising the
+    first outer row inner violates by at least tol (moved along a ray when
+    inner is unbounded that way).
     """
     if outer.variables != inner.variables:
         raise VariableMismatchError(
@@ -369,7 +322,8 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
 
 
 def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySystem:
-    """Minimal subsystem with the same solution set (input order preserved).
+    """Minimal subsystem of a 2-variable system with the same solution set
+    (input order preserved).
 
     Rows are visited in order.  A row is dropped iff the remaining rows are
     infeasible or keep its left side below ``bound + tol``, i.e. the rest
@@ -381,8 +335,8 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
     unbounded); kept rows keep their own bounds.
     """
     _check_tol(tol)
-    work = _relaxed(sys, tol)
-    keep = _greedy_2d(work, tol) if len(sys.variables) == 2 else _greedy_fm(work, tol)
+    _check_plane(sys)
+    keep = _greedy_2d(_relaxed(sys, tol), tol)
     return sys.with_rows(sys.rows[k] for k in keep)
 
 
@@ -391,19 +345,6 @@ def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
     (round-off pushed a point or segment just past empty), else sys."""
     relax = tol > 0 and not lp_feasible(sys, tol=0.0) and lp_feasible(sys, tol=tol)
     return _raised(sys, tol) if relax else sys
-
-
-def _greedy_fm(sys: InequalitySystem, tol: float) -> list[int]:
-    """Indices of the rows remove_redundant keeps, by ``implies``."""
-    alive = list(range(len(sys.rows)))
-    i = 0
-    while i < len(alive):
-        trial = alive[:i] + alive[i + 1:]
-        if implies(sys.with_rows(sys.rows[k] for k in trial), sys.rows[alive[i]], tol):
-            alive = trial
-        else:
-            i += 1
-    return alive
 
 
 # --- 2-variable systems: one exact half-plane intersection -------------------

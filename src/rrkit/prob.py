@@ -111,7 +111,7 @@ class FactorizationSpec:
         # and repr read only the form and the factors
         object.__setattr__(self, "variables", tuple(seen))
 
-    @functools.cache
+    @functools.lru_cache(maxsize=64)  # every pair of the FORMS, and a bounded rest
     def implies(self, other: FactorizationSpec) -> bool:
         """Does every joint that factors along this chain factor along ``other``?
 

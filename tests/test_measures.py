@@ -229,6 +229,23 @@ def test_hod_constants_marginalise_once_per_subset(monkeypatch):
     assert table.plan(d) is plan
 
 
+def test_marginal_plan_cache_stops_growing():
+    from rrkit import measures
+    info = measures._marginal_plan.cache_info
+    assert 0 < info().maxsize < 10_000
+    table = regions._FAMILIES["hod"].table
+    sizes = binary_sizes("hod9")
+    for q in range(1, info().maxsize + 11):  # one joint shape per |Q|, more than it holds
+        table.plan(sample_distribution(FORMS["hod9"], {**sizes, "Q": q}, seed=1001))
+    assert info().currsize <= info().maxsize
+    d = sample_distribution(FORMS["hod9"], sizes, seed=1001, index=3)
+    plan = table.plan(d)
+    misses = info().misses
+    for index in range(3):  # another joint of the same shape reads the same plan
+        assert table.plan(sample_distribution(FORMS["hod9"], sizes, 1001, index)) is plan
+    assert info().misses == misses
+
+
 def test_each_subset_is_summed_from_the_smallest_planned_superset():
     sizes = {n: 3 for n in FORMS["hod9"].variables}
     d = sample_distribution(FORMS["hod9"], sizes, seed=7)

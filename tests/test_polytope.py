@@ -7,17 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fm_oracle as fm
 from rrkit.polytope import (Halfspace, InequalitySystem, UnboundedRegionError,
                             VariableMismatchError, contains, convex_hull,
-                            find_point, fm_eliminate, implies,
+                            fm_eliminate, implies,
                             lp_feasible, make_row, nonnegativity_rows,
                             remove_redundant, substitute, system,
                             vertices2d)
-from rrkit.polytope import _fm_plan, _primitive, _substitution_plan
+from rrkit.polytope import _built, _fm_plan, _primitive, _substitution_plan
 
 
 def rows_of(variables, *triples):
     return system(variables, [make_row(c, b, label) for c, b, label in triples])
+
+
+def in_plane(*triples):
+    """Rows over x alone, given to the system over (x, y) with y's coefficient 0."""
+    return rows_of(("x", "y"), *((c + (0,), b, label) for c, b, label in triples))
 
 
 def test_fm_single_pairing():
@@ -59,7 +65,7 @@ def test_fm_order_insensitive_solution_set():
         s = system(("a", "b", "c"), rows)
         ab = fm_eliminate(fm_eliminate(s, "a"), "b")
         ba = fm_eliminate(fm_eliminate(s, "b"), "a")
-        assert contains(ab, ba)[0] and contains(ba, ab)[0]
+        assert fm.contains(ab, ba) and fm.contains(ba, ab)
 
 
 def test_substitute_rewrites_rows():
@@ -104,7 +110,9 @@ def test_caller_rows_are_checked_and_rows_built_here_are_not(monkeypatch):
         with pytest.raises(VariableMismatchError, match="coefficients for"):
             build()
     asks = (lambda s: fm_eliminate(s, "a"), lambda s: substitute(s, "c", {"a": 1, "d": 2}),
-            lambda s: find_point(fm_eliminate(s, "b")), lambda s: lp_feasible(s, tol=1e-9))
+            lambda s: fm_eliminate(fm_eliminate(s, "b"), "a"),
+            lambda s: lp_feasible(fm_eliminate(s, "b"), tol=1e-9),
+            lambda s: lp_feasible(s, point=(0.5, 0.5, 0.5), tol=1e-9))
     want = [ask(s) for ask in asks]
 
     def refuse(self):
@@ -115,31 +123,36 @@ def test_caller_rows_are_checked_and_rows_built_here_are_not(monkeypatch):
 
 
 def test_lp_feasible_free():
-    s = rows_of(("x",), ((1,), 1.0, "ub"), ((-1,), -2.0, "lb"))
-    assert not lp_feasible(s)
-    s2 = rows_of(("x",), ((1,), 2.0, "ub"), ((-1,), -1.0, "lb"))
-    assert lp_feasible(s2)
-    p = find_point(s2)
-    assert p is not None and 1.0 - 1e-9 <= p[0] <= 2.0 + 1e-9
+    # 2 <= x <= 1, then 1 <= x <= 2, in the plane; the oracle agrees over x alone
+    for (ub, lb), want in (((1.0, -2.0), False), ((2.0, -1.0), True)):
+        triples = (((1,), ub, "ub"), ((-1,), lb, "lb"))
+        s = in_plane(*triples)
+        assert lp_feasible(s) is want
+        assert lp_feasible(s, point=(1.5, 0.0)) is want
+        assert fm.feasible(rows_of(("x",), *triples)) is want
 
 
-def test_find_point_checks_the_constant_rows_of_a_zero_variable_system():
+def test_fm_oracle_checks_the_constant_rows_of_a_zero_variable_system():
     empty = system((), (Halfspace((), -1.0, "0<=-1"),))
-    assert find_point(empty) is None and not lp_feasible(empty)
-    assert lp_feasible(empty, tol=2.0)
+    assert not fm.feasible(empty, 0.0) and not fm.feasible(empty)
+    assert fm.feasible(empty, 2.0)
     vacuous = system((), (Halfspace((), 1.0, "0<=1"),))
-    assert find_point(vacuous) == [] and lp_feasible(vacuous)
+    assert fm.feasible(vacuous, 0.0)
+    with pytest.raises(VariableMismatchError):
+        lp_feasible(vacuous)
 
 
-def test_find_point_returns_a_point_of_the_system():
+def test_fm_oracle_decides_a_three_variable_system():
     # a triangle in (x, y) with z tied to x + y; every interval is bounded
     s = rows_of(("x", "y", "z"), ((-1, 0, 0), 0.0, "x>=0"), ((0, -1, 0), 0.0, "y>=0"),
                 ((1, 1, 0), 1.0, "x+y<=1"), ((1, 1, -1), 0.0, "z>=x+y"),
                 ((-1, -1, 1), 0.0, "z<=x+y"))
-    p = find_point(s)
-    assert p is not None and len(p) == 3
-    assert lp_feasible(s, point=p, tol=1e-12)
-    assert find_point(s.with_rows(s.rows + (make_row((0, 0, 1), -0.5, "z<=-1/2"),))) is None
+    assert fm.feasible(s, 0.0) and lp_feasible(s, point=(0.25, 0.5, 0.75), tol=0.0)
+    # z reaches 1, so z <= 1 holds with slack tol but not with slack 0
+    assert fm.implies(s, make_row((0, 0, 1), 1.0, "z<=1"), 1e-9)
+    assert not fm.implies(s, make_row((0, 0, 1), 1.0, "z<=1"), 0.0)
+    assert not fm.implies(s, make_row((0, 0, 1), 0.5, "z<=1/2"), 1e-9)
+    assert not fm.feasible(s.with_rows(s.rows + (make_row((0, 0, 1), -0.5, "z<=-1/2"),)), 0.0)
 
 
 def test_projection_agrees_with_grid_oracle():
@@ -164,13 +177,14 @@ def test_projection_agrees_with_grid_oracle():
 
 
 def test_remove_redundant_simple():
-    s = rows_of(("x",), ((1,), 1.0, "tight"), ((1,), 2.0, "loose"))
-    out = remove_redundant(s)
+    triples = (((1,), 1.0, "tight"), ((1,), 2.0, "loose"))
+    out = remove_redundant(in_plane(*triples))
     assert [r.label for r in out.rows] == ["tight"]
+    assert [r.label for r in fm.remove_redundant(rows_of(("x",), *triples)).rows] == ["tight"]
 
 
 def test_remove_redundant_duplicates_keep_one():
-    s = rows_of(("x",), ((1,), 1.0, "a"), ((1,), 1.0, "b"), ((-1,), 0.0, "c"))
+    s = in_plane(((1,), 1.0, "a"), ((1,), 1.0, "b"), ((-1,), 0.0, "c"))
     out = remove_redundant(s)
     labels = [r.label for r in out.rows]
     assert labels.count("a") + labels.count("b") == 1
@@ -208,10 +222,34 @@ def test_contains_variable_mismatch():
 
 
 def test_implies_shared_tight_row():
-    s = rows_of(("x",), ((1,), 1.0, "cap"), ((-1,), 0.0, "lo"))
-    assert implies(s, make_row((1,), 1.0, "same"))
-    assert implies(s, make_row((1,), 1.5, "looser"))
-    assert not implies(s, make_row((1,), 0.5, "tighter"))
+    s = in_plane(((1,), 1.0, "cap"), ((-1,), 0.0, "lo"))
+    assert implies(s, make_row((1, 0), 1.0, "same"))
+    assert implies(s, make_row((1, 0), 1.5, "looser"))
+    assert not implies(s, make_row((1, 0), 0.5, "tighter"))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_free_questions_refuse_systems_outside_the_plane(n):
+    variables = ("x", "y", "z")[:n]
+    s = system(variables, [make_row((1,) * n, 1.0, "cap")] + nonnegativity_rows(variables))
+    probe = make_row((1,) * n, 2.0, "probe")
+    for ask in (lambda: lp_feasible(s), lambda: implies(s, probe), lambda: contains(s, s),
+                lambda: remove_redundant(s)):
+        with pytest.raises(VariableMismatchError, match="2 variables"):
+            ask()
+    # the point test still takes any number of variables: x + ... <= 1, x, ... >= 0
+    assert lp_feasible(s, point=(0.5 / n,) * n) and not lp_feasible(s, point=(1.5 / n,) * n)
+    past_cap = (1 + 5e-10, *(0.0,) * (n - 1))
+    assert lp_feasible(s, point=past_cap, tol=1e-9) and not lp_feasible(s, point=past_cap, tol=0.0)
+
+
+def test_free_questions_refuse_a_row_outside_the_plane():
+    s = in_plane(((1,), 1.0, "cap"), ((-1,), 0.0, "lo"))
+    wide = make_row((1, 0, 0), 2.0, "x<=2 over (x, y, z)")
+    with pytest.raises(VariableMismatchError, match="row of 3 coefficients"):
+        implies(s, wide)
+    with pytest.raises(VariableMismatchError, match="row of 3 coefficients"):
+        contains(_built(s.variables, (wide,)), s)
 
 
 def test_vertices_unit_square():
@@ -375,10 +413,10 @@ def test_rational_input_becomes_primitive_ints(rows, var, expr):
 
 
 def test_constant_row_handling():
-    s = system(("x",), (Halfspace((Fraction(0),), -1.0, "contradiction"),))
+    s = system(("x", "y"), (Halfspace((Fraction(0), Fraction(0)), -1.0, "contradiction"),))
     assert not lp_feasible(s)
-    s2 = system(("x",), (Halfspace((Fraction(0),), 1.0, "vacuous"),
-                         Halfspace((Fraction(1),), 1.0, "cap")))
+    s2 = system(("x", "y"), (Halfspace((Fraction(0), Fraction(0)), 1.0, "vacuous"),
+                             Halfspace((Fraction(1), Fraction(0)), 1.0, "cap")))
     assert lp_feasible(s2)
 
 

@@ -2,8 +2,8 @@
 
 Over two variables, contains, implies, remove_redundant and free
 lp_feasible answer from one half-plane intersection.  The reference is the
-Fourier-Motzkin path on the same system lifted to three variables with
-z <= 0 and -z <= 0, which never takes the 2-D route.
+Fourier-Motzkin oracle (``fm_oracle``) on the same system lifted to three
+variables with z <= 0 and -z <= 0, which the library refuses to ask.
 
 A small exact oracle (rational arithmetic over the float bounds, brute-force
 vertices) measures how close each decision is to its threshold.  Draws with
@@ -29,6 +29,7 @@ from rrkit.prob import FORMS, compose, sample_factors
 from rrkit.regions import _FAMILIES, constants_for, ratepair_projection
 from rrkit.verify import run_check
 
+import fm_oracle as fm
 from conftest import binary_sizes
 
 VARS = ("x", "y")
@@ -124,7 +125,7 @@ def lifted_outer(s):
 
 
 def lifted(s):
-    """The same region in (x, y, z) with z pinned to 0: always the FM path."""
+    """The same region in (x, y, z) with z pinned to 0, for the FM oracle."""
     outer = lifted_outer(s)
     return outer.with_rows(outer.rows + (make_row((0, 0, 1), 0.0, "z<=0"),
                                          make_row((0, 0, -1), 0.0, "z>=0")))
@@ -137,7 +138,7 @@ def lifted(s):
 def test_free_feasibility_agrees_with_fm(s):
     assume(_margin(_exact(s.rows)) != "near")
     for tol in TOLS:
-        assert lp_feasible(s, tol=tol) == lp_feasible(lifted(s), tol=tol)
+        assert lp_feasible(s, tol=tol) == fm.feasible(lifted(s), tol)
 
 
 # Bounds that are small multiples of 5e-10: raised by tol 1e-9 their rows sit
@@ -159,14 +160,14 @@ def test_free_feasibility_is_the_raised_rows_meeting(s):
         if _margin(raised) == "near":
             continue
         assert lp_feasible(s, tol=tol) == _nonempty(raised)
-        assert lp_feasible(lifted(s), tol=tol) == _nonempty(raised)
+        assert fm.feasible(lifted(s), tol) == _nonempty(raised)
 
 
 def test_point_and_free_feasibility_agree_within_tol():
     # x <= -1e-9 and x >= 5e-10 miss by 1.5e-9; raised by 1e-9 they meet at x in [-5e-10, 0]
     s = _rows(((1, 0), -1e-9), ((-1, 0), -5e-10), ((0, 1), 1.0), ((0, -1), 0.0))
     assert lp_feasible(s, point=(0.0, 0.5), tol=1e-9)
-    assert lp_feasible(s, tol=1e-9) and lp_feasible(lifted(s), tol=1e-9)
+    assert lp_feasible(s, tol=1e-9) and fm.feasible(lifted(s), 1e-9)
     assert not lp_feasible(s, tol=0.0)
     assert vertices2d(s, 1e-9).kind != "empty"
 
@@ -178,7 +179,7 @@ def test_implies_agrees_with_fm(s, other):
         for row in other.rows:
             if _margin(_probe(_exact(s.rows), row, tol)) == "near":
                 continue
-            assert implies(s, row, tol) == implies(lifted(s), lift_row(row), tol)
+            assert implies(s, row, tol) == fm.implies(lifted(s), lift_row(row), tol)
 
 
 @SETTINGS
@@ -188,7 +189,7 @@ def test_contains_agrees_with_fm_and_witness_violates(outer, inner):
     for tol in TOLS:
         assume(all(_margin(_probe(base, row, tol)) != "near" for row in outer.rows))
         ok, witness = contains(outer, inner, tol)
-        assert ok == contains(lifted_outer(outer), lifted(inner), tol)[0]
+        assert ok == fm.contains(lifted_outer(outer), lifted(inner), tol)
         if ok:
             assert witness is None
             continue
@@ -201,19 +202,19 @@ def test_contains_agrees_with_fm_and_witness_violates(outer, inner):
 @SETTINGS
 @given(systems(max_rows=4), systems())
 def test_lifted_contains_witness_lies_in_inner_and_past_the_outer_row(outer, inner):
-    """Over three variables the witness is find_point's point of the probe:
-    inside inner within tol, and past the first outer row inner does not
-    imply by at least tol."""
-    big_outer, big_inner = lifted_outer(outer), lifted(inner)
+    """The witness, lifted to z = 0, is a point of the lifted inner within
+    tol, and past the first lifted outer row inner does not imply by at
+    least tol; no draw is skipped for its margin."""
+    big_inner = lifted(inner)
     for tol in TOLS:
-        ok, witness = contains(big_outer, big_inner, tol)
+        ok, witness = contains(outer, inner, tol)
         if ok:
             assert witness is None
             continue
-        assert len(witness) == 3
-        assert lp_feasible(big_inner, point=witness, tol=tol + WITNESS_SLACK)
-        row = next(r for r in big_outer.rows if not implies(big_inner, r, tol))
-        assert sum(float(c) * v for c, v in zip(row.coeffs, witness)) \
+        point = (*witness, 0.0)
+        assert lp_feasible(big_inner, point=point, tol=tol + WITNESS_SLACK)
+        row = next(lift_row(r) for r in outer.rows if not implies(inner, r, tol))
+        assert sum(float(c) * v for c, v in zip(row.coeffs, point)) \
             >= row.bound + tol - WITNESS_SLACK
 
 
@@ -240,7 +241,7 @@ def test_remove_redundant_agrees_with_fm(s):
         if not _exact_greedy_is_clear(s, tol):
             continue
         kept = [r.label for r in remove_redundant(s, tol).rows]
-        reference = [r.label for r in remove_redundant(lifted(s), tol).rows
+        reference = [r.label for r in fm.remove_redundant(lifted(s), tol).rows
                      if not r.label.startswith("z")]
         assert kept == reference
 
@@ -262,7 +263,7 @@ def test_remove_redundant_with_contradictions_agrees_with_fm(s, placed):
         if not _exact_greedy_is_clear(s, tol):
             continue
         kept = [r.label for r in remove_redundant(s, tol).rows]
-        reference = [r.label for r in remove_redundant(lifted(s), tol).rows
+        reference = [r.label for r in fm.remove_redundant(lifted(s), tol).rows
                      if not r.label.startswith("z")]
         assert kept == reference
 
@@ -345,14 +346,14 @@ def test_named_shapes_agree_with_fm(name):
     s = SHAPES[name]
     ref = lifted(s)
     for tol in TOLS:
-        assert lp_feasible(s, tol=tol) == lp_feasible(ref, tol=tol)
+        assert lp_feasible(s, tol=tol) == fm.feasible(ref, tol)
         for row in PROBES:
-            assert implies(s, row, tol) == implies(ref, lift_row(row), tol)
+            assert implies(s, row, tol) == fm.implies(ref, lift_row(row), tol)
         for other in SHAPES.values():
-            assert contains(other, s, tol)[0] == contains(lifted_outer(other), ref, tol)[0]
-            assert contains(s, other, tol)[0] == contains(lifted_outer(s), lifted(other), tol)[0]
+            assert contains(other, s, tol)[0] == fm.contains(lifted_outer(other), ref, tol)
+            assert contains(s, other, tol)[0] == fm.contains(lifted_outer(s), lifted(other), tol)
         assert [r.label for r in remove_redundant(s, tol).rows] == \
-            [r.label for r in remove_redundant(ref, tol).rows if not r.label.startswith("z")]
+            [r.label for r in fm.remove_redundant(ref, tol).rows if not r.label.startswith("z")]
 
 
 def test_named_shapes_have_the_expected_kind():
@@ -387,14 +388,16 @@ def test_remove_redundant_keeps_a_roundoff_empty_region_bounded():
     assert poly.kind == "point"
     assert all(abs(v) <= 1e-13 for v in poly.vertices[0])
     assert [r.label for r in reduced.rows] == \
-        [r.label for r in remove_redundant(lifted(raw), 1e-9).rows if not r.label.startswith("z")]
+        [r.label for r in fm.remove_redundant(lifted(raw), 1e-9).rows
+         if not r.label.startswith("z")]
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES) + ["origin-by-roundoff"])
 def test_two_variable_questions_never_eliminate(name, monkeypatch):
     def refuse(*args):
-        raise AssertionError("find_point called on a 2-variable system")
-    monkeypatch.setattr(polytope, "find_point", refuse)
+        raise AssertionError("a 2-variable question eliminated a variable")
+    monkeypatch.setattr(polytope, "fm_eliminate", refuse)
+    monkeypatch.setattr(polytope, "_fm_plan", refuse)
     s = _rows(*ORIGIN_BY_ROUNDOFF) if name not in SHAPES else system(VARS, SHAPES[name].rows)
     for tol in TOLS:
         lp_feasible(s, tol=tol)

@@ -422,6 +422,22 @@ def test_elimination_plan_cache_stops_growing():
     assert info().misses == misses
 
 
+def test_implies_cache_stops_growing():
+    info = FactorizationSpec.implies.cache_info
+    assert 0 < info().maxsize < 10_000
+    hk3 = FORMS["hk3"]
+    for k in range(500):  # 500 distinct chains, more than it holds
+        chain = FactorizationSpec(f"hk3-copy-{k}", hk3.factors)
+        assert hk3.implies(chain)
+    assert info().currsize <= info().maxsize < 500
+    # every pair of the FORMS fits, so asking them all again misses nothing
+    pairs = list(itertools.product(FORMS.values(), repeat=2))
+    answers = [a.implies(b) for a, b in pairs]
+    misses = info().misses
+    assert [a.implies(b) for a, b in pairs] == answers
+    assert info().misses == misses
+
+
 def _per_factor_draw(spec, sizes, rng):
     """The reference draw: one ``random`` call and one normalisation per factor."""
     out = []

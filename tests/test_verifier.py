@@ -10,6 +10,7 @@ from rrkit import regions as R
 from rrkit.measures import TermTable, entropy
 from rrkit import verify as V
 
+import fm_oracle
 from conftest import binary_sizes
 
 N = 8  # small per-check campaigns; the acceptance suite runs the full sizes
@@ -203,8 +204,8 @@ def test_thm4_infeasible_source_is_classified_not_failed():
     ids=["thm4", "thm6", "corollary5-dmt", "corollary5-hod"])
 def test_min_bound_decides_source_feasibility_like_lp_feasible(family, form, seed):
     # _equivalence_one classifies a divergence by the smallest source bound: every
-    # source row has coefficients in {0, 1} and the rates are nonnegative
-    from rrkit.polytope import lp_feasible
+    # source row has coefficients in {0, 1} and the rates are nonnegative.  The
+    # source is over 4 or 5 variables, so the FM oracle decides its feasibility.
     system = R._FAMILIES[family].system
     for index in range(200):
         consts = R.constants_for(V._draw(form, seed, index)[0], family)
@@ -213,7 +214,7 @@ def test_min_bound_decides_source_feasibility_like_lp_feasible(family, form, see
                                                 == [-1] + [0] * (len(r.coeffs) - 1))
                    for r in source.rows)
         for tol in (0.0, 1e-9):
-            assert lp_feasible(source, tol=tol) == (min(consts.values.values()) >= -tol)
+            assert fm_oracle.feasible(source, tol) == (min(consts.values.values()) >= -tol)
 
 
 def test_thm4_both_empty_counts_as_equivalent():
