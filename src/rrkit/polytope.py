@@ -1,10 +1,9 @@
 """Linear inequality systems over rate variables, with exact coefficients.
 
 Rows are a.r <= b with primitive integer coefficient vectors (gcd 1) and
-floating bounds.
-Provides Fourier-Motzkin elimination, substitution, a point test, and, over
-two variables, free feasibility, redundancy removal, containment with
-witness points, and vertex enumeration.
+floating bounds.  Provides Fourier-Motzkin elimination, substitution, a point
+test, and, over two variables, free feasibility, redundancy removal,
+containment with witness points, and vertex enumeration.
 
 Every region the catalogue compares is a rate-pair region, so the free
 questions (feasibility without a point, implication, containment,
@@ -26,20 +25,20 @@ so the most recent plans are cached by it (a bounded cache) and a repeated
 pattern (a catalogued system's projection, whatever the joint) costs only
 the float step.
 
-Coefficient arithmetic is exact integer arithmetic: rational input (floats or
-fractions.Fraction) is scaled to primitive integers when a row is built, and
-Fraction remains only where a floating bound must be compared exactly.  Every
-comparison against the floating bounds uses an absolute tolerance (default
-1e-9; a negative or NaN one is refused).  Feasible within tol means the rows
-with every bound raised by tol (``_raised``) meet; an empty system feasible
-within tol is read as them.
+Coefficient arithmetic is exact integer arithmetic.  ``make_row`` scales
+rational input (floats, fractions.Fraction, numeric strings) to primitive
+integers; a system, and ``implies`` for its row, refuses any other row.
+Fraction remains only where a floating bound must be compared exactly.
+Every comparison against the floating bounds uses an absolute tolerance
+(default 1e-9; a negative or NaN one is refused).  Feasible within tol means
+the rows with every bound raised by tol (``_raised``) meet; an empty system
+feasible within tol is read as them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,10 +58,7 @@ class UnboundedRegionError(ValueError):
 
 
 class Halfspace(NamedTuple):
-    """One inequality sum_j coeffs[j] * x_j <= bound.
-
-    A named tuple: it compares equal to the plain (coeffs, bound, label).
-    """
+    """One inequality sum_j coeffs[j] * x_j <= bound; equal to the plain (coeffs, bound, label)."""
 
     coeffs: Coeffs
     bound: float
@@ -73,12 +69,10 @@ class Halfspace(NamedTuple):
 
 
 def _primitive(coeffs) -> tuple[Coeffs, float]:
-    """The coefficients scaled to integers with gcd 1 (direction preserved),
-    and the float of the exact factor the bound is multiplied by.
-
-    Scaling a bound by the float of the exact factor gives int rows and the
-    same rows given as rationals bitwise equal bounds.
-    """
+    """The one normaliser (``make_row``, the plans): the coefficients scaled to
+    integers with gcd 1, direction preserved, and the float of the exact factor
+    the bound is multiplied by.  Int rows and the same rows given as rationals
+    so get bitwise equal bounds."""
     if all(c.__class__ is int for c in coeffs):
         g = math.gcd(*coeffs) or 1
         return tuple(c // g for c in coeffs), 1 / g
@@ -106,6 +100,7 @@ class InequalitySystem:
                 raise VariableMismatchError(
                     f"row {r.label!r} has {len(r.coeffs)} coefficients for "
                     f"{len(self.variables)} variables")
+            _check_primitive(r)
 
     def with_rows(self, rows) -> "InequalitySystem":
         return InequalitySystem(self.variables, tuple(rows))
@@ -128,13 +123,23 @@ class InequalitySystem:
         return _region(self._lines)
 
 
+def _check_primitive(row: Halfspace) -> None:
+    """Refuse a row whose coefficients are not ints or whole Fractions with gcd 1
+    (all zero is a constant row): ``make_row`` is the one place rows are scaled."""
+    cs = row.coeffs
+    if not (all(c.__class__ is int or c.__class__ is Fraction and c.denominator == 1 for c in cs)
+            and math.gcd(*map(int, cs)) < 2):
+        raise ValueError(f"row {row.label!r} has coefficients {cs}, not integers with gcd 1; "
+                         "build it with make_row")
+
+
 def system(variables, rows) -> InequalitySystem:
     return InequalitySystem(tuple(variables), tuple(rows))
 
 
 def _built(variables: tuple, rows: tuple) -> InequalitySystem:
-    """A system over rows that this module built with one coefficient per
-    variable, without ``__post_init__``'s re-check of every row's length."""
+    """A system over rows known to pass ``__post_init__`` (derived here,
+    compiled by a plan, or taken from a checked system), without its checks."""
     s = object.__new__(InequalitySystem)
     s.__dict__.update(variables=variables, rows=rows)
     return s
@@ -195,11 +200,8 @@ def _fm_plan(coeff_rows: tuple, k: int) -> tuple[tuple, tuple]:
 
 
 def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
-    """Project ``var`` out by pairing each upper bound with each lower bound;
-    equal coefficient vectors keep the tightest bound, vacuous rows go."""
-    if var not in sys.variables:
-        warnings.warn(f"variable {var!r} not in system; elimination is the identity")
-        return sys
+    """Project ``var`` (VariableMismatchError if absent) out by pairing each upper
+    bound with each lower; equal coefficient vectors keep the tightest, vacuous rows go."""
     k = sys.index(var)
     rows = sys.rows
     kept, pairs = _fm_plan(tuple(r.coeffs for r in rows), k)
@@ -298,8 +300,9 @@ def _outside(sys: InequalitySystem, row: Halfspace, tol: float):
 
 
 def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
-    """Does every solution of sys satisfy the row (within tol slack)?"""
+    """Does every solution of sys satisfy the row (primitive, as in a system) within tol?"""
     _check_tol(tol)
+    _check_primitive(row)
     return _outside(sys, row, tol) is None
 
 
@@ -315,8 +318,7 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
             f"systems over different variables: {outer.variables} vs {inner.variables}")
     _check_tol(tol)
     for row in outer.rows:
-        witness = _outside(inner, row, tol)
-        if witness is not None:
+        if (witness := _outside(inner, row, tol)) is not None:
             return False, witness
     return True, None
 
@@ -337,7 +339,7 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
     _check_tol(tol)
     _check_plane(sys)
     keep = _greedy_2d(_relaxed(sys, tol), tol)
-    return sys.with_rows(sys.rows[k] for k in keep)
+    return _built(sys.variables, tuple(sys.rows[k] for k in keep))
 
 
 def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
@@ -349,8 +351,7 @@ def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
 
 # --- 2-variable systems: one exact half-plane intersection -------------------
 #
-# Each row becomes a line (p, q, beta): a primitive integer normal and its
-# bound scaled by the same positive factor, so the half-plane is unchanged.
+# Each row is a line (p, q, beta): its primitive integer normal and its bound.
 # Orientation tests are integer cross products.  Bounds enter decisions only
 # through _side, which trusts floating point where its error bound settles the
 # sign and otherwise redoes the sum exactly, reading each bound as the exact
@@ -365,28 +366,12 @@ _SMALL = 1 << 20  # |p|, |q| below this: products of cross products with
 
 
 def _canon(coeffs, bound) -> tuple:
-    """The row as (p, q, beta) with gcd(p, q) = 1; (0, 0, bound) if constant."""
+    """A primitive row as the line (p, q, beta); beta is exact past ``_SMALL``."""
     p, q = coeffs
     bound = float(bound)
     if not math.isfinite(bound) and (p or q):
         raise UnboundedRegionError(f"row bound {bound} is not finite")
-    scale = 1
-    if p.__class__ is not int or q.__class__ is not int:  # rationals given directly
-        scale = math.lcm(p.denominator, q.denominator)
-        p, q = int(p * scale), int(q * scale)
-    g = math.gcd(p, q)
-    if g == 0:
-        return 0, 0, bound
-    if g == 1 and scale == 1 and abs(p) < _SMALL > abs(q):
-        return p, q, bound
-    beta = Fraction(bound) * scale / g
-    if scale > g:  # the exact bound grew; it must still be a finite float
-        try:
-            float(beta)
-        except OverflowError:
-            raise UnboundedRegionError(
-                f"row bound {bound} scaled by {scale}/{g} is past the float range") from None
-    return p // g, q // g, beta
+    return (p, q, bound) if abs(p) < _SMALL > abs(q) else (p, q, Fraction(bound))
 
 
 def _cross(a, b) -> int:
@@ -593,15 +578,14 @@ class Polytope2D:
 
 
 def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
-    """Vertices of a bounded 2-variable system, counterclockwise.
+    """Vertices of a bounded 2-variable system (``_check_plane``), counterclockwise.
 
     Each is the meet of two consecutive edges of ``_relaxed``'s half-plane
     intersection (empty unless feasible within tol), solved from the
     system's own first tightest row with each edge's normal.  Meets are
     taken in row-pair order; one within tol of a meet already kept is
     dropped.  At tol 0 the exact point test may reject a meet by round-off."""
-    if len(sys.variables) != 2:
-        raise VariableMismatchError(f"vertices2d needs 2 variables, got {sys.variables}")
+    _check_plane(sys)
     _check_tol(tol)
     region = _relaxed(sys, tol)._plane_region
     if not region.edges:

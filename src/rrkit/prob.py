@@ -213,7 +213,7 @@ class JointDistribution:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise ModelError(f"duplicate variable names in {names}")
-        t = np.asarray(self.table, dtype=float)
+        t = _float_table(self.table, None)
         if t.shape != tuple(v.size for v in self.variables):
             raise ModelError(
                 f"table shape {t.shape} does not match alphabets "
@@ -243,6 +243,15 @@ class JointDistribution:
 
     def size(self, name: str) -> int:
         return self.variables[self.axis(name)].size
+
+
+def _float_table(raw, factor: Factor | None) -> np.ndarray:
+    """A table from outside as a float array, or a ModelError naming ``factor`` (None: joint)."""
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as e:
+        what = f"factor {factor.label()}" if factor else "joint"
+        raise ModelError(f"{what} table is not a rectangular array of numbers: {e}") from None
 
 
 def _joint(variables: tuple[Variable, ...], table: np.ndarray,
@@ -302,7 +311,7 @@ def _contract(grown: tuple[str, ...], f: Factor, drop: set[str], sizes: dict[str
     ``drop`` out, and the variables of the table it returns.  f's targets in
     ``drop`` are summed out of f first; then, with B f's kept givens, S its
     dropped ones and R the table's other variables, the table's (B, R, S) view
-    times f's (B, S, T) view is one matmul per B cell, giving (B, R, T)."""
+    times f's (B, S, T) view is one matmul per B cell, giving the table over B, R, T."""
     given = [n for n in grown if n in f.given and n not in drop]
     summed = [n for n in grown if n in f.given and n in drop]
     rest = [n for n in grown if n not in f.given]
@@ -313,13 +322,16 @@ def _contract(grown: tuple[str, ...], f: Factor, drop: set[str], sizes: dict[str
     gshape, gperm = tuple(sizes[n] for n in grown), [grown.index(n) for n in given + rest + summed]
     left = (size(given), size(rest), size(summed))
     right = (size(given), size(summed), size(targets))
+    out = tuple(given + rest + targets)
+    oshape = tuple(sizes[n] for n in out)
 
     def step(joint, t):
         t = t.transpose(fperm)
         if dropped_targets:
             t = t.sum(axis=dropped_targets)
-        return joint.reshape(gshape).transpose(gperm).reshape(left) @ t.reshape(right)
-    return step, tuple(given + rest + targets)
+        product = joint.reshape(gshape).transpose(gperm).reshape(left) @ t.reshape(right)
+        return product.reshape(oshape)
+    return step, out
 
 
 class _Plan(NamedTuple):
@@ -329,23 +341,22 @@ class _Plan(NamedTuple):
     gather: np.ndarray
     blocks: tuple
     steps: tuple  # one ``(table, factor table) -> table`` per factor
-    finish: object  # ``table -> C-ordered table`` over the kept variables, or None
+    finish: object  # ``table -> C-ordered table`` in the kept order, or None if grown so
     variables: tuple[Variable, ...]  # the kept variables, in chain order
 
 
 @functools.lru_cache(maxsize=64)
-def _elimination(spec: FactorizationSpec, shape: tuple[int, ...],
-                 keep: frozenset | None) -> _Plan:
-    """compose's plan at alphabet sizes ``shape`` keeping ``keep`` (None: all).
+def _elimination(spec: FactorizationSpec, shape: tuple[int, ...], keep: frozenset) -> _Plan:
+    """compose's plan at alphabet sizes ``shape`` keeping ``keep``.
 
     Variable elimination along the chain (Zhang and Poole 1994): a variable
     outside ``keep`` is summed out in the step of the last factor that reads
     it, or of its own factor if none does (``_contract``); every other step
-    is ``_grow``.  With nothing to drop every step grows, multiplying each
-    cell in chain order into the C-ordered joint, and nothing is left to
-    finish."""
+    is ``_grow``.  Each step returns the C-ordered table over the variables
+    grown so far, transposed at the end only if their order is not the kept
+    order; with nothing to drop every step grows, in chain order."""
     sizes = dict(zip(spec.variables, shape))
-    kept = tuple(n for n in spec.variables if keep is None or n in keep)
+    kept = tuple(n for n in spec.variables if n in keep)
     last = {n: i for i, f in enumerate(spec.factors) for n in f.given + f.targets}
     grown, steps = (), []
     for i, f in enumerate(spec.factors):
@@ -355,28 +366,24 @@ def _elimination(spec: FactorizationSpec, shape: tuple[int, ...],
         else:
             step, grown = _grow(grown, f, sizes), grown + f.targets
         steps.append(step)
-    gshape, order = tuple(sizes[n] for n in grown), tuple(grown.index(n) for n in kept)
-    finish = None if keep is None else (
-        lambda joint: np.ascontiguousarray(joint.reshape(gshape).transpose(order)))
+    order = tuple(grown.index(n) for n in kept)
+    finish = None if grown == kept else (
+        lambda joint: np.ascontiguousarray(joint.transpose(order)))
     shapes, _, gather, blocks = _layout(spec, shape)
     # an empty alphabet makes no Variable: compose refuses its factors first
     variables = () if 0 in shape else tuple(Variable(n, sizes[n]) for n in kept)
     return _Plan(shapes, gather, blocks, tuple(steps), finish, variables)
 
 
-def _grouped_tables(factors, shapes, gather, blocks):
-    """``factors`` as float tables if each has its shape, no entry below ``-SUM_TOL``
-    and every slice within ``SUM_TOL`` of 1, else None; one slice-sum per block."""
-    try:
-        tables = [np.asarray(raw, dtype=float) for raw in factors]
-    except ValueError:  # a ragged table
-        return None
-    if tuple(t.shape for t in tables) != shapes:
-        return None
+def _grouped_ok(tables, shapes, gather, blocks) -> bool:
+    """Is each table a float array of its shape, with no entry below
+    ``-SUM_TOL`` and every slice within ``SUM_TOL`` of 1?  One slice-sum per block."""
+    if any(t.__class__ is not np.ndarray or t.dtype != float for t in tables) or \
+            tuple(t.shape for t in tables) != shapes:
+        return False
     flat = np.concatenate([t.ravel() for t in tables])[gather]
     sums = np.concatenate([flat[a:b].reshape(-1, t).sum(axis=1) for a, b, t in blocks])
-    ok = flat.min() >= -SUM_TOL and abs(sums - 1.0).max() <= SUM_TOL  # NaN fails both
-    return tables if ok else None
+    return flat.min() >= -SUM_TOL and abs(sums - 1.0).max() <= SUM_TOL  # NaN fails both
 
 
 def compose(factors: list[np.ndarray], spec: FactorizationSpec,
@@ -398,20 +405,17 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
     _check_cells(spec.form, spec.variables, sizes)
-    if keep is not None:
-        keep = frozenset(keep)
-        if not keep <= set(spec.variables):
-            raise ModelError(f"unknown variables {sorted(keep - set(spec.variables))}; "
-                             f"have {spec.variables}")
-        keep = None if len(keep) == len(spec.variables) else keep
+    keep = frozenset(spec.variables if keep is None else keep)
+    if not keep <= set(spec.variables):
+        raise ModelError(f"unknown variables {sorted(keep - set(spec.variables))}; "
+                         f"have {spec.variables}")
     shape = tuple(sizes[n] for n in spec.variables)
     plan = _elimination(spec, shape, keep)
-    tables = None if 0 in shape else _grouped_tables(factors, plan.shapes, plan.gather,
-                                                     plan.blocks)
-    if tables is None:  # the per-factor checks, in chain order, raise the first fault
-        tables = []
+    tables = factors
+    if 0 in shape or not _grouped_ok(factors, plan.shapes, plan.gather, plan.blocks):
+        tables = []  # converted and checked one by one: the first fault in chain order
         for raw, f, expect in zip(factors, spec.factors, plan.shapes):
-            tables.append(t := np.asarray(raw, dtype=float))
+            tables.append(t := _float_table(raw, f))
             if t.min(initial=0.0) < -SUM_TOL:
                 raise ModelError(f"negative entry {t.min()} in conditional table")
             worst = np.max(np.abs(t.sum(axis=tuple(range(len(f.given), t.ndim))) - 1.0))
@@ -531,7 +535,7 @@ def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
     factors = [u[sl].reshape(s) for sl, s in zip(slices, shapes)]
     for i, f in enumerate(spec.factors if overrides else ()):
         if (fixed := overrides.get(f.label())) is not None:
-            factors[i] = np.asarray(fixed, dtype=float)
+            factors[i] = _float_table(fixed, f)
             if factors[i].shape != shapes[i]:
                 raise ModelError(f"override for {f.label()} has shape {factors[i].shape}, "
                                  f"expected {shapes[i]}")

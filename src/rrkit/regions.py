@@ -47,7 +47,7 @@ import functools
 from dataclasses import dataclass, field, replace
 
 from .measures import InfoTerm, TermTable
-from .polytope import (Halfspace, InequalitySystem, _primitive, fm_eliminate,
+from .polytope import (Halfspace, InequalitySystem, _built, _primitive, fm_eliminate,
                        make_row, nonnegativity_rows, substitute)
 from .prob import FORMS, JointDistribution, ModelError, validate_factorization
 
@@ -434,7 +434,7 @@ def _rows_system(constants: BoundConstants, description: str) -> InequalitySyste
     values = constants.values
     rows = [Halfspace(coeffs, float(sum(values[k] for k in combo)) * scale, label)
             for label, coeffs, scale, combo in plan]
-    return InequalitySystem(variables, tuple(rows) + nonnegative)
+    return _built(variables, tuple(rows) + nonnegative)  # the plan's rows are primitive
 
 
 def build_system(constants: BoundConstants, description: str) -> InequalitySystem:

@@ -1,5 +1,4 @@
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -36,13 +35,10 @@ def test_fm_single_pairing():
     assert out.rows[0].bound == pytest.approx(3.0)
 
 
-def test_fm_absent_variable_warns_identity():
+def test_fm_absent_variable_is_refused():
     s = rows_of(("R",), ((1,), 1.0, "cap"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fm_eliminate(s, "T1")
-    assert out is s
-    assert caught and "identity" in str(caught[0].message)
+    with pytest.raises(VariableMismatchError, match="no variable 'T1'"):
+        fm_eliminate(s, "T1")
 
 
 def test_fm_merges_duplicate_rows():
@@ -120,6 +116,55 @@ def test_caller_rows_are_checked_and_rows_built_here_are_not(monkeypatch):
 
     monkeypatch.setattr(InequalitySystem, "__post_init__", refuse)
     assert [ask(fresh) for ask in asks] == want
+
+
+@pytest.mark.parametrize("coeffs", [(2, 2), (Fraction(1, 3), 0), (0.5, 1.0), ("1", "-1"),
+                                    (np.int64(1), np.int64(0))],
+                         ids=["gcd-2", "third", "floats", "strings", "numpy-ints"])
+def test_a_system_and_implies_refuse_a_row_make_row_did_not_scale(coeffs):
+    row = Halfspace(coeffs, 1.0, "odd")
+    square = rows_of(("x", "y"), ((1, 0), 1.0, "a"), ((0, 1), 1.0, "b"), ((-1, 0), 0.0, "c"),
+                     ((0, -1), 0.0, "d"))
+    refusal = r"'odd'.*not integers with gcd 1; build it with make_row"
+    for ask in (lambda: system(("x", "y"), [row]), lambda: InequalitySystem(("x", "y"), (row,)),
+                lambda: square.with_rows(square.rows + (row,)), lambda: implies(square, row)):
+        with pytest.raises(ValueError, match=refusal):
+            ask()
+    scaled = make_row(coeffs, 1.0, "odd")
+    assert math.gcd(*scaled.coeffs) == 1 and implies(square, scaled) in (True, False)
+    # whole rationals with gcd 1 and the all-zero constant row pass
+    ok = system(("x", "y"), [Halfspace((Fraction(1), Fraction(-2)), 1.0), Halfspace((0, 0), -1.0)])
+    assert not lp_feasible(ok) and implies(square, Halfspace((Fraction(1), 0), 1.0))
+
+
+def test_make_row_still_scales_rationals_floats_and_strings():
+    assert make_row((Fraction(2, 3), -4), 1.0, "q") == Halfspace((1, -6), 1.5, "q")
+    assert make_row(["1", "-1"], 2.0, "s") == Halfspace((1, -1), 2.0, "s")
+    assert make_row(["1/2", "0.25"], 1.0) == Halfspace((2, 1), 4.0)
+    assert make_row((0.5, 1.5), 1.0) == Halfspace((1, 3), 2.0)
+
+
+def test_subsets_of_checked_rows_skip_the_door(monkeypatch):
+    from rrkit import regions
+    from rrkit.verify import _draw
+
+    s = rows_of(("x", "y"), ((1, 0), 1.0, "a"), ((1, 0), 2.0, "loose"), ((-1, 0), 0.0, "b"),
+                ((0, 1), 1.0, "c"), ((0, -1), 0.0, "d"))
+    consts = regions.constants_for(_draw("hod9", 1001, 0)[0], "hod")
+    want = (remove_redundant(s), regions.build_system(consts, "thm4-ratepair"))
+
+    def refuse(self):
+        raise AssertionError("InequalitySystem.__post_init__ ran")
+
+    monkeypatch.setattr(InequalitySystem, "__post_init__", refuse)
+    assert (remove_redundant(s), regions.build_system(consts, "thm4-ratepair")) == want
+    assert [r.label for r in want[0].rows] == ["a", "b", "c", "d"]
+
+
+def test_vertices2d_refuses_a_system_outside_the_plane():
+    s = rows_of(("a", "b", "c"), ((1, 0, 0), 1.0, "r"))
+    with pytest.raises(VariableMismatchError, match="free questions need 2 variables"):
+        vertices2d(s)
 
 
 def test_lp_feasible_free():
@@ -322,6 +367,9 @@ small_int = st.integers(-4, 4)
 int_rows = st.lists(st.tuples(st.tuples(small_int, small_int, small_int),
                               st.floats(-10.0, 10.0, allow_nan=False)),
                     min_size=1, max_size=7)
+# the same rows divided by the gcd of their coefficients, as a system takes them
+primitive_rows = int_rows.map(lambda rows: [
+    (tuple(c // (math.gcd(*coeffs) or 1) for c in coeffs), bound) for coeffs, bound in rows])
 
 
 def as_system(rows, kind):
@@ -354,14 +402,14 @@ def cold(operation, *args):
 
 
 @PROPERTY
-@given(int_rows, st.sampled_from(VARS3))
+@given(primitive_rows, st.sampled_from(VARS3))
 def test_fm_eliminate_int_and_fraction_input_agree(rows, var):
     assert_same_int_rows(cold(fm_eliminate, as_system(rows, int), var),
                          cold(fm_eliminate, as_system(rows, Fraction), var))
 
 
 @PROPERTY
-@given(int_rows, st.sampled_from(VARS3),
+@given(primitive_rows, st.sampled_from(VARS3),
        st.dictionaries(st.sampled_from(VARS3 + ("w",)), small_int, min_size=1))
 def test_substitute_int_and_fraction_input_agree(rows, var, expr):
     frac_expr = {v: Fraction(e) for v, e in expr.items()}
@@ -370,7 +418,7 @@ def test_substitute_int_and_fraction_input_agree(rows, var, expr):
 
 
 @PROPERTY
-@given(int_rows, st.sampled_from(VARS3),
+@given(primitive_rows, st.sampled_from(VARS3),
        st.dictionaries(st.sampled_from(VARS3 + ("w",)), small_int, min_size=1))
 def test_cached_plans_give_the_rows_of_a_cold_cache(rows, var, expr):
     frac_expr = {v: Fraction(e) for v, e in expr.items()}
@@ -405,7 +453,7 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 def test_rational_input_becomes_primitive_ints(rows, var, expr):
     for coeffs, bound in rows:
         assert_primitive_multiple(make_row(coeffs, bound), coeffs)
-    s = as_system(rows, Fraction)
+    s = system(VARS3, [make_row(coeffs, bound, f"r{i}") for i, (coeffs, bound) in enumerate(rows)])
     for out in (fm_eliminate(s, var), substitute(s, var, expr)):
         for r in out.rows:
             assert all(type(c) is int for c in r.coeffs)

@@ -421,12 +421,30 @@ def test_bounds_past_the_float_range_raise_unbounded_region_error():
 
 
 def test_a_rational_row_scaled_past_the_float_range_raises_unbounded_region_error():
-    # x / 3 <= 1e308 is x <= 3e308 once scaled to integers
-    s = system(VARS, [Halfspace((Fraction(1, 3), 0), 1e308), Halfspace((-1, 0), 0.0),
-                      Halfspace((0, 1), 1.0), Halfspace((0, -1), 0.0)])
+    # x / 3 <= 1e308 is x <= 3e308 once scaled to integers: a system refuses
+    # the unscaled row, and make_row's scaled bound is inf
+    rest = [Halfspace((-1, 0), 0.0), Halfspace((0, 1), 1.0), Halfspace((0, -1), 0.0)]
+    with pytest.raises(ValueError, match="make_row"):
+        system(VARS, [Halfspace((Fraction(1, 3), 0), 1e308), *rest])
+    s = system(VARS, [make_row((Fraction(1, 3), 0), 1e308), *rest])
+    assert s.rows[0] == Halfspace((1, 0), float("inf"))
     for ask in (lp_feasible, remove_redundant, vertices2d):
-        with pytest.raises(UnboundedRegionError, match="bound 1e\\+308"):
+        with pytest.raises(UnboundedRegionError, match="bound inf is not finite"):
             ask(s)
+
+
+def test_the_slack_is_tol_not_twice_tol():
+    # the unit square overshoots x <= 1 - d by d, with tol < d < 2 * tol
+    tol, d = 1e-6, 1.5e-6
+    square = [make_row((0, 1), 1.0, "top"), *nonnegativity_rows(VARS)]
+    cut, cap = make_row((1, 0), 1.0 - d, "cut"), make_row((1, 0), 1.0, "cap")
+    inner, outer = system(VARS, [cap, *square]), system(VARS, [cut, *square])
+    assert not implies(inner, cut, tol)
+    ok, witness = contains(outer, inner, tol)
+    assert not ok and witness[0] >= 1.0 - d + tol
+    # the rest of the rows (cap among them) overshoot cut by d, so it stays
+    kept = remove_redundant(system(VARS, [cut, cap, *square]), tol)
+    assert [r.label for r in kept.rows] == ["cut", "top", "x>=0", "y>=0"]
 
 
 @pytest.mark.parametrize("tol", [-0.5, -1e-12, float("nan")])

@@ -658,6 +658,37 @@ def test_the_public_constructor_refuses_a_bad_outside_table(variables, table, me
         JointDistribution(variables, table)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([[0.5, 0.5], [0.5]], "setting an array element with a sequence"),
+    (["a"], "could not convert string to float"),
+], ids=["ragged", "string"])
+def test_a_table_that_is_not_an_array_of_numbers_is_a_model_error(bad, message):
+    spec, sizes = FORMS["ic1"], binary_sizes("ic1")
+    factors = sample_factors(spec, sizes, seed=3)
+    label = spec.factors[1].label()  # p(U1,W1|Q)
+    named = rf"factor {re.escape(label)} table is not a rectangular array of numbers: {message}"
+    with pytest.raises(ModelError, match=named):
+        compose([*factors[:1], bad, *factors[2:]], spec, sizes)
+    with pytest.raises(ModelError, match=named):
+        sample_factors(spec, sizes, seed=3, overrides={label: bad})
+    with pytest.raises(ModelError, match=f"joint table is not a rectangular array of numbers: "
+                                         f"{message}"):
+        JointDistribution((Variable("Q", 2),), bad)
+
+
+def test_none_and_every_variable_share_one_plan_and_one_table():
+    spec, sizes = FORMS["hod9"], binary_sizes("hod9")
+    factors = sample_factors(spec, sizes, seed=5)
+    everything = compose(factors, spec, sizes)
+    info = prob._elimination.cache_info
+    misses = info().misses
+    for keep in (None, set(spec.variables), reversed(spec.variables)):
+        d = compose(factors, spec, sizes, keep)
+        assert d.names == spec.variables and d.table.tobytes() == everything.table.tobytes()
+        assert d.table.flags.c_contiguous and not d.table.flags.writeable
+    assert info().misses == misses
+
+
 # --- structural implication between chains ---------------------------------------
 
 def _worst_violation(source: FactorizationSpec, target: FactorizationSpec, sizes, seed, draws):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rrkit.measures import cmi, eval_terms
-from rrkit.polytope import fm_eliminate, lp_feasible, vertices2d
+from rrkit.polytope import Halfspace, InequalitySystem, fm_eliminate, lp_feasible, vertices2d
 from rrkit.prob import (FORMS, Factor, FactorizationSpec, JointDistribution, ModelError,
                         compose, marginalize, sample_distribution, sample_factors)
 from rrkit import regions as R
@@ -189,6 +189,14 @@ def test_build_system_catalogue_row_labels():
     c7 = R.rtd_constants(sample_distribution(FORMS["rtd7"], binary_sizes("rtd7"), seed=4))
     rows = R.build_system(c7, "rtd-quintuple").rows
     assert [r.label for r in rows[:8]] == [f"8-{i}" for i in range(1, 9)]
+
+
+def test_every_compiled_description_passes_the_checked_constructor():
+    # _rows_system builds these systems without InequalitySystem's row checks
+    for description in R._SYSTEMS:
+        variables, plan, nonnegative = R._row_plan(description)
+        rows = tuple(Halfspace(coeffs, 1.0, label) for label, coeffs, _, _ in plan) + nonnegative
+        assert InequalitySystem(variables, rows).rows == rows, description
 
 
 def test_each_description_names_only_its_own_family_constants():
