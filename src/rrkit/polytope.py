@@ -145,10 +145,10 @@ def _built(variables: tuple, rows: tuple) -> InequalitySystem:
     return s
 
 
-def nonnegativity_rows(variables, subset=None) -> list[Halfspace]:
-    """-x <= 0 rows for each variable in subset (default all)."""
+def nonnegativity_rows(variables) -> list[Halfspace]:
+    """One -x <= 0 row for each variable."""
     return [Halfspace(tuple(-1 if j == i else 0 for j in range(len(variables))), 0.0, f"{v}>=0")
-            for i, v in enumerate(variables) if subset is None or v in subset]
+            for i, v in enumerate(variables)]
 
 
 def _merge_duplicates(rows) -> list[Halfspace]:

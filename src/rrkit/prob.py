@@ -518,9 +518,13 @@ def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
     One Philox call draws the whole chain, split across the factors in chain
     order (each table in C order), from this thread's generator re-keyed to
     ``stream(seed, index)``'s start (``_rekeyed``).  ``overrides`` maps
-    factor labels (e.g. "p(W1|Q)") to fixed tables; the stream position does
-    not depend on which factors are overridden.
+    factor labels (e.g. "p(W1|Q)") to fixed tables; a label that names no
+    factor of the chain raises ``ModelError``.  The stream position does not
+    depend on which factors are overridden.
     """
+    if overrides and (unknown := sorted(overrides.keys() - {f.label() for f in spec.factors})):
+        raise ModelError(f"override {', '.join(unknown)} names no factor of {spec.form}; "
+                         f"its factors are {', '.join(f.label() for f in spec.factors)}")
     _check_cells(spec.form, spec.variables, sizes)
     shapes, slices, gather, blocks = _layout(spec, tuple(sizes[n] for n in spec.variables))
     u = _rekeyed(seed, index).random(gather.size)

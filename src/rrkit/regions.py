@@ -18,6 +18,12 @@ catalogued inequality description (quadruple/quintuple systems, the 20- and
 variables and rows; one row builder serves them all.  The pre-binning
 budget system's projection reproduces the user-2 rows.
 
+The general region is written once, in ``HOD_PARTS`` and ``_QUAD_RATES``;
+``_hod_row`` derives its other forms by renaming each variable or rate to a
+tuple of them (an empty tuple drops it): ``EQ14_UFORM`` with U1 -> X1, U2 -> X2;
+``HOD_ON_SPLIT`` with U1 -> (U1a, U1b) and Q dropped, its two S1b rows with
+U1 -> U1b, W1 -> (W1, U1a); the budget rows with S2 -> s2, T2 -> t2.
+
 Catalogued systems have fixed integer coefficients; only their bounds
 depend on the joint.  So each description's rows (primitive coefficients
 and scales) are compiled once, on first use, and ``build_system`` computes
@@ -142,8 +148,7 @@ RTD_TERMS: dict[str, tuple[InfoTerm, ...]] = {
 }
 
 # --- simplified-region constants (rows 14-1..14-8); the channel-input
-#     expressions are the definition, the auxiliary-variable spellings
-#     live in EQ14_UFORM for the verifier.
+#     expressions are the definition (EQ14_UFORM holds the other spelling).
 HOD1_PARTS: dict[str, dict[str, tuple[InfoTerm, ...]]] = {
     "A1": {"interference": _terms("I(W2;X1|Q)"), "core": _terms("I(Y1;X1|W1,W2,Q)")},
     "D1": {"interference": _terms("I(W2;X1|Q)"), "core": _terms("I(Y1;X1|W2,Q)")},
@@ -157,24 +162,6 @@ HOD1_PARTS: dict[str, dict[str, tuple[InfoTerm, ...]]] = {
            "binning": _terms("I(X2;X1|Q,W2)")},
     "G2": {"interference": _terms("I(X2;W1|Q)"), "core": _terms("I(Y2;X2,W1|Q)"),
            "binning": _terms("I(W2;X1|Q)", "I(X2;X1|Q,W2)")},
-}
-
-
-# Auxiliary-variable spellings of the same eight constants with the private
-# messages identified with the channel inputs (U1 -> X1, U2 -> X2).
-EQ14_UFORM: dict[str, tuple[InfoTerm, ...]] = {
-    "A1": _terms("I(Y1;X1|W1,W2,Q)", "I(W2;W1,X1|Q)"),
-    "D1": _terms("I(Y1;X1,W1|W2,Q)", "I(W2;W1,X1|Q)"),
-    "E1": _terms("I(Y1;X1,W2|W1,Q)"),
-    "G1": _terms("I(Y1;X1,W1,W2|Q)"),
-    "A2": _terms("I(X2;W2|Q)", "I(W2,X2;W1|Q)", "I(Y2;X2|Q,W1,W2)",
-                 ("-", "I(X2;X1,W1,W2|Q)")),
-    "D2": _terms("I(X2;W2|Q)", "I(W2,X2;W1|Q)", "I(Y2;X2,W2|Q,W1)",
-                 ("-", "I(W2;X1,W1|Q)"), ("-", "I(X2;X1,W1,W2|Q)")),
-    "E2": _terms("I(X2;W2|Q)", "I(W2,X2;W1|Q)", "I(Y2;X2,W1|Q,W2)",
-                 ("-", "I(X2;X1,W1,W2|Q)")),
-    "G2": _terms("I(X2;W2|Q)", "I(W1;X2,W2|Q)", "I(Y2;X2,W1,W2|Q)",
-                 ("-", "I(W2;W1,X1|Q)"), ("-", "I(X2;X1,W1,W2|Q)")),
 }
 
 
@@ -330,6 +317,18 @@ _RTD_RATES = {
     "8-8": {"S2": 1},
 }
 
+
+def _hod_row(label: str, names: dict, parts=("correlation", "interference", "core", "binning")):
+    """General-region row ``label`` read in another form: its rate vector and
+    the terms of its ``parts`` (binning subtracted), with each variable or
+    rate v renamed to the tuple ``names[v]``; an empty tuple drops v."""
+    rename = lambda vs: tuple(w for v in vs for w in names.get(v, (v,)))
+    kept = {part: terms for part, terms in HOD_PARTS[label].items() if part in parts}
+    return ({w: c for v, c in _QUAD_RATES[label].items() for w in rename((v,))},
+            tuple(replace(t, left=rename(t.left), right=rename(t.right), cond=rename(t.cond))
+                  for t in _signed_terms({label: kept})[label]))
+
+
 # --- catalogued rate-pair descriptions: (label, rate vector, constant labels).
 THM4_ROWS = [
     ("11-1", {"R1": 1}, ["D1"]),
@@ -448,26 +447,19 @@ def build_system(constants: BoundConstants, description: str) -> InequalitySyste
     return _rows_system(constants, description)
 
 
-# --- pre-binning decoding budgets at the cognitive receiver, plus the two
-#     binning costs linking budget rates (s2, t2) to message rates (S2, T2):
-#     (label, rate vector, terms of its bound).
-BINNING_COST_W2 = iterm("I(W2;W1,U1|Q)")
-BINNING_COST_U2 = iterm("I(U2;U1,W1,W2|Q)")
-_BUDGET_ROWS = [
-    ("budget-s2", {"s2": 1}, _terms("I(W1;U2,W2|Q)", "I(Y2;U2|Q,W1,W2)", "I(U2;W2|Q)")),
-    ("budget-T1", {"T1": 1}, _terms("I(U2;W2|Q)", "I(W2,U2;W1|Q)", "I(Y2;W1|Q,U2,W2)")),
-    ("budget-t2", {"t2": 1}, _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;W2|Q,W1,U2)")),
-    ("budget-s2T1", {"s2": 1, "T1": 1},
-     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;U2,W1|Q,W2)")),
-    ("budget-s2t2", {"s2": 1, "t2": 1},
-     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;U2,W2|Q,W1)")),
-    ("budget-T1t2", {"T1": 1, "t2": 1},
-     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;W1,W2|Q,U2)")),
-    ("budget-T1s2t2", {"T1": 1, "s2": 1, "t2": 1},
-     _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)", "I(Y2;U2,W1,W2|Q)")),
-    ("bin-t2", {"T2": 1, "t2": -1}, (replace(BINNING_COST_W2, sign=-1),)),
-    ("bin-s2", {"S2": 1, "s2": -1}, (replace(BINNING_COST_U2, sign=-1),)),
-]
+# --- pre-binning decoding budgets at the cognitive receiver: (label, rate
+#     vector, terms of its bound).  A user-2 row's budget is its general row
+#     before binning, over the budget rates s2, t2 in place of S2, T2; then
+#     B2's and A2's binning costs link each budget rate to its message rate.
+_BUDGET_NAMES = {"S2": ("s2",), "T2": ("t2",)}
+_BUDGET_ROWS = [(budget, *_hod_row(label, _BUDGET_NAMES, ("correlation", "interference", "core")))
+                for budget, label in (("budget-s2", "A2"), ("budget-T1", "C2"),
+                                      ("budget-t2", "B2"), ("budget-s2T1", "E2"),
+                                      ("budget-s2t2", "D2"), ("budget-T1t2", "F2"),
+                                      ("budget-T1s2t2", "G2"))]
+_BUDGET_ROWS += [(f"bin-{rate}", _QUAD_RATES[label] | {rate: -1}, cost)  # T2 - t2 <= -cost
+                 for label in ("B2", "A2")
+                 for (rate,), cost in [_hod_row(label, _BUDGET_NAMES, ("binning",))]]
 _BUDGET_TABLE = TermTable({label: terms for label, _, terms in _BUDGET_ROWS})
 
 
@@ -506,22 +498,16 @@ COROLLARY5_TABLE: dict[str, tuple[str, tuple[InfoTerm, ...]]] = {
     "g2": ("G2", _terms("I(U2;W2|Q)", "I(W1;W2,U2|Q)")),
 }
 
-# Quadruple-region bound expressions evaluated on the split-private-message
-# joint (private message = (U1a, U1b), no time-sharing variable), for the
-# split-region comparison.  Keys name the rate sum being bounded.
+# The quadruple bounds on the split-private-message joint, keyed by the rate
+# sum they bound: the private message U1 is (U1a, U1b) and there is no Q.
+# The two S1b bounds read U1b as the private message, of rate S1b, and
+# (W1, U1a) as the public one.
+_SPLIT_NAMES = {"U1": ("U1a", "U1b"), "Q": ()}
+_S1B_NAMES = {"U1": ("U1b",), "W1": ("W1", "U1a"), "S1": ("S1b",), "Q": ()}
 HOD_ON_SPLIT: dict[str, tuple[InfoTerm, ...]] = {
-    "S1+T1+T2": _terms("I(Y1;U1a,U1b,W1,W2)"),
-    "S1": _terms("I(W2;U1a,U1b,W1)", "I(Y1;U1a,U1b|W1,W2)"),
-    "S1+T2": _terms("I(Y1;U1a,U1b,W2|W1)"),
-    "S1b+T2": _terms("I(Y1;U1b,W2|W1,U1a)"),
-    "S1b": _terms("I(W2;U1b,W1,U1a)", "I(Y1;U1b|W1,U1a,W2)"),
-    "S2+T1+T2": _terms("I(U2;W2)", "I(W1;U2,W2)", "I(Y2;U2,W1,W2)",
-                       ("-", "I(W2;W1,U1a,U1b)"), ("-", "I(U2;U1a,U1b,W1,W2)")),
-    "S2+T2": _terms("I(U2;W2)", "I(W2,U2;W1)", "I(Y2;U2,W2|W1)",
-                    ("-", "I(W2;U1a,U1b,W1)"), ("-", "I(U2;U1a,U1b,W1,W2)")),
-    "S2": _terms("I(U2;W2)", "I(W2,U2;W1)", "I(Y2;U2|W1,W2)",
-                 ("-", "I(U2;U1a,U1b,W1,W2)")),
-}
+    "+".join(rates): terms for rates, terms in (_hod_row(label, names) for label, names in (
+        ("G1", _SPLIT_NAMES), ("A1", _SPLIT_NAMES), ("E1", _SPLIT_NAMES), ("E1", _S1B_NAMES),
+        ("A1", _S1B_NAMES), ("G2", _SPLIT_NAMES), ("D2", _SPLIT_NAMES), ("A2", _SPLIT_NAMES)))}
 
 # The eight split-region relations: rtd bound = matching quadruple bound
 # minus delta (sign +1), or quadruple bound = rtd bound minus delta (-1).
@@ -540,6 +526,11 @@ COROLLARY6_LINES = [
 ]
 
 COROLLARY6_NARROW_S1_DELTA = _terms("I(W2;W1)", "I(W2;U1b|W1,U1a)")
+
+# The simplified constants' auxiliary-variable spellings: their general
+# terms with the private messages read as the channel inputs.
+EQ14_UFORM: dict[str, tuple[InfoTerm, ...]] = {
+    label: _hod_row(label, {"U1": ("X1",), "U2": ("X2",)})[1] for label in HOD1_PARTS}
 
 # Residual separating the two spellings in the duality table: zero whenever
 # the public messages are recoverable from their channel inputs.

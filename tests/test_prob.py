@@ -482,6 +482,16 @@ def test_an_override_leaves_the_other_draws_unchanged(form, label):
     _assert_bitwise(got[:i] + got[i + 1:], want[:i] + want[i + 1:])
 
 
+def test_an_override_naming_no_factor_of_the_chain_is_a_model_error():
+    spec, sizes = FORMS["hk3"], binary_sizes("hk3")
+    fixed = np.full((2, 2), 0.5)
+    with pytest.raises(ModelError, match=re.escape("override p(W1|Qx) names no factor of hk3; "
+                                                   "its factors are p(Q), p(U1|Q), p(W1|Q)")):
+        sample_factors(spec, sizes, seed=5, overrides={"p(W1|Qx)": fixed})
+    with pytest.raises(ModelError, match=re.escape("override p(X1|Q) names no factor")):
+        sample_factors(spec, sizes, seed=5, overrides={"p(W1|Q)": fixed, "p(X1|Q)": fixed})
+
+
 EDGE_STREAMS = [(0, 0), (5, 3), (2**63 + 3, 2**100 + 9), (2**64 - 1, 2**128 - 1)]
 
 

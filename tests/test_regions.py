@@ -1,12 +1,13 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from rrkit.measures import cmi, eval_terms
+from rrkit.measures import TermTable, cmi, eval_terms
 from rrkit.polytope import Halfspace, InequalitySystem, fm_eliminate, lp_feasible, vertices2d
 from rrkit.prob import (FORMS, Factor, FactorizationSpec, JointDistribution, ModelError,
-                        compose, marginalize, sample_distribution, sample_factors)
+                        Variable, compose, marginalize, sample_distribution, sample_factors)
 from rrkit import regions as R
 
 from conftest import binary_sizes, compose_form, delta, uniform_factors
@@ -228,6 +229,73 @@ def test_binning_cost_rows_have_nonpositive_bounds():
     by_label = {r.label: r for r in budget.rows}
     assert by_label["bin-t2"].bound <= 1e-12
     assert by_label["bin-s2"].bound <= 1e-12
+
+
+def _terms_variables(rows) -> set:
+    return {v for terms in rows.values() for t in terms for v in t.left + t.right + t.cond}
+
+
+@pytest.mark.parametrize("form, rows", [
+    ("hod12", R.EQ14_UFORM), ("rtd7", R.HOD_ON_SPLIT),
+    ("hod9", {label: terms for label, _, terms in R._BUDGET_ROWS})],
+    ids=["channel-inputs", "split-message", "pre-binning"])
+def test_renamed_general_rows_mention_only_their_chain_and_compile(form, rows):
+    # TermTable compiles on first use, so a renaming that merged a variable
+    # into two sides of a term would otherwise fail only when evaluated
+    assert _terms_variables(rows) <= set(FORMS[form].variables)
+    assert TermTable(rows).matrix.shape[0] == len(rows)
+    if form == "hod9":  # the budget system reads only its own rates
+        assert {v for _, rates, _ in R._BUDGET_ROWS for v in rates} == \
+            {"S2", "T2", "T1", "s2", "t2"}
+
+
+def _regrouped(d: JointDistribution, groups) -> JointDistribution:
+    """d over new variables: each (name, names of d) in ``groups`` is one axis,
+    in order, whose cells are those names' joint cells; an empty group is a
+    size-1 axis."""
+    old = [n for _, names in groups for n in names]
+    assert sorted(old) == sorted(d.names)
+    shape = [math.prod(d.size(n) for n in names) for _, names in groups]
+    table = d.table.transpose([d.axis(n) for n in old]).reshape(shape)
+    return JointDistribution(tuple(Variable(name, k) for (name, _), k in zip(groups, shape)),
+                             table)
+
+
+def _renamed_draws(form: str, k: int = 3):
+    sizes = {n: k if n.startswith(("U", "W", "X")) else 2 for n in FORMS[form].variables}
+    return [sample_distribution(FORMS[form], sizes, seed=29, index=i) for i in range(4)]
+
+
+def test_uform_is_the_general_terms_with_channel_inputs_as_private_messages():
+    hod = R._FAMILIES["hod"].terms
+    assert list(R.EQ14_UFORM) == list(R.HOD1_PARTS)
+    for d in _renamed_draws("hod12"):
+        as_u = _regrouped(d, [("U1" if n == "X1" else "U2" if n == "X2" else n, (n,))
+                              for n in d.names])
+        for label, terms in R.EQ14_UFORM.items():
+            assert abs(eval_terms(as_u, hod[label]) - eval_terms(d, terms)) <= 1e-12, label
+
+
+# each split-message bound: the general row it is, and how the split joint's
+# variables merge into that row's (U1, W1); Q is a size-1 axis
+_SPLIT_AS = {
+    "S1+T1+T2": "G1", "S1": "A1", "S1+T2": "E1", "S2+T1+T2": "G2", "S2+T2": "D2", "S2": "A2"}
+_S1B_AS = {"S1b+T2": "E1", "S1b": "A1"}
+_SPLIT_GROUPS = [("Q", ()), ("W1", ("W1",)), ("U1", ("U1a", "U1b"))]
+_S1B_GROUPS = [("Q", ()), ("W1", ("W1", "U1a")), ("U1", ("U1b",))]
+
+
+def test_split_rows_are_the_general_terms_on_the_merged_split_joint():
+    hod = R._FAMILIES["hod"].terms
+    assert list(R.HOD_ON_SPLIT) == ["S1+T1+T2", "S1", "S1+T2", "S1b+T2", "S1b",
+                                    "S2+T1+T2", "S2+T2", "S2"]
+    for d in _renamed_draws("rtd7"):
+        rest = [(n, (n,)) for n in ("W2", "U2", "X1", "X2", "Y1", "Y2")]
+        for as_, groups in ((_SPLIT_AS, _SPLIT_GROUPS), (_S1B_AS, _S1B_GROUPS)):
+            merged = _regrouped(d, groups + rest)
+            for key, label in as_.items():
+                got = eval_terms(merged, hod[label])
+                assert abs(got - eval_terms(d, R.HOD_ON_SPLIT[key])) <= 1e-12, key
 
 
 def test_project_to_ratepair_vertices_satisfy_rows():

@@ -246,6 +246,24 @@ def test_thm4_both_empty_counts_as_equivalent():
     assert contains(listed, raw)[0] and contains(raw, listed)[0]
 
 
+# sha256 of json.dumps(run_check(name, 20, 1001).to_json_dict()) for the checks
+# that read the general region's renamed forms (HOD_ON_SPLIT, EQ14_UFORM and
+# the budget rows), taken when those tables were still written out term by
+# term; a renaming that changes any compiled row changes these reports.
+RENAMED_FORM_REPORTS_SHA256 = {
+    "corollary6": "4877d90443f1a54e7ad351f68f911f795225f6e646c25e7f225f25fea587dede",
+    "eq14": "4a703e8c7cf34836227c4a4c75126a10315d7fcb00e30f2608140ddcd870e9e6",
+    "binning": "b877b535ca76cecd14d4cd5b85b60342a57240957cff025769931e7bae2a8270",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENAMED_FORM_REPORTS_SHA256))
+def test_reports_of_the_renamed_general_forms_are_pinned(name):
+    import hashlib
+    report = json.dumps(V.run_check(name, 20, 1001).to_json_dict())
+    assert hashlib.sha256(report.encode()).hexdigest() == RENAMED_FORM_REPORTS_SHA256[name]
+
+
 def test_reports_deterministic():
     a = V.run_check("thm6", 4, 9)
     b = V.run_check("thm6", 4, 9)
