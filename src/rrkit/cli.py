@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -30,9 +29,10 @@ import numpy as np
 
 from . import regions
 from .polytope import (TOL, InequalitySystem, UnboundedRegionError,
-                       VariableMismatchError, contains, convex_hull,
+                       VariableMismatchError, _check_tol, contains, convex_hull,
                        remove_redundant, vertices2d)
-from .prob import FORMS, JointDistribution, ModelError, compose, sample_factors
+from .prob import (FORMS, JointDistribution, ModelError, Variable, _check_stream,
+                   compose, sample_factors)
 from .verify import CHECKS, run_check
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_MODEL, EXIT_COMPARE = 0, 1, 2, 3, 4
@@ -79,11 +79,13 @@ def _number(path: str, what: str, value, integer: bool = True):
     return value
 
 
-def _size(path: str, what: str, value) -> int:
-    """value if it is a JSON integer of at least 1."""
-    if _number(path, what, value) < 1:
-        raise ScenarioError(f"{path}: {what} must be at least 1, got {value}")
-    return value
+def _checked(prefix: str, check, *args):
+    """check(*args), the library's rule for an input; its refusal is a usage
+    error starting ``prefix``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"{prefix} {exc}") from None
 
 
 def _table(path: str, what: str, flat) -> np.ndarray:
@@ -146,7 +148,7 @@ def load_scenario(path: str) -> Scenario:
     for name, size in alphabets.items():
         if name not in sizes:
             raise ScenarioError(f"{path}: alphabet for unknown variable {name!r}")
-        sizes[name] = _size(path, f"alphabet size of {name}", size)
+        sizes[name] = _checked(f"{path}:", Variable, name, size).size
     labels = {f.label(): f for f in spec.factors}
     tables = {}  # factor label -> (what, table)
     for key, flat in raw.get("factors", {}).items():
@@ -164,7 +166,8 @@ def load_scenario(path: str) -> Scenario:
         if "kernel" not in channel:
             raise ScenarioError(f"{path}: channel block needs a 'kernel' array")
         for key in sorted(set(channel) - {"kernel"}):
-            size, name = _size(path, f"channel size {key}", channel[key]), key.upper()
+            name = key.upper()
+            size = _checked(f"{path}:", Variable, name, channel[key]).size
             if alphabets.get(name, size) != size:
                 raise ScenarioError(f"{path}: channel {key} = {size} conflicts with "
                                     f"alphabet {name} = {sizes[name]}")
@@ -182,14 +185,14 @@ def load_scenario(path: str) -> Scenario:
                 f"{path}: {what} has {table.size} entries, expected {np.prod(shape)}")
         overrides[label] = table.reshape(shape)
     sampling = raw.get("sampling", {})
-    count = _size(path, "sampling count", sampling.get("count", 50))
+    count = _number(path, "sampling count", sampling.get("count", 50))
+    if count < 1:
+        raise ScenarioError(f"{path}: sampling count must be at least 1, got {count}")
     tol = _number(path, "tol polytope", raw.get("tol", {}).get("polytope", TOL),
                   integer=False)
-    if not 0 <= tol <= sys.float_info.max:  # also refuses ints beyond any float
-        raise ScenarioError(f"{path}: tol polytope must be finite and >= 0, got {tol}")
+    _checked(f"{path}:", _check_tol, tol, "tol polytope")
     seed = _number(path, "sampling seed", sampling.get("seed", 0))
-    if not 0 <= seed < 2**64:
-        raise ScenarioError(f"{path}: sampling seed must be in [0, 2**64), got {seed}")
+    _checked(f"{path}: sampling", _check_stream, seed, 0)
     return Scenario(form, sizes, overrides, count=count, seed=seed, tol_polytope=float(tol))
 
 
@@ -371,25 +374,23 @@ def _sample_count(text: str) -> int:
     return n
 
 
-def _index(text: str) -> int:
-    n = int(text)
-    if not 0 <= n < 2**128:
-        raise argparse.ArgumentTypeError(f"sample index must be in [0, 2**128), got {n}")
-    return n
+def _arg(convert, check):
+    """An argparse type: the text converted, then ``check``ed by the
+    library's rule for it, whose refusal becomes the option's usage error."""
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = convert.__name__  # for argparse's "invalid int value: ..."
+    return parse
 
 
-def _seed(text: str) -> int:
-    n = int(text)
-    if not 0 <= n < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {n}")
-    return n
-
-
-def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
-    return tol
+_index = _arg(int, lambda n: _check_stream(0, n))
+_seed = _arg(int, lambda n: _check_stream(n, 0))
+_tolerance = _arg(float, _check_tol)
 
 
 def cmd_verify(args) -> int:

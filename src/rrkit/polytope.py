@@ -30,7 +30,7 @@ rational input (floats, fractions.Fraction, numeric strings) to primitive
 integers; a system, and ``implies`` for its row, refuses any other row.
 Fraction remains only where a floating bound must be compared exactly.
 Every comparison against the floating bounds uses an absolute tolerance
-(default 1e-9; a negative or NaN one is refused).  Feasible within tol means
+(default 1e-9; one not finite and >= 0 is refused).  Feasible within tol means
 the rows with every bound raised by tol (``_raised``) meet; an empty system
 feasible within tol is read as them.
 """
@@ -42,6 +42,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from sys import float_info
 from typing import NamedTuple
 
 TOL = 1e-9
@@ -246,10 +247,11 @@ def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
                                   for (coeffs, scale), r in zip(plan, sys.rows)))
 
 
-def _check_tol(tol: float) -> None:
-    """Refuse a tolerance that is negative or NaN: bounds are only ever raised by tol."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+def _check_tol(tol: float, what: str = "tol") -> None:
+    """Refuse a tolerance ``what`` not finite and >= 0 (an int past the float range
+    too): bounds are only ever raised by tol, and by inf every row holds."""
+    if not 0 <= tol <= float_info.max:  # NaN fails too
+        raise ValueError(f"{what} must be finite and >= 0, got {tol}")
 
 
 def _check_plane(sys: InequalitySystem, coeffs=(0, 0)) -> None:

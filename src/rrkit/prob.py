@@ -14,11 +14,12 @@ Dense probability tables over a small set of named variables
   each thread's own generator re-keyed per draw.
 
 Tables are numpy arrays indexed by the variables in a fixed order; all
-values are immutable after construction.  A joint is at most ``MAX_CELLS``
-cells: ``sample_factors`` and ``compose`` refuse larger alphabets before
-they allocate any table (``compose`` counts the full chain's cells, whatever
-it keeps).  A joint from ``compose`` or ``marginalize`` is checked
-once, by its inputs, and keeps its fresh table read-only without a copy.
+values are immutable after construction.  A size is an int >= 1 (``Variable``)
+and a joint at most ``MAX_CELLS`` cells: ``sample_factors`` and ``compose``
+refuse other sizes, once per size tuple, before they allocate any table
+(``compose`` counts the full chain's cells, whatever it keeps).  A joint from
+``compose`` or ``marginalize`` is checked once, by its inputs, and keeps its
+fresh table read-only without a copy.
 
 A joint built by ``compose`` remembers the chain it multiplied (``_spec``),
 and so does a marginal ``compose`` summed along a chain (``keep``), which
@@ -54,7 +55,7 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class Variable:
-    """A named finite-alphabet random variable."""
+    """A named finite-alphabet random variable; its size is an ``int`` >= 1."""
 
     name: str
     size: int
@@ -62,8 +63,9 @@ class Variable:
     def __post_init__(self):
         if self.name not in KNOWN_NAMES:
             raise ModelError(f"unknown variable name {self.name!r}")
-        if self.size < 1:
-            raise ModelError(f"alphabet size of {self.name} must be >= 1, got {self.size}")
+        if self.size.__class__ is not int or self.size < 1:  # refuses bools and floats
+            raise ModelError(f"alphabet size of {self.name} must be an integer of "
+                             f"at least 1, got {self.size!r}")
 
 
 @dataclass(frozen=True)
@@ -265,24 +267,26 @@ def _joint(variables: tuple[Variable, ...], table: np.ndarray,
     return d
 
 
-def _check_cells(what: str, names, sizes: dict[str, int]) -> None:
-    """Refuse a joint over ``names`` larger than ``MAX_CELLS``, before allocating."""
-    for name in names:
-        if name not in sizes:
-            raise ModelError(f"no alphabet size for {name}")
-    cells = math.prod(sizes[n] for n in names)
-    if cells > MAX_CELLS:
+def _shape(spec: FactorizationSpec, sizes: dict[str, int]) -> tuple:
+    """The alphabet sizes of spec's variables, in chain order."""
+    try:
+        return tuple(sizes[n] for n in spec.variables)
+    except KeyError as e:
+        raise ModelError(f"no alphabet size for {e.args[0]}") from None
+
+
+@functools.lru_cache(maxsize=64, typed=True)  # typed: a size True or 2.0 is not 1 or 2
+def _layout(spec: FactorizationSpec, *shape: int):
+    """The chain's ``Variable``s at alphabet sizes ``shape`` (which checks each
+    size), refusing a joint of over ``MAX_CELLS`` cells; each table's shape and
+    slice of the tables laid end to end; and ``gather``, which regroups the
+    entries by target-cell count t into ``(rows, t)`` ``blocks``."""
+    variables = tuple(map(Variable, spec.variables, shape))
+    if (cells := math.prod(shape)) > MAX_CELLS:
         raise ModelError(
-            f"{what} joint would have {cells} cells "
-            f"({', '.join(f'{n}={sizes[n]}' for n in names)}); "
+            f"{spec.form} joint would have {cells} cells "
+            f"({', '.join(f'{n}={k}' for n, k in zip(spec.variables, shape))}); "
             f"the limit is {MAX_CELLS}")
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(spec: FactorizationSpec, shape: tuple[int, ...]):
-    """Each table's shape and slice of the tables laid end to end at alphabet
-    sizes ``shape``; ``gather`` regroups the entries by target-cell count t into
-    ``(rows, t)`` ``blocks``."""
     sizes = dict(zip(spec.variables, shape))
     shapes = [tuple(sizes[n] for n in f.given + f.targets) for f in spec.factors]
     ts = [math.prod(sizes[n] for n in f.targets) for f in spec.factors]
@@ -291,8 +295,8 @@ def _layout(spec: FactorizationSpec, shape: tuple[int, ...]):
     gather.flags.writeable = False
     starts = [0, *itertools.accumulate(cells)]
     ends = [0, *itertools.accumulate(sum(c for c, u in zip(cells, ts) if u == t) for t in groups)]
-    blocks = tuple((a, b, t) for a, b, t in zip(ends, ends[1:], groups) if b > a)
-    return tuple(shapes), tuple(map(slice, starts, starts[1:])), gather, blocks
+    blocks = tuple(zip(ends, ends[1:], groups))
+    return variables, tuple(shapes), tuple(map(slice, starts, starts[1:])), gather, blocks
 
 
 def _grow(grown: tuple[str, ...], f: Factor, sizes: dict[str, int]):
@@ -345,8 +349,8 @@ class _Plan(NamedTuple):
     variables: tuple[Variable, ...]  # the kept variables, in chain order
 
 
-@functools.lru_cache(maxsize=64)
-def _elimination(spec: FactorizationSpec, shape: tuple[int, ...], keep: frozenset) -> _Plan:
+@functools.lru_cache(maxsize=64, typed=True)  # typed, as ``_layout``
+def _elimination(spec: FactorizationSpec, keep: frozenset, *shape: int) -> _Plan:
     """compose's plan at alphabet sizes ``shape`` keeping ``keep``.
 
     Variable elimination along the chain (Zhang and Poole 1994): a variable
@@ -355,6 +359,7 @@ def _elimination(spec: FactorizationSpec, shape: tuple[int, ...], keep: frozense
     is ``_grow``.  Each step returns the C-ordered table over the variables
     grown so far, transposed at the end only if their order is not the kept
     order; with nothing to drop every step grows, in chain order."""
+    variables, shapes, _, gather, blocks = _layout(spec, *shape)  # checks the sizes first
     sizes = dict(zip(spec.variables, shape))
     kept = tuple(n for n in spec.variables if n in keep)
     last = {n: i for i, f in enumerate(spec.factors) for n in f.given + f.targets}
@@ -369,10 +374,8 @@ def _elimination(spec: FactorizationSpec, shape: tuple[int, ...], keep: frozense
     order = tuple(grown.index(n) for n in kept)
     finish = None if grown == kept else (
         lambda joint: np.ascontiguousarray(joint.transpose(order)))
-    shapes, _, gather, blocks = _layout(spec, shape)
-    # an empty alphabet makes no Variable: compose refuses its factors first
-    variables = () if 0 in shape else tuple(Variable(n, sizes[n]) for n in kept)
-    return _Plan(shapes, gather, blocks, tuple(steps), finish, variables)
+    return _Plan(shapes, gather, blocks, tuple(steps), finish,
+                 tuple(v for v in variables if v.name in keep))
 
 
 def _grouped_ok(tables, shapes, gather, blocks) -> bool:
@@ -393,8 +396,9 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
 
     ``factors[i]`` corresponds to ``spec.factors[i]`` and is indexed by the
     factor's given variables first (in the listed order), then its targets.
-    The checks read the full chain: its cells against ``MAX_CELLS`` and every
-    factor table, whatever ``keep`` drops.  The table grows one factor at a
+    The checks read the full chain: its alphabet sizes, its cells against
+    ``MAX_CELLS`` (both once per size tuple, in ``_layout``) and every factor
+    table, whatever ``keep`` drops.  The table grows one factor at a
     time, each factor's targets becoming new trailing axes, and each dropped
     variable is summed out at the last factor that reads it (``_elimination``),
     so the full joint is never built.  With nothing dropped every cell is
@@ -404,15 +408,14 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
     """
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
-    _check_cells(spec.form, spec.variables, sizes)
+    shape = _shape(spec, sizes)
     keep = frozenset(spec.variables if keep is None else keep)
     if not keep <= set(spec.variables):
         raise ModelError(f"unknown variables {sorted(keep - set(spec.variables))}; "
                          f"have {spec.variables}")
-    shape = tuple(sizes[n] for n in spec.variables)
-    plan = _elimination(spec, shape, keep)
+    plan = _elimination(spec, keep, *shape)
     tables = factors
-    if 0 in shape or not _grouped_ok(factors, plan.shapes, plan.gather, plan.blocks):
+    if not _grouped_ok(factors, plan.shapes, plan.gather, plan.blocks):
         tables = []  # converted and checked one by one: the first fault in chain order
         for raw, f, expect in zip(factors, spec.factors, plan.shapes):
             tables.append(t := _float_table(raw, f))
@@ -525,8 +528,7 @@ def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
     if overrides and (unknown := sorted(overrides.keys() - {f.label() for f in spec.factors})):
         raise ModelError(f"override {', '.join(unknown)} names no factor of {spec.form}; "
                          f"its factors are {', '.join(f.label() for f in spec.factors)}")
-    _check_cells(spec.form, spec.variables, sizes)
-    shapes, slices, gather, blocks = _layout(spec, tuple(sizes[n] for n in spec.variables))
+    _, shapes, slices, gather, blocks = _layout(spec, *_shape(spec, sizes))
     u = _rekeyed(seed, index).random(gather.size)
     e = -np.log1p(-u[gather])
     for a, b, t in blocks:

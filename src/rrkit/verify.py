@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import regions
-from .polytope import (TOL, InequalitySystem, contains, fm_eliminate, implies,
-                       lp_feasible, remove_redundant)
+from .polytope import (TOL, InequalitySystem, _check_tol, contains, fm_eliminate,
+                       implies, lp_feasible, remove_redundant)
 from .prob import FORMS, compose, sample_factors
 
 TOL_IDENTITY = 1e-12
@@ -52,17 +52,7 @@ class RegionReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerances": dict(self.tolerances),
-            "passed": bool(self.passed),
-            "verdicts": [bool(v) for v in self.verdicts],
-            "max_deviation": float(self.max_deviation),
-            "failures": list(self.failures),
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -102,8 +92,6 @@ def _result(draw, ok: bool, deviation: float, why: str, aggregate: dict | None =
 
 def _witness_deviation(sys: InequalitySystem, point) -> float:
     """Largest positive slack violation of the point against the system."""
-    if point is None:
-        return 0.0
     worst = 0.0
     for r in sys.rows:
         worst = max(worst, sum(float(c) * x for c, x in zip(r.coeffs, point)) - r.bound)
@@ -456,11 +444,15 @@ def run_check(name: str, samples: int, seed: int,
               tol_identity: float = TOL_IDENTITY, mapper=map) -> RegionReport:
     """Run check ``name`` on ``samples`` draws from ``seed``; ``mapper`` maps
     the per-sample function over the sample indices (a process pool's map
-    gives the same report)."""
+    gives the same report).  Both tolerances must be finite and >= 0, as for
+    every polytope question (``polytope._check_tol``), whether or not the
+    check reads them."""
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
     if samples < 1:
         raise ValueError(f"{name} needs at least 1 sample, got {samples}")
+    _check_tol(tol_polytope, "tol_polytope")
+    _check_tol(tol_identity, "tol_identity")
     one, fixed, recorded = CHECKS[name]
     tolerances = {"polytope": tol_polytope, "identity": tol_identity,
                   "addon": TOL_ADDON, "collapse": TOL_COLLAPSE}

@@ -855,3 +855,61 @@ def test_factor_given_under_both_labels_is_a_usage_error(verb, first, second, tm
     assert main(_verb_argv(verb, str(path))) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: {path}: p(W1|Q) given twice, as factor {first!r} and factor {second!r}"]
+
+
+def test_a_factor_key_naming_no_factor_of_the_form_is_a_usage_error(tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", extra={"factors": {"Z9|Q": [1.0]}})
+    assert main(["eval", path, "--family", "hod"]) == 2
+    labels = sorted(f.label() for f in FORMS["hk3"].factors)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: factor 'Z9|Q' not in form hk3; expected one of {labels}"]
+
+
+def test_verify_prints_the_one_sided_divergences(tmp_path, capsys):
+    # sample 138 of seed 1001 has an infeasible source (test_verifier)
+    out = tmp_path / "thm4.json"
+    assert main(["verify", "thm4", "--samples", "139", "--seed", "1001", "--out", str(out)]) == 0
+    assert "  infeasible_source: 1 samples diverge one-sidedly (witnessed)\n" in \
+        capsys.readouterr().out
+    assert json.loads(out.read_text())["details"]["infeasible_source"]["count"] == 1
+
+
+# sha256 of each verb's output for one scenario of each form (Q = 2, count 10,
+# seed 11): the eval, project, compare and union (4 samples) JSON, and the SVG
+# of plot given the union and project JSON, taken before the tolerance,
+# seed/index and alphabet-size rules each moved to one home in the library
+CLI_OUTPUTS_SHA256 = {
+    ("hk3", "hod", "dmt"): {
+        "eval": "e52a7888b93793c10d79f39b12a08da870e9b49e8008781dbd672d46119012eb",
+        "project": "66ae1b8e6d9384c7ceb2858b3490d2b41a3af77fd03e3e3e9517b4eb88c75487",
+        "compare": "8a3b9be62341eedf5916183801b538eef9efacf2f6dbaba8e67184a8000bd99d",
+        "union": "0d9d9047ca959ede8598ee57e647d30950812f48be9e7cbada5fe7667276b029",
+        "plot": "a95d95bfe62f1be664e680659f7f57a32bc051ee40e2b7f702785449e65f2fbd"},
+    ("dmt5", "dmt", "hod"): {
+        "eval": "9ff1236c44f01e09dfe729beaec02716d6fa88220114106bc70dfbd2295d372a",
+        "project": "7384641d35252b9468d73c1733ca5f8df22d68fddb9bbf7f15d61421f224944d",
+        "compare": "f7e283641a3c80ce81c49c406f239a1fd5737b0f868230b9cc67d8ce490c138a",
+        "union": "ea1dfe08fc7432c9809b6f29a05ec24c9bd609ec7bca7e54723305977a6c1647",
+        "plot": "e6c5f3133c69443380b0579dce78a35f8e92fbafcc17f95965f6632fa1925e40"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_OUTPUTS_SHA256), ids=lambda case: case[0])
+def test_verb_outputs_are_pinned(case, tmp_path, capsys):
+    import hashlib
+    form, family, family_b = case
+    scenario = write_scenario(tmp_path / ("hk.json" if form == "hk3" else "dmt.json"), form=form)
+    outputs = {}
+    for verb, flags in (("eval", []), ("project", []), ("compare", ["--family-b", family_b]),
+                        ("union", ["--samples", "4"])):
+        out = tmp_path / f"{verb}.json"
+        assert main([verb, scenario, "--family", family, "--out", str(out), *flags]) == 0
+        outputs[verb] = out.read_text()
+    capsys.readouterr()
+    regions = [str(tmp_path / "union.json"), str(tmp_path / "project.json")]
+    assert main(["plot", *regions]) == 0  # to stdout
+    outputs["plot"] = capsys.readouterr().out
+    assert main(["plot", *regions, "--out", str(tmp_path / "plot.svg")]) == 0
+    assert (tmp_path / "plot.svg").read_text() == outputs["plot"]
+    assert {verb: hashlib.sha256(text.encode()).hexdigest()
+            for verb, text in outputs.items()} == CLI_OUTPUTS_SHA256[case]

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -97,6 +98,16 @@ def test_eval_term_identity_coupling(chain_qwu):
     assert abs(eval_term(d, t) - 1.0) < 1e-12
     negated = InfoTerm("I", ("U1",), ("W1",), ("Q",), sign=-1)
     assert abs(eval_term(d, negated) + 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("args, message", [
+    (("J", ("Y1",)), "kind must be H or I, got 'J'"),
+    (("I", ("Y1",)), "I-term needs a right-hand variable set"),
+    (("H", ("Y1",), (), (), 2), "sign must be +/-1, got 2"),
+])
+def test_a_malformed_info_term_is_refused(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        InfoTerm(*args)
 
 
 def test_eval_terms_sum():

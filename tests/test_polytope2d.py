@@ -447,14 +447,15 @@ def test_the_slack_is_tol_not_twice_tol():
     assert [r.label for r in kept.rows] == ["cut", "top", "x>=0", "y>=0"]
 
 
-@pytest.mark.parametrize("tol", [-0.5, -1e-12, float("nan")])
+@pytest.mark.parametrize("tol", [-0.5, -1e-12, float("nan"), float("inf")])
 def test_a_negative_or_nan_tolerance_is_refused(tol):
-    # the segment x = 0, 0 <= y <= 1
+    # the segment x = 0, 0 <= y <= 1; an infinite tol is refused too, where
+    # it would make every answer vacuous
     s = _rows(((1, 0), 0.0), ((-1, 0), 0.0), ((0, 1), 1.0), ((0, -1), 0.0))
     for ask in (lambda: lp_feasible(s, tol=tol), lambda: lp_feasible(s, (0.0, 0.5), tol),
                 lambda: implies(s, make_row((0, 1), 2.0), tol), lambda: contains(s, s, tol),
                 lambda: remove_redundant(s, tol), lambda: vertices2d(s, tol)):
-        with pytest.raises(ValueError, match="tol must be >= 0"):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             ask()
     assert vertices2d(s, 0.0).kind == "segment" and lp_feasible(s, tol=0.0)
 

@@ -595,12 +595,62 @@ def test_compose_raises_the_first_fault_in_chain_order(form, early, late):
 
 @pytest.mark.parametrize("name", ["Q", "X1", "Y2"])
 def test_an_empty_alphabet_draws_empty_tables_that_compose_refuses(name):
+    # an empty alphabet draws no tables: both refuse it, naming the variable
     spec, sizes = FORMS["hod9"], dict(binary_sizes("hod9"), **{name: 0})
-    factors = sample_factors(spec, sizes, seed=4)
-    assert [t.shape for t in factors] == [
-        tuple(sizes[n] for n in f.given + f.targets) for f in spec.factors]
-    with pytest.raises(ModelError, match="sum to 1; worst deviation 1.0"):
-        compose(factors, spec, sizes)
+    message = f"alphabet size of {name} must be an integer of at least 1, got 0"
+    with pytest.raises(ModelError, match=message):
+        sample_factors(spec, sizes, seed=4)
+    with pytest.raises(ModelError, match=message):
+        compose(uniform_factors("hod9", binary_sizes("hod9")), spec, sizes)
+
+
+@pytest.mark.parametrize("size", [0, -1, 2.5, True, 2.0])
+@pytest.mark.parametrize("name", ["Q", "U1", "Y2"])
+def test_an_alphabet_size_that_is_no_int_of_at_least_1_is_refused_before_allocating(name, size):
+    import tracemalloc
+    spec, valid = FORMS["hod9"], binary_sizes("hod9", q=1)
+    # with the plans for the equal sizes 1 (== True) and 2 (== 2.0) cached
+    compose(sample_factors(spec, valid, seed=1), spec, valid, {"Q", name})
+    sizes, placeholders = dict(valid, **{name: size}), [np.ones(1)] * len(spec.factors)
+    message = rf"alphabet size of {name} must be an integer of at least 1, got {size!r}"
+    tracemalloc.start()
+    try:
+        for refused in (lambda: Variable(name, size), lambda: sample_factors(spec, sizes, seed=1),
+                        lambda: compose(placeholders, spec, sizes),
+                        lambda: compose(placeholders, spec, sizes, {"Q", name})):
+            with pytest.raises(ModelError, match=re.escape(message)):
+                refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("links, message", [
+    (("Q", "U1|Q,W1", "W1|Q"), "t: factor p(U1|Q,W1) conditions on W1 before it is generated"),
+    (("Q", "W1|Q", "W1,U1|Q"), "t: W1 targeted twice"),
+])
+def test_a_chain_out_of_order_or_with_a_repeated_target_is_refused(links, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        prob._chain("t", *links)
+
+
+_SPEC = FORMS["hod9"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_factors(_SPEC, {"Q": 1}, seed=1), "no alphabet size for W1"),
+    (lambda: compose(uniform_factors("hod9", binary_sizes("hod9")), _SPEC,
+                     {n: 2 for n in _SPEC.variables if n != "Y2"}), "no alphabet size for Y2"),
+    (lambda: compose(uniform_factors("hod9", binary_sizes("hod9"))[:-1], _SPEC,
+                     binary_sizes("hod9")), "hod9 needs 8 factor tables, got 7"),
+    (lambda: sample_factors(_SPEC, binary_sizes("hod9"), seed=1,
+                            overrides={"p(W1|Q)": np.full((2, 3), 1 / 3)}),
+     "override for p(W1|Q) has shape (2, 3), expected (2, 2)"),
+])
+def test_missing_sizes_factor_counts_and_override_shapes_are_refused(call, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("form, k", [("hod9", 2), ("hk3", 4)])

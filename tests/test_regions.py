@@ -315,6 +315,13 @@ def test_project_to_ratepair_rtd_variables():
     assert rp.variables == ("R1", "R2")
 
 
+def test_project_to_ratepair_refuses_a_rate_space_it_has_no_mapping_for():
+    c = R.hod1_constants(sample_distribution(FORMS["hod12"], binary_sizes("hod12"), seed=71))
+    ratepair = R.build_system(c, "thm6-ratepair")
+    with pytest.raises(ValueError, match=r"no rate-pair mapping for variables \('R1', 'R2'\)"):
+        R.project_to_ratepair(ratepair)
+
+
 @pytest.mark.parametrize("family, form", [("hod", "hod9"), ("rtd", "rtd7")])
 def test_project_to_ratepair_is_over_r1_r2_for_every_variable_order(family, form):
     from itertools import permutations

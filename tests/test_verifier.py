@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rrkit.prob import FORMS, compose, sample_distribution, sample_factors
 from rrkit import regions as R
 from rrkit.measures import TermTable, entropy
+from rrkit.polytope import contains, fm_eliminate
 from rrkit import verify as V
 
 import fm_oracle
@@ -246,11 +247,20 @@ def test_thm4_both_empty_counts_as_equivalent():
     assert contains(listed, raw)[0] and contains(raw, listed)[0]
 
 
-# sha256 of json.dumps(run_check(name, 20, 1001).to_json_dict()) for the checks
-# that read the general region's renamed forms (HOD_ON_SPLIT, EQ14_UFORM and
-# the budget rows), taken when those tables were still written out term by
-# term; a renaming that changes any compiled row changes these reports.
+# sha256 of json.dumps(run_check(name, 20, 1001).to_json_dict()) for every
+# check.  Those of the checks that read the general region's renamed forms
+# (HOD_ON_SPLIT, EQ14_UFORM and the budget rows: corollary6, eq14, binning)
+# were taken when those tables were still written out term by term, so a
+# renaming that changes any compiled row changes these reports; the others
+# when the report was still built field by field and the tolerance and
+# alphabet-size rules still had a copy per caller.
 RENAMED_FORM_REPORTS_SHA256 = {
+    "thm4": "39ce8f74caaef205ad0ae0224e5243438676ac52b340a3a5e3b7c3956d00f271",
+    "thm6": "ab1ff5030cada9a77850d72b57d4396bcbe04550217e32d7d058484d73e5794e",
+    "corollary1": "0395c580719251e3f485d1ecef7fbb783061c45b7d91f249ed8577385ac20806",
+    "corollary2-4": "c51fb4f44add7c61c605f0c36adb80e8ea1e9839a99d442d4f37238ae9a87c10",
+    "corollary3": "d29febe5816d29aca0d597866c53f1bb1ce7c7b09237aeda15b2e2b6bd1d46f9",
+    "corollary5": "7575ead3b92c10567450e325f2f6651638d8f442578a2f2b151e3b85cd0fc835",
     "corollary6": "4877d90443f1a54e7ad351f68f911f795225f6e646c25e7f225f25fea587dede",
     "eq14": "4a703e8c7cf34836227c4a4c75126a10315d7fcb00e30f2608140ddcd870e9e6",
     "binning": "b877b535ca76cecd14d4cd5b85b60342a57240957cff025769931e7bae2a8270",
@@ -317,6 +327,85 @@ def test_run_check_constructs_no_term_table(monkeypatch):
     monkeypatch.setattr(TermTable, "__init__", refuse)
     for name in V.CHECKS:
         assert V.run_check(name, 2, 3).passed, name
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1])
+@pytest.mark.parametrize("key", ["tol_polytope", "tol_identity"])
+@pytest.mark.parametrize("name", sorted(V.CHECKS))
+def test_checks_refuse_a_tolerance_that_is_not_finite_and_nonnegative(name, key, tol):
+    # refused before anything is drawn, whether or not the check reads it
+    def draws(one, indices):
+        raise AssertionError("a sample was drawn")
+    with pytest.raises(ValueError, match=rf"{key} must be finite and >= 0, got {tol}"):
+        V.run_check(name, 4, 1, mapper=draws, **{key: tol})
+
+
+def _replayed_joint(failure, form):
+    """The joint of a failure's witness, after checking that its factors are
+    the draw its (sample, seed, sizes) name."""
+    drawn = sample_factors(FORMS[form], failure["sizes"], failure["seed"], failure["sample"])
+    assert [t.tolist() for t in drawn] == failure["factors"]
+    return compose([np.array(f) for f in failure["factors"]], FORMS[form], failure["sizes"])
+
+
+def _replay_cor24(failure):
+    sys20 = R.build_system(R.constants_for(_replayed_joint(failure, "hk3"), "hod"),
+                           "thm4-ratepair")
+    missed = V.redundant_rows(sys20, V.REDUNDANT_UNDER_HK, 1e-9)
+    assert missed == ["11-1"]
+    assert failure["why"] == f"rows not implied under independence: {missed}"
+
+
+def _replay_cor5(failure):
+    v = R.evaluate_parts(_replayed_joint(failure, "dmt5"), V._COR5_TABLE)
+    hod_rp = R.ratepair_projection(R.BoundConstants("hod", v["hod"]))
+    dmt_rp = R.ratepair_projection(R.BoundConstants("dmt", v["dmt"]))
+    assert contains(hod_rp, dmt_rp, 1e-9) == (False, failure["witness"])
+    assert "; baseline above general: ['a1', " in failure["why"]
+    assert failure["why"].endswith("; rate-pair inclusion failed")
+
+
+def _replay_eq14_generic(failure):
+    assert failure["sizes"] != V._SUPERPOSITION_SIZES
+    v = R.evaluate_parts(_replayed_joint(failure, "hod12"), V._EQ14_TABLE)
+    e1 = abs(v["uform"]["E1"] - v["hod1"]["E1"])
+    a1 = abs(abs(v["uform"]["A1"] - v["hod1"]["A1"]) - v["residual"]["A1"])
+    assert failure["deviation"] == max(e1, a1) > 0.1
+    assert failure["why"] == f"E1 dev {e1:.3e}, A1-vs-residual dev {a1:.3e}"
+
+
+def _replay_binning(failure):
+    budget = R.binning_budget_system(_replayed_joint(failure, "hod9"))
+    projected = fm_eliminate(fm_eliminate(budget, "s2"), "t2")
+    got = sorted({tuple(int(c) for c in r.coeffs) for r in projected.rows})
+    assert failure["why"] == (f"projected coefficient patterns {got} != "
+                              f"expected {sorted(V._USER2_PATTERN)}")
+
+
+# check -> (the verify table patched, its patched value, a failure's replay)
+_FORCED_FAILURES = {
+    "corollary2-4": ("REDUNDANT_UNDER_HK", lambda: ("11-1",),  # binds on these hk3 draws
+                     _replay_cor24),
+    # every baseline constant H(X1,X2): above the general ones, and a box
+    "corollary5": ("_COR5_TABLE", lambda: TermTable(V._COR5_TABLE.rows | {
+        ("dmt", low): R._terms("H(X1,X2)") for low in R.COROLLARY5_TABLE}), _replay_cor5),
+    # a residual far from the A1 gap fails the generic draw
+    "eq14": ("_EQ14_TABLE", lambda: TermTable(V._EQ14_TABLE.rows | {
+        ("residual", "A1"): R._terms("H(W1|Q)")}), _replay_eq14_generic),
+    # one user-2 row left out of the expected patterns
+    "binning": ("_USER2_PATTERN", lambda: dict(list(V._USER2_PATTERN.items())[1:]),
+                _replay_binning),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_FORCED_FAILURES))
+def test_a_forced_failure_says_why_and_its_witness_replays(check, monkeypatch):
+    attribute, patched, replay = _FORCED_FAILURES[check]
+    monkeypatch.setattr(V, attribute, patched())
+    r = V.run_check(check, 2, 5)
+    assert r.verdicts == (False, False) and [f["sample"] for f in r.failures] == [0, 1]
+    for failure in r.failures:
+        replay(failure)
 
 
 def test_checks_refuse_fewer_than_one_sample():
