@@ -10,7 +10,9 @@ Verbs:
 
 Each tolerance flag is taken only by the verbs that read it: --tol-polytope
 by project, compare, union and verify, --tol-identity by verify alone, and
-verify refuses one its check does not record.
+verify refuses one its check does not record.  The CLI restates no library
+rule: ``prob`` and ``polytope`` check every number, and pinned table shapes
+and the cell limit come from the chain's cached layout (``prob._layout``).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse error, 3 invalid
 model, 4 incompatible comparison.  All outputs are deterministic for fixed
@@ -31,8 +33,8 @@ from . import regions
 from .polytope import (TOL, InequalitySystem, UnboundedRegionError,
                        VariableMismatchError, _check_tol, contains, convex_hull,
                        remove_redundant, vertices2d)
-from .prob import (FORMS, JointDistribution, ModelError, Variable, _check_stream,
-                   compose, sample_factors)
+from .prob import (FORMS, JointDistribution, ModelError, Variable, _check_samples,
+                   _check_stream, _layout, _shape, compose, sample_factors)
 from .verify import CHECKS, run_check
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_MODEL, EXIT_COMPARE = 0, 1, 2, 3, 4
@@ -149,7 +151,7 @@ def load_scenario(path: str) -> Scenario:
         if name not in sizes:
             raise ScenarioError(f"{path}: alphabet for unknown variable {name!r}")
         sizes[name] = _checked(f"{path}:", Variable, name, size).size
-    labels = {f.label(): f for f in spec.factors}
+    labels = {f.label(): i for i, f in enumerate(spec.factors)}
     tables = {}  # factor label -> (what, table)
     for key, flat in raw.get("factors", {}).items():
         label = key if key.startswith("p(") else f"p({key})"
@@ -176,18 +178,17 @@ def load_scenario(path: str) -> Scenario:
         what, table = tables.setdefault("p(Y1,Y2|X1,X2)", ("kernel", kernel))
         if not np.array_equal(table.ravel(), kernel.ravel(), equal_nan=True):
             raise ScenarioError(f"{path}: channel kernel conflicts with {what}")
+    # shapes and cell counts from the layout, which first refuses a draw past MAX_CELLS
+    _, shapes, slices, _, _ = _layout(spec, *_shape(spec, sizes))
     overrides: dict[str, np.ndarray] = {}
     for label, (what, table) in tables.items():
-        f = labels[label]
-        shape = tuple(sizes[n] for n in f.given) + tuple(sizes[n] for n in f.targets)
-        if table.size != int(np.prod(shape)):
-            raise ScenarioError(
-                f"{path}: {what} has {table.size} entries, expected {np.prod(shape)}")
-        overrides[label] = table.reshape(shape)
+        i = labels[label]
+        if table.size != (cells := slices[i].stop - slices[i].start):
+            raise ScenarioError(f"{path}: {what} has {table.size} entries, expected {cells}")
+        overrides[label] = table.reshape(shapes[i])
     sampling = raw.get("sampling", {})
     count = _number(path, "sampling count", sampling.get("count", 50))
-    if count < 1:
-        raise ScenarioError(f"{path}: sampling count must be at least 1, got {count}")
+    _checked(f"{path}: sampling count:", _check_samples, count)
     tol = _number(path, "tol polytope", raw.get("tol", {}).get("polytope", TOL),
                   integer=False)
     _checked(f"{path}:", _check_tol, tol, "tol polytope")
@@ -367,13 +368,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _sample_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1 sample, got {n}")
-    return n
-
-
 def _arg(convert, check):
     """An argparse type: the text converted, then ``check``ed by the
     library's rule for it, whose refusal becomes the option's usage error."""
@@ -391,6 +385,7 @@ def _arg(convert, check):
 _index = _arg(int, lambda n: _check_stream(0, n))
 _seed = _arg(int, lambda n: _check_stream(n, 0))
 _tolerance = _arg(float, _check_tol)
+_samples = _arg(int, _check_samples)
 
 
 def cmd_verify(args) -> int:
@@ -511,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[tol_polytope, tol_identity], help="run a machine check")
     p.add_argument("check", choices=sorted(CHECKS))
-    p.add_argument("--samples", type=_sample_count, default=200)
+    p.add_argument("--samples", type=_samples, default=200)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
@@ -519,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("union", parents=[tol_polytope],
                        help="sampled union approximation over inputs")
     add_scenario(p, index=False)
-    p.add_argument("--samples", type=_sample_count, default=None)
+    p.add_argument("--samples", type=_samples, default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(fn=cmd_union)

@@ -19,7 +19,10 @@ and a joint at most ``MAX_CELLS`` cells: ``sample_factors`` and ``compose``
 refuse other sizes, once per size tuple, before they allocate any table
 (``compose`` counts the full chain's cells, whatever it keeps).  A joint from
 ``compose`` or ``marginalize`` is checked once, by its inputs, and keeps its
-fresh table read-only without a copy.
+fresh table read-only without a copy.  A chain's factors are named tuples.
+The rules for a draw's inputs live here, the CLI and ``verify`` restating
+none: sizes, the cell limit and factor shapes (``_layout``), seed and index
+(``_check_stream``) and a campaign's sample count (``_check_samples``).
 
 A joint built by ``compose`` remembers the chain it multiplied (``_spec``),
 and so does a marginal ``compose`` summed along a chain (``keep``), which
@@ -68,17 +71,11 @@ class Variable:
                              f"at least 1, got {self.size!r}")
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One link of a factorization chain: p(targets | given)."""
+class Factor(NamedTuple):
+    """One link of a factorization chain: p(targets | given), a plain tuple."""
 
     targets: tuple[str, ...]
     given: tuple[str, ...]
-
-    def __post_init__(self):
-        # tuples even when built from lists, so chains hash (``implies`` is memoised)
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "given", tuple(self.given))
 
     def label(self) -> str:
         head = ",".join(self.targets)
@@ -97,7 +94,9 @@ class FactorizationSpec:
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        # the one place factors given as lists become tuples: a chain hashes in C
+        object.__setattr__(self, "factors", tuple(Factor(tuple(t), tuple(g))
+                                                  for t, g in self.factors))
         seen: list[str] = []
         for f in self.factors:
             for g in f.given:
@@ -163,11 +162,9 @@ def _d_separated(parents: dict[str, set[str]], xs: set[str], ys: set[str],
 
 
 def _chain(form: str, *links: str) -> FactorizationSpec:
-    factors = []
-    for link in links:
-        head, _, tail = link.partition("|")
-        factors.append(Factor(tuple(head.split(",")), tuple(tail.split(",")) if tail else ()))
-    return FactorizationSpec(form, tuple(factors))
+    parts = [link.partition("|") for link in links]
+    return FactorizationSpec(form, [(head.split(","), tail.split(",") if tail else [])
+                                    for head, _, tail in parts])
 
 
 # The catalogued input-distribution families.  Joint encoder factors
@@ -490,6 +487,12 @@ def _check_stream(seed: int, index: int) -> None:
         raise ModelError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= index < 2**128:
         raise ModelError(f"sample index must be in [0, 2**128), got {index}")
+
+
+def _check_samples(n: int) -> None:
+    """Refuse a campaign's sample count n (stream indices 0..n-1) unless an int >= 1."""
+    if n.__class__ is not int or n < 1:  # refuses bools and floats, as ``Variable``
+        raise ModelError(f"a campaign needs an integer count of at least 1 sample, got {n!r}")
 
 
 _thread = threading.local()

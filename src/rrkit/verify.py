@@ -30,7 +30,7 @@ import numpy as np
 from . import regions
 from .polytope import (TOL, InequalitySystem, _check_tol, contains, fm_eliminate,
                        implies, lp_feasible, remove_redundant)
-from .prob import FORMS, compose, sample_factors
+from .prob import FORMS, _check_samples, compose, sample_factors
 
 TOL_IDENTITY = 1e-12
 TOL_ADDON = 1e-9     # single add-on mutual information on a factorized input
@@ -444,13 +444,12 @@ def run_check(name: str, samples: int, seed: int,
               tol_identity: float = TOL_IDENTITY, mapper=map) -> RegionReport:
     """Run check ``name`` on ``samples`` draws from ``seed``; ``mapper`` maps
     the per-sample function over the sample indices (a process pool's map
-    gives the same report).  Both tolerances must be finite and >= 0, as for
-    every polytope question (``polytope._check_tol``), whether or not the
-    check reads them."""
+    gives the same report).  Before any draw, ``samples`` must be an int >= 1
+    (``prob._check_samples``) and both tolerances finite and >= 0, as for every
+    polytope question (``polytope._check_tol``), whether or not the check reads them."""
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
-    if samples < 1:
-        raise ValueError(f"{name} needs at least 1 sample, got {samples}")
+    _check_samples(samples)
     _check_tol(tol_polytope, "tol_polytope")
     _check_tol(tol_identity, "tol_identity")
     one, fixed, recorded = CHECKS[name]

@@ -585,11 +585,12 @@ def test_union_rejects_vacuous_sample_count(samples, hk_scenario, tmp_path, caps
     assert not out.exists()
 
 
-def test_union_rejects_empty_scenario_count(tmp_path, capsys):
-    scenario = write_scenario(tmp_path / "none.json", count=0)
+@pytest.mark.parametrize("count", [0, -3])
+def test_union_rejects_empty_scenario_count(count, tmp_path, capsys):
+    scenario = write_scenario(tmp_path / "none.json", count=count)
     out = tmp_path / "union.json"
     assert main(["union", scenario, "--family", "hod", "--out", str(out)]) == 2
-    assert "at least 1" in capsys.readouterr().err
+    assert "at least 1 sample" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -742,6 +743,10 @@ def test_unreadable_json_is_a_usage_error(verb, body, message, tmp_path, capsys)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}")
 
+# X1 and X2 alphabets whose kernel has 2**64 cells, with an empty kernel pinned
+_PAST_INT64 = {"form": "hk3", "alphabets": {"X1": 2**32, "X2": 2**32},
+               "factors": {"Y1,Y2|X1,X2": []}}
+
 # JSON values of every kind but an integer, so no draw asks for a large alphabet
 _MISTYPED = st.one_of(
     st.none(), st.booleans(), st.floats(), st.text(max_size=3),
@@ -778,6 +783,7 @@ def _scenario_bodies(draw):
 @given(case=_scenario_bodies())
 @example(case=({"form": ["hk3"]}, "hod"))
 @example(case=({"form": "hk3", "tol": {"polytope": 10**400}}, "hod"))
+@example(case=(_PAST_INT64, "hod"))
 def test_scenario_files_exit_cleanly(case, tmp_path_factory):
     body, family = case
     path = tmp_path_factory.getbasetemp() / "property-scenario.json"
@@ -797,6 +803,18 @@ def test_scenario_files_exit_cleanly(case, tmp_path_factory):
 def _verb_argv(verb, scenario):
     argv = [verb, scenario, "--family", "hod"]
     return argv + ["--family-b", "dmt"] if verb == "compare" else argv
+
+
+@pytest.mark.parametrize("verb", ["eval", "project", "union", "compare"])
+def test_pinned_table_past_the_cell_limit_is_an_invalid_model(verb, tmp_path, capsys):
+    # 2**32 * 2**32 cells are 0 in int64: an empty kernel once passed the
+    # entry count and crashed in the reshape
+    scen = tmp_path / "wide.json"
+    scen.write_text(json.dumps(_PAST_INT64))
+    assert main(_verb_argv(verb, str(scen))) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid model: ")
+    assert "the limit is 4194304" in err[0]
 
 
 @pytest.mark.parametrize("seed", [2**64, -1, -2**64])

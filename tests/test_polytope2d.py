@@ -596,3 +596,39 @@ def test_rate_pair_vertices_satisfy_every_row(form):
                 raw = ratepair_projection(constants_for(d, family))
                 _vertices_satisfy_rows(raw)
                 _vertices_satisfy_rows(remove_redundant(raw, 1e-9))
+
+
+# --- the tol-0 vertex contract ---------------------------------------------------------
+
+def _rounded_exact_meet(v, rows) -> bool:
+    """Is v, within ``polytope._meet``'s rounding error, the exact meet of two
+    of ``rows`` (exact (a, b, c)) that satisfies every row exactly?  Each float
+    coordinate is one difference of two products divided by the determinant,
+    so it is off by at most 4 units of 2**-53 of those terms, plus a few of
+    the least subnormal where a bound is subnormal."""
+    unit, tiny = Fraction(4, 2**53), Fraction(2) ** -1070
+    for i, (a1, b1, c1) in enumerate(rows):
+        for a2, b2, c2 in rows[i + 1:]:
+            det = a1 * b2 - b1 * a2
+            if not det:
+                continue
+            x, y = (c1 * b2 - b1 * c2) / det, (a1 * c2 - c1 * a2) / det
+            err_x = unit * (abs(c1 * b2) + abs(b1 * c2)) / abs(det) + tiny
+            err_y = unit * (abs(a1 * c2) + abs(c1 * a2)) / abs(det) + tiny
+            if abs(Fraction(v[0]) - x) <= err_x and abs(Fraction(v[1]) - y) <= err_y and \
+                    all(a * x + b * y <= c for a, b, c in rows):
+                return True
+    return False
+
+
+@SETTINGS
+@given(st.one_of(systems(max_rows=8), near_degenerate()))
+def test_tol_zero_vertices_are_rounded_exact_meets(s):
+    """At tol 0 a vertex is the float rounding of an exact vertex: the exact
+    rational meet of two rows passes the exact point test, though the float
+    one may pass a row by round-off (so the float point test can refuse it)."""
+    for t in (s, remove_redundant(s, 0.0)):
+        poly = _vertices_or_unbounded(t, 0.0)
+        if poly is not None:  # bounded cases only
+            rows = _exact(t.rows)
+            assert all(_rounded_exact_meet(v, rows) for v in poly.vertices)

@@ -193,6 +193,21 @@ def test_spec_variables_are_set_once_and_are_not_a_field():
     assert pickle.loads(pickle.dumps(spec)).variables == spec.variables
 
 
+def test_a_chain_is_plain_tuples_and_survives_pickle():
+    import pickle
+
+    spec = FORMS["hk3"]
+    listed = FactorizationSpec("hk3", [[[*f.targets], [*f.given]] for f in spec.factors])
+    assert listed == spec and hash(listed) == hash(spec)
+    assert all(f.__class__ is Factor for f in listed.factors)
+    assert Factor(("A",), ()) == (("A",), ()) and hash(Factor(("A",), ())) == hash((("A",), ()))
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and hash(copy) == hash(spec)
+    for other in FORMS.values():
+        assert copy.implies(other) is spec.implies(other)
+        assert other.implies(copy) is other.implies(spec)
+
+
 def test_samples_pass_own_validation():
     sizes = binary_sizes("hod9")
     for i in range(50):

@@ -408,8 +408,10 @@ def test_a_forced_failure_says_why_and_its_witness_replays(check, monkeypatch):
         replay(failure)
 
 
-def test_checks_refuse_fewer_than_one_sample():
-    with pytest.raises(ValueError, match="at least 1 sample"):
-        V.run_check("thm4", 0, 1)
-    with pytest.raises(ValueError, match="at least 1 sample"):
-        V.run_check("binning", -3, 0)
+@pytest.mark.parametrize("samples", [0, -3, True, 2.5])
+def test_checks_refuse_anything_but_a_count_of_at_least_one_sample(samples):
+    def no_draw(one, indices):
+        raise AssertionError("drew a sample")
+    for check in ("thm4", "binning"):
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            V.run_check(check, samples, 1, mapper=no_draw)
