@@ -22,6 +22,7 @@ inputs, flags and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -526,9 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses: parsing never changes it, and building
+    it takes about 2 ms, which an in-process caller would pay per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ScenarioError, OSError) as exc:  # OSError: a file that cannot be opened

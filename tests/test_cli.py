@@ -931,3 +931,26 @@ def test_verb_outputs_are_pinned(case, tmp_path, capsys):
     assert (tmp_path / "plot.svg").read_text() == outputs["plot"]
     assert {verb: hashlib.sha256(text.encode()).hexdigest()
             for verb, text in outputs.items()} == CLI_OUTPUTS_SHA256[case]
+
+
+def test_main_reuses_one_parser_and_says_what_a_fresh_one_says(hk_scenario, tmp_path, capsys,
+                                                                monkeypatch):
+    import rrkit.cli as cli
+
+    def run():
+        said = []
+        for i, argv in enumerate((["eval", hk_scenario, "--family", "hod"],
+                                  ["union", hk_scenario, "--family", "hod", "--samples", "1"],
+                                  ["verify", "thm4", "--samples", "1"])):
+            out = tmp_path / f"{i}.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            with pytest.raises(SystemExit) as exc:  # a parse error between verbs
+                main(["eval", hk_scenario, "--family", "nope"])
+            assert exc.value.code == 2
+            said.append((out.read_bytes(), *capsys.readouterr()))
+        return said
+
+    assert cli._parser() is cli._parser()
+    reused = run()
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+    assert run() == reused

@@ -366,6 +366,68 @@ def test_compose_equals_the_out_of_place_product(form, sizes):
         assert np.array_equal(d.table, _out_of_place_product(factors, FORMS[form], sizes))
 
 
+def _gather_cases():
+    """(id, form, sizes, superposition) for the gather: every chain at binary
+    sizes, eq14's superposition draw, and hk3 at and just above
+    ``GATHER_CELLS`` cells, past which the ``_grow`` steps multiply."""
+    from rrkit.verify import _SUPERPOSITION_SIZES
+    for form in sorted(FORMS):
+        for q in (1, 2) if "Q" in FORMS[form].variables else ():
+            yield f"{form}-Q{q}", form, binary_sizes(form, q), False
+    yield "rtd7", "rtd7", binary_sizes("rtd7"), False
+    yield "rtd7-U1b1", "rtd7", dict(binary_sizes("rtd7"), U1b=1), False
+    yield "eq14-superposition", "hod12", _SUPERPOSITION_SIZES, True
+    at = dict(binary_sizes("hk3"), Y2=prob.GATHER_CELLS // 2**8)  # 2**8 cells besides Y2
+    yield "hk3-at-the-bound", "hk3", at, False
+    yield "hk3-above-the-bound", "hk3", dict(at, W1=3), False
+
+
+@pytest.mark.parametrize("form, sizes, superposition",
+                         [pytest.param(*case, id=name) for name, *case in _gather_cases()])
+def test_the_gather_equals_the_out_of_place_product(form, sizes, superposition):
+    from rrkit.verify import _superposition_draw
+    spec = FORMS[form]
+    gathered = math.prod(sizes.values()) <= prob.GATHER_CELLS
+    plan = prob._elimination(spec, frozenset(spec.variables), *prob._shape(spec, sizes))
+    assert (plan.index is not None) == gathered and (plan.steps == ()) == gathered
+    for index in range(6):
+        if superposition:
+            factors = _superposition_draw(seed=707, index=index)[1][3]
+        else:
+            factors = sample_factors(spec, sizes, seed=707, index=index)
+        # Fortran order takes the grouped check; int, float32 and list
+        # tables are converted and checked one by one
+        first = np.zeros(sizes[spec.variables[0]], int)
+        first[index % first.size] = 1
+        mixed = [first, uniform_factors(form, sizes)[1].astype(np.float32),
+                 *(t.tolist() for t in factors[2:])]
+        for tables in (factors, [np.asfortranarray(t) for t in factors], mixed):
+            d = compose(tables, spec, sizes)
+            assert d.table.tobytes() == _out_of_place_product(tables, spec, sizes).tobytes()
+            assert d.table.flags.c_contiguous
+
+
+def test_only_a_small_full_plan_holds_an_index_and_it_is_read_only():
+    import tracemalloc
+    spec = FORMS["hod9"]
+    shape = prob._shape(spec, binary_sizes("hod9"))
+    full, marginal = (prob._elimination(spec, frozenset(keep), *shape)
+                      for keep in (spec.variables, {"Q", "Y1"}))
+    assert full.index.shape == (len(spec.factors), 2**9) and full.index.dtype == np.intp
+    assert not full.index.flags.writeable and marginal.index is None
+    with pytest.raises(ValueError):
+        full.index[0, 0] = 0
+    big = prob._shape(spec, dict(zip(spec.variables, (4,) * 7 + (8, 8))))  # 2**20 cells
+    tracemalloc.start()
+    try:
+        plan = prob._elimination(spec, frozenset(spec.variables), *big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.index is None and len(plan.steps) == len(spec.factors)
+    assert peak < 2**20  # its index would take 64 MiB
+
+
 def _mixed_sizes(form: str) -> dict[str, int]:
     """Alphabets 2, 3, 2, ... in chain order, so no two neighbours share a size."""
     return {n: 2 + i % 2 for i, n in enumerate(FORMS[form].variables)}
