@@ -12,11 +12,12 @@ other number of variables, or a row with other than 2 coefficients, raises
 VariableMismatchError.  Fourier-Motzkin elimination projects a system down
 to the plane first.  The questions (and vertices) are answered from exact
 half-plane intersections, each built on first use and kept on the immutable
-system; redundancy removal adds one more per facet row.  A vertex is the
-meet of two consecutive edges, solved from the system's own rows; meets are
-taken in row-pair order and merged within tol.  The order of the
-intersection's directions and its recession rays depend only on the set of
-integer normals, so they are compiled once per set.
+system.  Redundancy removal needs no more than the system's own when that
+is not empty: each row is decided by LP duality from at most two others.  A
+vertex is the meet of two consecutive edges, solved from the system's own
+rows; meets are taken in row-pair order and merged within tol.  The order
+of the intersection's directions and its recession rays depend only on the
+set of integer normals, so they are compiled once per set.
 Elimination and substitution each run in two steps: an integer plan from the
 coefficient vectors alone (which rows combine, with what multipliers, and
 each new row's primitive coefficients and scale), then a float step that
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from sys import float_info
@@ -313,12 +314,16 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
 
     On failure returns (False, witness): the inner vertex maximising the
     first outer row inner violates by at least tol (moved along a ray when
-    inner is unbounded that way).
+    inner is unbounded that way).  An empty inner is inside any outer.
     """
     if outer.variables != inner.variables:
         raise VariableMismatchError(
             f"systems over different variables: {outer.variables} vs {inner.variables}")
     _check_tol(tol)
+    if outer.rows:
+        _check_plane(inner, outer.rows[0].coeffs)  # as the first probe would
+        if not inner._plane_region.edges:
+            return True, None
     for row in outer.rows:
         if (witness := _outside(inner, row, tol)) is not None:
             return False, witness
@@ -361,8 +366,9 @@ def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
 # vertices and skip those a proven error bound puts below a threshold.
 
 _BOX = ((1, 0), (0, 1), (-1, 0), (0, -1))
-_ANGLE_PLANS = 256  # normal sets whose angle plan is kept; greedy subsets
-                    # and user systems are arbitrary, so the cache is bounded
+_ANGLE_PLANS = 256  # normal sets whose angle plan is kept; user systems
+                    # (and the rests of an empty one that redundancy
+                    # removal intersects) are arbitrary, so it is bounded
 _SMALL = 1 << 20  # |p|, |q| below this: products of cross products with
                   # float bounds round only once
 
@@ -458,14 +464,13 @@ def _intersect(lines) -> list:
 class _Region(NamedTuple):
     edges: list   # edge lines counterclockwise, box sides included; [] if empty
     points: list  # points[t]: float meet of edges[t] and edges[t + 1]
-    facets: set   # edge lines whose edge has positive length
     rays: tuple   # integer generators of the recession cone; () if bounded
     err: float    # float error of p*x + q*y at a point, per unit of |p| + |q|
 
 
 # The region of rows that keep a constant row 0 <= beta < 0, for
 # _greedy_2d's probes (recession rays are left out; nothing reads them there).
-_EMPTY = _Region([], [], set(), (), 0.0)
+_EMPTY = _Region([], [], (), 0.0)
 
 
 @functools.lru_cache(maxsize=_ANGLE_PLANS)
@@ -500,12 +505,8 @@ def _region(lines) -> _Region:
         raise UnboundedRegionError(f"bound {largest:g} too large for the 2-D intersection")
     edges = (_intersect([(p, q, tight.get((p, q), side)) for p, q in dirs])
              if consistent else [])
-    # An edge has positive length iff its first vertex is strictly inside the
-    # next edge line; _intersect leaves no vertex outside it.
-    facets = {e for t, e in enumerate(edges)
-              if _side(edges[(t + 1) % len(edges)], edges[t - 1], e) < 0}
     points = [_meet(e, edges[(t + 1) % len(edges)]) for t, e in enumerate(edges)]
-    return _Region(edges, points, facets, rays, 1e-14 * big * side)
+    return _Region(edges, points, rays, 1e-14 * big * side)
 
 
 def _reach(region: _Region, coeffs, bound: float):
@@ -537,17 +538,40 @@ def _reach(region: _Region, coeffs, bound: float):
     return None
 
 
-def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
-    """remove_redundant's greedy rule from one intersection per facet row.
+def _kept_below(lines, coeffs, bound: float) -> bool:
+    """Do ``lines``, whose region is not empty, keep coeffs.(x, y) below
+    ``bound``?  Decided exactly, without an intersection.
 
-    Starts from the system's own region.  While the region of the remaining
-    rows is full-dimensional, dropping a row that is not the only copy of one
-    of its facets leaves the region as it is, so only those facet rows need
-    the rest intersected again.  While the rest keeps a constant row
-    0 <= beta with beta < 0, it is empty without an intersection.
+    By 2-D LP duality an optimum needs at most two active rows, so the rows
+    keep the left side below the bound iff the tightest line with its
+    normal n does, or two tightest lines whose normals bracket n (within a
+    turn of less than pi) meet where it is below the bound.  A constant
+    left side is 0 everywhere."""
+    p, q, t = _canon(coeffs, bound)
+    if p == 0 == q:
+        return t > 0
+    tight: dict = {}
+    for a, b, beta in lines:
+        if (a or b) and beta < tight.get((a, b), math.inf):
+            tight[(a, b)] = beta
+    if tight.get((p, q), math.inf) < t:
+        return True
+    cw = [(a, b, beta) for (a, b), beta in tight.items() if a * q - b * p > 0]
+    ccw = [(a, b, beta) for (a, b), beta in tight.items() if p * b - q * a > 0]
+    return any(_cross(u, v) > 0 and _side((p, q, t), u, v) < 0 for u in cw for v in ccw)
+
+
+def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
+    """remove_redundant's greedy rule.
+
+    While the rows still alive meet, every rest of them meets too, and
+    ``_kept_below`` decides each row without an intersection: a system that
+    meets is reduced from its own region alone.  Until then each row has the
+    rest intersected, except that a rest keeping a constant row 0 <= beta
+    with beta < 0 is empty without one.
     """
-    rows, region, lines = sys.rows, sys._plane_region, sys._lines
-    copies = Counter(lines)
+    rows, lines = sys.rows, sys._lines
+    meet = bool(sys._plane_region.edges)  # do the rows still alive meet?
     contradiction = [p == 0 == q and beta < 0 for p, q, beta in lines]
     contradictions = sum(contradiction)  # among the remaining rows
     alive = list(range(len(rows)))
@@ -555,16 +579,16 @@ def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
     while i < len(alive):
         j = alive[i]
         rest = alive[:i] + alive[i + 1:]
-        if contradictions > contradiction[j]:
-            sub = _EMPTY
-        elif len(region.facets) >= 3 and (
-                lines[j] not in region.facets or copies[lines[j]] > 1):
-            sub = region
+        others = [lines[k] for k in rest]
+        bound = rows[j].bound + tol
+        if meet:
+            drop = _kept_below(others, rows[j].coeffs, bound)
         else:
-            sub = _region([lines[k] for k in rest])
-        if _reach(sub, rows[j].coeffs, rows[j].bound + tol) is None:
-            alive, region = rest, sub
-            copies[lines[j]] -= 1
+            sub = _EMPTY if contradictions > contradiction[j] else _region(others)
+            drop = _reach(sub, rows[j].coeffs, bound) is None
+            meet = drop and bool(sub.edges)
+        if drop:
+            alive = rest
             contradictions -= contradiction[j]
         else:
             i += 1

@@ -22,9 +22,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rrkit import polytope
-from rrkit.polytope import (_ANGLE_PLANS, Halfspace, UnboundedRegionError, _angle_plan,
-                            contains, implies, lp_feasible, make_row, nonnegativity_rows,
-                            remove_redundant, system, vertices2d)
+from rrkit.polytope import (_ANGLE_PLANS, Halfspace, UnboundedRegionError, VariableMismatchError,
+                            _angle_plan, contains, implies, lp_feasible, make_row,
+                            nonnegativity_rows, remove_redundant, system, vertices2d)
 from rrkit.prob import FORMS, compose, sample_factors
 from rrkit.regions import _FAMILIES, constants_for, ratepair_projection
 from rrkit.verify import run_check
@@ -218,6 +218,23 @@ def test_lifted_contains_witness_lies_in_inner_and_past_the_outer_row(outer, inn
             >= row.bound + tol - WITNESS_SLACK
 
 
+def test_an_empty_inner_is_contained_without_a_probe(monkeypatch):
+    """An inner that is empty (a contradiction, or rows that miss) is inside
+    any outer without a probe.  One outside the plane still raises as the
+    first probe would, and an outer without rows asks nothing of it."""
+    outer = _rows(((1, 0), -5.0), ((0, 1), -5.0), ((1, 1), 0.0))
+    empties = [system(VARS, [Halfspace((0, 0), -1.0, "c")]),
+               _rows(((1, 0), -1.0), ((-1, 0), -1.0))]
+    monkeypatch.setattr(polytope, "_outside", lambda *args: pytest.fail("probed"))
+    for inner in empties:
+        for tol in TOLS:
+            assert contains(outer, inner, tol) == (True, None)
+    wide = system(("x", "y", "z"), [make_row((1, 0, 0), -1.0), make_row((-1, 0, 0), -1.0)])
+    with pytest.raises(VariableMismatchError, match="3 variables and a row of 3 coefficients"):
+        contains(wide, wide)
+    assert contains(system(wide.variables, []), wide) == (True, None)
+
+
 def _exact_greedy_is_clear(s, tol) -> bool:
     """No decision along the exact greedy path is within MARGIN_BAND (ties allowed)."""
     alive = list(s.rows)
@@ -266,6 +283,76 @@ def test_remove_redundant_with_contradictions_agrees_with_fm(s, placed):
         reference = [r.label for r in fm.remove_redundant(lifted(s), tol).rows
                      if not r.label.startswith("z")]
         assert kept == reference
+
+
+def _reintersecting_greedy(s, tol):
+    """remove_redundant's rule with no shortcut: visit the rows in order and
+    drop one iff the intersection of the remaining rows never reaches its
+    bound + tol.  Wherever the rows still alive meet, also assert that
+    ``_kept_below`` certifies exactly the rows this drops."""
+    s = polytope._relaxed(s, tol)
+    lines, alive, i = s._lines, list(range(len(s.rows))), 0
+    while i < len(alive):
+        row = s.rows[alive[i]]
+        rest = [lines[k] for k in alive[:i] + alive[i + 1:]]
+        dropped = polytope._reach(polytope._region(rest), row.coeffs, row.bound + tol) is None
+        if polytope._region([lines[k] for k in alive]).edges:
+            assert polytope._kept_below(rest, row.coeffs, row.bound + tol) == dropped, row
+        if dropped:
+            del alive[i]
+        else:
+            i += 1
+    return [s.rows[k].label for k in alive]
+
+
+BIG = st.sampled_from([1 << 20, (1 << 20) + 1, 3 * (1 << 20) + 1, (1 << 40) + 3])
+
+
+@st.composite
+def big_normal_systems(draw):
+    """Small systems plus rows with a normal entry of 2**20 or more, whose
+    lines carry exact Fraction bounds."""
+    rows = list(draw(systems(max_rows=5)).rows)
+    for i in range(draw(st.integers(1, 3))):
+        big = draw(BIG) * draw(st.sampled_from([1, -1]))
+        small = draw(st.integers(-2, 2))
+        coeffs = (big, small) if draw(st.booleans()) else (small, big)
+        rows.insert(draw(st.integers(0, len(rows))), make_row(coeffs, draw(BOUNDS), f"b{i}"))
+    return system(VARS, rows)
+
+
+CONSTANTS = CONTRADICTIONS + (0.0, 1e-17, 1e-10, 1.0)  # with 0 <= beta too
+
+
+@SETTINGS
+@given(st.one_of(systems(max_rows=8), tiny_systems(), big_normal_systems()),
+       st.lists(st.tuples(st.sampled_from(CONSTANTS),
+                          st.sampled_from(["first", "middle", "last"])), max_size=3))
+def test_remove_redundant_agrees_with_reintersecting_every_row(s, placed):
+    """No margin skip: near-threshold decisions and exact ties included."""
+    rows = list(s.rows)
+    for k, (bound, where) in enumerate(placed):
+        at = {"first": 0, "middle": len(rows) // 2, "last": len(rows)}[where]
+        rows.insert(at, Halfspace((0, 0), bound, f"c{k}"))
+    s = system(VARS, rows)
+    for tol in (0.0, 1e-9, 0.5):
+        kept = [r.label for r in remove_redundant(s, tol).rows]
+        assert kept == _reintersecting_greedy(s, tol)
+
+
+def test_a_rate_pair_reduction_intersects_once(monkeypatch):
+    """An hk3 projection (8 rows, bounded, 5 of them kept) is reduced from its
+    own intersection alone: no rest of its rows is intersected again."""
+    sizes = binary_sizes("hk3")
+    d = compose(sample_factors(FORMS["hk3"], sizes, 1, 0), FORMS["hk3"], sizes)
+    raw = ratepair_projection(constants_for(d, "hod"))
+    calls = []
+    region = polytope._region
+    monkeypatch.setattr(polytope, "_region", lambda lines: calls.append(1) or region(lines))
+    reduced = remove_redundant(raw)
+    assert len(raw.rows) == 8 and not raw._plane_region.rays
+    assert len(reduced.rows) == 5
+    assert len(calls) == 1
 
 
 # --- one region per system ------------------------------------------------------------
