@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import regions
+from . import prob, regions
 from .polytope import (TOL, InequalitySystem, UnboundedRegionError,
                        VariableMismatchError, _check_tol, contains, convex_hull,
                        remove_redundant, vertices2d)
 from .prob import (FORMS, JointDistribution, ModelError, Variable, _check_samples,
-                   _check_stream, _layout, _shape, compose, sample_factors)
+                   _check_stream, _layout, _shape)
 from .verify import CHECKS, run_check
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_MODEL, EXIT_COMPARE = 0, 1, 2, 3, 4
@@ -61,10 +61,9 @@ class Scenario:
         kept (the rest summed out along the chain); otherwise the full joint, so
         the constants' guard checks it numerically."""
         spec = FORMS[self.form]
-        factors = sample_factors(spec, self.sizes, self.seed, index, self.overrides)
         fam = regions._FAMILIES.get(family)
         keep = fam.variables if fam and spec.implies(FORMS[fam.form]) else None
-        return compose(factors, spec, self.sizes, keep)
+        return prob.draw(spec, self.sizes, self.seed, index, self.overrides, keep)[0]
 
 
 _SCENARIO_KEYS = {"form", "alphabets", "channel", "factors", "sampling", "tol"}

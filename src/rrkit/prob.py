@@ -13,7 +13,8 @@ Dense probability tables over a small set of named variables
   numerically on any table and structurally between chains,
 - reproducible sampling of factor tables uniform on the probability simplex,
   one Philox call per draw split across the factors in chain order, from
-  each thread's own generator re-keyed per draw.
+  each thread's own generator re-keyed per draw; ``draw`` multiplies a
+  drawn chain out through ``compose``'s plan in the same pass.
 
 Tables are numpy arrays indexed by the variables in a fixed order; all
 values are immutable after construction.  A size is an int >= 1 (``Variable``)
@@ -21,7 +22,11 @@ and a joint at most ``MAX_CELLS`` cells: ``sample_factors`` and ``compose``
 refuse other sizes, once per size tuple, before they allocate any table
 (``compose`` counts the full chain's cells, whatever it keeps).  A joint from
 ``compose`` or ``marginalize`` is checked once, by its inputs, and keeps its
-fresh table read-only without a copy.  A chain's factors are named tuples.
+fresh table read-only without a copy.  A drawn chain is valid by
+construction (each slice is exponentials divided by their own sum), so
+``draw`` multiplies it out without ``compose``'s table checks; tables from
+outside, and a draw's pinned overrides, go through ``compose`` and keep
+every check.  A chain's factors are named tuples.
 The rules for a draw's inputs live here, the CLI and ``verify`` restating
 none: sizes, the cell limit and factor shapes (``_layout``), seed and index
 (``_check_stream``) and a campaign's sample count (``_check_samples``).
@@ -32,8 +37,9 @@ then has fewer variables than its ``_spec``; every other joint has none.
 ``FactorizationSpec.implies`` decides by d-separation whether every joint of
 one chain also factors along another, so a caller can skip the numeric check
 for a composed joint, or for such a marginal, whose chain implies the form it
-needs.  ``compose`` accepts conditional slices only within ``SUM_TOL``, so
-such a joint violates the implied form at round-off level only.
+needs.  ``compose`` accepts conditional slices only within ``SUM_TOL``, and a
+drawn slice is within round-off of 1, so such a joint violates the implied
+form at round-off level only.
 """
 
 from __future__ import annotations
@@ -412,6 +418,31 @@ def _grouped_ok(tables, shapes, gather, blocks) -> np.ndarray | None:
     return chain if ok else None
 
 
+def _plan(spec: FactorizationSpec, sizes: dict[str, int], keep) -> tuple[tuple, _Plan]:
+    """The chain's shape at ``sizes`` and its plan keeping ``keep`` (None: every
+    variable), refusing a variable ``keep`` names outside the chain."""
+    shape = _shape(spec, sizes)
+    keep = frozenset(spec.variables if keep is None else keep)
+    if not keep <= set(spec.variables):
+        raise ModelError(f"unknown variables {sorted(keep - set(spec.variables))}; "
+                         f"have {spec.variables}")
+    return shape, _elimination(spec, keep, *shape)
+
+
+def _product(spec: FactorizationSpec, shape: tuple, plan: _Plan, tables,
+             chain: np.ndarray | None = None) -> JointDistribution:
+    """The joint ``plan`` multiplies out of valid factor ``tables`` (``chain``:
+    the same tables laid end to end, if at hand), recording ``spec``."""
+    if plan.index is not None:  # ((t0 * t1) * t2) ... per cell, as the steps multiply
+        if chain is None:
+            chain = np.concatenate([t.ravel() for t in tables])
+        return _joint(plan.variables, np.multiply.reduce(chain[plan.index]).reshape(shape), spec)
+    joint = np.ones(())
+    for t, step in zip(tables, plan.steps):
+        joint = step(joint, t)
+    return _joint(plan.variables, plan.finish(joint) if plan.finish else joint, spec)
+
+
 def compose(factors: list[np.ndarray], spec: FactorizationSpec,
             sizes: dict[str, int], keep=None) -> JointDistribution:
     """Multiply a chain of conditional tables into the joint over ``keep``
@@ -421,25 +452,22 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
     factor's given variables first (in the listed order), then its targets.
     The checks read the full chain: its alphabet sizes, its cells against
     ``MAX_CELLS`` (both once per size tuple, in ``_layout``) and every factor
-    table, whatever ``keep`` drops.  A full joint of at most ``GATHER_CELLS``
-    cells is one gather from the tables laid end to end through the plan's
-    cached index, and one product along the factor axis.  Any other table
-    grows one factor at a time, each factor's targets becoming new trailing
-    axes, and each dropped variable is summed out at the last factor that
-    reads it (``_elimination``), so the full joint is never built.  With
-    nothing dropped, either way, every cell is multiplied in chain order,
-    ``((t0 * t1) * t2) ...``, into a C-ordered table the joint keeps without
-    a copy.  The joint, kept variables in chain order, records ``spec`` as
-    ``_spec``.
+    table, whatever ``keep`` drops.  These are the checks for tables from
+    outside, pinned overrides among them; ``draw`` skips only the table
+    checks, for tables its own draw made.  A full joint of at most
+    ``GATHER_CELLS`` cells is one gather from the tables laid end to end
+    through the plan's cached index, and one product along the factor axis.
+    Any other table grows one factor at a time, each factor's targets
+    becoming new trailing axes, and each dropped variable is summed out at
+    the last factor that reads it (``_elimination``), so the full joint is
+    never built.  With nothing dropped, either way, every cell is multiplied
+    in chain order, ``((t0 * t1) * t2) ...``, into a C-ordered table the
+    joint keeps without a copy.  The joint, kept variables in chain order,
+    records ``spec`` as ``_spec``.
     """
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
-    shape = _shape(spec, sizes)
-    keep = frozenset(spec.variables if keep is None else keep)
-    if not keep <= set(spec.variables):
-        raise ModelError(f"unknown variables {sorted(keep - set(spec.variables))}; "
-                         f"have {spec.variables}")
-    plan = _elimination(spec, keep, *shape)
+    shape, plan = _plan(spec, sizes, keep)
     tables, chain = factors, _grouped_ok(factors, plan.shapes, plan.gather, plan.blocks)
     if chain is None:
         tables = []  # converted and checked one by one: the first fault in chain order
@@ -452,14 +480,7 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
                 raise ModelError(f"conditional slices must sum to 1; worst deviation {worst}")
             if t.shape != expect:
                 raise ModelError(f"factor {f.label()} has shape {t.shape}, expected {expect}")
-    if plan.index is not None:  # ((t0 * t1) * t2) ... per cell, as the steps multiply
-        if chain is None:
-            chain = np.concatenate([t.ravel() for t in tables])
-        return _joint(plan.variables, np.multiply.reduce(chain[plan.index]).reshape(shape), spec)
-    joint = np.ones(())
-    for t, step in zip(tables, plan.steps):
-        joint = step(joint, t)
-    return _joint(plan.variables, plan.finish(joint) if plan.finish else joint, spec)
+    return _product(spec, shape, plan, tables, chain)
 
 
 def marginalize(d: JointDistribution, keep) -> JointDistribution:
@@ -508,14 +529,21 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based random stream: Philox keyed by seed, block per sample index.
 
     Disjoint 2**128-step counter blocks keep per-sample draws independent and
-    reproducible across platforms; ``seed`` must lie in [0, 2**64) and
-    ``index`` in [0, 2**128).
+    reproducible across platforms; ``seed`` must be an int in [0, 2**64) and
+    ``index`` an int in [0, 2**128) (``_check_stream``).
     """
     _check_stream(seed, index)
     return np.random.Generator(np.random.Philox(key=seed, counter=index * 2**128))
 
 
 def _check_stream(seed: int, index: int) -> None:
+    """Refuse a seed or index that is no int (``Variable``'s rule: not a bool, a
+    float or a numpy integer), a seed outside [0, 2**64) or an index outside
+    [0, 2**128)."""
+    if seed.__class__ is not int:
+        raise ModelError(f"seed must be an integer, got {seed!r}")
+    if index.__class__ is not int:
+        raise ModelError(f"sample index must be an integer, got {index!r}")
     if not 0 <= seed < 2**64:
         raise ModelError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= index < 2**128:
@@ -584,10 +612,30 @@ def sample_factors(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
     return factors
 
 
+def draw(spec: FactorizationSpec, sizes: dict[str, int], seed: int, index: int = 0,
+         overrides: dict[str, np.ndarray] | None = None,
+         keep=None) -> tuple[JointDistribution, list[np.ndarray]]:
+    """``sample_factors``' draw and its joint over ``keep``: bitwise
+    ``compose(sample_factors(...), spec, sizes, keep)``, with the factor tables
+    that replay it.
+
+    Every drawn slice is exponentials divided by their own sum, so it is
+    valid by construction and the tables are multiplied through ``compose``'s
+    plan without its table checks.  With pinned ``overrides`` the tables go
+    through ``compose`` itself: an outside table keeps every check."""
+    factors = sample_factors(spec, sizes, seed, index, overrides)
+    if overrides:
+        return compose(factors, spec, sizes, keep), factors
+    shape, plan = _plan(spec, sizes, keep)
+    return _product(spec, shape, plan, factors), factors
+
+
 def sample_distribution(spec: FactorizationSpec, sizes: dict[str, int], seed: int,
                         index: int = 0) -> JointDistribution:
     """Draw a joint of the given form; every factor slice uniform on the simplex.
 
-    Deterministic in (seed, index); ``sample_factors`` takes pinned tables.
+    Deterministic in (seed, index): ``draw``'s joint, so its tables are valid
+    by construction and not re-checked; ``draw`` takes pinned tables, which
+    ``compose`` checks.
     """
-    return compose(sample_factors(spec, sizes, seed, index), spec, sizes)
+    return draw(spec, sizes, seed, index)[0]

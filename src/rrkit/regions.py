@@ -34,11 +34,11 @@ coefficient pattern, so per joint only the float bounds are computed there
 too.
 
 Every constant is defined only on inputs of its family's guard form, so each
-constants call first checks it.  A joint ``compose`` built along a chain
-that implies the form (for example ``hk3``, ``dmt5``, ``ic1`` or ``crc2``
-under ``hod9``, ``cmg4`` under ``hod12``) passes without a look at its
-table, and so does its marginal on the variables the family mentions
-(``_Family.variables``; ``compose`` with ``keep``).  A marginal of any other
+constants call first checks it.  A joint ``compose`` or ``prob.draw`` built
+along a chain that implies the form (for example ``hk3``, ``dmt5``, ``ic1``
+or ``crc2`` under ``hod9``, ``cmg4`` under ``hod12``) passes without a look
+at its table, and so does its marginal on the variables the family mentions
+(``_Family.variables``; ``keep``).  A marginal of any other
 chain is refused.  Every other joint, user-built or composed along a chain
 that does not imply the form, is rebuilt by ``validate_factorization`` and
 refused above ``CONSTANT_REJECT_TOL``.  The constants do not depend on which
@@ -226,9 +226,12 @@ _FAMILIES: dict[str, _Family] = {
 
 
 def _guarded(d: JointDistribution, form: str):
-    """Refuse d unless it factors along ``form``: at once if ``compose`` built d,
-    or its marginal, along a chain that implies the form, else by the numeric
-    check, which needs every variable of the form."""
+    """Refuse d unless it factors along ``form``: at once if ``compose`` or
+    ``prob.draw`` built d, or its marginal, along a chain that implies the
+    form, else by the numeric check, which needs every variable of the form.
+    The skip is sound because each built joint's tables were valid: checked by
+    ``compose`` (tables from outside, pinned overrides among them) or valid by
+    construction (a draw's), so the joint violates the form by round-off only."""
     spec = d._spec
     if spec is not None and spec.implies(FORMS[form]):
         return

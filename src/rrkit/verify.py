@@ -5,7 +5,9 @@ evaluates both sides of a claimed reduction/identity/inclusion, and returns
 a RegionReport.  Checks are deterministic in (samples, seed), never mutate
 their inputs, and record a replayable witness (seed, factor tables, point)
 for every failure: the (index, seed, sizes, factors) of the first draw that
-failed, in the check's order.  ``prob.sample_factors`` draws every joint.
+failed, in the check's order.  ``prob.draw`` draws every joint and its
+tables; eq14's superposition draw, which edits its tables after
+``prob.sample_factors``, composes them through ``prob.compose``'s checks.
 
 ``CHECKS`` is the one table of checks.  It names each check (thm4, thm6,
 corollary1, corollary2-4, corollary3, corollary5, corollary6, eq14, binning;
@@ -27,10 +29,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import regions
+from . import prob, regions
 from .polytope import (TOL, InequalitySystem, _check_tol, contains, fm_eliminate,
                        implies, lp_feasible, remove_redundant)
-from .prob import FORMS, _check_samples, compose, sample_factors
+from .prob import FORMS, _check_samples, _check_stream, compose, sample_factors
 
 TOL_IDENTITY = 1e-12
 TOL_ADDON = 1e-9     # single add-on mutual information on a factorized input
@@ -66,8 +68,8 @@ def _draw(form: str, seed: int, index: int, sizes: dict[str, int] | None = None)
     ``sizes`` defaults to binary alphabets with |Q| alternating 1/2 by index."""
     if sizes is None:
         sizes = {n: 1 if n == "Q" and index % 2 == 0 else 2 for n in FORMS[form].variables}
-    factors = sample_factors(FORMS[form], sizes, seed, index)
-    return compose(factors, FORMS[form], sizes), (index, seed, sizes, factors)
+    d, factors = prob.draw(FORMS[form], sizes, seed, index)
+    return d, (index, seed, sizes, factors)
 
 
 def _result(draw, ok: bool, deviation: float, why: str, aggregate: dict | None = None,
@@ -445,11 +447,13 @@ def run_check(name: str, samples: int, seed: int,
     """Run check ``name`` on ``samples`` draws from ``seed``; ``mapper`` maps
     the per-sample function over the sample indices (a process pool's map
     gives the same report).  Before any draw, ``samples`` must be an int >= 1
-    (``prob._check_samples``) and both tolerances finite and >= 0, as for every
+    (``prob._check_samples``), ``seed`` an int in [0, 2**64)
+    (``prob._check_stream``) and both tolerances finite and >= 0, as for every
     polytope question (``polytope._check_tol``), whether or not the check reads them."""
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
     _check_samples(samples)
+    _check_stream(seed, 0)
     _check_tol(tol_polytope, "tol_polytope")
     _check_tol(tol_identity, "tol_identity")
     one, fixed, recorded = CHECKS[name]

@@ -627,6 +627,10 @@ def test_all_zero_slices_are_drawn_uniform(monkeypatch):
     monkeypatch.setattr(prob, "_rekeyed", lambda seed, index=0: _Scripted(np.zeros(10**4)))
     for f, t in zip(spec.factors, sample_factors(spec, sizes, seed=1)):
         assert np.array_equal(t, np.full(t.shape, 1.0 / math.prod(sizes[n] for n in f.targets)))
+    # draw's tables pass the check it skips, and its joint is compose's
+    d, drawn = prob.draw(spec, sizes, seed=1)
+    assert _passes_compose_check(spec, sizes, drawn)
+    assert d.table.tobytes() == compose(drawn, spec, sizes).table.tobytes()
 
 
 def test_zero_slices_in_both_groups_match_the_reference(monkeypatch):
@@ -640,6 +644,71 @@ def test_zero_slices_in_both_groups_match_the_reference(monkeypatch):
     got = sample_factors(spec, sizes, seed=1)
     _assert_bitwise(got, _per_factor_draw(spec, sizes, _Scripted(values)))
     assert np.array_equal(got[0], [0.5, 0.5]) and np.array_equal(got[-1][1, 0], np.full((2, 2), 0.25))
+
+
+# --- draw: a drawn chain is multiplied out without re-checking its tables ----------
+
+def _passes_compose_check(spec, sizes, tables) -> bool:
+    _, shapes, _, gather, blocks = prob._layout(spec, *prob._shape(spec, sizes))
+    return prob._grouped_ok(tables, shapes, gather, blocks) is not None
+
+
+@pytest.mark.parametrize("form, sizes, family", [
+    *((form, binary_sizes(form, q), None) for form in sorted(FORMS) for q in (1, 2)),
+    ("hk3", _sizes("hk3", 4, 2), "hod"),  # the bench's union chain: the _contract steps
+    ("hod9", dict(binary_sizes("hod9"), W1=3, Y1=4, Y2=4), None),  # 3,072 cells: _grow steps
+])
+def test_draw_is_bitwise_compose_of_sample_factors(form, sizes, family, monkeypatch):
+    from rrkit.regions import _FAMILIES
+    spec, keep = FORMS[form], _FAMILIES[family].variables if family else None
+
+    def refuse(*args):
+        raise AssertionError("a drawn chain was re-checked")
+    with monkeypatch.context() as m:
+        m.setattr(prob, "_grouped_ok", refuse)
+        got = [prob.draw(spec, sizes, seed=1001, index=i, keep=keep) for i in range(3)]
+    for index, (d, factors) in enumerate(got):
+        want = sample_factors(spec, sizes, seed=1001, index=index)
+        _assert_bitwise(factors, want)
+        composed = compose(want, spec, sizes, keep)
+        assert d.variables == composed.variables and d._spec is spec
+        assert d.table.tobytes() == composed.table.tobytes() and not d.table.flags.writeable
+
+
+_PINNED = "p(W2|Q,U1,W1)"  # hod9's factor over (Q, U1, W1, W2)
+
+
+@pytest.mark.parametrize("fixed, message", [
+    (np.full((2, 2, 2, 2), 0.5), None),
+    (np.full((2, 2, 2, 2), 0.6), "conditional slices must sum to 1; worst deviation 0.19"),
+    (np.tile([1.5, -0.5], (2, 2, 2, 1)), "negative entry -0.5 in conditional table"),
+], ids=["valid", "not-normalised", "negative"])
+def test_a_draw_with_a_pinned_table_is_composed_with_every_check(fixed, message):
+    spec, sizes = FORMS["hod9"], binary_sizes("hod9")
+    want = sample_factors(spec, sizes, seed=5, index=3, overrides={_PINNED: fixed})
+    if message is None:
+        d, factors = prob.draw(spec, sizes, seed=5, index=3, overrides={_PINNED: fixed})
+        _assert_bitwise(factors, want)
+        assert d.table.tobytes() == compose(want, spec, sizes).table.tobytes()
+        return
+    with pytest.raises(ModelError, match=re.escape(message)) as composed:
+        compose(want, spec, sizes)
+    with pytest.raises(ModelError) as drawn:
+        prob.draw(spec, sizes, seed=5, index=3, overrides={_PINNED: fixed})
+    assert str(drawn.value) == str(composed.value)
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("q", [1, 2])
+def test_every_drawn_chain_passes_the_checks_draw_skips(form, q):
+    # what lets draw skip compose's table checks, and regions._guarded the
+    # numeric factorization check of a drawn joint
+    spec, sizes = FORMS[form], binary_sizes(form, q)
+    for index in range(200):
+        d, factors = prob.draw(spec, sizes, seed=2024, index=index)
+        assert _passes_compose_check(spec, sizes, factors), index
+        if index % 10 == 0:
+            assert validate_factorization(d, spec)[1] <= prob.FACTORIZATION_TOL, index
 
 
 @pytest.mark.parametrize("form, early, late", [("hod9", 1, 7), ("ic1", 1, 3)])
@@ -724,6 +793,15 @@ _SPEC = FORMS["hod9"]
     (lambda: sample_factors(_SPEC, binary_sizes("hod9"), seed=1,
                             overrides={"p(W1|Q)": np.full((2, 3), 1 / 3)}),
      "override for p(W1|Q) has shape (2, 3), expected (2, 2)"),
+    # a seed or index is an int (``Variable``'s rule), not a float, bool or numpy integer
+    (lambda: sample_factors(_SPEC, binary_sizes("hod9"), 5, np.int64(3)),
+     f"sample index must be an integer, got {np.int64(3)!r}"),
+    (lambda: stream(5, np.int64(3)), f"sample index must be an integer, got {np.int64(3)!r}"),
+    (lambda: sample_factors(_SPEC, binary_sizes("hod9"), 5, 3.0),
+     "sample index must be an integer, got 3.0"),
+    (lambda: sample_factors(_SPEC, binary_sizes("hod9"), 5.0), "seed must be an integer, got 5.0"),
+    (lambda: prob.draw(_SPEC, binary_sizes("hod9"), True), "seed must be an integer, got True"),
+    (lambda: stream(np.uint64(5)), f"seed must be an integer, got {np.uint64(5)!r}"),
 ])
 def test_missing_sizes_factor_counts_and_override_shapes_are_refused(call, message):
     with pytest.raises(ModelError, match=re.escape(message)):

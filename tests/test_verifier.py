@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -406,6 +407,18 @@ def test_a_forced_failure_says_why_and_its_witness_replays(check, monkeypatch):
     assert r.verdicts == (False, False) and [f["sample"] for f in r.failures] == [0, 1]
     for failure in r.failures:
         replay(failure)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (7.0, "seed must be an integer, got 7.0"), (True, "seed must be an integer, got True"),
+    (np.int64(7), f"seed must be an integer, got {np.int64(7)!r}"),
+    (-1, "seed must be in [0, 2**64), got -1"), (2**64, "seed must be in [0, 2**64)"),
+])
+def test_checks_refuse_a_seed_that_is_no_int_in_range_before_drawing(seed, message):
+    def no_draw(one, indices):
+        raise AssertionError("drew a sample")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        V.run_check("corollary1", 2, seed, mapper=no_draw)
 
 
 @pytest.mark.parametrize("samples", [0, -3, True, 2.5])
