@@ -22,9 +22,11 @@ Elimination and substitution each run in two steps: an integer plan from the
 coefficient vectors alone (which rows combine, with what multipliers, and
 each new row's primitive coefficients and scale), then a float step that
 applies it to the bounds.  A plan depends only on the coefficient pattern,
-so the most recent plans are cached by it (a bounded cache) and a repeated
-pattern (a catalogued system's projection, whatever the joint) costs only
-the float step.
+so the most recent plans are cached by it (a bounded cache): a repeated
+pattern skips the integer work, but each call still hashes the pattern,
+builds every row and merges them (``_tightest``, elimination's one merge
+rule).  ``regions.project_to_ratepair`` replays a whole projection's plans,
+so per joint it does only their float steps and the merge.
 
 Coefficient arithmetic is exact integer arithmetic.  ``make_row`` scales
 rational input (floats, fractions.Fraction, numeric strings) to primitive
@@ -153,15 +155,20 @@ def nonnegativity_rows(variables) -> list[Halfspace]:
             for i, v in enumerate(variables)]
 
 
-def _merge_duplicates(rows) -> list[Halfspace]:
-    """Keep one row per coefficient vector (tightest bound wins); drop vacuous."""
-    best: dict[Coeffs, Halfspace] = {}  # a replaced row keeps its first place
-    for r in rows:
-        if r.is_constant() and r.bound >= 0.0:
+def _tightest(coeff_rows, bounds) -> list[int]:
+    """Elimination's merge rule, on rows given as coefficient vectors and
+    bounds: the indices of the rows kept, in order.  A vacuous constant row
+    (bound >= 0, -0.0 included) is dropped; of the rows sharing a coefficient
+    vector the tightest is kept, the first on a tie, in the place of the
+    first of them not dropped."""
+    best: dict[Coeffs, int] = {}  # a replaced row keeps its first place
+    for i, cs in enumerate(coeff_rows):
+        b = bounds[i]
+        if b >= 0.0 and not any(cs):
             continue
-        old = best.get(r.coeffs)
-        if old is None or r.bound < old.bound:
-            best[r.coeffs] = r
+        old = best.get(cs)
+        if old is None or b < bounds[old]:
+            best[cs] = i
     return list(best.values())
 
 
@@ -213,7 +220,8 @@ def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
         up, lo = rows[i], rows[j]
         out.append(Halfspace(coeffs, (mi * up.bound + mj * lo.bound) * scale,
                              f"fm:{{{up.label}+{lo.label}}}"))
-    return _built(sys.variables[:k] + sys.variables[k + 1:], tuple(_merge_duplicates(out)))
+    keep = _tightest([r.coeffs for r in out], [r.bound for r in out])
+    return _built(sys.variables[:k] + sys.variables[k + 1:], tuple(out[i] for i in keep))
 
 
 @functools.lru_cache(maxsize=_PLANS)

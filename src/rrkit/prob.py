@@ -621,13 +621,15 @@ def draw(spec: FactorizationSpec, sizes: dict[str, int], seed: int, index: int =
 
     Every drawn slice is exponentials divided by their own sum, so it is
     valid by construction and the tables are multiplied through ``compose``'s
-    plan without its table checks.  With pinned ``overrides`` the tables go
-    through ``compose`` itself: an outside table keeps every check."""
+    plan without its table checks, a full-joint gather reading the buffer
+    they were drawn in (every table is a view of it, laid end to end in
+    chain order).  With pinned ``overrides`` the tables go through
+    ``compose`` itself: an outside table keeps every check."""
     factors = sample_factors(spec, sizes, seed, index, overrides)
     if overrides:
         return compose(factors, spec, sizes, keep), factors
     shape, plan = _plan(spec, sizes, keep)
-    return _product(spec, shape, plan, factors), factors
+    return _product(spec, shape, plan, factors, factors[0].base), factors
 
 
 def sample_distribution(spec: FactorizationSpec, sizes: dict[str, int], seed: int,

@@ -49,3 +49,9 @@ def delta(n: int) -> np.ndarray:
 
 def compose_form(form: str, factors, sizes):
     return compose(factors, FORMS[form], sizes)
+
+
+def fields(r):
+    """A row field by field, with the types of its parts and its bound's bits."""
+    return (r.coeffs, [type(c).__name__ for c in r.coeffs], r.bound.hex(),
+            type(r.bound).__name__, r.label)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fm_oracle as fm
+from conftest import fields as _fields
 from rrkit.polytope import (Halfspace, InequalitySystem, UnboundedRegionError,
                             VariableMismatchError, contains, convex_hull,
                             fm_eliminate, implies,
@@ -466,12 +467,6 @@ def test_constant_row_handling():
     s2 = system(("x", "y"), (Halfspace((Fraction(0), Fraction(0)), 1.0, "vacuous"),
                              Halfspace((Fraction(1), Fraction(0)), 1.0, "cap")))
     assert lp_feasible(s2)
-
-
-def _fields(r):
-    """A row field by field, with the types of its parts and its bound's bits."""
-    return (r.coeffs, [type(c).__name__ for c in r.coeffs], r.bound.hex(),
-            type(r.bound).__name__, r.label)
 
 
 # sha256 of _fields over every ratepair_projection row (193 rows) of the

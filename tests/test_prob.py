@@ -675,6 +675,21 @@ def test_draw_is_bitwise_compose_of_sample_factors(form, sizes, family, monkeypa
         assert d.table.tobytes() == composed.table.tobytes() and not d.table.flags.writeable
 
 
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_a_drawn_full_joint_is_gathered_from_the_buffer_it_was_drawn_in(form, monkeypatch):
+    # every drawn table is a view of one buffer in chain order: nothing is laid end to end again
+    spec, sizes = FORMS[form], binary_sizes(form)
+    assert prob._plan(spec, sizes, None)[1].index is not None  # a full-joint gather
+    want = [compose(sample_factors(spec, sizes, seed=1001, index=i), spec, sizes) for i in range(3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the drawn tables were concatenated again")
+    with monkeypatch.context() as m:
+        m.setattr(prob.np, "concatenate", refuse)
+        got = [prob.draw(spec, sizes, seed=1001, index=i)[0] for i in range(3)]
+    assert [d.table.tobytes() for d in got] == [d.table.tobytes() for d in want]
+
+
 _PINNED = "p(W2|Q,U1,W1)"  # hod9's factor over (Q, U1, W1, W2)
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rrkit.measures import TermTable, cmi, eval_terms
-from rrkit.polytope import Halfspace, InequalitySystem, fm_eliminate, lp_feasible, vertices2d
+from rrkit.polytope import (Halfspace, InequalitySystem, fm_eliminate, lp_feasible, substitute,
+                            vertices2d)
 from rrkit.prob import (FORMS, Factor, FactorizationSpec, JointDistribution, ModelError,
                         Variable, compose, marginalize, sample_distribution, sample_factors)
 from rrkit import regions as R
@@ -445,6 +446,87 @@ def test_ratepair_projection_is_the_projection_of_the_built_system(family):
         projected = R.ratepair_projection(c)
         assert _rows_key(projected) == _rows_key(R.project_to_ratepair(R.build_system(c, system)))
         assert all(x.__class__ is int for r in projected.rows for x in r.coeffs)
+
+
+def _step_by_step(sys):
+    """``project_to_ratepair`` spelled out: ``substitute``, then ``fm_eliminate``,
+    as ``_TO_RATEPAIR`` lists them."""
+    substitutions, eliminations = R._TO_RATEPAIR[sys.variables]
+    for var, expr in substitutions:
+        sys = substitute(sys, var, expr)
+    for var in eliminations:
+        sys = fm_eliminate(sys, var)
+    return sys
+
+
+def _tie_constants(family: str) -> list[R.BoundConstants]:
+    """Constant vectors with exact ties between sums, signed zeros and tiny bounds."""
+    labels = list(R._FAMILIES[family].terms)
+    rng = np.random.default_rng(2027)
+    vectors = [[v] * len(labels) for v in (0.0, -0.0, 1e-300, -1e-300)]
+    vectors += [list(rng.choice([-0.0, 0.0, -1e-300, 1e-300, -1.0, 0.5, 1.0], len(labels)))
+                for _ in range(200)]
+    return [R.BoundConstants(family, {k: float(v) for k, v in zip(labels, vec)})
+            for vec in vectors]
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_FORMS))
+def test_ratepair_projection_is_substitution_then_elimination(family):
+    # the replayed plan against the engine it replays, row by row and bit by bit;
+    # constant rows put into the input reach the all-zero merge group from the
+    # start, and a bound of -0.0 (build_system's sums give +0.0) meets +0.0 in a tie
+    from conftest import fields
+    system = R._FAMILIES[family].system
+    constants = (_drawn_constants(family, range(1001, 1011)) + _adversarial_constants(family)
+                 + _tie_constants(family))
+    for n, c in enumerate(constants):
+        built = R.build_system(c, system)
+        inputs = [built]
+        if n % 4 == 0:
+            zero, first = (0,) * len(built.variables), next(iter(c.values.values()))
+            a, b, z = (Halfspace(zero, bound, f"c{bound}") for bound in (-0.0, first, -1.0))
+            rows = built.rows
+            signed = Halfspace(rows[3].coeffs, -0.0, "signed")
+            inputs.append(built.with_rows((*rows[:2], a, *rows[2:7], b, signed, *rows[7:], z)))
+        for sys in inputs:
+            replayed, chained = R.project_to_ratepair(sys), _step_by_step(sys)
+            assert replayed.variables == chained.variables == R._RATE_PAIR
+            assert [fields(r) for r in replayed.rows] == [fields(r) for r in chained.rows]
+
+
+@pytest.mark.parametrize("variables", [R._QUAD_VARS, R._RTD_VARS], ids=["quadruple", "quintuple"])
+def test_any_system_projects_as_substitution_then_elimination(variables):
+    # small random coefficients: pairs whose primitive scale is no power of two
+    from conftest import fields
+    from rrkit.polytope import make_row
+    rng = np.random.default_rng(31)
+    for n in range(60):
+        rows = [make_row(rng.integers(-3, 4, len(variables)), rng.standard_normal(), f"u{i}")
+                for i in range(int(rng.integers(4, 9)))]
+        sys = InequalitySystem(variables, tuple(rows))
+        replayed, chained = R.project_to_ratepair(sys), _step_by_step(sys)
+        assert [fields(r) for r in replayed.rows] == [fields(r) for r in chained.rows], n
+
+
+def test_a_projection_plan_is_built_once(monkeypatch):
+    from rrkit import polytope
+    plans = R._projection_plan
+    assert 0 < plans.cache_info().maxsize < 10_000
+    for family in _FAMILY_FORMS:  # warm: one plan per family
+        for c in _drawn_constants(family, range(1001, 1008)) + _adversarial_constants(family):
+            R.ratepair_projection(c)
+    misses = plans.cache_info().misses
+
+    def refuse(*args):
+        raise AssertionError("a projection redid the work its plan holds")
+    for module in (polytope, R):
+        for name in ("substitute", "fm_eliminate", "_fm_plan", "_substitution_plan"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for family in _FAMILY_FORMS:  # 1,008 draws
+        for c in _drawn_constants(family, range(2001, 2043)):
+            R.ratepair_projection(c)
+    assert plans.cache_info().misses == misses
 
 
 def test_compiled_rows_match_make_row():
