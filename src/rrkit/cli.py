@@ -210,12 +210,11 @@ def _rows_json(sys: InequalitySystem) -> list[dict]:
              "bound": float(r.bound)} for r in sys.rows]
 
 
-def _dump_json(obj, path: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _dump_json(obj, path: str | None) -> None:
+    """Write obj as indented JSON to path, if one is given."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
-    return text
+            fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _vertices_csv(vertices) -> str:

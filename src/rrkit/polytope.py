@@ -18,15 +18,13 @@ vertex is the meet of two consecutive edges, solved from the system's own
 rows; meets are taken in row-pair order and merged within tol.  The order
 of the intersection's directions and its recession rays depend only on the
 set of integer normals, so they are compiled once per set.
-Elimination and substitution each run in two steps: an integer plan from the
-coefficient vectors alone (which rows combine, with what multipliers, and
-each new row's primitive coefficients and scale), then a float step that
-applies it to the bounds.  A plan depends only on the coefficient pattern,
-so the most recent plans are cached by it (a bounded cache): a repeated
-pattern skips the integer work, but each call still hashes the pattern,
-builds every row and merges them (``_tightest``, elimination's one merge
-rule).  ``regions.project_to_ratepair`` replays a whole projection's plans,
-so per joint it does only their float steps and the merge.
+Elimination and substitution run in one loop (``_project``), which also
+projects a catalogued system to the rate pair (``regions.project_to_ratepair``).
+Each step takes its integer work from a plan built from the coefficient
+vectors alone (which rows combine, with what multipliers, and each new row's
+primitive coefficients and scale) and cached by that pattern (a bounded
+cache); per call it computes only the float bounds, merges each elimination's
+rows (``_tightest``, the one merge rule) and labels the rows left.
 
 Coefficient arithmetic is exact integer arithmetic.  ``make_row`` scales
 rational input (floats, fractions.Fraction, numeric strings) to primitive
@@ -99,6 +97,8 @@ class InequalitySystem:
     rows: tuple[Halfspace, ...]
 
     def __post_init__(self):
+        if len(set(self.variables)) != len(self.variables):
+            raise VariableMismatchError(f"duplicate variable names in {self.variables}")
         for r in self.rows:
             if len(r.coeffs) != len(self.variables):
                 raise VariableMismatchError(
@@ -176,18 +176,25 @@ _PLANS = 128  # elimination and substitution plans kept per kind; probe
              # systems and user systems are arbitrary, so the caches are bounded
 
 
-@functools.lru_cache(maxsize=_PLANS)
-def _fm_plan(coeff_rows: tuple, k: int) -> tuple[tuple, tuple]:
-    """The integer work of eliminating variable ``k`` from rows with these
-    coefficient vectors, in the order ``fm_eliminate`` emits its rows.
+class _Step(NamedTuple):
+    """The integer work of one Fourier-Motzkin step, in the order its rows
+    are emitted: kept rows first, then pairs."""
 
-    Returns (kept, pairs).  A kept row (i, coeffs, scale) is row i without
-    variable k; a pair (i, j, mi, mj, coeffs, scale) adds mi times upper
-    bound row i to mj times lower bound row j.  ``scale`` is the factor
-    ``_primitive`` gives for the new coefficients.
-    """
+    variables: tuple  # the variables left
+    kept: tuple  # (i, scale): row i without the variable
+    pairs: tuple  # (i, j, mi, mj, scale): mi times upper row i plus mj times lower row j
+    coeffs: tuple  # each new row's primitive coefficients
+    sources: tuple  # each new row's input rows: i, or (i, j) for a pair
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _fm_plan(variables: tuple, coeff_rows: tuple, var: str) -> _Step:
+    """Eliminating ``var`` from rows with these coefficient vectors: each
+    upper bound row paired with each lower, ``scale`` the factor
+    ``_primitive`` gives for the new coefficients."""
+    k = variables.index(var)
     drop = lambda cs: cs[:k] + cs[k + 1:]
-    uppers, lowers, kept = [], [], []
+    uppers, lowers, kept, coeffs = [], [], [], []
     for i, cs in enumerate(coeff_rows):
         c = cs[k]
         if c > 0:
@@ -195,7 +202,9 @@ def _fm_plan(coeff_rows: tuple, k: int) -> tuple[tuple, tuple]:
         elif c < 0:
             lowers.append(i)
         else:
-            kept.append((i, *_primitive(drop(cs))))
+            primitive, scale = _primitive(drop(cs))
+            kept.append((i, scale))
+            coeffs.append(primitive)
     pairs = []
     for i in uppers:
         up = coeff_rows[i]
@@ -203,32 +212,20 @@ def _fm_plan(coeff_rows: tuple, k: int) -> tuple[tuple, tuple]:
         for j in lowers:
             lo = coeff_rows[j]
             cl = -lo[k]
-            coeffs = tuple(cl * a + cu * b for a, b in zip(drop(up), drop(lo)))
-            pairs.append((i, j, float(cl), float(cu), *_primitive(coeffs)))
-    return tuple(kept), tuple(pairs)
-
-
-def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
-    """Project ``var`` (VariableMismatchError if absent) out by pairing each upper
-    bound with each lower; equal coefficient vectors keep the tightest, vacuous rows go."""
-    k = sys.index(var)
-    rows = sys.rows
-    kept, pairs = _fm_plan(tuple(r.coeffs for r in rows), k)
-    out = [Halfspace(coeffs, rows[i].bound * scale, rows[i].label)
-           for i, coeffs, scale in kept]
-    for i, j, mi, mj, coeffs, scale in pairs:
-        up, lo = rows[i], rows[j]
-        out.append(Halfspace(coeffs, (mi * up.bound + mj * lo.bound) * scale,
-                             f"fm:{{{up.label}+{lo.label}}}"))
-    keep = _tightest([r.coeffs for r in out], [r.bound for r in out])
-    return _built(sys.variables[:k] + sys.variables[k + 1:], tuple(out[i] for i in keep))
+            primitive, scale = _primitive(tuple(cl * a + cu * b
+                                                for a, b in zip(drop(up), drop(lo))))
+            pairs.append((i, j, float(cl), float(cu), scale))
+            coeffs.append(primitive)
+    return _Step(drop(variables), tuple(kept), tuple(pairs), tuple(coeffs),
+                 tuple(i for i, _ in kept) + tuple(p[:2] for p in pairs))
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _substitution_plan(variables: tuple, coeff_rows: tuple, k: int, expr: tuple):
-    """The integer work of ``substitute`` for variable ``k`` and the items
-    ``expr`` of its expression: the new variables and (coeffs, scale) per row."""
-    var = variables[k]
+def _substitution_plan(variables: tuple, coeff_rows: tuple, var: str, expr: tuple):
+    """Substituting the items ``expr`` for ``var`` in rows with these
+    coefficient vectors: the new variables, each row's primitive
+    coefficients and each row's scale."""
+    k = variables.index(var)
     new_vars = list(variables[:k] + variables[k + 1:])
     for v, _ in expr:
         if v not in new_vars:
@@ -240,7 +237,43 @@ def _substitution_plan(variables: tuple, coeff_rows: tuple, k: int, expr: tuple)
         for v, e in expr:
             out[v] = out.get(v, 0) + c * e
         plan.append(_primitive(tuple(out.get(v, 0) for v in new_vars)))
-    return tuple(new_vars), tuple(plan)
+    return tuple(new_vars), tuple(cs for cs, _ in plan), tuple(scale for _, scale in plan)
+
+
+def _project(sys: InequalitySystem, substitutions, eliminations) -> InequalitySystem:
+    """Each substitution (var, expr) in turn, then each elimination, as
+    ``substitute`` and ``fm_eliminate`` do them one at a time.
+
+    The integer work comes from the plans, cached by coefficient pattern;
+    per call only the bounds are computed, each step's rows are merged by
+    ``_tightest`` and ``fm:{a+b}`` labels are written for the rows left."""
+    variables, rows = sys.variables, sys.rows
+    coeff_rows = tuple(r.coeffs for r in rows)
+    bounds = [r.bound for r in rows]
+    labels = [r.label for r in rows]
+    for var, expr in substitutions:
+        variables, coeff_rows, scales = _substitution_plan(variables, coeff_rows, var,
+                                                           tuple(expr.items()))
+        bounds = [b * scale for b, scale in zip(bounds, scales)]
+    for var in eliminations:
+        step = _fm_plan(variables, coeff_rows, var)
+        out = [bounds[i] * scale for i, scale in step.kept]
+        out += [(mi * bounds[i] + mj * bounds[j]) * scale for i, j, mi, mj, scale in step.pairs]
+        keep = _tightest(step.coeffs, out)
+        bounds = [out[r] for r in keep]
+        labels = [labels[src] if src.__class__ is int
+                  else f"fm:{{{labels[src[0]]}+{labels[src[1]]}}}"
+                  for src in map(step.sources.__getitem__, keep)]
+        variables, coeff_rows = step.variables, tuple(map(step.coeffs.__getitem__, keep))
+    return _built(variables, tuple(tuple.__new__(Halfspace, row)
+                                   for row in zip(coeff_rows, bounds, labels)))
+
+
+def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
+    """Project ``var`` (VariableMismatchError if absent) out by pairing each upper
+    bound with each lower; equal coefficient vectors keep the tightest, vacuous rows go."""
+    sys.index(var)
+    return _project(sys, (), (var,))
 
 
 def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
@@ -250,16 +283,14 @@ def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
     to primitive integers.  New variables named in ``expr`` are appended to
     the system in order.
     """
-    new_vars, plan = _substitution_plan(sys.variables, tuple(r.coeffs for r in sys.rows),
-                                        sys.index(var), tuple(expr.items()))
-    return _built(new_vars, tuple(Halfspace(coeffs, r.bound * scale, r.label)
-                                  for (coeffs, scale), r in zip(plan, sys.rows)))
+    sys.index(var)
+    return _project(sys, ((var, expr),), ())
 
 
 def _check_tol(tol: float, what: str = "tol") -> None:
     """Refuse a tolerance ``what`` not finite and >= 0 (an int past the float range
-    too): bounds are only ever raised by tol, and by inf every row holds."""
-    if not 0 <= tol <= float_info.max:  # NaN fails too
+    and a bool too): bounds are only ever raised by tol, and by inf every row holds."""
+    if tol.__class__ is bool or not 0 <= tol <= float_info.max:  # NaN fails too
         raise ValueError(f"{what} must be finite and >= 0, got {tol}")
 
 

@@ -28,12 +28,8 @@ Catalogued systems have fixed integer coefficients; only their bounds
 depend on the joint.  So each description's rows (primitive coefficients
 and scales) are compiled once, on first use, and ``build_system`` computes
 only the float bounds per joint.  ``ratepair_projection`` is
-``project_to_ratepair`` of a family's own system.  That replays one plan
-per coefficient pattern, compiled on first use from ``polytope``'s
-substitution and Fourier-Motzkin plans: per joint it computes only the
-float bounds, with ``substitute``'s and ``fm_eliminate``'s own operations
-in their order, and merges each step's rows by their one rule, so the rows
-are bitwise theirs.
+``project_to_ratepair`` of a family's own system, which runs
+``polytope``'s one elimination loop on the steps ``_TO_RATEPAIR`` names.
 
 Every constant is defined only on inputs of its family's guard form, so each
 constants call first checks it.  A joint ``compose`` or ``prob.draw`` built
@@ -53,11 +49,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 from .measures import InfoTerm, TermTable
-from .polytope import (Halfspace, InequalitySystem, _built, _fm_plan, _primitive,
-                       _substitution_plan, _tightest, make_row, nonnegativity_rows)
+from .polytope import (Halfspace, InequalitySystem, _built, _primitive, _project, make_row,
+                       nonnegativity_rows)
 from .prob import FORMS, JointDistribution, ModelError, validate_factorization
 
 CONSTANT_REJECT_TOL = 1e-6  # factorization violation above this rejects the input
@@ -549,51 +544,6 @@ _TO_RATEPAIR = {
     _RTD_VARS: ((("S1a", {"R1": 1, "T1": -1, "S1b": -1}), ("S2", {"R2": 1, "T2": -1})),
                 ("T1", "S1b", "T2")),
 }
-_PROJECTIONS = 64  # projection plans kept; user systems are arbitrary, so bounded
-
-
-class _Step(NamedTuple):
-    """One Fourier-Motzkin step of a projection plan, for one coefficient
-    pattern of its input: ``_fm_plan``'s rows, before the merge."""
-
-    variables: tuple  # the variables left after this step
-    kept: tuple  # ``_fm_plan``'s kept rows and pairs
-    pairs: tuple
-    coeffs: tuple  # each row's coefficients, kept rows first
-    sources: tuple  # each row's input rows: i, or (i, j) for a pair
-    rest: tuple  # the variables still to eliminate after this step
-    after: dict  # survivor pattern of this step's merge -> the next step (a
-                 # race builds it twice, equal, and keeps one)
-
-
-def _step(variables: tuple, coeff_rows: tuple, eliminations: tuple) -> _Step:
-    k = variables.index(eliminations[0])
-    kept, pairs = _fm_plan(coeff_rows, k)
-    coeffs = tuple(cs for _, cs, _ in kept) + tuple(p[4] for p in pairs)
-    return _Step(variables[:k] + variables[k + 1:], kept, pairs, coeffs,
-                 tuple(i for i, _, _ in kept) + tuple(p[:2] for p in pairs),
-                 eliminations[1:], {})
-
-
-@functools.lru_cache(maxsize=_PROJECTIONS)
-def _projection_plan(variables: tuple, coeff_rows: tuple) -> tuple:
-    """``project_to_ratepair``'s plan for rows with these coefficient vectors:
-    each substitution's row scales and the first elimination step.  A later
-    step depends on which rows survive the merge before it, so each step
-    keeps the next one per survivor pattern (``_Step.after``), built on its
-    first use."""
-    for rate_space, (substitutions, eliminations) in _TO_RATEPAIR.items():
-        if set(variables) == set(rate_space):
-            break
-    else:
-        raise ValueError(f"no rate-pair mapping for variables {variables}")
-    scales = []
-    for var, expr in substitutions:
-        variables, plan = _substitution_plan(variables, coeff_rows, variables.index(var),
-                                             tuple(expr.items()))
-        coeff_rows = tuple(cs for cs, _ in plan)
-        scales.append(tuple(scale for _, scale in plan))
-    return tuple(scales), _step(variables, coeff_rows, eliminations)
 
 
 def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
@@ -603,40 +553,14 @@ def project_to_ratepair(sys: InequalitySystem) -> InequalitySystem:
     Quadruple systems use R1 = S1 + T1, R2 = S2 + T2; the quintuple system
     uses R1 = T1 + S1a + S1b, R2 = T2 + S2.  Substitution appends R1, then
     R2, and the eliminations leave only those two, so the result is over
-    ("R1", "R2") whatever the input's variable order.
-
-    The rows are bitwise those of ``substitute`` and ``fm_eliminate`` applied
-    in turn (``_TO_RATEPAIR``), but computed from one plan, cached by the
-    variables and the rows' coefficient vectors (``_projection_plan``): per
-    system only the bounds are computed, with the engine's own float
-    operations in its order, and each step's rows merged by ``_tightest``.
-    Labels are written only for the rows that are left.
+    ("R1", "R2") whatever the input's variable order.  The steps
+    (``_TO_RATEPAIR``) run in ``polytope``'s one loop, so the rows are
+    bitwise those of ``substitute`` and ``fm_eliminate`` applied in turn.
     """
-    rows = sys.rows
-    scales, step = _projection_plan(sys.variables, tuple(r.coeffs for r in rows))
-    bounds = [r.bound for r in rows]
-    for substitution in scales:
-        bounds = [b * scale for b, scale in zip(bounds, substitution)]
-    labels = [r.label for r in rows]
-    while True:
-        out = [bounds[i] * scale for i, _, scale in step.kept]
-        out += [(mi * bounds[i] + mj * bounds[j]) * scale
-                for i, j, mi, mj, _, scale in step.pairs]
-        keep = _tightest(step.coeffs, out)
-        bounds = [out[r] for r in keep]
-        labels = [labels[src] if src.__class__ is int
-                  else f"fm:{{{labels[src[0]]}+{labels[src[1]]}}}"
-                  for src in map(step.sources.__getitem__, keep)]
-        if not step.rest:
-            break
-        pattern = tuple(map(step.coeffs.__getitem__, keep))
-        nxt = step.after.get(pattern)
-        if nxt is None:
-            nxt = step.after[pattern] = _step(step.variables, pattern, step.rest)
-        step = nxt
-    return _built(step.variables, tuple(
-        tuple.__new__(Halfspace, (step.coeffs[r], b, lab))
-        for r, b, lab in zip(keep, bounds, labels)))
+    for rate_space, (substitutions, eliminations) in _TO_RATEPAIR.items():
+        if set(sys.variables) == set(rate_space):
+            return _project(sys, substitutions, eliminations)
+    raise ValueError(f"no rate-pair mapping for variables {sys.variables}")
 
 
 def ratepair_projection(constants: BoundConstants) -> InequalitySystem:

@@ -98,6 +98,17 @@ def test_lp_feasible_point():
         lp_feasible(s, point=(0.0,))
 
 
+def test_a_system_refuses_duplicate_variable_names():
+    # substituting for one of two x's would turn the other's row x <= 2 into 0 <= 2,
+    # and a rate space with a repeated rate would pass a match by variable set
+    for variables in (("x", "x"), ("T1", "S1", "T2", "S2", "S2")):
+        row = make_row([0] * (len(variables) - 1) + [1], 2.0, "last")
+        with pytest.raises(VariableMismatchError, match="duplicate variable names"):
+            system(variables, [row])
+        with pytest.raises(VariableMismatchError, match="duplicate variable names"):
+            InequalitySystem(variables, ())
+
+
 def test_caller_rows_are_checked_and_rows_built_here_are_not(monkeypatch):
     # two equal systems, so the second keeps no copy the first raised by tol
     s, fresh = (rows_of(("a", "b", "c"), ((1, 1, 0), 2.0, "x"), ((-1, 0, 1), 1.0, "y"),

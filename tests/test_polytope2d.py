@@ -534,7 +534,7 @@ def test_the_slack_is_tol_not_twice_tol():
     assert [r.label for r in kept.rows] == ["cut", "top", "x>=0", "y>=0"]
 
 
-@pytest.mark.parametrize("tol", [-0.5, -1e-12, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [-0.5, -1e-12, float("nan"), float("inf"), True])
 def test_a_negative_or_nan_tolerance_is_refused(tol):
     # the segment x = 0, 0 <= y <= 1; an infinite tol is refused too, where
     # it would make every answer vacuous

@@ -448,10 +448,10 @@ def test_ratepair_projection_is_the_projection_of_the_built_system(family):
         assert all(x.__class__ is int for r in projected.rows for x in r.coeffs)
 
 
-def _step_by_step(sys):
-    """``project_to_ratepair`` spelled out: ``substitute``, then ``fm_eliminate``,
-    as ``_TO_RATEPAIR`` lists them."""
-    substitutions, eliminations = R._TO_RATEPAIR[sys.variables]
+def _step_by_step(sys, steps=None):
+    """``polytope._project`` spelled out: ``substitute``, then ``fm_eliminate``,
+    one call per step; by default the steps ``_TO_RATEPAIR`` lists for sys."""
+    substitutions, eliminations = steps or R._TO_RATEPAIR[sys.variables]
     for var, expr in substitutions:
         sys = substitute(sys, var, expr)
     for var in eliminations:
@@ -508,25 +508,35 @@ def test_any_system_projects_as_substitution_then_elimination(variables):
         assert [fields(r) for r in replayed.rows] == [fields(r) for r in chained.rows], n
 
 
+def test_the_budget_system_eliminates_as_chained_steps():
+    # two eliminations in one loop against fm_eliminate called twice, bit by bit
+    from conftest import fields
+    from rrkit.polytope import _project
+    for i in range(8):
+        d = sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=67, index=i)
+        budget = R.binning_budget_system(d)
+        steps = ((), ("s2", "t2"))
+        multi, chained = _project(budget, *steps), _step_by_step(budget, steps)
+        assert multi.variables == chained.variables == ("S2", "T2", "T1")
+        assert [fields(r) for r in multi.rows] == [fields(r) for r in chained.rows]
+
+
 def test_a_projection_plan_is_built_once(monkeypatch):
     from rrkit import polytope
-    plans = R._projection_plan
-    assert 0 < plans.cache_info().maxsize < 10_000
-    for family in _FAMILY_FORMS:  # warm: one plan per family
+    caches = (polytope._fm_plan, polytope._substitution_plan)
+    assert all(0 < cache.cache_info().maxsize < 10_000 for cache in caches)
+    for family in _FAMILY_FORMS:  # warm: every pattern the draws below reach
         for c in _drawn_constants(family, range(1001, 1008)) + _adversarial_constants(family):
             R.ratepair_projection(c)
-    misses = plans.cache_info().misses
+    misses = [cache.cache_info().misses for cache in caches]
 
     def refuse(*args):
         raise AssertionError("a projection redid the work its plan holds")
-    for module in (polytope, R):
-        for name in ("substitute", "fm_eliminate", "_fm_plan", "_substitution_plan"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(polytope, "_primitive", refuse)
     for family in _FAMILY_FORMS:  # 1,008 draws
         for c in _drawn_constants(family, range(2001, 2043)):
             R.ratepair_projection(c)
-    assert plans.cache_info().misses == misses
+    assert [cache.cache_info().misses for cache in caches] == misses
 
 
 def test_compiled_rows_match_make_row():
@@ -572,19 +582,24 @@ def _symbolic_projection(description: str):
     rows += [(r.coeffs, Counter()) for r in nonnegative]
     substitutions, eliminations = R._TO_RATEPAIR[variables]
     for var, expr in substitutions:
-        variables, sub = _substitution_plan(variables, tuple(c for c, _ in rows),
-                                            variables.index(var), tuple(expr.items()))
-        rows = [(coeffs, labels) for (coeffs, _), (_, labels) in zip(sub, rows)]
+        variables, coeffs, _ = _substitution_plan(variables, tuple(c for c, _ in rows), var,
+                                                  tuple(expr.items()))
+        rows = [(cs, labels) for cs, (_, labels) in zip(coeffs, rows)]
     for var in eliminations:
         k = variables.index(var)
-        kept, pairs = _fm_plan(tuple(c for c, _ in rows), k)
-        out = [(coeffs, rows[i][1]) for i, coeffs, _ in kept]
-        for i, j, mi, mj, coeffs, scale in pairs:
-            labels = Counter({lab: int(mi) * n for lab, n in rows[i][1].items()})
-            labels.update({lab: int(mj) * n for lab, n in rows[j][1].items()})
-            g = 1 if scale is None else round(1 / scale)
-            out.append((tuple(g * x for x in coeffs), labels))
-        rows, variables = out, variables[:k] + variables[k + 1:]
+        drop = lambda cs: cs[:k] + cs[k + 1:]
+        step = _fm_plan(variables, tuple(c for c, _ in rows), var)
+        out = []
+        for src, coeffs in zip(step.sources, step.coeffs):
+            if src.__class__ is int:
+                out.append((coeffs, rows[src][1]))
+                continue
+            (up, up_labels), (lo, lo_labels) = rows[src[0]], rows[src[1]]
+            mi, mj = -lo[k], up[k]
+            labels = Counter({lab: mi * n for lab, n in up_labels.items()})
+            labels.update({lab: mj * n for lab, n in lo_labels.items()})
+            out.append((tuple(mi * a + mj * b for a, b in zip(drop(up), drop(lo))), labels))
+        rows, variables = out, step.variables
     return [(coeffs, tuple(sorted(labels.elements()))) for coeffs, labels in rows]
 
 
