@@ -13,7 +13,15 @@ VariableMismatchError.  Fourier-Motzkin elimination projects a system down
 to the plane first.  The questions (and vertices) are answered from exact
 half-plane intersections, each built on first use and kept on the immutable
 system.  Redundancy removal needs no more than the system's own when that
-is not empty: each row is decided by LP duality from at most two others.  A
+is not empty: each row is decided by LP duality from at most two others.
+A monotone system (normals >= 0 in both entries, or lower bounds; every
+catalogued rate-pair system) needs none to say whether its rows meet: they
+meet iff each holds at the lowest corner (``_lowest_corner``, kept on the
+system).  That answers free feasibility, an empty inner in containment,
+whether the rows and each rest of them meet in redundancy removal, and an
+empty vertex list; a non-empty monotone inner has each outer row decided by
+duality and only the first it fails probed for the witness.  Witnesses and
+vertices still come from the intersection.  A
 vertex is the meet of two consecutive edges, solved from the system's own
 rows; meets are taken in row-pair order and merged within tol.  The order
 of the intersection's directions and its recession rays depend only on the
@@ -31,7 +39,8 @@ rational input (floats, fractions.Fraction, numeric strings) to primitive
 integers; a system, and ``implies`` for its row, refuses any other row.
 Fraction remains only where a floating bound must be compared exactly.
 Every comparison against the floating bounds uses an absolute tolerance
-(default 1e-9; one not finite and >= 0 is refused).  Feasible within tol means
+(default 1e-9; one that is not a real number, a bool, or not finite and >= 0
+is refused).  Feasible within tol means
 the rows with every bound raised by tol (``_raised``) meet; an empty system
 feasible within tol is read as them.
 """
@@ -43,6 +52,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from sys import float_info
 from typing import NamedTuple
 
@@ -121,9 +131,14 @@ class InequalitySystem:
         return [_canon(r.coeffs, r.bound) for r in self.rows]
 
     @functools.cached_property
+    def _corner(self) -> bool | None:
+        """``_lowest_corner`` of a 2-variable system's rows, decided once."""
+        return _lowest_corner(self._lines)
+
+    @functools.cached_property
     def _plane_region(self) -> "_Region":
         """The half-plane intersection of a 2-variable system's rows, built
-        once: every 2-D question about the system reads it."""
+        once: every 2-D question the lowest corner does not settle reads it."""
         return _region(self._lines)
 
 
@@ -289,8 +304,10 @@ def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
 
 def _check_tol(tol: float, what: str = "tol") -> None:
     """Refuse a tolerance ``what`` not finite and >= 0 (an int past the float range
-    and a bool too): bounds are only ever raised by tol, and by inf every row holds."""
-    if tol.__class__ is bool or not 0 <= tol <= float_info.max:  # NaN fails too
+    too), and one that is a bool (numpy's too) or not a real number: bounds are
+    only ever raised by tol, by inf every row holds, and a report records tol."""
+    if (tol.__class__ is not float and (isinstance(tol, bool) or not isinstance(tol, Real))
+            or not 0 <= tol <= float_info.max):  # NaN fails too
         raise ValueError(f"{what} must be finite and >= 0, got {tol}")
 
 
@@ -307,8 +324,8 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
     """Is the system feasible within tol: do its rows with every bound raised
     by tol (``_raised``) meet, at ``point`` if one is given?  The point test
     takes any number of variables.  Without a point the system must have 2:
-    its own intersection, a constant row below -tol or else the raised copy's
-    intersection answers."""
+    whether its own rows meet, a constant row below -tol or else whether the
+    raised copy's rows meet answers (``_meets``)."""
     _check_tol(tol)
     if point is not None:
         if len(point) != len(sys.variables):
@@ -317,10 +334,10 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
         return all(sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound
                    for r in _raised(sys, tol).rows)
     _check_plane(sys)
-    if sys._plane_region.edges:
+    if _meets(sys):
         return True
     return (not any(r.is_constant() and r.bound < -tol for r in sys.rows)
-            and bool(_raised(sys, tol)._plane_region.edges))
+            and _meets(_raised(sys, tol)))
 
 
 def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
@@ -353,19 +370,24 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
 
     On failure returns (False, witness): the inner vertex maximising the
     first outer row inner violates by at least tol (moved along a ray when
-    inner is unbounded that way).  An empty inner is inside any outer.
+    inner is unbounded that way).  An empty inner is inside any outer.  A
+    monotone inner that meets (``_lowest_corner``) has each row decided by
+    ``_kept_below``; only the first row it does not keep below is probed.
     """
     if outer.variables != inner.variables:
         raise VariableMismatchError(
             f"systems over different variables: {outer.variables} vs {inner.variables}")
     _check_tol(tol)
-    if outer.rows:
-        _check_plane(inner, outer.rows[0].coeffs)  # as the first probe would
-        if not inner._plane_region.edges:
-            return True, None
+    if not outer.rows:
+        return True, None
+    _check_plane(inner, outer.rows[0].coeffs)  # as the first probe would
+    if not _meets(inner):
+        return True, None
+    tight = _tight_lines(inner._lines)[0] if inner._corner else None
     for row in outer.rows:
-        if (witness := _outside(inner, row, tol)) is not None:
-            return False, witness
+        if tight is None or not _kept_below(tight, row.coeffs, row.bound + tol):
+            if (witness := _outside(inner, row, tol)) is not None:
+                return False, witness
     return True, None
 
 
@@ -507,9 +529,68 @@ class _Region(NamedTuple):
     err: float    # float error of p*x + q*y at a point, per unit of |p| + |q|
 
 
-# The region of rows that keep a constant row 0 <= beta < 0, for
-# _greedy_2d's probes (recession rays are left out; nothing reads them there).
-_EMPTY = _Region([], [], (), 0.0)
+def _tight_lines(lines) -> tuple[dict, bool]:
+    """The tightest bound per nonzero normal (the first on a tie), and
+    whether every constant row 0 <= beta holds."""
+    tight: dict = {}
+    consistent = True
+    for p, q, beta in lines:
+        if p == 0 == q:
+            consistent = consistent and beta >= 0
+        elif beta < tight.get((p, q), math.inf):
+            tight[(p, q)] = beta
+    return tight, consistent
+
+
+def _box_side(big: int, largest: float) -> float | None:
+    """Where ``_region`` puts its box sides for normal entries up to ``big``
+    and tightest bounds up to ``largest`` in size, or None when a box vertex
+    would not be a finite float (``_region`` then refuses the bounds)."""
+    side = 4.0 * big * largest + 1.0
+    return side if 2.0 * big * side < math.inf else None
+
+
+_LOWER = ((-1, 0), (0, -1))  # the lower-bound normals: -x <= beta, -y <= beta
+
+
+def _lowest_corner(lines) -> bool | None:
+    """Do the lines of a monotone system meet?  Decided exactly, without an
+    intersection; None when the system is not monotone, has a bound that is
+    not finite or one ``_region`` refuses (``_box_side``).
+
+    Monotone: every normal is >= 0 in both entries, or is a lower bound
+    (``_LOWER``).  Each other row's left side then never decreases in either
+    variable, so the rows meet iff every one holds at the lowest corner:
+    each variable at its largest lower bound, or, without one, toward -inf,
+    where every row that uses it holds.  A catalogued rate-pair system's
+    corner is the origin; ``_side`` compares exactly."""
+    tight, consistent = _tight_lines(lines)
+    low_x, low_y = tight.get(_LOWER[0]), tight.get(_LOWER[1])
+    x = (-1, 0, 0.0 if low_x is None else low_x)
+    y = (0, -1, 0.0 if low_y is None else low_y)
+    origin = not (x[2] or y[2])  # there a row holds iff 0 <= beta
+    holds, big, largest = consistent, 1, 0.0
+    for (p, q), beta in tight.items():
+        if p < 0 or q < 0:
+            if (p, q) not in _LOWER:
+                return None
+        elif holds and not (p and low_x is None or q and low_y is None):
+            holds = beta >= 0 if origin else _side((p, q, beta), x, y) <= 0
+        if p > big or q > big:
+            big = p if p > q else q
+        if beta > largest or -beta > largest:
+            largest = abs(beta)
+    if (_box_side(big, float(largest)) is None
+            or not all(math.isfinite(beta) for _, _, beta in lines)):
+        return None
+    return holds
+
+
+def _meets(sys: InequalitySystem) -> bool:
+    """Do a 2-variable system's rows meet?  Its lowest corner answers when
+    it can (``_lowest_corner``), else its half-plane intersection."""
+    corner = sys._corner
+    return bool(sys._plane_region.edges) if corner is None else corner
 
 
 @functools.lru_cache(maxsize=_ANGLE_PLANS)
@@ -530,17 +611,11 @@ def _region(lines) -> _Region:
     region with recession directions is unbounded, and its box vertices are
     real points of it.
     """
-    tight: dict = {}
-    consistent = True
-    for p, q, beta in lines:
-        if p == 0 == q:
-            consistent = consistent and beta >= 0
-        elif beta < tight.get((p, q), math.inf):
-            tight[(p, q)] = beta
+    tight, consistent = _tight_lines(lines)
     dirs, rays, big = _angle_plan(frozenset(tight))
     largest = max((abs(float(b)) for b in tight.values()), default=0.0)
-    side = 4.0 * big * largest + 1.0
-    if not 2.0 * big * side < math.inf:  # a box vertex must be a finite float
+    side = _box_side(big, largest)
+    if side is None:  # a box vertex must be a finite float
         raise UnboundedRegionError(f"bound {largest:g} too large for the 2-D intersection")
     edges = (_intersect([(p, q, tight.get((p, q), side)) for p, q in dirs])
              if consistent else [])
@@ -577,9 +652,10 @@ def _reach(region: _Region, coeffs, bound: float):
     return None
 
 
-def _kept_below(lines, coeffs, bound: float) -> bool:
-    """Do ``lines``, whose region is not empty, keep coeffs.(x, y) below
-    ``bound``?  Decided exactly, without an intersection.
+def _kept_below(tight: dict, coeffs, bound: float) -> bool:
+    """Do rows that meet, given as their tightest bound per normal
+    (``_tight_lines``), keep coeffs.(x, y) below ``bound``?  Decided
+    exactly, without an intersection.
 
     By 2-D LP duality an optimum needs at most two active rows, so the rows
     keep the left side below the bound iff the tightest line with its
@@ -589,10 +665,6 @@ def _kept_below(lines, coeffs, bound: float) -> bool:
     p, q, t = _canon(coeffs, bound)
     if p == 0 == q:
         return t > 0
-    tight: dict = {}
-    for a, b, beta in lines:
-        if (a or b) and beta < tight.get((a, b), math.inf):
-            tight[(a, b)] = beta
     if tight.get((p, q), math.inf) < t:
         return True
     cw = [(a, b, beta) for (a, b), beta in tight.items() if a * q - b * p > 0]
@@ -605,12 +677,13 @@ def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
 
     While the rows still alive meet, every rest of them meets too, and
     ``_kept_below`` decides each row without an intersection: a system that
-    meets is reduced from its own region alone.  Until then each row has the
-    rest intersected, except that a rest keeping a constant row 0 <= beta
-    with beta < 0 is empty without one.
+    meets is reduced from its own rows alone.  Until then each row asks
+    whether the rest meets: a rest keeping a constant row 0 <= beta with
+    beta < 0 does not, the lowest corner of a monotone rest answers (and
+    ``_kept_below`` then decides), and any other rest is intersected.
     """
     rows, lines = sys.rows, sys._lines
-    meet = bool(sys._plane_region.edges)  # do the rows still alive meet?
+    meet = _meets(sys)  # do the rows still alive meet?
     contradiction = [p == 0 == q and beta < 0 for p, q, beta in lines]
     contradictions = sum(contradiction)  # among the remaining rows
     alive = list(range(len(rows)))
@@ -621,11 +694,16 @@ def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
         others = [lines[k] for k in rest]
         bound = rows[j].bound + tol
         if meet:
-            drop = _kept_below(others, rows[j].coeffs, bound)
+            drop = _kept_below(_tight_lines(others)[0], rows[j].coeffs, bound)
         else:
-            sub = _EMPTY if contradictions > contradiction[j] else _region(others)
-            drop = _reach(sub, rows[j].coeffs, bound) is None
-            meet = drop and bool(sub.edges)
+            rest_meets = False if contradictions > contradiction[j] else _lowest_corner(others)
+            if rest_meets is None:
+                sub = _region(others)
+                rest_meets, drop = bool(sub.edges), _reach(sub, rows[j].coeffs, bound) is None
+            else:
+                drop = not rest_meets or _kept_below(_tight_lines(others)[0], rows[j].coeffs,
+                                                     bound)
+            meet = drop and rest_meets
         if drop:
             alive = rest
             contradictions -= contradiction[j]
@@ -652,9 +730,10 @@ def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
     dropped.  At tol 0 the exact point test may reject a meet by round-off."""
     _check_plane(sys)
     _check_tol(tol)
-    region = _relaxed(sys, tol)._plane_region
-    if not region.edges:
+    relaxed = _relaxed(sys, tol)
+    if not _meets(relaxed):
         return Polytope2D((), "empty")
+    region = relaxed._plane_region
     if region.rays:
         raise UnboundedRegionError("region is unbounded; cannot enumerate vertices")
     lines = sys._lines

@@ -297,7 +297,8 @@ def _reintersecting_greedy(s, tol):
         rest = [lines[k] for k in alive[:i] + alive[i + 1:]]
         dropped = polytope._reach(polytope._region(rest), row.coeffs, row.bound + tol) is None
         if polytope._region([lines[k] for k in alive]).edges:
-            assert polytope._kept_below(rest, row.coeffs, row.bound + tol) == dropped, row
+            tight = polytope._tight_lines(rest)[0]
+            assert polytope._kept_below(tight, row.coeffs, row.bound + tol) == dropped, row
         if dropped:
             del alive[i]
         else:
@@ -341,8 +342,9 @@ def test_remove_redundant_agrees_with_reintersecting_every_row(s, placed):
 
 
 def test_a_rate_pair_reduction_intersects_once(monkeypatch):
-    """An hk3 projection (8 rows, bounded, 5 of them kept) is reduced from its
-    own intersection alone: no rest of its rows is intersected again."""
+    """An hk3 projection (8 rows, bounded, 5 of them kept) is reduced without
+    an intersection: its lowest corner says it meets, and no rest of its rows
+    is intersected.  Only reading its region (here) intersects it, once."""
     sizes = binary_sizes("hk3")
     d = compose(sample_factors(FORMS["hk3"], sizes, 1, 0), FORMS["hk3"], sizes)
     raw = ratepair_projection(constants_for(d, "hod"))
@@ -350,9 +352,137 @@ def test_a_rate_pair_reduction_intersects_once(monkeypatch):
     region = polytope._region
     monkeypatch.setattr(polytope, "_region", lambda lines: calls.append(1) or region(lines))
     reduced = remove_redundant(raw)
-    assert len(raw.rows) == 8 and not raw._plane_region.rays
     assert len(reduced.rows) == 5
+    assert len(calls) == 0
+    assert len(raw.rows) == 8 and not raw._plane_region.rays
     assert len(calls) == 1
+
+
+def test_thm4_intersects_only_for_witnesses(monkeypatch):
+    """Over 200 thm4 samples, only the samples that fail or diverge build a
+    half-plane intersection (their witness probes); every other verdict is
+    read off the lowest corner.  The report is the one the intersection
+    engine gave."""
+    import hashlib
+    import json
+    region, current, seen = polytope._region, [None], []
+    monkeypatch.setattr(polytope, "_region",
+                        lambda lines: seen.append(current[0]) or region(lines))
+
+    def mapper(one, indices):
+        for index in indices:
+            current[0] = index
+            yield one(index)
+    report = run_check("thm4", 200, 1001, mapper=mapper)
+    witnessed = {f["sample"] for f in report.failures} | {
+        w["sample"] for w in report.details.get("infeasible_source", {}).get("witnesses", ())}
+    assert seen and set(seen) <= witnessed
+    assert len(seen) <= 0.05 * 200
+    assert hashlib.sha256(json.dumps(report.to_json_dict()).encode()).hexdigest() == \
+        "e4d6e3e03f93b28bcdf37c98411256fa06a4b9ecf79e6263d49b97a69dce82f9"
+
+
+# --- the lowest corner of a monotone system ---------------------------------------------
+
+MONOTONE_NORMALS = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (0, 0)]
+# exact zeros of both signs, round-off, +-tol (a tie once raised by tol) and random
+TIE_BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, 1e-17, -1e-17, 1e-9, -1e-9]),
+                       st.floats(-2.0, 2.0).map(lambda v: round(v, 3)))
+
+
+@st.composite
+def monotone_systems(draw):
+    """Rows with the catalogued rate-pair normals (>= 0 in both entries) or
+    the constant row, plus optional, possibly repeated, lower bounds."""
+    rows = [make_row(draw(st.sampled_from(MONOTONE_NORMALS)), draw(TIE_BOUNDS), f"r{i}")
+            for i in range(draw(st.integers(1, 7)))]
+    rows += [make_row(draw(st.sampled_from([(-1, 0), (0, -1)])), draw(TIE_BOUNDS), f"low{k}")
+             for k in range(draw(st.integers(0, 4)))]
+    return system(VARS, draw(st.permutations(rows)))
+
+
+def _intersected_feasible(s, tol):
+    """lp_feasible read off half-plane intersections alone."""
+    meets = lambda t: bool(polytope._region(t._lines).edges)
+    return meets(s) or (not any(r.is_constant() and r.bound < -tol for r in s.rows)
+                        and meets(polytope._raised(s, tol)))
+
+
+def _intersected_contains(outer, inner, tol):
+    """contains read off inner's half-plane intersection alone, witness included."""
+    region = polytope._region(inner._lines)
+    if outer.rows and not region.edges:
+        return True, None
+    for row in outer.rows:
+        if (witness := polytope._reach(region, row.coeffs, row.bound + tol)) is not None:
+            return False, witness
+    return True, None
+
+
+@SETTINGS
+@given(monotone_systems(), systems())
+def test_the_lowest_corner_is_the_intersection_verdict(s, general):
+    """On a monotone system and its raised copies the corner says whether
+    the rows meet, as the intersection does; on any other system it says
+    nothing or the same."""
+    for t in (s, *(polytope._raised(s, tol) for tol in TOLS)):
+        assert polytope._lowest_corner(t._lines) == bool(polytope._region(t._lines).edges)
+    monotone = all(p >= 0 <= q or (p, q) in ((-1, 0), (0, -1)) for (p, q), _, _ in general.rows)
+    verdict = polytope._lowest_corner(general._lines)
+    assert (verdict is None) != monotone
+    assert verdict in (None, bool(polytope._region(general._lines).edges))
+
+
+@SETTINGS
+@given(monotone_systems(), st.one_of(monotone_systems(), systems(max_rows=4)))
+def test_monotone_answers_agree_with_the_intersection_and_fm(s, other):
+    base = _exact(s.rows)
+    for tol in TOLS:
+        feasible = lp_feasible(s, tol=tol)
+        assert feasible == _intersected_feasible(s, tol)
+        if _margin(_exact([Halfspace(r.coeffs, r.bound + tol) for r in s.rows])) != "near":
+            assert feasible == fm.feasible(lifted(s), tol)
+        ok, witness = contains(other, s, tol)
+        assert (ok, witness) == _intersected_contains(other, s, tol)
+        if all(_margin(_probe(base, row, tol)) != "near" for row in other.rows):
+            assert ok == fm.contains(lifted_outer(other), lifted(s), tol)
+        kept = [r.label for r in remove_redundant(s, tol).rows]
+        assert kept == _reintersecting_greedy(s, tol)
+        if _exact_greedy_is_clear(s, tol):
+            assert kept == [r.label for r in fm.remove_redundant(lifted(s), tol).rows
+                            if not r.label.startswith("z")]
+        relax = tol > 0 and not _intersected_feasible(s, 0.0) and feasible
+        relaxed = polytope._raised(s, tol) if relax else s
+        poly = _vertices_or_unbounded(s, tol)
+        assert (poly is not None and poly.kind == "empty") == \
+            (not polytope._region(relaxed._lines).edges)
+
+
+def test_the_lowest_corner_leaves_unreadable_bounds_to_the_intersection():
+    """A bound that is not finite, or one the intersection refuses, leaves a
+    monotone system to the intersection, which answers or raises as before."""
+    nan, inf = float("nan"), float("inf")
+    low = [(-1, 0, 0.0), (0, -1, 0.0)]
+    for beta in (nan, inf, -inf):
+        assert polytope._lowest_corner(low + [(0, 0, beta)]) is None
+        assert polytope._lowest_corner(low + [(1, 1, beta)]) is None
+    assert polytope._lowest_corner(low + [(1, 0, 1e308)]) is None
+    assert polytope._lowest_corner(low + [(1, 0, 1e307)]) is True  # a box side of 4e307 fits
+    for beta, meets in ((nan, False), (inf, True), (-inf, False)):
+        s = system(VARS, [Halfspace((0, 0), beta, "c"), make_row((1, 1), 1.0),
+                          *nonnegativity_rows(VARS)])
+        for tol in TOLS:
+            assert lp_feasible(s, tol=tol) is meets
+            assert contains(SHAPES["empty"], s, tol)[0] is not meets
+        assert s._corner is None and bool(s._plane_region.edges) is meets
+    huge = _rows(((1, 0), 1e308), ((-1, 0), 0.0), ((0, 1), 1.0), ((0, -1), 0.0))
+    assert huge._corner is None
+    with pytest.raises(UnboundedRegionError, match="1e\\+308 too large"):
+        lp_feasible(huge)
+    with pytest.raises(UnboundedRegionError, match="bound inf is not finite"):
+        lp_feasible(_rows(((1, 0), inf), ((-1, 0), 0.0)))
+    with pytest.raises(UnboundedRegionError, match="1e\\+308 too large"):  # the raised copy's
+        lp_feasible(_rows(((1, 1), -1.0), ((-1, 0), 0.0), ((0, -1), 0.0)), tol=1e308)
 
 
 # --- one region per system ------------------------------------------------------------
@@ -380,7 +510,8 @@ def test_answers_do_not_depend_on_what_was_asked_before(s, other):
         for name in order + order:  # the second round reads only the kept region
             assert QUESTIONS[name](kept, other) == expected[name], name
     lp_feasible(s)
-    assert "_plane_region" in vars(s)
+    implies(s, PROBES[1])  # the lowest corner answers lp_feasible; a probe intersects
+    assert "_corner" in vars(s) and "_plane_region" in vars(s)
     copy = pickle.loads(pickle.dumps(s))
     for name, ask in QUESTIONS.items():
         assert ask(copy, other) == expected[name], name
@@ -534,7 +665,7 @@ def test_the_slack_is_tol_not_twice_tol():
     assert [r.label for r in kept.rows] == ["cut", "top", "x>=0", "y>=0"]
 
 
-@pytest.mark.parametrize("tol", [-0.5, -1e-12, float("nan"), float("inf"), True])
+@pytest.mark.parametrize("tol", [-0.5, -1e-12, float("nan"), float("inf"), True, np.True_])
 def test_a_negative_or_nan_tolerance_is_refused(tol):
     # the segment x = 0, 0 <= y <= 1; an infinite tol is refused too, where
     # it would make every answer vacuous

@@ -330,7 +330,7 @@ def test_run_check_constructs_no_term_table(monkeypatch):
         assert V.run_check(name, 2, 3).passed, name
 
 
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1, True])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1, True, np.True_])
 @pytest.mark.parametrize("key", ["tol_polytope", "tol_identity"])
 @pytest.mark.parametrize("name", sorted(V.CHECKS))
 def test_checks_refuse_a_tolerance_that_is_not_finite_and_nonnegative(name, key, tol):
