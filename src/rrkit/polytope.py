@@ -12,18 +12,19 @@ other number of variables, or a row with other than 2 coefficients, raises
 VariableMismatchError.  Fourier-Motzkin elimination projects a system down
 to the plane first.  The questions (and vertices) are answered from exact
 half-plane intersections, each built on first use and kept on the immutable
-system.  Redundancy removal needs no more than the system's own when that
-is not empty: each row is decided by LP duality from at most two others.
-A monotone system (normals >= 0 in both entries, or lower bounds; every
-catalogued rate-pair system) needs none to say whether its rows meet: they
-meet iff each holds at the lowest corner (``_lowest_corner``, kept on the
-system).  That answers free feasibility, an empty inner in containment,
-whether the rows and each rest of them meet in redundancy removal, and an
-empty vertex list; a non-empty monotone inner has each outer row decided by
-duality and only the first it fails probed for the witness.  Witnesses and
-vertices still come from the intersection.  A
-vertex is the meet of two consecutive edges, solved from the system's own
-rows; meets are taken in row-pair order and merged within tol.  The order
+system.  Whether a system's rows meet is one verdict kept on it
+(``_meets``).  A monotone system (normals >= 0 in both entries, or lower
+bounds; every catalogued rate-pair system) needs no intersection for it:
+its rows meet iff each holds at the lowest corner (``_lowest_corner``).
+That answers free feasibility, an empty inner in containment, whether the
+rows and each rest of them meet in redundancy removal, and an empty vertex
+list.  Rows that meet keep a left side below a bound iff LP duality says so
+from at most two of them (``_kept_below``): that decides each row in
+redundancy removal and each outer row of an inner that meets, and only the
+first outer row it fails is probed for the witness.  Witnesses and vertices
+still come from the intersection.  A vertex is the meet of two consecutive
+edges, solved from the system's own rows; meets are taken in row-pair order
+and merged within tol.  The order
 of the intersection's directions and its recession rays depend only on the
 set of integer normals, so they are compiled once per set.
 Elimination and substitution run in one loop (``_project``), which also
@@ -131,9 +132,16 @@ class InequalitySystem:
         return [_canon(r.coeffs, r.bound) for r in self.rows]
 
     @functools.cached_property
-    def _corner(self) -> bool | None:
-        """``_lowest_corner`` of a 2-variable system's rows, decided once."""
-        return _lowest_corner(self._lines)
+    def _tight(self) -> tuple[dict, bool]:
+        """``_tight_lines`` of a 2-variable system's rows."""
+        return _tight_lines(self._lines)
+
+    @functools.cached_property
+    def _meets(self) -> bool:
+        """Do a 2-variable system's rows meet?  Its lowest corner answers
+        when it can (``_lowest_corner``), else its half-plane intersection."""
+        corner = _lowest_corner(*self._tight)
+        return bool(self._plane_region.edges) if corner is None else corner
 
     @functools.cached_property
     def _plane_region(self) -> "_Region":
@@ -325,7 +333,7 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
     by tol (``_raised``) meet, at ``point`` if one is given?  The point test
     takes any number of variables.  Without a point the system must have 2:
     whether its own rows meet, a constant row below -tol or else whether the
-    raised copy's rows meet answers (``_meets``)."""
+    raised copy's rows meet answers (``InequalitySystem._meets``)."""
     _check_tol(tol)
     if point is not None:
         if len(point) != len(sys.variables):
@@ -334,10 +342,10 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
         return all(sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound
                    for r in _raised(sys, tol).rows)
     _check_plane(sys)
-    if _meets(sys):
+    if sys._meets:
         return True
     return (not any(r.is_constant() and r.bound < -tol for r in sys.rows)
-            and _meets(_raised(sys, tol)))
+            and _raised(sys, tol)._meets)
 
 
 def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
@@ -370,9 +378,9 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
 
     On failure returns (False, witness): the inner vertex maximising the
     first outer row inner violates by at least tol (moved along a ray when
-    inner is unbounded that way).  An empty inner is inside any outer.  A
-    monotone inner that meets (``_lowest_corner``) has each row decided by
-    ``_kept_below``; only the first row it does not keep below is probed.
+    inner is unbounded that way).  An empty inner is inside any outer.  An
+    inner that meets has each row decided by ``_kept_below``; only the first
+    row it does not keep below is probed.
     """
     if outer.variables != inner.variables:
         raise VariableMismatchError(
@@ -381,11 +389,11 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
     if not outer.rows:
         return True, None
     _check_plane(inner, outer.rows[0].coeffs)  # as the first probe would
-    if not _meets(inner):
+    if not inner._meets:
         return True, None
-    tight = _tight_lines(inner._lines)[0] if inner._corner else None
+    tight = inner._tight[0]
     for row in outer.rows:
-        if tight is None or not _kept_below(tight, row.coeffs, row.bound + tol):
+        if not _kept_below(tight, row.coeffs, row.bound + tol):
             if (witness := _outside(inner, row, tol)) is not None:
                 return False, witness
     return True, None
@@ -553,10 +561,10 @@ def _box_side(big: int, largest: float) -> float | None:
 _LOWER = ((-1, 0), (0, -1))  # the lower-bound normals: -x <= beta, -y <= beta
 
 
-def _lowest_corner(lines) -> bool | None:
-    """Do the lines of a monotone system meet?  Decided exactly, without an
-    intersection; None when the system is not monotone, has a bound that is
-    not finite or one ``_region`` refuses (``_box_side``).
+def _lowest_corner(tight: dict, consistent: bool) -> bool | None:
+    """Do the lines of a monotone system, given as ``_tight_lines``, meet?
+    Decided exactly, without an intersection; None when the system is not
+    monotone or has a bound ``_region`` refuses (``_box_side``).
 
     Monotone: every normal is >= 0 in both entries, or is a lower bound
     (``_LOWER``).  Each other row's left side then never decreases in either
@@ -564,7 +572,6 @@ def _lowest_corner(lines) -> bool | None:
     each variable at its largest lower bound, or, without one, toward -inf,
     where every row that uses it holds.  A catalogued rate-pair system's
     corner is the origin; ``_side`` compares exactly."""
-    tight, consistent = _tight_lines(lines)
     low_x, low_y = tight.get(_LOWER[0]), tight.get(_LOWER[1])
     x = (-1, 0, 0.0 if low_x is None else low_x)
     y = (0, -1, 0.0 if low_y is None else low_y)
@@ -580,17 +587,7 @@ def _lowest_corner(lines) -> bool | None:
             big = p if p > q else q
         if beta > largest or -beta > largest:
             largest = abs(beta)
-    if (_box_side(big, float(largest)) is None
-            or not all(math.isfinite(beta) for _, _, beta in lines)):
-        return None
-    return holds
-
-
-def _meets(sys: InequalitySystem) -> bool:
-    """Do a 2-variable system's rows meet?  Its lowest corner answers when
-    it can (``_lowest_corner``), else its half-plane intersection."""
-    corner = sys._corner
-    return bool(sys._plane_region.edges) if corner is None else corner
+    return None if _box_side(big, float(largest)) is None else holds
 
 
 @functools.lru_cache(maxsize=_ANGLE_PLANS)
@@ -675,38 +672,29 @@ def _kept_below(tight: dict, coeffs, bound: float) -> bool:
 def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
     """remove_redundant's greedy rule.
 
-    While the rows still alive meet, every rest of them meets too, and
-    ``_kept_below`` decides each row without an intersection: a system that
-    meets is reduced from its own rows alone.  Until then each row asks
-    whether the rest meets: a rest keeping a constant row 0 <= beta with
-    beta < 0 does not, the lowest corner of a monotone rest answers (and
-    ``_kept_below`` then decides), and any other rest is intersected.
+    A row is dropped iff the rest does not meet or ``_kept_below`` keeps
+    it.  While the rows still alive meet, every rest of them meets too, so
+    a system that meets is reduced from its own rows alone.  Until then
+    each row asks whether the rest meets: a rest keeping a constant row
+    0 <= beta with beta < 0 does not, the lowest corner of a monotone rest
+    answers, and any other rest is intersected.
     """
     rows, lines = sys.rows, sys._lines
-    meet = _meets(sys)  # do the rows still alive meet?
-    contradiction = [p == 0 == q and beta < 0 for p, q, beta in lines]
-    contradictions = sum(contradiction)  # among the remaining rows
+    meet = sys._meets  # do the rows still alive meet?
     alive = list(range(len(rows)))
     i = 0
     while i < len(alive):
         j = alive[i]
         rest = alive[:i] + alive[i + 1:]
         others = [lines[k] for k in rest]
-        bound = rows[j].bound + tol
-        if meet:
-            drop = _kept_below(_tight_lines(others)[0], rows[j].coeffs, bound)
-        else:
-            rest_meets = False if contradictions > contradiction[j] else _lowest_corner(others)
-            if rest_meets is None:
-                sub = _region(others)
-                rest_meets, drop = bool(sub.edges), _reach(sub, rows[j].coeffs, bound) is None
-            else:
-                drop = not rest_meets or _kept_below(_tight_lines(others)[0], rows[j].coeffs,
-                                                     bound)
-            meet = drop and rest_meets
+        tight, consistent = _tight_lines(others)
+        rest_meets = meet or _lowest_corner(tight, consistent)
+        if rest_meets is None:
+            rest_meets = consistent and bool(_region(others).edges)
+        drop = not rest_meets or _kept_below(tight, rows[j].coeffs, rows[j].bound + tol)
+        meet = meet or drop and rest_meets
         if drop:
             alive = rest
-            contradictions -= contradiction[j]
         else:
             i += 1
     return alive
@@ -731,7 +719,7 @@ def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
     _check_plane(sys)
     _check_tol(tol)
     relaxed = _relaxed(sys, tol)
-    if not _meets(relaxed):
+    if not relaxed._meets:
         return Polytope2D((), "empty")
     region = relaxed._plane_region
     if region.rays:

@@ -288,7 +288,7 @@ def test_remove_redundant_with_contradictions_agrees_with_fm(s, placed):
 def _reintersecting_greedy(s, tol):
     """remove_redundant's rule with no shortcut: visit the rows in order and
     drop one iff the intersection of the remaining rows never reaches its
-    bound + tol.  Wherever the rows still alive meet, also assert that
+    bound + tol.  Wherever the remaining rows meet, also assert that
     ``_kept_below`` certifies exactly the rows this drops."""
     s = polytope._relaxed(s, tol)
     lines, alive, i = s._lines, list(range(len(s.rows))), 0
@@ -296,7 +296,7 @@ def _reintersecting_greedy(s, tol):
         row = s.rows[alive[i]]
         rest = [lines[k] for k in alive[:i] + alive[i + 1:]]
         dropped = polytope._reach(polytope._region(rest), row.coeffs, row.bound + tol) is None
-        if polytope._region([lines[k] for k in alive]).edges:
+        if polytope._region(rest).edges:
             tight = polytope._tight_lines(rest)[0]
             assert polytope._kept_below(tight, row.coeffs, row.bound + tol) == dropped, row
         if dropped:
@@ -425,10 +425,11 @@ def test_the_lowest_corner_is_the_intersection_verdict(s, general):
     """On a monotone system and its raised copies the corner says whether
     the rows meet, as the intersection does; on any other system it says
     nothing or the same."""
+    corner = lambda t: polytope._lowest_corner(*polytope._tight_lines(t._lines))
     for t in (s, *(polytope._raised(s, tol) for tol in TOLS)):
-        assert polytope._lowest_corner(t._lines) == bool(polytope._region(t._lines).edges)
+        assert corner(t) == bool(polytope._region(t._lines).edges)
     monotone = all(p >= 0 <= q or (p, q) in ((-1, 0), (0, -1)) for (p, q), _, _ in general.rows)
-    verdict = polytope._lowest_corner(general._lines)
+    verdict = corner(general)
     assert (verdict is None) != monotone
     assert verdict in (None, bool(polytope._region(general._lines).edges))
 
@@ -458,25 +459,36 @@ def test_monotone_answers_agree_with_the_intersection_and_fm(s, other):
             (not polytope._region(relaxed._lines).edges)
 
 
-def test_the_lowest_corner_leaves_unreadable_bounds_to_the_intersection():
-    """A bound that is not finite, or one the intersection refuses, leaves a
-    monotone system to the intersection, which answers or raises as before."""
+@SETTINGS
+@given(st.one_of(systems(), big_normal_systems()), systems(max_rows=4))
+def test_contains_gives_the_intersection_answer_on_any_inner(inner, outer):
+    """The duality certificate decides each outer row of any inner that
+    meets, monotone or not: the answer and the witness are the ones read off
+    inner's intersection row by row."""
+    for tol in TOLS:
+        assert contains(outer, inner, tol) == _intersected_contains(outer, inner, tol)
+
+
+def test_the_lowest_corner_reads_unreadable_bounds_as_the_intersection_does():
+    """A constant row with a bound that is not finite gets the intersection's
+    verdict (a nonzero normal with one is refused by ``_canon``); a bound the
+    intersection refuses leaves the system to it, which raises as before."""
     nan, inf = float("nan"), float("inf")
+    corner = lambda lines: polytope._lowest_corner(*polytope._tight_lines(lines))
     low = [(-1, 0, 0.0), (0, -1, 0.0)]
-    for beta in (nan, inf, -inf):
-        assert polytope._lowest_corner(low + [(0, 0, beta)]) is None
-        assert polytope._lowest_corner(low + [(1, 1, beta)]) is None
-    assert polytope._lowest_corner(low + [(1, 0, 1e308)]) is None
-    assert polytope._lowest_corner(low + [(1, 0, 1e307)]) is True  # a box side of 4e307 fits
+    assert corner(low + [(1, 0, 1e308)]) is None
+    assert corner(low + [(1, 0, 1e307)]) is True  # a box side of 4e307 fits
     for beta, meets in ((nan, False), (inf, True), (-inf, False)):
+        lines = low + [(0, 0, beta), (1, 1, 1.0)]
+        assert corner(lines) is bool(polytope._region(lines).edges) is meets
         s = system(VARS, [Halfspace((0, 0), beta, "c"), make_row((1, 1), 1.0),
                           *nonnegativity_rows(VARS)])
+        assert s._meets is meets and "_plane_region" not in vars(s)
         for tol in TOLS:
             assert lp_feasible(s, tol=tol) is meets
             assert contains(SHAPES["empty"], s, tol)[0] is not meets
-        assert s._corner is None and bool(s._plane_region.edges) is meets
     huge = _rows(((1, 0), 1e308), ((-1, 0), 0.0), ((0, 1), 1.0), ((0, -1), 0.0))
-    assert huge._corner is None
+    assert corner(huge._lines) is None
     with pytest.raises(UnboundedRegionError, match="1e\\+308 too large"):
         lp_feasible(huge)
     with pytest.raises(UnboundedRegionError, match="bound inf is not finite"):
@@ -511,7 +523,7 @@ def test_answers_do_not_depend_on_what_was_asked_before(s, other):
             assert QUESTIONS[name](kept, other) == expected[name], name
     lp_feasible(s)
     implies(s, PROBES[1])  # the lowest corner answers lp_feasible; a probe intersects
-    assert "_corner" in vars(s) and "_plane_region" in vars(s)
+    assert "_meets" in vars(s) and "_plane_region" in vars(s)
     copy = pickle.loads(pickle.dumps(s))
     for name, ask in QUESTIONS.items():
         assert ask(copy, other) == expected[name], name
