@@ -10,23 +10,44 @@ questions (feasibility without a point, implication, containment,
 redundancy removal) are asked of 2-variable systems only: a system over any
 other number of variables, or a row with other than 2 coefficients, raises
 VariableMismatchError.  Fourier-Motzkin elimination projects a system down
-to the plane first.  The questions (and vertices) are answered from exact
-half-plane intersections, each built on first use and kept on the immutable
-system.  Whether a system's rows meet is one verdict kept on it
-(``_meets``).  A monotone system (normals >= 0 in both entries, or lower
-bounds; every catalogued rate-pair system) needs no intersection for it:
-its rows meet iff each holds at the lowest corner (``_lowest_corner``).
-That answers free feasibility, an empty inner in containment, whether the
-rows and each rest of them meet in redundancy removal, and an empty vertex
-list.  Rows that meet keep a left side below a bound iff LP duality says so
-from at most two of them (``_kept_below``): that decides each row in
-redundancy removal and each outer row of an inner that meets, and only the
-first outer row it fails is probed for the witness.  Witnesses and vertices
-still come from the intersection.  A vertex is the meet of two consecutive
-edges, solved from the system's own rows; meets are taken in row-pair order
-and merged within tol.  The order
-of the intersection's directions and its recession rays depend only on the
-set of integer normals, so they are compiled once per set.
+to the plane first.
+
+The integer half of every 2-D question depends only on the rows'
+coefficient vectors, so it is compiled once per pattern (``_plane_plan``, a
+bounded cache): the rows per normal, the lower-bound rows -x <= b and
+-y <= b, the constant rows, whether the system is monotone (normals >= 0 in
+both entries, or lower bounds; every catalogued rate-pair system) and the
+pairs of normals that bracket each normal.  A system's maker attaches it
+(``regions`` per description, ``_project`` for the pattern it returns,
+``_raised`` from its source); any other system looks it up once.  Where the
+plan and the float bounds decide exactly (entries below ``_SMALL``, finite
+bounds that ``_box_side`` takes: ``_plain``), no row is made a canonical
+line:
+- whether a monotone system's rows meet is read off its lowest corner
+  (``_corner``; at the origin, whether any bound tested there is below 0);
+- rows that meet keep a left side below a bound iff the tightest row with
+  its normal, or the tightest rows of a bracketing pair, do (2-D LP
+  duality, ``_kept``);
+- redundancy removal (``_greedy_2d``) drops a row iff the rest of the rows
+  still alive does not meet or keeps it.  While the alive rows do not meet
+  it is a deletion filter: a rest meets iff no other alive row fails at the
+  lowest corner, and the rows failing there change only where a lower-bound
+  row goes; the tightest bounds change only where a row goes;
+- containment (``_contains_by_normal``) tests each outer normal once, at
+  outer's tightest bound for it, and walks outer's rows in order only to
+  probe the first failing row for its witness.
+Any other system (not monotone, a bound the box or the float range refuses,
+a huge normal) takes the line path, which raises where the plan path would
+not read: canonical lines (``_lines``), their tightest bounds
+(``_lowest_corner``, ``_kept_below``, ``_greedy_lines``) and, where the
+corner says nothing, the half-plane intersection.  Witnesses and vertices
+come from the intersection, built on first use and kept on the immutable
+system with whether its rows meet (``_meets``).  A vertex is the meet of two
+consecutive edges, solved from the system's own rows; meets are taken in
+row-pair order and merged within tol.  The order of the intersection's
+directions and its recession rays depend only on the set of integer
+normals, so they are compiled once per set.
+
 Elimination and substitution run in one loop (``_project``), which also
 projects a catalogued system to the rate pair (``regions.project_to_ratepair``).
 Each step takes its integer work from a plan built from the coefficient
@@ -40,10 +61,11 @@ rational input (floats, fractions.Fraction, numeric strings) to primitive
 integers; a system, and ``implies`` for its row, refuses any other row.
 Fraction remains only where a floating bound must be compared exactly.
 Every comparison against the floating bounds uses an absolute tolerance
-(default 1e-9; one that is not a real number, a bool, or not finite and >= 0
-is refused).  Feasible within tol means
-the rows with every bound raised by tol (``_raised``) meet; an empty system
-feasible within tol is read as them.
+(default 1e-9; one that is not an int or a float, a bool, or not finite and
+>= 0 is refused).  Feasible within tol means the rows with every bound raised
+by tol (``_raised``) meet; an empty system feasible within tol is read as
+them.  Sums of floats (the point test, a centroid) fold from the left from
+0.0 (``_left_sum``), the same bits on every Python version.
 """
 
 from __future__ import annotations
@@ -53,7 +75,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
 from sys import float_info
 from typing import NamedTuple
 
@@ -100,6 +121,20 @@ def make_row(coeffs, bound: float, label: str = "") -> Halfspace:
     return Halfspace(c, float(bound) * scale, label)
 
 
+class _cached:
+    """``functools.cached_property`` without the lock Python 3.11 takes on
+    each first read (about 1 us a read; a system is read a few times)."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class InequalitySystem:
     """An ordered bundle of halfspaces over named rate variables."""
@@ -126,24 +161,49 @@ class InequalitySystem:
         except ValueError:
             raise VariableMismatchError(f"no variable {var!r} in {self.variables}") from None
 
-    @functools.cached_property
+    @_cached
+    def _plan(self) -> "_PlanePlan":
+        """A 2-variable system's ``_plane_plan``, unless its maker attached it."""
+        return _plane_plan(tuple(r.coeffs for r in self.rows))
+
+    @_cached
+    def _bounds(self) -> list:
+        """The rows' bounds, in order."""
+        return [r.bound for r in self.rows]
+
+    @_cached
+    def _mins(self) -> list:
+        """A 2-variable system's tightest bound per normal of its plan."""
+        b = self._bounds
+        return [min(map(b.__getitem__, rows)) for rows in self._plan.groups]
+
+    @_cached
+    def _plain(self) -> bool:
+        """``_plain`` of a 2-variable system's plan and bounds."""
+        return _plain(self._plan, self._bounds)
+
+    @_cached
     def _lines(self) -> list:
         """A 2-variable system's rows as canonical lines (``_canon``), in order."""
         return [_canon(r.coeffs, r.bound) for r in self.rows]
 
-    @functools.cached_property
+    @_cached
     def _tight(self) -> tuple[dict, bool]:
         """``_tight_lines`` of a 2-variable system's rows."""
         return _tight_lines(self._lines)
 
-    @functools.cached_property
+    @_cached
     def _meets(self) -> bool:
         """Do a 2-variable system's rows meet?  Its lowest corner answers
-        when it can (``_lowest_corner``), else its half-plane intersection."""
-        corner = _lowest_corner(*self._tight)
+        when it can: read off the plan and the bounds (``_corner_fails``),
+        else off the tightest lines (``_lowest_corner``); else its
+        half-plane intersection."""
+        corner = _corner(self._plan, self._bounds)
+        if corner is None:
+            corner = _lowest_corner(*self._tight)
         return bool(self._plane_region.edges) if corner is None else corner
 
-    @functools.cached_property
+    @_cached
     def _plane_region(self) -> "_Region":
         """The half-plane intersection of a 2-variable system's rows, built
         once: every 2-D question the lowest corner does not settle reads it."""
@@ -164,12 +224,23 @@ def system(variables, rows) -> InequalitySystem:
     return InequalitySystem(tuple(variables), tuple(rows))
 
 
-def _built(variables: tuple, rows: tuple) -> InequalitySystem:
+def _built(variables: tuple, rows: tuple, **known) -> InequalitySystem:
     """A system over rows known to pass ``__post_init__`` (derived here,
-    compiled by a plan, or taken from a checked system), without its checks."""
+    compiled by a plan, or taken from a checked system), without its checks;
+    ``known`` presets cached properties (``_plan``, ``_bounds``)."""
     s = object.__new__(InequalitySystem)
-    s.__dict__.update(variables=variables, rows=rows)
+    s.__dict__.update(variables=variables, rows=rows, **known)
     return s
+
+
+def _left_sum(values) -> float:
+    """The sum of floats folded from the left, from 0.0: the sum every
+    Python version gives alike (from 3.12 the builtin sum of floats is
+    compensated, and may differ in the last bit)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def nonnegativity_rows(variables) -> list[Halfspace]:
@@ -288,8 +359,9 @@ def _project(sys: InequalitySystem, substitutions, eliminations) -> InequalitySy
                   else f"fm:{{{labels[src[0]]}+{labels[src[1]]}}}"
                   for src in map(step.sources.__getitem__, keep)]
         variables, coeff_rows = step.variables, tuple(map(step.coeffs.__getitem__, keep))
+    known = {"_plan": _plane_plan(coeff_rows), "_bounds": bounds} if len(variables) == 2 else {}
     return _built(variables, tuple(tuple.__new__(Halfspace, row)
-                                   for row in zip(coeff_rows, bounds, labels)))
+                                   for row in zip(coeff_rows, bounds, labels)), **known)
 
 
 def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
@@ -312,9 +384,10 @@ def substitute(sys: InequalitySystem, var: str, expr: dict) -> InequalitySystem:
 
 def _check_tol(tol: float, what: str = "tol") -> None:
     """Refuse a tolerance ``what`` not finite and >= 0 (an int past the float range
-    too), and one that is a bool (numpy's too) or not a real number: bounds are
-    only ever raised by tol, by inf every row holds, and a report records tol."""
-    if (tol.__class__ is not float and (isinstance(tol, bool) or not isinstance(tol, Real))
+    too), and one that is not an int or a float (numpy's float64 is one) or is
+    a bool: bounds are only ever raised by tol, by inf every row holds, and a
+    report records tol, which JSON must be able to write."""
+    if (tol.__class__ is not float and (isinstance(tol, bool) or not isinstance(tol, (int, float)))
             or not 0 <= tol <= float_info.max):  # NaN fails too
         raise ValueError(f"{what} must be finite and >= 0, got {tol}")
 
@@ -339,13 +412,24 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
         if len(point) != len(sys.variables):
             raise VariableMismatchError(
                 f"point has {len(point)} entries for {len(sys.variables)} variables")
-        return all(sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound
+        return all(_left_sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound
                    for r in _raised(sys, tol).rows)
     _check_plane(sys)
+    return _feasible(sys, tol)
+
+
+def _feasible(sys: InequalitySystem, tol: float) -> bool:
+    """Free ``lp_feasible`` of a 2-variable system, tol checked; kept on sys
+    per tol."""
     if sys._meets:
         return True
-    return (not any(r.is_constant() and r.bound < -tol for r in sys.rows)
-            and _raised(sys, tol)._meets)
+    verdicts = sys.__dict__.setdefault("_feasible", {})  # outside __eq__ and repr
+    if tol not in verdicts:
+        b = sys._bounds
+        raised = (False if any(b[i] < -tol for i in sys._plan.constants)
+                  else _corner(sys._plan, [x + tol for x in b]))  # _raised(sys, tol)'s, unbuilt
+        verdicts[tol] = _raised(sys, tol)._meets if raised is None else raised
+    return verdicts[tol]
 
 
 def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
@@ -354,8 +438,11 @@ def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
         return sys
     copies = sys.__dict__.setdefault("_raised", {})  # outside __eq__ and repr
     if tol not in copies:
-        copies[tol] = _built(sys.variables, tuple(Halfspace(r.coeffs, r.bound + tol, r.label)
-                                                  for r in sys.rows))
+        known = {"_plan": sys.__dict__["_plan"]} if "_plan" in sys.__dict__ else {}
+        bounds = [r.bound + tol for r in sys.rows]
+        copies[tol] = _built(sys.variables, tuple(
+            tuple.__new__(Halfspace, (r.coeffs, bound, r.label))
+            for r, bound in zip(sys.rows, bounds)), _bounds=bounds, **known)
     return copies[tol]
 
 
@@ -379,8 +466,9 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
     On failure returns (False, witness): the inner vertex maximising the
     first outer row inner violates by at least tol (moved along a ray when
     inner is unbounded that way).  An empty inner is inside any outer.  An
-    inner that meets has each row decided by ``_kept_below``; only the first
-    row it does not keep below is probed.
+    inner that meets has each outer normal decided once (``_contains_by_normal``),
+    or, where the plan path does not read the bounds, each row by
+    ``_kept_below``; only the first row it does not keep below is probed.
     """
     if outer.variables != inner.variables:
         raise VariableMismatchError(
@@ -391,9 +479,34 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
     _check_plane(inner, outer.rows[0].coeffs)  # as the first probe would
     if not inner._meets:
         return True, None
+    if inner._plain and outer._plain and max(outer._bounds) + tol < math.inf:
+        return _contains_by_normal(outer, inner, tol)
     tight = inner._tight[0]
     for row in outer.rows:
         if not _kept_below(tight, row.coeffs, row.bound + tol):
+            if (witness := _outside(inner, row, tol)) is not None:
+                return False, witness
+    return True, None
+
+
+def _contains_by_normal(outer: InequalitySystem, inner: InequalitySystem, tol: float):
+    """``contains`` for an inner that meets, both systems ``_plain`` and
+    every outer bound + tol finite.  Each outer normal is tested once, at
+    outer's tightest bound for it (``_kept`` off inner's plan and tightest
+    bounds): a row is kept below where its tightest one is.  Outer's rows
+    are walked in order only if some normal fails, each of a failing normal
+    tested at its own bound, to probe the first that fails for the witness."""
+    plan, mins, bounds = inner._plan, inner._mins, outer._bounds
+
+    def kept(n, t) -> bool:
+        k = plan.index.get(n)
+        return _kept(plan, mins, n, t, None if k is None else mins[k])
+    tops = dict(zip(outer._plan.normals, outer._mins))
+    if outer._plan.constants:
+        tops[(0, 0)] = min(map(bounds.__getitem__, outer._plan.constants))
+    failed = {n for n, top in tops.items() if not kept(n, top + tol)}
+    for row in outer.rows if failed else ():
+        if row.coeffs in failed and not kept(row.coeffs, row.bound + tol):
             if (witness := _outside(inner, row, tol)) is not None:
                 return False, witness
     return True, None
@@ -421,7 +534,7 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
 def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
     """The kept ``_raised(sys, tol)`` if sys is empty but feasible within tol
     (round-off pushed a point or segment just past empty), else sys."""
-    relax = tol > 0 and not lp_feasible(sys, tol=0.0) and lp_feasible(sys, tol=tol)
+    relax = tol > 0 and not sys._meets and _feasible(sys, tol)
     return _raised(sys, tol) if relax else sys
 
 
@@ -590,6 +703,134 @@ def _lowest_corner(tight: dict, consistent: bool) -> bool | None:
     return None if _box_side(big, float(largest)) is None else holds
 
 
+class _PlanePlan(NamedTuple):
+    """The integer half of every 2-variable question on rows with these
+    coefficient vectors; per system only the float bounds are read."""
+
+    rows: tuple  # each row's normal
+    normals: tuple  # the distinct nonzero normals, in the order rows first use them
+    groups: tuple  # groups[k]: the rows with normal normals[k], in order
+    index: dict  # normal -> k
+    constants: tuple  # the constant rows
+    lower: tuple  # the rows -x <= b, and the rows -y <= b
+    monotone: bool  # every normal >= 0 in both entries, or a lower bound
+    checked: tuple  # the rows a monotone system's corner tests (``_corner_rows``)
+    small: bool  # every entry below _SMALL, so _side decides float bounds exactly
+    big: int  # the largest normal entry (1 without one), for _box_side
+    brackets: dict  # normal -> the pairs (k, l) bracketing it (``_brackets``)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plane_plan(rows: tuple) -> _PlanePlan:
+    """``_PlanePlan`` of 2-coefficient rows, cached by their pattern."""
+    index: dict = {}
+    groups: list = []
+    for i, n in enumerate(rows):
+        if any(n):
+            if n not in index:
+                index[n] = len(groups)
+                groups.append([])
+            groups[index[n]].append(i)
+    lower = tuple(tuple(groups[index[n]]) if n in index else () for n in _LOWER)
+    plan = _PlanePlan(
+        rows, tuple(index), tuple(map(tuple, groups)), index,
+        tuple(i for i, n in enumerate(rows) if not any(n)), lower,
+        all(n[0] >= 0 <= n[1] or n in _LOWER for n in index),
+        tuple(_corner_rows(rows, range(len(rows)), *map(bool, lower))),
+        all(abs(c) < _SMALL for n in index for c in n),
+        max((max(abs(p), abs(q)) for p, q in index), default=1), {})
+    for n in plan.normals:
+        _brackets(plan, n)
+    return plan
+
+
+def _plain(plan: _PlanePlan, b) -> bool:
+    """Do a plan and float bounds ``b`` alone decide a 2-variable system's
+    questions?  Its normal entries are below ``_SMALL`` and its bounds finite
+    and within what ``_box_side`` takes, all of them (so the tightest bounds
+    of any subset of the rows too)."""
+    total = sum(b)
+    return (plan.small and total - total == 0
+            and (not b or _box_side(plan.big, max(max(b), -min(b))) is not None))
+
+
+def _corner(plan: _PlanePlan, b) -> bool | None:
+    """Do the rows of a monotone system, read as a plan and float bounds
+    ``b``, meet?  ``_lowest_corner`` without canonical lines; None unless
+    the system is monotone and ``_plain``."""
+    if plan.monotone and _plain(plan, b):
+        return not _corner_fails(plan.rows, b, plan.checked, *plan.lower)
+    return None
+
+
+def _corner_rows(normals: tuple, alive, has_x: bool, has_y: bool) -> list:
+    """The ``alive`` rows (with ``normals``) a monotone system's lowest
+    corner tests: constant rows, and each other row that is not a lower
+    bound and uses only variables with one (``has_x``, ``has_y``): a row
+    using a variable without one holds as that variable goes toward -inf."""
+    return [i for i in alive for p, q in [normals[i]]
+            if (p, q) not in _LOWER and not (p and not has_x or q and not has_y)]
+
+
+def _corner_fails(normals: tuple, b, rows, low_x, low_y) -> list:
+    """Those of ``rows`` (``_corner_rows``) that fail at the lowest corner of
+    a monotone system with ``normals`` and bounds ``b`` whose lower-bound
+    rows are ``low_x`` and ``low_y``: each variable at its largest lower
+    bound (-x <= beta sets x >= -beta).  Decided exactly; at the origin a
+    row holds iff 0 <= beta."""
+    lx = min(map(b.__getitem__, low_x)) if low_x else 0.0
+    ly = min(map(b.__getitem__, low_y)) if low_y else 0.0
+    if not (lx or ly):
+        return [i for i in rows if b[i] < 0]
+    fails = []
+    for i in rows:  # _side's float test, inline, for p*x + q*y - beta at (-lx, -ly)
+        p, q = normals[i]
+        t1, t2, beta = -lx * p, -ly * q, b[i]
+        s = t1 + t2 - beta
+        if abs(s) <= 1e-15 * (abs(t1) + abs(t2) + abs(beta)) + 1e-300 and (t1 or t2 or beta):
+            s = _side((p, q, beta), (-1, 0, lx), (0, -1, ly))
+        if s > 0:
+            fails.append(i)
+    return fails
+
+
+_BRACKETS = 64  # foreign normals whose brackets a plan keeps
+
+
+def _brackets(plan: _PlanePlan, n) -> list:
+    """The pairs (k, l) of the plan's normals that bracket the nonzero normal
+    n within a turn of less than pi: normals[k] clockwise of n, normals[l]
+    counterclockwise.  By 2-D LP duality rows that meet keep n.(x, y) below
+    a bound iff their tightest row with normal n does, or the tightest rows
+    of such a pair meet below it (``_kept``)."""
+    pairs = plan.brackets.get(n)
+    if pairs is None:
+        normals = plan.normals
+        cw = [k for k, u in enumerate(normals) if _cross(u, n) > 0]
+        ccw = [l for l, v in enumerate(normals) if _cross(n, v) > 0]
+        pairs = [(k, l) for k in cw for l in ccw if _cross(normals[k], normals[l]) > 0]
+        if len(plan.brackets) < _BRACKETS + len(normals):
+            plan.brackets[n] = pairs
+    return pairs
+
+
+def _kept(plan: _PlanePlan, mins, n, t, same) -> bool:
+    """Do rows that meet, with tightest bound ``mins[k]`` for ``plan.normals[k]``
+    (None: no row), keep n.(x, y) below float t?  ``same`` is their tightest
+    bound with normal n (None: none).  ``_kept_below`` for a plan whose
+    entries are below ``_SMALL``; a constant left side is 0 everywhere."""
+    if not any(n):
+        return t > 0
+    if same is not None and same < t:
+        return True
+    normals, line = plan.normals, (*n, t)
+    for k, l in _brackets(plan, n):
+        u, v = mins[k], mins[l]
+        if u is not None is not v and _side(line, (*normals[k], u), (*normals[l], v)) < 0:
+            return True
+    return False
+
+
 @functools.lru_cache(maxsize=_ANGLE_PLANS)
 def _angle_plan(real: frozenset) -> tuple[tuple, tuple, int]:
     """The integer part of ``_region`` for the normals ``real``: every
@@ -670,7 +911,59 @@ def _kept_below(tight: dict, coeffs, bound: float) -> bool:
 
 
 def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
-    """remove_redundant's greedy rule.
+    """remove_redundant's greedy rule: a row is dropped iff the rest of the
+    rows still alive does not meet or keeps it (``_kept``).
+
+    Read off the plan and the bounds (``InequalitySystem._plain``), for a
+    system that meets or is monotone; else ``_greedy_lines``.  While the
+    alive rows meet, every rest of them meets too, and a row is kept below
+    by the rest iff by the tightest other row of its normal or a bracketing
+    pair (``_brackets``): the tightest bounds change only where a row goes.
+    Until then (a deletion filter) a rest meets iff no other alive row
+    fails at the lowest corner, and the rows that fail there change only
+    where a lower-bound row goes."""
+    plan = sys._plan
+    if not (sys._plain and (plan.monotone or sys._meets)
+            and max(sys._bounds, default=0.0) + tol < math.inf):  # else a row past it raises
+        return _greedy_lines(sys, tol)
+    b, normals, groups, index = sys._bounds, plan.rows, plan.groups, plan.index
+    meet = sys._meets  # do the rows still alive meet?
+    fails = set() if meet else set(_corner_fails(normals, b, plan.checked, *plan.lower))
+    lows = plan.lower  # the lower-bound rows alive
+    mins = list(sys._mins)  # the tightest bound per normal of the rows alive
+    alive, dead = list(range(len(b))), set()
+    i = 0
+    while i < len(alive):
+        j = alive[i]
+        n = normals[j]
+        k = index.get(n)
+        if k is None:  # same: the rest's tightest bound with j's normal (None: none)
+            same = None
+        elif b[j] > mins[k]:
+            same = mins[k]
+        else:  # j is the tightest: the next one
+            same = min([b[r] for r in groups[k] if r != j and r not in dead],
+                       default=None) if len(groups[k]) > 1 else None
+        rest_fails, rest_lows = fails, lows  # fails is empty once the alive rows meet
+        if n in _LOWER and not meet:  # the rest's corner is lower: some failing rows may hold
+            rest_lows = [[r for r in rows if r != j] for rows in lows]
+            rest_fails = set(_corner_fails(
+                normals, b, _corner_rows(normals, fails, *map(bool, rest_lows)), *rest_lows))
+        elif j in fails:
+            rest_fails = fails - {j}
+        if rest_fails or _kept(plan, mins, n, b[j] + tol, same):
+            meet, fails, lows = not rest_fails, rest_fails, rest_lows
+            if k is not None:
+                mins[k] = same
+            dead.add(j)
+            del alive[i]
+        else:
+            i += 1
+    return alive
+
+
+def _greedy_lines(sys: InequalitySystem, tol: float) -> list[int]:
+    """``_greedy_2d`` off the system's canonical lines.
 
     A row is dropped iff the rest does not meet or ``_kept_below`` keeps
     it.  While the rows still alive meet, every rest of them meets too, so
@@ -732,7 +1025,7 @@ def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
         x, y = _meet(lines[i], lines[j])
         if not any(abs(x - p) <= tol and abs(y - q) <= tol for p, q in pts):
             pts.append((x, y))
-    cx, cy = (sum(c) / len(pts) for c in zip(*pts))
+    cx, cy = (_left_sum(c) / len(pts) for c in zip(*pts))
     pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
     return Polytope2D(tuple(pts), {1: "point", 2: "segment"}.get(len(pts), "polygon"))
 

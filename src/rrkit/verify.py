@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,11 +65,18 @@ class RegionReport:
                 f"max deviation {self.max_deviation:.3e} bits)")
 
 
-def _draw(form: str, seed: int, index: int, sizes: dict[str, int] | None = None):
+@functools.cache
+def _binary_sizes(form: str, q: int) -> MappingProxyType:
+    """Binary alphabets for ``form``'s variables, with |Q| = q; one read-only
+    mapping per (form, q), shared by every draw."""
+    return MappingProxyType({n: q if n == "Q" else 2 for n in FORMS[form].variables})
+
+
+def _draw(form: str, seed: int, index: int, sizes: Mapping[str, int] | None = None):
     """A joint of ``form`` and the (index, seed, sizes, factors) that replay it;
     ``sizes`` defaults to binary alphabets with |Q| alternating 1/2 by index."""
     if sizes is None:
-        sizes = {n: 1 if n == "Q" and index % 2 == 0 else 2 for n in FORMS[form].variables}
+        sizes = _binary_sizes(form, 1 if index % 2 == 0 else 2)
     d, factors = prob.draw(FORMS[form], sizes, seed, index)
     return d, (index, seed, sizes, factors)
 
@@ -103,7 +112,8 @@ def _witness_deviation(sys: InequalitySystem, point) -> float:
 def _merge(check: str, samples: int, seed: int, tolerances: dict, results) -> RegionReport:
     """Fold per-sample records into one report: each ``aggregate`` entry
     becomes details[key][name] = the largest value seen over the samples, and
-    each ``tally`` entry details[key] = its sum (per name for a Counter)."""
+    each ``tally`` entry details[key] = its sum (per name for a Counter,
+    folded in place: every count is positive, so it is the Counter sum)."""
     verdicts, failures, divergences, devs = [], [], [], [0.0]
     details: dict = {}
     tallies: dict = {}
@@ -119,7 +129,10 @@ def _merge(check: str, samples: int, seed: int, tolerances: dict, results) -> Re
             for name, v in val.items():
                 bucket[name] = max(bucket[name], v) if name in bucket else v
         for key, n in res["tally"].items():
-            tallies[key] = tallies[key] + n if key in tallies else n
+            if isinstance(n, Counter):
+                tallies.setdefault(key, Counter()).update(n)
+            else:
+                tallies[key] = tallies.get(key, 0) + n
     for key, n in tallies.items():
         details[key] = dict(sorted(n.items())) if isinstance(n, Counter) else n
     if divergences:

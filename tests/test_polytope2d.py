@@ -5,6 +5,11 @@ lp_feasible answer from one half-plane intersection.  The reference is the
 Fourier-Motzkin oracle (``fm_oracle``) on the same system lifted to three
 variables with z <= 0 and -z <= 0, which the library refuses to ask.
 
+The plan path (the corner read off the bounds, the deletion filter, the
+per-normal containment test) is also checked against the line oracle
+(``redundancy_oracle``): the same questions answered from canonical lines
+and tightest-bound tables, as the engine answered them before plans.
+
 A small exact oracle (rational arithmetic over the float bounds, brute-force
 vertices) measures how close each decision is to its threshold.  Draws with
 a decision within MARGIN_BAND of it are skipped, as criterion 7 skips points
@@ -12,8 +17,11 @@ within FACET_BAND of a facet; exact ties are kept and pinned to the
 reference's answer.
 """
 
+import math
 import pickle
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,10 +34,11 @@ from rrkit.polytope import (_ANGLE_PLANS, Halfspace, UnboundedRegionError, Varia
                             _angle_plan, contains, implies, lp_feasible, make_row,
                             nonnegativity_rows, remove_redundant, system, vertices2d)
 from rrkit.prob import FORMS, compose, sample_factors
-from rrkit.regions import _FAMILIES, constants_for, ratepair_projection
-from rrkit.verify import run_check
+from rrkit.regions import _FAMILIES, _SYSTEMS, build_system, constants_for, ratepair_projection
+from rrkit.verify import _draw, run_check
 
 import fm_oracle as fm
+import redundancy_oracle as oracle
 from conftest import binary_sizes
 
 VARS = ("x", "y")
@@ -495,6 +504,178 @@ def test_the_lowest_corner_reads_unreadable_bounds_as_the_intersection_does():
         lp_feasible(_rows(((1, 0), inf), ((-1, 0), 0.0)))
     with pytest.raises(UnboundedRegionError, match="1e\\+308 too large"):  # the raised copy's
         lp_feasible(_rows(((1, 1), -1.0), ((-1, 0), 0.0), ((0, -1), 0.0)), tol=1e308)
+
+
+# --- the plan path against the line oracle -------------------------------------------
+
+
+def _box_limit(big: int) -> float:
+    """The largest bound ``_box_side`` takes for normal entries up to ``big``."""
+    x = sys.float_info.max / (8.0 * big * big)
+    while polytope._box_side(big, math.nextafter(x, math.inf)) is not None:
+        x = math.nextafter(x, math.inf)
+    while polytope._box_side(big, x) is None:
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+BOX_BOUNDS = [v for big in (1, 2, 3) for x in (_box_limit(big), math.nextafter(_box_limit(big),
+                                                                             math.inf))
+              for v in (x, -x)]
+PLAN_NORMALS = MONOTONE_NORMALS + [(-1, 0), (0, -1)]
+PLAN_TOLS = (0.0, 1e-9, 0.5, 1.7e308)  # the last raises a box-limit bound past the float range
+
+
+@st.composite
+def plan_systems(draw, monotone_only=False):
+    """Rows with the catalogued rate-pair normals, lower bounds (at nonzero
+    bounds too) and constant rows, with duplicate normals; now and then a
+    row that is not monotone.  Bounds include ties, -0.0, +-1e-17 and, now
+    and then, a ``_box_side`` limit or a non-finite value."""
+    rows = [make_row(draw(st.sampled_from(PLAN_NORMALS)), draw(TIE_BOUNDS), f"r{i}")
+            for i in range(draw(st.integers(1, 9)))]
+    if draw(st.integers(0, 3)) == 0:
+        r = draw(st.sampled_from(rows))
+        rows.append(Halfspace(r.coeffs, draw(st.sampled_from([r.bound, r.bound + 1.0])), "dup"))
+    if not monotone_only and draw(st.integers(0, 3)) == 0:
+        rows.append(make_row(draw(st.sampled_from([(1, -1), (-1, -1), (-2, 1)])),
+                             draw(TIE_BOUNDS), "tilt"))
+    rare = draw(st.integers(0, 9))
+    if rare < 2:
+        k = draw(st.integers(0, len(rows) - 1))
+        bound = draw(st.sampled_from(BOX_BOUNDS if rare else [math.inf, -math.inf, math.nan]))
+        rows[k] = Halfspace(rows[k].coeffs, bound, rows[k].label)
+    return system(VARS, draw(st.permutations(rows)))
+
+
+def _carrying(s):
+    """The rows of s as a system that carries its plan and bounds from its
+    maker, as ``regions`` and ``_project`` build them."""
+    return polytope._built(s.variables, s.rows,
+                           _plan=polytope._plane_plan(tuple(r.coeffs for r in s.rows)),
+                           _bounds=[r.bound for r in s.rows])
+
+
+def _rebuilt(s):
+    return system(s.variables, s.rows)
+
+
+def _outcome(ask):
+    """ask()'s answer, or the type and text of the error it raised."""
+    try:
+        return ask()
+    except (UnboundedRegionError, ValueError) as e:
+        return type(e), str(e)
+
+
+@SETTINGS
+@given(plan_systems())
+def test_meets_from_the_plan_is_the_oracle_corner_and_the_intersection(s):
+    """Whether the rows meet, off the plan and the bounds, is the corner of
+    the tightest lines (the intersection where that says nothing) and the
+    intersection's verdict; on the system and its raised copies, with the
+    same error where one is raised."""
+    for make in (_carrying, _rebuilt):
+        for tol in PLAN_TOLS:
+            t = polytope._raised(make(s), tol)
+            expected = _outcome(lambda: oracle.meets(t))
+            assert _outcome(lambda: t._meets) == expected
+            if expected in (True, False):
+                assert bool(polytope._region(oracle.lines(t)).edges) is expected
+            assert _outcome(lambda: lp_feasible(make(s), tol=tol)) == \
+                _outcome(lambda: oracle.feasible(make(s), tol))
+
+
+@SETTINGS
+@given(plan_systems(), st.sampled_from(PLAN_TOLS))
+def test_the_deletion_filter_keeps_the_oracle_rows(s, tol):
+    """remove_redundant keeps exactly the rows the greedy rule keeps with
+    each rest's tightest lines, corner and intersection rebuilt, and raises
+    where it raises."""
+    expected = _outcome(lambda: oracle.remove_redundant(s, tol))
+    for make in (_carrying, _rebuilt):
+        assert _outcome(lambda: [r.label for r in remove_redundant(make(s), tol).rows]) == expected
+
+
+@SETTINGS
+@given(plan_systems(monotone_only=True), plan_systems(), st.sampled_from(PLAN_TOLS))
+def test_contains_by_normal_gives_the_per_row_verdict_and_witness(inner, outer, tol):
+    """Each outer normal tested once at outer's tightest bound gives the
+    verdict, the witness and the error of testing every outer row in order."""
+    for a, b in ((inner, outer), (outer, inner)):
+        expected = _outcome(lambda: oracle.contains(a, b, tol))
+        for make in (_carrying, _rebuilt):
+            assert _outcome(lambda: contains(make(a), make(b), tol)) == expected
+
+
+@pytest.mark.parametrize("form", ["hod9", "dmt5", "rtd7", "hk3", "hod12", "cmg4"])
+def test_rate_pair_projections_agree_with_the_line_oracle(form):
+    """Each family's rate-pair projections, and its closed-form lists, on
+    drawn joints: meets, redundancy removal and containment as the oracle
+    gives them, at tol 0 and 1e-9."""
+    sizes = binary_sizes(form)
+    for index in range(12):
+        d = compose(sample_factors(FORMS[form], sizes, 7, index), FORMS[form], sizes)
+        for family, fam in _FAMILIES.items():
+            if not FORMS[form].implies(FORMS[fam.form]):
+                continue
+            c = constants_for(d, family)
+            built = [ratepair_projection(c)] + [
+                build_system(c, name) for name in ("thm4-ratepair", "thm4-intermediate37",
+                                                   "thm6-ratepair")
+                if _SYSTEMS[name][0] == family]
+            for tol in TOLS:
+                for s in built:
+                    assert s._meets is oracle.meets(s)
+                    assert [r.label for r in remove_redundant(s, tol).rows] == \
+                        oracle.remove_redundant(s, tol)
+                    for other in built:
+                        assert contains(other, s, tol) == oracle.contains(other, s, tol)
+
+
+def test_a_bound_raised_past_the_float_range_raises_as_the_line_oracle_does():
+    """Rows that meet, one of them bounded at 1e307: raised by tol 1.7e308
+    that bound is not finite, and redundancy removal and containment raise
+    where testing each row in order does."""
+    s = _rows(((1, 0), 1e307), ((0, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0))
+    for tol in (1e-9, 1.7e308):
+        expected = _outcome(lambda: oracle.remove_redundant(s, tol))
+        assert _outcome(lambda: [r.label for r in remove_redundant(_rebuilt(s), tol).rows]) \
+            == expected
+        assert _outcome(lambda: contains(_rebuilt(s), _rebuilt(s), tol)) == \
+            _outcome(lambda: oracle.contains(s, s, tol))
+    assert expected == (UnboundedRegionError, "row bound inf is not finite")
+
+
+def test_thm4_canonicalises_no_row_where_no_system_meets(monkeypatch):
+    """Over 200 thm4 samples, a sample whose closed-form systems
+    (thm4-ratepair, thm4-intermediate37) do not meet makes no canonical
+    line (``_canon``) and no tightest-bound table (``_tight_lines``): its
+    verdicts are read off the plans and the bounds.  Only witnessed samples
+    make any."""
+    current, calls = [None], Counter()
+    for name in ("_canon", "_tight_lines"):
+        fn = getattr(polytope, name)
+        monkeypatch.setattr(polytope, name,
+                            lambda *args, fn=fn: calls.update([current[0]]) or fn(*args))
+
+    def mapper(one, indices):
+        for index in indices:
+            current[0] = index
+            yield one(index)
+    report = run_check("thm4", 200, 1001, mapper=mapper)
+    monkeypatch.undo()
+    witnessed = {f["sample"] for f in report.failures} | {
+        w["sample"] for w in report.details.get("infeasible_source", {}).get("witnesses", ())}
+    assert set(calls) <= witnessed
+    empty = []
+    for index in range(200):
+        c = constants_for(_draw("hod9", 1001, index)[0], "hod")
+        if not any(build_system(c, name)._meets
+                   for name in ("thm4-ratepair", "thm4-intermediate37")):
+            empty.append(index)
+            assert calls[index] == 0, index
+    assert len(empty) >= 150
 
 
 # --- one region per system ------------------------------------------------------------

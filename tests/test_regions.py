@@ -184,6 +184,29 @@ def test_build_system_family_mismatch():
         R.build_system(c, "no-such-description")
 
 
+def test_row_bounds_are_sums_folded_from_the_left():
+    """A row's bound adds its constants one by one from 0.0, the bits every
+    Python version gives: from 3.12 the builtin sum of floats is
+    compensated, and reads 0.6, not 0.6000000000000001, for 0.1 + 0.2 + 0.3."""
+    values = {k: 0.25 for k in R._FAMILIES["hod"].terms} | {"B1": 0.1, "E1": 0.2, "A2": 0.3}
+    c = R.BoundConstants("hod", values)
+    rows = {r.label: r for r in R.build_system(c, "thm4-ratepair").rows}
+    assert rows["11-15"].bound.hex() == (((0.0 + 0.1) + 0.2) + 0.3).hex() == \
+        (0.6000000000000001).hex()
+    drawn = R.hod_constants(sample_distribution(FORMS["hod9"], binary_sizes("hod9"), seed=4))
+    v = drawn.values
+    rows = {r.label: r for r in R.build_system(drawn, "thm4-ratepair").rows}
+    assert rows["11-17"].bound.hex() == (((0.0 + v["G1"]) + v["E2"]) + v["A1"]).hex()
+    assert rows["11-18"].bound.hex() == ((((0.0 + v["F2"]) + v["E2"]) + v["A1"]) + v["A1"]).hex()
+    rows37 = {r.label: r for r in R.build_system(drawn, "thm4-intermediate37").rows}
+    assert rows37["37:37"].coeffs == (1, 1)  # 2R1 + 2R2 <= G2 + E1 + E2 + A1, halved
+    assert rows37["37:37"].bound.hex() == \
+        (((((0.0 + v["G2"]) + v["E1"]) + v["E2"]) + v["A1"]) * 0.5).hex()
+    # a fold from 0.0 reads -0.0 as 0.0, as the builtin sum did
+    zero = R.build_system(R.BoundConstants("hod", dict.fromkeys(values, -0.0)), "thm4-ratepair")
+    assert {r.bound.hex() for r in zero.rows} == {(0.0).hex()}
+
+
 def test_build_system_catalogue_row_labels():
     c12 = R.hod1_constants(sample_distribution(FORMS["hod12"], binary_sizes("hod12"), seed=4))
     rows = R.build_system(c12, "thm5-quadruple").rows
@@ -196,7 +219,7 @@ def test_build_system_catalogue_row_labels():
 def test_every_compiled_description_passes_the_checked_constructor():
     # _rows_system builds these systems without InequalitySystem's row checks
     for description in R._SYSTEMS:
-        variables, plan, nonnegative = R._row_plan(description)
+        variables, plan, nonnegative, _ = R._row_plan(description)
         rows = tuple(Halfspace(coeffs, 1.0, label) for label, coeffs, _, _ in plan) + nonnegative
         assert InequalitySystem(variables, rows).rows == rows, description
 
@@ -577,7 +600,7 @@ def _symbolic_projection(description: str):
     row's scaling undone so its coefficients read as the catalogue writes
     them (2R1 + 2R2, not R1 + R2)."""
     from rrkit.polytope import _fm_plan, _substitution_plan
-    variables, plan, nonnegative = R._row_plan(description)
+    variables, plan, nonnegative, _ = R._row_plan(description)
     rows = [(coeffs, Counter(combo)) for _, coeffs, _, combo in plan]
     rows += [(r.coeffs, Counter()) for r in nonnegative]
     substitutions, eliminations = R._TO_RATEPAIR[variables]

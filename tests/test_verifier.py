@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,7 +331,8 @@ def test_run_check_constructs_no_term_table(monkeypatch):
         assert V.run_check(name, 2, 3).passed, name
 
 
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1, True, np.True_])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1, True, np.True_,
+                                 np.int64(0), np.float32(1e-9), Fraction(1, 10**9)])
 @pytest.mark.parametrize("key", ["tol_polytope", "tol_identity"])
 @pytest.mark.parametrize("name", sorted(V.CHECKS))
 def test_checks_refuse_a_tolerance_that_is_not_finite_and_nonnegative(name, key, tol):
@@ -339,6 +341,13 @@ def test_checks_refuse_a_tolerance_that_is_not_finite_and_nonnegative(name, key,
         raise AssertionError("a sample was drawn")
     with pytest.raises(ValueError, match=rf"{key} must be finite and >= 0, got {tol}"):
         V.run_check(name, 4, 1, mapper=draws, **{key: tol})
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9, np.float64(1e-9)])
+def test_a_report_writes_the_int_or_float_tolerance_it_was_given(tol):
+    # numpy's float64 is a float; the report records the tolerance as given
+    report = V.run_check("corollary2-4", 2, 1, tol_polytope=tol)
+    assert json.loads(json.dumps(report.to_json_dict()))["tolerances"]["polytope"] == tol
 
 
 def _replayed_joint(failure, form):
