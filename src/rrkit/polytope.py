@@ -19,34 +19,34 @@ bounded cache): the rows per normal, the lower-bound rows -x <= b and
 both entries, or lower bounds; every catalogued rate-pair system) and the
 pairs of normals that bracket each normal.  A system's maker attaches it
 (``regions`` per description, ``_project`` for the pattern it returns,
-``_raised`` from its source); any other system looks it up once.  Where the
-plan and the float bounds decide exactly (entries below ``_SMALL``, finite
-bounds that ``_box_side`` takes: ``_plain``), no row is made a canonical
-line:
+``_raised`` from its source); any other system looks it up once.  Every
+question reads the bounds one way (``InequalitySystem._read``): as the
+float bounds where every normal entry is below ``_SMALL`` and every bound is
+finite, else row by row as ``_canon`` does (exact past ``_SMALL``,
+UnboundedRegionError at the first bound that is not finite).  Off the plan
+and those bounds, with one path per question:
 - whether a monotone system's rows meet is read off its lowest corner
   (``_corner``; at the origin, whether any bound tested there is below 0);
 - rows that meet keep a left side below a bound iff the tightest row with
   its normal, or the tightest rows of a bracketing pair, do (2-D LP
   duality, ``_kept``);
 - redundancy removal (``_greedy_2d``) drops a row iff the rest of the rows
-  still alive does not meet or keeps it.  While the alive rows do not meet
-  it is a deletion filter: a rest meets iff no other alive row fails at the
-  lowest corner, and the rows failing there change only where a lower-bound
-  row goes; the tightest bounds change only where a row goes;
-- containment (``_contains_by_normal``) tests each outer normal once, at
-  outer's tightest bound for it, and walks outer's rows in order only to
-  probe the first failing row for its witness.
-Any other system (not monotone, a bound the box or the float range refuses,
-a huge normal) takes the line path, which raises where the plan path would
-not read: canonical lines (``_lines``), their tightest bounds
-(``_lowest_corner``, ``_kept_below``, ``_greedy_lines``) and, where the
-corner says nothing, the half-plane intersection.  Witnesses and vertices
-come from the intersection, built on first use and kept on the immutable
-system with whether its rows meet (``_meets``).  A vertex is the meet of two
-consecutive edges, solved from the system's own rows; meets are taken in
-row-pair order and merged within tol.  The order of the intersection's
-directions and its recession rays depend only on the set of integer
-normals, so they are compiled once per set.
+  still alive does not meet or keeps it; while a monotone system's alive
+  rows do not meet it is a deletion filter (a rest meets iff no other alive
+  row fails at the lowest corner);
+- containment (``contains``) tests each outer normal once, at outer's
+  tightest bound for it, and walks outer's rows in order only to probe the
+  first failing row for its witness.
+The exact half-plane intersection (``_region``) is built only where no
+corner answers: whether a system that is not monotone meets and, until its
+rows meet, each rest of it; each rest of a system with a bound past the
+intersection's box (``_box_side``), so that it raises where the rest's
+tightest bounds are; and witnesses and vertices.  It is built on first use
+and kept on the immutable system with whether its rows meet (``_meets``).
+A vertex is the meet of two consecutive edges, solved from the system's own
+rows; meets are taken in row-pair order and merged within tol.  The order
+of the intersection's directions and its recession rays depend only on the
+set of integer normals, so they are compiled once per set.
 
 Elimination and substitution run in one loop (``_project``), which also
 projects a catalogued system to the rate pair (``regions.project_to_ratepair``).
@@ -58,14 +58,15 @@ rows (``_tightest``, the one merge rule) and labels the rows left.
 
 Coefficient arithmetic is exact integer arithmetic.  ``make_row`` scales
 rational input (floats, fractions.Fraction, numeric strings) to primitive
-integers; a system, and ``implies`` for its row, refuses any other row.
-Fraction remains only where a floating bound must be compared exactly.
-Every comparison against the floating bounds uses an absolute tolerance
-(default 1e-9; one that is not an int or a float, a bool, or not finite and
->= 0 is refused).  Feasible within tol means the rows with every bound raised
-by tol (``_raised``) meet; an empty system feasible within tol is read as
-them.  Sums of floats (the point test, a centroid) fold from the left from
-0.0 (``_left_sum``), the same bits on every Python version.
+integers and a float bound; a system, and ``implies`` for its row, refuses
+any other row.  Fraction remains only where a floating bound must be
+compared exactly.  Every comparison against the floating bounds uses an
+absolute tolerance (default 1e-9; one that is not an int or a float, a
+bool, or not finite and >= 0 is refused).  Feasible within tol means the
+rows with every bound raised by tol (``_raised``) meet; an empty system
+feasible within tol is read as them.  Sums of floats (the point test, a
+centroid) fold from the left from 0.0 (``_left_sum``), the same bits on
+every Python version.
 """
 
 from __future__ import annotations
@@ -151,6 +152,7 @@ class InequalitySystem:
                     f"row {r.label!r} has {len(r.coeffs)} coefficients for "
                     f"{len(self.variables)} variables")
             _check_primitive(r)
+            _check_bound(r)
 
     def with_rows(self, rows) -> "InequalitySystem":
         return InequalitySystem(self.variables, tuple(rows))
@@ -172,35 +174,26 @@ class InequalitySystem:
         return [r.bound for r in self.rows]
 
     @_cached
+    def _read(self) -> list:
+        """A 2-variable system's bounds as the 2-D questions read them (``_read_bounds``)."""
+        return _read_bounds(self._plan, self._bounds)
+
+    @_cached
     def _mins(self) -> list:
         """A 2-variable system's tightest bound per normal of its plan."""
-        b = self._bounds
+        b = self._read
         return [min(map(b.__getitem__, rows)) for rows in self._plan.groups]
 
     @_cached
-    def _plain(self) -> bool:
-        """``_plain`` of a 2-variable system's plan and bounds."""
-        return _plain(self._plan, self._bounds)
-
-    @_cached
     def _lines(self) -> list:
-        """A 2-variable system's rows as canonical lines (``_canon``), in order."""
-        return [_canon(r.coeffs, r.bound) for r in self.rows]
-
-    @_cached
-    def _tight(self) -> tuple[dict, bool]:
-        """``_tight_lines`` of a 2-variable system's rows."""
-        return _tight_lines(self._lines)
+        """A 2-variable system's rows as canonical lines (p, q, beta), in order."""
+        return [(*n, beta) for n, beta in zip(self._plan.rows, self._read)]
 
     @_cached
     def _meets(self) -> bool:
         """Do a 2-variable system's rows meet?  Its lowest corner answers
-        when it can: read off the plan and the bounds (``_corner_fails``),
-        else off the tightest lines (``_lowest_corner``); else its
-        half-plane intersection."""
-        corner = _corner(self._plan, self._bounds)
-        if corner is None:
-            corner = _lowest_corner(*self._tight)
+        when it can (``_corner``), else its half-plane intersection."""
+        corner = _corner(self._plan, self._read)
         return bool(self._plane_region.edges) if corner is None else corner
 
     @_cached
@@ -217,6 +210,15 @@ def _check_primitive(row: Halfspace) -> None:
     if not (all(c.__class__ is int or c.__class__ is Fraction and c.denominator == 1 for c in cs)
             and math.gcd(*map(int, cs)) < 2):
         raise ValueError(f"row {row.label!r} has coefficients {cs}, not integers with gcd 1; "
+                         "build it with make_row")
+
+
+def _check_bound(row: Halfspace) -> None:
+    """Refuse a row bound that is not a float (numpy's float64 is one): the
+    2-D questions compare the float a bound stores exactly, so a bound that
+    is only near its float (a Fraction) would be read two ways."""
+    if not isinstance(row.bound, float):
+        raise ValueError(f"row {row.label!r} has bound {row.bound!r}, not a float; "
                          "build it with make_row")
 
 
@@ -425,9 +427,9 @@ def _feasible(sys: InequalitySystem, tol: float) -> bool:
         return True
     verdicts = sys.__dict__.setdefault("_feasible", {})  # outside __eq__ and repr
     if tol not in verdicts:
-        b = sys._bounds
-        raised = (False if any(b[i] < -tol for i in sys._plan.constants)
-                  else _corner(sys._plan, [x + tol for x in b]))  # _raised(sys, tol)'s, unbuilt
+        b, plan = sys._bounds, sys._plan
+        raised = (False if any(b[i] < -tol for i in plan.constants)  # _raised(sys, tol)'s, unbuilt
+                  else _corner(plan, _read_bounds(plan, [x + tol for x in b])))
         verdicts[tol] = _raised(sys, tol)._meets if raised is None else raised
     return verdicts[tol]
 
@@ -457,6 +459,7 @@ def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
     """Does every solution of sys satisfy the row (primitive, as in a system) within tol?"""
     _check_tol(tol)
     _check_primitive(row)
+    _check_bound(row)
     return _outside(sys, row, tol) is None
 
 
@@ -465,10 +468,13 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
 
     On failure returns (False, witness): the inner vertex maximising the
     first outer row inner violates by at least tol (moved along a ray when
-    inner is unbounded that way).  An empty inner is inside any outer.  An
-    inner that meets has each outer normal decided once (``_contains_by_normal``),
-    or, where the plan path does not read the bounds, each row by
-    ``_kept_below``; only the first row it does not keep below is probed.
+    inner is unbounded that way).  An empty inner is inside any outer.  For
+    an inner that meets, each outer normal is tested once, at outer's
+    tightest bound for it (``_kept`` off inner's plan and tightest bounds):
+    a row is kept below where its tightest one is.  Outer's rows are walked
+    in order only to test each row of a failing normal at its own bound and
+    probe the first that fails for the witness; all of them where some
+    outer bound + tol is not a finite float, so each raises at its own row.
     """
     if outer.variables != inner.variables:
         raise VariableMismatchError(
@@ -479,32 +485,20 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
     _check_plane(inner, outer.rows[0].coeffs)  # as the first probe would
     if not inner._meets:
         return True, None
-    if inner._plain and outer._plain and max(outer._bounds) + tol < math.inf:
-        return _contains_by_normal(outer, inner, tol)
-    tight = inner._tight[0]
-    for row in outer.rows:
-        if not _kept_below(tight, row.coeffs, row.bound + tol):
-            if (witness := _outside(inner, row, tol)) is not None:
-                return False, witness
-    return True, None
-
-
-def _contains_by_normal(outer: InequalitySystem, inner: InequalitySystem, tol: float):
-    """``contains`` for an inner that meets, both systems ``_plain`` and
-    every outer bound + tol finite.  Each outer normal is tested once, at
-    outer's tightest bound for it (``_kept`` off inner's plan and tightest
-    bounds): a row is kept below where its tightest one is.  Outer's rows
-    are walked in order only if some normal fails, each of a failing normal
-    tested at its own bound, to probe the first that fails for the witness."""
-    plan, mins, bounds = inner._plan, inner._mins, outer._bounds
+    plan, mins, b = inner._plan, inner._mins, outer._bounds
 
     def kept(n, t) -> bool:
         k = plan.index.get(n)
         return _kept(plan, mins, n, t, None if k is None else mins[k])
-    tops = dict(zip(outer._plan.normals, outer._mins))
-    if outer._plan.constants:
-        tops[(0, 0)] = min(map(bounds.__getitem__, outer._plan.constants))
-    failed = {n for n, top in tops.items() if not kept(n, top + tol)}
+    total = sum(b)
+    if total - total == 0 and max(b) + tol < math.inf:  # every bound + tol is a finite float
+        normals, constants = outer._plan.normals, outer._plan.constants
+        failed = {n for n, top in zip(normals, outer._mins)  # float(top): the walk's row.bound
+                  if not kept(n, float(top) + tol)}
+        if constants and not kept((0, 0), min(map(b.__getitem__, constants)) + tol):
+            failed.add((0, 0))
+    else:
+        failed = set(outer._plan.rows)
     for row in outer.rows if failed else ():
         if row.coeffs in failed and not kept(row.coeffs, row.bound + tol):
             if (witness := _outside(inner, row, tol)) is not None:
@@ -674,35 +668,6 @@ def _box_side(big: int, largest: float) -> float | None:
 _LOWER = ((-1, 0), (0, -1))  # the lower-bound normals: -x <= beta, -y <= beta
 
 
-def _lowest_corner(tight: dict, consistent: bool) -> bool | None:
-    """Do the lines of a monotone system, given as ``_tight_lines``, meet?
-    Decided exactly, without an intersection; None when the system is not
-    monotone or has a bound ``_region`` refuses (``_box_side``).
-
-    Monotone: every normal is >= 0 in both entries, or is a lower bound
-    (``_LOWER``).  Each other row's left side then never decreases in either
-    variable, so the rows meet iff every one holds at the lowest corner:
-    each variable at its largest lower bound, or, without one, toward -inf,
-    where every row that uses it holds.  A catalogued rate-pair system's
-    corner is the origin; ``_side`` compares exactly."""
-    low_x, low_y = tight.get(_LOWER[0]), tight.get(_LOWER[1])
-    x = (-1, 0, 0.0 if low_x is None else low_x)
-    y = (0, -1, 0.0 if low_y is None else low_y)
-    origin = not (x[2] or y[2])  # there a row holds iff 0 <= beta
-    holds, big, largest = consistent, 1, 0.0
-    for (p, q), beta in tight.items():
-        if p < 0 or q < 0:
-            if (p, q) not in _LOWER:
-                return None
-        elif holds and not (p and low_x is None or q and low_y is None):
-            holds = beta >= 0 if origin else _side((p, q, beta), x, y) <= 0
-        if p > big or q > big:
-            big = p if p > q else q
-        if beta > largest or -beta > largest:
-            largest = abs(beta)
-    return None if _box_side(big, float(largest)) is None else holds
-
-
 class _PlanePlan(NamedTuple):
     """The integer half of every 2-variable question on rows with these
     coefficient vectors; per system only the float bounds are read."""
@@ -744,23 +709,40 @@ def _plane_plan(rows: tuple) -> _PlanePlan:
     return plan
 
 
-def _plain(plan: _PlanePlan, b) -> bool:
-    """Do a plan and float bounds ``b`` alone decide a 2-variable system's
-    questions?  Its normal entries are below ``_SMALL`` and its bounds finite
-    and within what ``_box_side`` takes, all of them (so the tightest bounds
-    of any subset of the rows too)."""
+def _read_bounds(plan: _PlanePlan, b) -> list:
+    """Bounds ``b`` of rows with ``plan`` as ``_canon`` reads them: b itself
+    where every normal entry is below ``_SMALL`` and every bound is finite,
+    else row by row (exact past ``_SMALL``; UnboundedRegionError at the
+    first row with a nonzero normal whose bound is not finite)."""
     total = sum(b)
-    return (plan.small and total - total == 0
-            and (not b or _box_side(plan.big, max(max(b), -min(b))) is not None))
+    if plan.small and total - total == 0:
+        return b
+    return [_canon(n, x)[2] for n, x in zip(plan.rows, b)]
+
+
+def _roomy(plan: _PlanePlan, b) -> bool:
+    """Are the bounds ``b`` (as ``_read_bounds`` reads them) of rows with
+    ``plan`` all within what ``_box_side`` takes, so that the tightest
+    bounds of any subset of the rows are too?  A constant row's bound (NaN
+    or infinite, perhaps) is not the box's: a False for it only costs time."""
+    return not b or _box_side(plan.big, max(max(b), -min(b))) is not None
 
 
 def _corner(plan: _PlanePlan, b) -> bool | None:
-    """Do the rows of a monotone system, read as a plan and float bounds
-    ``b``, meet?  ``_lowest_corner`` without canonical lines; None unless
-    the system is monotone and ``_plain``."""
-    if plan.monotone and _plain(plan, b):
-        return not _corner_fails(plan.rows, b, plan.checked, *plan.lower)
-    return None
+    """Do the rows of a monotone system with ``plan`` and bounds ``b`` (as
+    ``_read_bounds`` reads them) meet?  None unless the system is monotone
+    and ``_region`` takes its tightest bounds (``_box_side``).
+
+    Monotone: every normal is >= 0 in both entries, or is a lower bound
+    (``_LOWER``).  Each other row's left side then never decreases in either
+    variable, so the rows meet iff every one holds at the lowest corner
+    (``_corner_fails``; a catalogued rate-pair system's is the origin)."""
+    if not plan.monotone:
+        return None
+    if not _roomy(plan, b) and not _roomy(plan, [min(map(b.__getitem__, rows))
+                                                 for rows in plan.groups]):
+        return None
+    return not _corner_fails(plan.rows, b, plan.checked, *plan.lower)
 
 
 def _corner_rows(normals: tuple, alive, has_x: bool, has_y: bool) -> list:
@@ -774,21 +756,26 @@ def _corner_rows(normals: tuple, alive, has_x: bool, has_y: bool) -> list:
 
 def _corner_fails(normals: tuple, b, rows, low_x, low_y) -> list:
     """Those of ``rows`` (``_corner_rows``) that fail at the lowest corner of
-    a monotone system with ``normals`` and bounds ``b`` whose lower-bound
-    rows are ``low_x`` and ``low_y``: each variable at its largest lower
-    bound (-x <= beta sets x >= -beta).  Decided exactly; at the origin a
-    row holds iff 0 <= beta."""
+    a monotone system with ``normals`` and bounds ``b`` (as
+    ``_read_bounds`` reads them) whose lower-bound rows are ``low_x`` and
+    ``low_y``: each variable at its largest lower bound (-x <= beta sets
+    x >= -beta).  Decided exactly; where the left side is 0 (at the origin,
+    and on a constant row, whose bound may be NaN or infinite) a row holds
+    iff 0 <= beta."""
     lx = min(map(b.__getitem__, low_x)) if low_x else 0.0
     ly = min(map(b.__getitem__, low_y)) if low_y else 0.0
     if not (lx or ly):
-        return [i for i in rows if b[i] < 0]
+        return [i for i in rows if not b[i] >= 0]
     fails = []
     for i in rows:  # _side's float test, inline, for p*x + q*y - beta at (-lx, -ly)
         p, q = normals[i]
         t1, t2, beta = -lx * p, -ly * q, b[i]
-        s = t1 + t2 - beta
-        if abs(s) <= 1e-15 * (abs(t1) + abs(t2) + abs(beta)) + 1e-300 and (t1 or t2 or beta):
-            s = _side((p, q, beta), (-1, 0, lx), (0, -1, ly))
+        if not (t1 or t2):
+            s = 0 if beta >= 0 else 1
+        else:
+            s = t1 + t2 - beta
+            if abs(s) <= 1e-15 * (abs(t1) + abs(t2) + abs(beta)) + 1e-300:
+                s = _side((p, q, beta), (-1, 0, lx), (0, -1, ly))
         if s > 0:
             fails.append(i)
     return fails
@@ -816,11 +803,20 @@ def _brackets(plan: _PlanePlan, n) -> list:
 
 def _kept(plan: _PlanePlan, mins, n, t, same) -> bool:
     """Do rows that meet, with tightest bound ``mins[k]`` for ``plan.normals[k]``
-    (None: no row), keep n.(x, y) below float t?  ``same`` is their tightest
-    bound with normal n (None: none).  ``_kept_below`` for a plan whose
-    entries are below ``_SMALL``; a constant left side is 0 everywhere."""
+    (None: no row, else as ``_read_bounds`` reads it), keep n.(x, y) below
+    float t?  ``same`` is their tightest bound with normal n (None: none).
+    Decided exactly, without an intersection.
+
+    By 2-D LP duality an optimum needs at most two active rows, so the rows
+    keep the left side below t iff their tightest row with normal n does, or
+    the tightest rows of a pair bracketing n (``_brackets``) meet where it
+    is below t.  A constant left side is 0 everywhere.  t is read as
+    ``_canon`` reads it: exact past ``_SMALL``, and UnboundedRegionError
+    where it is not finite."""
     if not any(n):
         return t > 0
+    if not (abs(n[0]) < _SMALL > abs(n[1]) and t - t == 0):
+        t = _canon(n, t)[2]
     if same is not None and same < t:
         return True
     normals, line = plan.normals, (*n, t)
@@ -890,45 +886,25 @@ def _reach(region: _Region, coeffs, bound: float):
     return None
 
 
-def _kept_below(tight: dict, coeffs, bound: float) -> bool:
-    """Do rows that meet, given as their tightest bound per normal
-    (``_tight_lines``), keep coeffs.(x, y) below ``bound``?  Decided
-    exactly, without an intersection.
-
-    By 2-D LP duality an optimum needs at most two active rows, so the rows
-    keep the left side below the bound iff the tightest line with its
-    normal n does, or two tightest lines whose normals bracket n (within a
-    turn of less than pi) meet where it is below the bound.  A constant
-    left side is 0 everywhere."""
-    p, q, t = _canon(coeffs, bound)
-    if p == 0 == q:
-        return t > 0
-    if tight.get((p, q), math.inf) < t:
-        return True
-    cw = [(a, b, beta) for (a, b), beta in tight.items() if a * q - b * p > 0]
-    ccw = [(a, b, beta) for (a, b), beta in tight.items() if p * b - q * a > 0]
-    return any(_cross(u, v) > 0 and _side((p, q, t), u, v) < 0 for u in cw for v in ccw)
-
-
 def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
     """remove_redundant's greedy rule: a row is dropped iff the rest of the
     rows still alive does not meet or keeps it (``_kept``).
 
-    Read off the plan and the bounds (``InequalitySystem._plain``), for a
-    system that meets or is monotone; else ``_greedy_lines``.  While the
-    alive rows meet, every rest of them meets too, and a row is kept below
-    by the rest iff by the tightest other row of its normal or a bracketing
-    pair (``_brackets``): the tightest bounds change only where a row goes.
-    Until then (a deletion filter) a rest meets iff no other alive row
-    fails at the lowest corner, and the rows that fail there change only
-    where a lower-bound row goes."""
-    plan = sys._plan
-    if not (sys._plain and (plan.monotone or sys._meets)
-            and max(sys._bounds, default=0.0) + tol < math.inf):  # else a row past it raises
-        return _greedy_lines(sys, tol)
-    b, normals, groups, index = sys._bounds, plan.rows, plan.groups, plan.index
+    While the alive rows meet, every rest of them meets too, and a row is
+    kept below by the rest iff by the tightest other row of its normal or a
+    bracketing pair (``_brackets``): the tightest bounds change only where a
+    row goes.  Until then, on a monotone system, it is a deletion filter: a
+    rest meets iff no other alive row fails at the lowest corner, and the
+    rows that fail there change only where a lower-bound row goes.  Where
+    no corner answers (not monotone, or a bound past the box: ``_roomy``)
+    the rest is intersected, which raises past the box unless a constant
+    row of the rest fails."""
+    plan, b, bounds = sys._plan, sys._read, sys._bounds
+    normals, groups, index = plan.rows, plan.groups, plan.index
     meet = sys._meets  # do the rows still alive meet?
-    fails = set() if meet else set(_corner_fails(normals, b, plan.checked, *plan.lower))
+    corner = plan.monotone and _roomy(plan, b)  # the corner answers for every rest
+    fails = set() if meet or not plan.monotone else set(
+        _corner_fails(normals, b, plan.checked, *plan.lower))
     lows = plan.lower  # the lower-bound rows alive
     mins = list(sys._mins)  # the tightest bound per normal of the rows alive
     alive, dead = list(range(len(b))), set()
@@ -944,50 +920,24 @@ def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
         else:  # j is the tightest: the next one
             same = min([b[r] for r in groups[k] if r != j and r not in dead],
                        default=None) if len(groups[k]) > 1 else None
-        rest_fails, rest_lows = fails, lows  # fails is empty once the alive rows meet
-        if n in _LOWER and not meet:  # the rest's corner is lower: some failing rows may hold
-            rest_lows = [[r for r in rows if r != j] for rows in lows]
-            rest_fails = set(_corner_fails(
-                normals, b, _corner_rows(normals, fails, *map(bool, rest_lows)), *rest_lows))
-        elif j in fails:
-            rest_fails = fails - {j}
-        if rest_fails or _kept(plan, mins, n, b[j] + tol, same):
-            meet, fails, lows = not rest_fails, rest_fails, rest_lows
+        rest_meets, rest_fails, rest_lows = True, fails, lows  # fails is empty once they meet
+        if not meet and plan.monotone:
+            if n in _LOWER:  # the rest's corner is lower: some failing rows may hold
+                rest_lows = [[r for r in rows if r != j] for rows in lows]
+                rest_fails = set(_corner_fails(
+                    normals, b, _corner_rows(normals, fails, *map(bool, rest_lows)), *rest_lows))
+            elif j in fails:
+                rest_fails = fails - {j}
+            rest_meets = not rest_fails
+        if not (meet or corner):
+            rest = [sys._lines[r] for r in alive if r != j]
+            rest_meets = _tight_lines(rest)[1] and bool(_region(rest).edges)
+        if not rest_meets or _kept(plan, mins, n, bounds[j] + tol, same):
+            meet, fails, lows = rest_meets, rest_fails, rest_lows
             if k is not None:
                 mins[k] = same
             dead.add(j)
             del alive[i]
-        else:
-            i += 1
-    return alive
-
-
-def _greedy_lines(sys: InequalitySystem, tol: float) -> list[int]:
-    """``_greedy_2d`` off the system's canonical lines.
-
-    A row is dropped iff the rest does not meet or ``_kept_below`` keeps
-    it.  While the rows still alive meet, every rest of them meets too, so
-    a system that meets is reduced from its own rows alone.  Until then
-    each row asks whether the rest meets: a rest keeping a constant row
-    0 <= beta with beta < 0 does not, the lowest corner of a monotone rest
-    answers, and any other rest is intersected.
-    """
-    rows, lines = sys.rows, sys._lines
-    meet = sys._meets  # do the rows still alive meet?
-    alive = list(range(len(rows)))
-    i = 0
-    while i < len(alive):
-        j = alive[i]
-        rest = alive[:i] + alive[i + 1:]
-        others = [lines[k] for k in rest]
-        tight, consistent = _tight_lines(others)
-        rest_meets = meet or _lowest_corner(tight, consistent)
-        if rest_meets is None:
-            rest_meets = consistent and bool(_region(others).edges)
-        drop = not rest_meets or _kept_below(tight, rows[j].coeffs, rows[j].bound + tol)
-        meet = meet or drop and rest_meets
-        if drop:
-            alive = rest
         else:
             i += 1
     return alive

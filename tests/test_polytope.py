@@ -149,6 +149,33 @@ def test_a_system_and_implies_refuse_a_row_make_row_did_not_scale(coeffs):
     assert not lp_feasible(ok) and implies(square, Halfspace((Fraction(1), 0), 1.0))
 
 
+def test_a_system_refuses_a_bound_that_is_not_a_float():
+    """A bound just below its float, F with float(F) == 1/3, was read two
+    ways: exactly by the duality test, as its float by the intersection.
+    Inner x <= F, y <= 1, x, y >= 0 was inside x <= 1/3 at tol 0, and not
+    inside (witness (1/3, 1)) once a slack row with a big normal was added;
+    implies said it was not.  A system, and implies for its row, refuses
+    such a bound; make_row gives its float, and numpy's float64 is one."""
+    F = Fraction(1 / 3) - Fraction(1, 10**30)
+    assert F < 1 / 3 and float(F) == 1 / 3
+    xy = ("x", "y")
+    rest = [make_row((0, 1), 1.0, "y<=1"), *nonnegativity_rows(xy)]
+    square = system(xy, rest + [make_row((1, 0), 1.0)])
+    for bound in (F, 1, np.float32(0.5)):
+        odd = Halfspace((1, 0), bound, "x<=F")
+        for ask in (lambda: system(xy, [odd, *rest]), lambda: square.with_rows(rest + [odd]),
+                    lambda: implies(square, odd)):
+            with pytest.raises(ValueError, match=r"'x<=F'.*not a float; build it with make_row"):
+                ask()
+    outer = system(xy, [make_row((1, 0), 1 / 3, "x<=1/3")])
+    slack = make_row((1 << 20, 1), 1e10, "slack")
+    for bound in (make_row((1, 0), F).bound, np.float64(1 / 3)):
+        inner = system(xy, [Halfspace((1, 0), bound, "x<=F"), *rest])
+        for s in (inner, inner.with_rows(inner.rows + (slack,))):
+            assert contains(outer, s, 0.0) == (False, [1 / 3, 1.0])
+            assert not implies(s, outer.rows[0], 0.0)
+
+
 def test_make_row_still_scales_rationals_floats_and_strings():
     assert make_row((Fraction(2, 3), -4), 1.0, "q") == Halfspace((1, -6), 1.5, "q")
     assert make_row(["1", "-1"], 2.0, "s") == Halfspace((1, -1), 2.0, "s")

@@ -5,10 +5,12 @@ lp_feasible answer from one half-plane intersection.  The reference is the
 Fourier-Motzkin oracle (``fm_oracle``) on the same system lifted to three
 variables with z <= 0 and -z <= 0, which the library refuses to ask.
 
-The plan path (the corner read off the bounds, the deletion filter, the
-per-normal containment test) is also checked against the line oracle
-(``redundancy_oracle``): the same questions answered from canonical lines
-and tightest-bound tables, as the engine answered them before plans.
+The engine answers every 2-variable system on one path, off its plan and
+its bounds (the corner, the deletion filter, the per-normal containment
+test; normals of 2**20 or more read exactly).  It is checked, answer for
+answer and error for error, against the line oracle (``redundancy_oracle``),
+which holds the line tier the engine no longer has: the same questions
+answered from canonical lines and tightest-bound tables.
 
 A small exact oracle (rational arithmetic over the float bounds, brute-force
 vertices) measures how close each decision is to its threshold.  Draws with
@@ -297,8 +299,8 @@ def test_remove_redundant_with_contradictions_agrees_with_fm(s, placed):
 def _reintersecting_greedy(s, tol):
     """remove_redundant's rule with no shortcut: visit the rows in order and
     drop one iff the intersection of the remaining rows never reaches its
-    bound + tol.  Wherever the remaining rows meet, also assert that
-    ``_kept_below`` certifies exactly the rows this drops."""
+    bound + tol.  Wherever the remaining rows meet, also assert that the
+    oracle's ``_kept_below`` certifies exactly the rows this drops."""
     s = polytope._relaxed(s, tol)
     lines, alive, i = s._lines, list(range(len(s.rows))), 0
     while i < len(alive):
@@ -307,7 +309,7 @@ def _reintersecting_greedy(s, tol):
         dropped = polytope._reach(polytope._region(rest), row.coeffs, row.bound + tol) is None
         if polytope._region(rest).edges:
             tight = polytope._tight_lines(rest)[0]
-            assert polytope._kept_below(tight, row.coeffs, row.bound + tol) == dropped, row
+            assert oracle._kept_below(tight, row.coeffs, row.bound + tol) == dropped, row
         if dropped:
             del alive[i]
         else:
@@ -434,7 +436,7 @@ def test_the_lowest_corner_is_the_intersection_verdict(s, general):
     """On a monotone system and its raised copies the corner says whether
     the rows meet, as the intersection does; on any other system it says
     nothing or the same."""
-    corner = lambda t: polytope._lowest_corner(*polytope._tight_lines(t._lines))
+    corner = lambda t: oracle._lowest_corner(*polytope._tight_lines(t._lines))
     for t in (s, *(polytope._raised(s, tol) for tol in TOLS)):
         assert corner(t) == bool(polytope._region(t._lines).edges)
     monotone = all(p >= 0 <= q or (p, q) in ((-1, 0), (0, -1)) for (p, q), _, _ in general.rows)
@@ -483,7 +485,7 @@ def test_the_lowest_corner_reads_unreadable_bounds_as_the_intersection_does():
     verdict (a nonzero normal with one is refused by ``_canon``); a bound the
     intersection refuses leaves the system to it, which raises as before."""
     nan, inf = float("nan"), float("inf")
-    corner = lambda lines: polytope._lowest_corner(*polytope._tight_lines(lines))
+    corner = lambda lines: oracle._lowest_corner(*polytope._tight_lines(lines))
     low = [(-1, 0, 0.0), (0, -1, 0.0)]
     assert corner(low + [(1, 0, 1e308)]) is None
     assert corner(low + [(1, 0, 1e307)]) is True  # a box side of 4e307 fits
@@ -530,8 +532,9 @@ PLAN_TOLS = (0.0, 1e-9, 0.5, 1.7e308)  # the last raises a box-limit bound past 
 def plan_systems(draw, monotone_only=False):
     """Rows with the catalogued rate-pair normals, lower bounds (at nonzero
     bounds too) and constant rows, with duplicate normals; now and then a
-    row that is not monotone.  Bounds include ties, -0.0, +-1e-17 and, now
-    and then, a ``_box_side`` limit or a non-finite value."""
+    row that is not monotone, and a monotone row with a normal entry of
+    2**20 or more, whose bound is read exactly.  Bounds include ties, -0.0,
+    +-1e-17 and, now and then, a ``_box_side`` limit or a non-finite value."""
     rows = [make_row(draw(st.sampled_from(PLAN_NORMALS)), draw(TIE_BOUNDS), f"r{i}")
             for i in range(draw(st.integers(1, 9)))]
     if draw(st.integers(0, 3)) == 0:
@@ -540,6 +543,10 @@ def plan_systems(draw, monotone_only=False):
     if not monotone_only and draw(st.integers(0, 3)) == 0:
         rows.append(make_row(draw(st.sampled_from([(1, -1), (-1, -1), (-2, 1)])),
                              draw(TIE_BOUNDS), "tilt"))
+    if draw(st.integers(0, 3)) == 0:
+        big, small = draw(BIG), draw(st.integers(1, 2))
+        rows.append(make_row((big, small) if draw(st.booleans()) else (small, big),
+                             draw(TIE_BOUNDS), "big"))
     rare = draw(st.integers(0, 9))
     if rare < 2:
         k = draw(st.integers(0, len(rows) - 1))
@@ -645,6 +652,32 @@ def test_a_bound_raised_past_the_float_range_raises_as_the_line_oracle_does():
         assert _outcome(lambda: contains(_rebuilt(s), _rebuilt(s), tol)) == \
             _outcome(lambda: oracle.contains(s, s, tol))
     assert expected == (UnboundedRegionError, "row bound inf is not finite")
+
+
+def test_a_rest_the_box_refuses_raises_as_the_line_oracle_does():
+    """Rows that do not meet, whose tightest bounds the box takes: without
+    x <= 1 the rest's tightest bound for x is 1e308, past the box, so the
+    greedy rule intersects that rest and raises."""
+    s = system(VARS, [make_row((1, 1), -1.0, "a"), make_row((1, 0), 1.0, "x"),
+                      make_row((1, 0), 1e308, "far"), *nonnegativity_rows(VARS)])
+    refused = (UnboundedRegionError, "bound 1e+308 too large for the 2-D intersection")
+    for tol in TOLS:
+        assert _outcome(lambda: oracle.remove_redundant(s, tol)) == refused
+        for make in (_carrying, _rebuilt):
+            assert _outcome(lambda: [r.label for r in remove_redundant(make(s), tol).rows]) \
+                == refused
+
+
+def test_a_big_normal_bound_is_read_exactly():
+    """Bounds of rows with a normal entry of 2**20 or more are read exactly:
+    the witness is the exact meet of the two big rows, rounded once, as the
+    line oracle gives it.  Read as floats, its x is off in the last bit."""
+    inner = _rows(((3145729, -1), -0.396), ((1, 2), 0.093), ((1, 3145729), -1.617))
+    outer = _rows(((1, 1), -1.426))
+    expected = (False, [-1.2588513315363565e-07, -5.140302531193459e-07])
+    assert oracle.contains(outer, inner, 0.0) == expected
+    for make in (_carrying, _rebuilt):
+        assert contains(make(outer), make(inner), 0.0) == expected
 
 
 def test_thm4_canonicalises_no_row_where_no_system_meets(monkeypatch):
