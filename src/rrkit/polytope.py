@@ -26,23 +26,28 @@ finite, else row by row as ``_canon`` does (exact past ``_SMALL``,
 UnboundedRegionError at the first bound that is not finite).  Off the plan
 and those bounds, with one path per question:
 - whether a monotone system's rows meet is read off its lowest corner
-  (``_corner``; at the origin, whether any bound tested there is below 0);
+  (``InequalitySystem._meets``; at the origin, whether any bound tested
+  there is below 0);
 - rows that meet keep a left side below a bound iff the tightest row with
   its normal, or the tightest rows of a bracketing pair, do (2-D LP
-  duality, ``_kept``);
+  duality, ``_kept``): ``implies`` asks it of its row, and containment
+  (``contains``) of each outer normal once, at outer's tightest bound for
+  it, walking outer's rows in order only to probe the first failing row
+  for its witness;
+- feasibility within tol has one reader (``_relaxed``): the rows, or, where
+  they do not meet, their copy with every bound raised by tol;
 - redundancy removal (``_greedy_2d``) drops a row iff the rest of the rows
   still alive does not meet or keeps it; while a monotone system's alive
   rows do not meet it is a deletion filter (a rest meets iff no other alive
-  row fails at the lowest corner);
-- containment (``contains``) tests each outer normal once, at outer's
-  tightest bound for it, and walks outer's rows in order only to probe the
-  first failing row for its witness.
+  row fails at the lowest corner).
 The exact half-plane intersection (``_region``) is built only where no
-corner answers: whether a system that is not monotone meets and, until its
-rows meet, each rest of it; each rest of a system with a bound past the
-intersection's box (``_box_side``), so that it raises where the rest's
-tightest bounds are; and witnesses and vertices.  It is built on first use
-and kept on the immutable system with whether its rows meet (``_meets``).
+corner or certificate answers: whether a system that is not monotone meets
+and, until its rows meet, each rest of it; each rest of a system with a
+bound past the intersection's box (``_box_side``), so that it raises where
+the rest's tightest bounds are; a row ``_kept`` does not certify, probed
+(``_outside``) for ``implies``' answer or ``contains``' witness; and
+vertices.  It is built on first use and kept on the immutable system with
+whether its rows meet (``_meets``).
 A vertex is the meet of two consecutive edges, solved from the system's own
 rows; meets are taken in row-pair order and merged within tol.  The order
 of the intersection's directions and its recession rays depend only on the
@@ -64,9 +69,9 @@ compared exactly.  Every comparison against the floating bounds uses an
 absolute tolerance (default 1e-9; one that is not an int or a float, a
 bool, or not finite and >= 0 is refused).  Feasible within tol means the
 rows with every bound raised by tol (``_raised``) meet; an empty system
-feasible within tol is read as them.  Sums of floats (the point test, a
-centroid) fold from the left from 0.0 (``_left_sum``), the same bits on
-every Python version.
+feasible within tol is read as them (``_relaxed``).  Sums of floats (the
+point test, a centroid) fold from the left from 0.0 (``_left_sum``), the
+same bits on every Python version.
 """
 
 from __future__ import annotations
@@ -175,8 +180,14 @@ class InequalitySystem:
 
     @_cached
     def _read(self) -> list:
-        """A 2-variable system's bounds as the 2-D questions read them (``_read_bounds``)."""
-        return _read_bounds(self._plan, self._bounds)
+        """A 2-variable system's bounds as every 2-D question reads them:
+        the float bounds where every normal entry is below ``_SMALL`` and
+        every bound is finite, else each row's as ``_canon`` reads it."""
+        plan, b = self._plan, self._bounds
+        total = sum(b)
+        if plan.small and total - total == 0:
+            return b
+        return [_canon(n, x)[2] for n, x in zip(plan.rows, b)]
 
     @_cached
     def _mins(self) -> list:
@@ -191,10 +202,17 @@ class InequalitySystem:
 
     @_cached
     def _meets(self) -> bool:
-        """Do a 2-variable system's rows meet?  Its lowest corner answers
-        when it can (``_corner``), else its half-plane intersection."""
-        corner = _corner(self._plan, self._read)
-        return bool(self._plane_region.edges) if corner is None else corner
+        """Do a 2-variable system's rows meet?  Where ``_region`` takes a
+        monotone system's tightest bounds (``_roomy``) its lowest corner
+        answers: every normal is >= 0 in both entries or a lower bound
+        (``_LOWER``), so each other row's left side never decreases in
+        either variable and the rows meet iff every one holds at the lowest
+        corner (``_corner_fails``; a catalogued rate-pair system's is the
+        origin).  Else the half-plane intersection answers."""
+        plan, b = self._plan, self._read
+        if plan.monotone and (_roomy(plan, b) or _roomy(plan, self._mins)):
+            return not _corner_fails(plan.rows, b, plan.checked, *plan.lower)
+        return bool(self._plane_region.edges)
 
     @_cached
     def _plane_region(self) -> "_Region":
@@ -405,62 +423,67 @@ def _check_plane(sys: InequalitySystem, coeffs=(0, 0)) -> None:
 
 def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
     """Is the system feasible within tol: do its rows with every bound raised
-    by tol (``_raised``) meet, at ``point`` if one is given?  The point test
-    takes any number of variables.  Without a point the system must have 2:
-    whether its own rows meet, a constant row below -tol or else whether the
-    raised copy's rows meet answers (``InequalitySystem._meets``)."""
+    by tol meet, at ``point`` if one is given?  The point test takes any
+    number of variables and compares each left side with ``bound + tol``.
+    Without a point the system must have 2, and ``_relaxed``'s rows answer
+    (``InequalitySystem._meets``)."""
     _check_tol(tol)
     if point is not None:
         if len(point) != len(sys.variables):
             raise VariableMismatchError(
                 f"point has {len(point)} entries for {len(sys.variables)} variables")
-        return all(_left_sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound
-                   for r in _raised(sys, tol).rows)
+        return all(_left_sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound + tol
+                   for r in sys.rows)
     _check_plane(sys)
-    return _feasible(sys, tol)
-
-
-def _feasible(sys: InequalitySystem, tol: float) -> bool:
-    """Free ``lp_feasible`` of a 2-variable system, tol checked; kept on sys
-    per tol."""
-    if sys._meets:
-        return True
-    verdicts = sys.__dict__.setdefault("_feasible", {})  # outside __eq__ and repr
-    if tol not in verdicts:
-        b, plan = sys._bounds, sys._plan
-        raised = (False if any(b[i] < -tol for i in plan.constants)  # _raised(sys, tol)'s, unbuilt
-                  else _corner(plan, _read_bounds(plan, [x + tol for x in b])))
-        verdicts[tol] = _raised(sys, tol)._meets if raised is None else raised
-    return verdicts[tol]
+    return _relaxed(sys, tol)._meets
 
 
 def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
-    """sys with every bound raised by tol (sys at tol 0), kept on sys per tol."""
+    """2-variable sys with every bound raised by tol (sys at tol 0), kept per tol."""
     if tol == 0:
         return sys
     copies = sys.__dict__.setdefault("_raised", {})  # outside __eq__ and repr
     if tol not in copies:
-        known = {"_plan": sys.__dict__["_plan"]} if "_plan" in sys.__dict__ else {}
         bounds = [r.bound + tol for r in sys.rows]
         copies[tol] = _built(sys.variables, tuple(
             tuple.__new__(Halfspace, (r.coeffs, bound, r.label))
-            for r, bound in zip(sys.rows, bounds)), _bounds=bounds, **known)
+            for r, bound in zip(sys.rows, bounds)), _plan=sys._plan, _bounds=bounds)
     return copies[tol]
+
+
+def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
+    """The one reader of feasibility within tol: sys's kept ``_raised`` copy
+    if sys is empty but the copy's rows meet (round-off pushed a point or
+    segment just past empty), else sys (no copy for a constant row < -tol)."""
+    if tol == 0 or sys._meets or any(sys._bounds[i] < -tol for i in sys._plan.constants):
+        return sys
+    raised = _raised(sys, tol)
+    return raised if raised._meets else sys
+
+
+def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
+    """Does every solution of sys satisfy the row (primitive, as in a system) within tol?
+
+    Decided as ``contains`` decides one outer row: rows that do not meet
+    imply every row; otherwise the duality certificate (``_kept``, off
+    sys's plan and tightest bounds) answers, and only a row it does not
+    certify is probed on the half-plane intersection (``_outside``)."""
+    _check_tol(tol)
+    _check_primitive(row)
+    _check_bound(row)
+    _check_plane(sys, row.coeffs)
+    if not sys._meets:
+        return True
+    plan, mins = sys._plan, sys._mins
+    k = plan.index.get(row.coeffs)
+    return (_kept(plan, mins, row.coeffs, row.bound + tol, None if k is None else mins[k])
+            or _outside(sys, row, tol) is None)
 
 
 def _outside(sys: InequalitySystem, row: Halfspace, tol: float):
     """A point [x, y] of 2-variable sys whose left side of ``row`` reaches
     ``row.bound + tol``, or None, read off the half-plane intersection."""
-    _check_plane(sys, row.coeffs)
     return _reach(sys._plane_region, row.coeffs, row.bound + tol)
-
-
-def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
-    """Does every solution of sys satisfy the row (primitive, as in a system) within tol?"""
-    _check_tol(tol)
-    _check_primitive(row)
-    _check_bound(row)
-    return _outside(sys, row, tol) is None
 
 
 def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL):
@@ -523,13 +546,6 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
     _check_plane(sys)
     keep = _greedy_2d(_relaxed(sys, tol), tol)
     return _built(sys.variables, tuple(sys.rows[k] for k in keep))
-
-
-def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
-    """The kept ``_raised(sys, tol)`` if sys is empty but feasible within tol
-    (round-off pushed a point or segment just past empty), else sys."""
-    relax = tol > 0 and not sys._meets and _feasible(sys, tol)
-    return _raised(sys, tol) if relax else sys
 
 
 # --- 2-variable systems: one exact half-plane intersection -------------------
@@ -709,40 +725,13 @@ def _plane_plan(rows: tuple) -> _PlanePlan:
     return plan
 
 
-def _read_bounds(plan: _PlanePlan, b) -> list:
-    """Bounds ``b`` of rows with ``plan`` as ``_canon`` reads them: b itself
-    where every normal entry is below ``_SMALL`` and every bound is finite,
-    else row by row (exact past ``_SMALL``; UnboundedRegionError at the
-    first row with a nonzero normal whose bound is not finite)."""
-    total = sum(b)
-    if plan.small and total - total == 0:
-        return b
-    return [_canon(n, x)[2] for n, x in zip(plan.rows, b)]
-
-
 def _roomy(plan: _PlanePlan, b) -> bool:
-    """Are the bounds ``b`` (as ``_read_bounds`` reads them) of rows with
-    ``plan`` all within what ``_box_side`` takes, so that the tightest
-    bounds of any subset of the rows are too?  A constant row's bound (NaN
-    or infinite, perhaps) is not the box's: a False for it only costs time."""
+    """Are the bounds ``b`` (as ``InequalitySystem._read`` reads them) of
+    rows with ``plan`` all within what ``_box_side`` takes, so that the
+    tightest bounds of any subset of the rows are too?  A constant row's
+    bound (NaN or infinite, perhaps) is not the box's: a False for it only
+    costs time."""
     return not b or _box_side(plan.big, max(max(b), -min(b))) is not None
-
-
-def _corner(plan: _PlanePlan, b) -> bool | None:
-    """Do the rows of a monotone system with ``plan`` and bounds ``b`` (as
-    ``_read_bounds`` reads them) meet?  None unless the system is monotone
-    and ``_region`` takes its tightest bounds (``_box_side``).
-
-    Monotone: every normal is >= 0 in both entries, or is a lower bound
-    (``_LOWER``).  Each other row's left side then never decreases in either
-    variable, so the rows meet iff every one holds at the lowest corner
-    (``_corner_fails``; a catalogued rate-pair system's is the origin)."""
-    if not plan.monotone:
-        return None
-    if not _roomy(plan, b) and not _roomy(plan, [min(map(b.__getitem__, rows))
-                                                 for rows in plan.groups]):
-        return None
-    return not _corner_fails(plan.rows, b, plan.checked, *plan.lower)
 
 
 def _corner_rows(normals: tuple, alive, has_x: bool, has_y: bool) -> list:
@@ -757,28 +746,19 @@ def _corner_rows(normals: tuple, alive, has_x: bool, has_y: bool) -> list:
 def _corner_fails(normals: tuple, b, rows, low_x, low_y) -> list:
     """Those of ``rows`` (``_corner_rows``) that fail at the lowest corner of
     a monotone system with ``normals`` and bounds ``b`` (as
-    ``_read_bounds`` reads them) whose lower-bound rows are ``low_x`` and
-    ``low_y``: each variable at its largest lower bound (-x <= beta sets
-    x >= -beta).  Decided exactly; where the left side is 0 (at the origin,
+    ``InequalitySystem._read`` reads them) whose lower-bound rows are
+    ``low_x`` and ``low_y``: each variable at its largest lower bound
+    (-x <= beta sets x >= -beta).  Decided exactly, by ``_side`` at the meet
+    of the tightest lower bounds; where the left side is 0 (at the origin,
     and on a constant row, whose bound may be NaN or infinite) a row holds
     iff 0 <= beta."""
     lx = min(map(b.__getitem__, low_x)) if low_x else 0.0
     ly = min(map(b.__getitem__, low_y)) if low_y else 0.0
     if not (lx or ly):
         return [i for i in rows if not b[i] >= 0]
-    fails = []
-    for i in rows:  # _side's float test, inline, for p*x + q*y - beta at (-lx, -ly)
-        p, q = normals[i]
-        t1, t2, beta = -lx * p, -ly * q, b[i]
-        if not (t1 or t2):
-            s = 0 if beta >= 0 else 1
-        else:
-            s = t1 + t2 - beta
-            if abs(s) <= 1e-15 * (abs(t1) + abs(t2) + abs(beta)) + 1e-300:
-                s = _side((p, q, beta), (-1, 0, lx), (0, -1, ly))
-        if s > 0:
-            fails.append(i)
-    return fails
+    corner = (-1, 0, lx), (0, -1, ly)
+    return [i for i in rows for p, q in [normals[i]]
+            if (_side((p, q, b[i]), *corner) > 0 if p * lx or q * ly else not b[i] >= 0)]
 
 
 _BRACKETS = 64  # foreign normals whose brackets a plan keeps
@@ -802,10 +782,11 @@ def _brackets(plan: _PlanePlan, n) -> list:
 
 
 def _kept(plan: _PlanePlan, mins, n, t, same) -> bool:
-    """Do rows that meet, with tightest bound ``mins[k]`` for ``plan.normals[k]``
-    (None: no row, else as ``_read_bounds`` reads it), keep n.(x, y) below
-    float t?  ``same`` is their tightest bound with normal n (None: none).
-    Decided exactly, without an intersection.
+    """Do rows that meet, with tightest bound ``mins[k]`` for
+    ``plan.normals[k]`` (None: no row, else as ``InequalitySystem._read``
+    reads it), keep n.(x, y) below float t?  ``same`` is their tightest
+    bound with normal n (None: none).  Decided exactly, without an
+    intersection.
 
     By 2-D LP duality an optimum needs at most two active rows, so the rows
     keep the left side below t iff their tightest row with normal n does, or
@@ -967,9 +948,8 @@ def vertices2d(sys: InequalitySystem, tol: float = TOL) -> Polytope2D:
     region = relaxed._plane_region
     if region.rays:
         raise UnboundedRegionError("region is unbounded; cannot enumerate vertices")
-    lines = sys._lines
-    rows = [min((k for k, line in enumerate(lines) if line[:2] == e[:2]),
-                key=lambda k: lines[k][2]) for e in region.edges]
+    plan, lines = sys._plan, sys._lines
+    rows = [min(plan.groups[plan.index[e[:2]]], key=sys._read.__getitem__) for e in region.edges]
     pts: list[tuple[float, float]] = []
     for i, j in sorted((min(a, b), max(a, b)) for a, b in zip(rows, rows[1:] + rows[:1])):
         x, y = _meet(lines[i], lines[j])

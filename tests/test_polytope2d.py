@@ -1,9 +1,11 @@
 """Differential and property tests for the 2-variable polytope path.
 
 Over two variables, contains, implies, remove_redundant and free
-lp_feasible answer from one half-plane intersection.  The reference is the
-Fourier-Motzkin oracle (``fm_oracle``) on the same system lifted to three
-variables with z <= 0 and -z <= 0, which the library refuses to ask.
+lp_feasible answer off the system's plan and tightest bounds (the lowest
+corner, the duality certificate), and build a half-plane intersection only
+where neither answers.  The reference is the Fourier-Motzkin oracle
+(``fm_oracle``) on the same system lifted to three variables with z <= 0
+and -z <= 0, which the library refuses to ask.
 
 The engine answers every 2-variable system on one path, off its plan and
 its bounds (the corner, the deletion filter, the per-normal containment
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rrkit import polytope
@@ -247,8 +249,13 @@ def test_an_empty_inner_is_contained_without_a_probe(monkeypatch):
 
 
 def _exact_greedy_is_clear(s, tol) -> bool:
-    """No decision along the exact greedy path is within MARGIN_BAND (ties allowed)."""
+    """No decision along the exact greedy path is within MARGIN_BAND (ties
+    allowed).  A system empty at tol 0 but feasible within tol is reduced as
+    its rows with every bound raised by tol, so those are the rows walked."""
     alive = list(s.rows)
+    raised = [Halfspace(r.coeffs, r.bound + tol, r.label) for r in alive]
+    if tol > 0 and not _nonempty(_exact(alive)) and _nonempty(_exact(raised)):
+        alive = raised
     i = 0
     while i < len(alive):
         rest = alive[:i] + alive[i + 1:]
@@ -393,6 +400,17 @@ def test_thm4_intersects_only_for_witnesses(monkeypatch):
         "e4d6e3e03f93b28bcdf37c98411256fa06a4b9ecf79e6263d49b97a69dce82f9"
 
 
+def test_corollary2_4_intersects_nowhere(monkeypatch):
+    """Over 200 corollary2-4 samples, ``implies`` decides whether each listed
+    rate-pair row is redundant off the plan and the tightest bounds: no
+    half-plane intersection is built, and the report passes."""
+    calls, region = [], polytope._region
+    monkeypatch.setattr(polytope, "_region", lambda lines: calls.append(1) or region(lines))
+    report = run_check("corollary2-4", 200, 1001)
+    assert report.passed
+    assert calls == []
+
+
 # --- the lowest corner of a monotone system ---------------------------------------------
 
 MONOTONE_NORMALS = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (0, 0)]
@@ -445,8 +463,15 @@ def test_the_lowest_corner_is_the_intersection_verdict(s, general):
     assert verdict in (None, bool(polytope._region(general._lines).edges))
 
 
+# Empty at tol 0 and feasible within 1e-9: reduced as its raised rows, where
+# 3x+2y's threshold 2e-9 + 1e-9 rounds just past the rest's maximum 3e-9.
+RAISED_NEAR_TIE = system(VARS, [make_row((3, 2), 1e-9, "r0"), make_row((1, 1), 0.0, "r1"),
+                                make_row((0, -1), -1e-9, "low0"), make_row((-1, 0), 0.0, "low1")])
+
+
 @SETTINGS
 @given(monotone_systems(), st.one_of(monotone_systems(), systems(max_rows=4)))
+@example(RAISED_NEAR_TIE, RAISED_NEAR_TIE)
 def test_monotone_answers_agree_with_the_intersection_and_fm(s, other):
     base = _exact(s.rows)
     for tol in TOLS:
@@ -478,6 +503,25 @@ def test_contains_gives_the_intersection_answer_on_any_inner(inner, outer):
     inner's intersection row by row."""
     for tol in TOLS:
         assert contains(outer, inner, tol) == _intersected_contains(outer, inner, tol)
+
+
+WILD_BOUNDS = [1e308, -1e308, math.inf, -math.inf, math.nan]
+WILD_NORMALS = MONOTONE_NORMALS + [(-1, 0), (0, -1), (1, -1), (1 << 20, 1)]
+WILD_ROWS = st.tuples(st.sampled_from(WILD_NORMALS), st.sampled_from(WILD_BOUNDS))
+
+
+@SETTINGS
+@given(st.one_of(systems(), big_normal_systems(), monotone_systems()), systems(max_rows=4),
+       st.lists(WILD_ROWS, max_size=3),
+       st.sampled_from(TOLS + (0.5, 1.7e308)))
+def test_implies_gives_the_intersection_answer(s, other, wild, tol):
+    """implies decides a row as contains decides one outer row: the answer,
+    or the error, is the one read off the system's intersection, for rows
+    whose bounds are 1e308 or not finite too (a constant row's among them)."""
+    asked = [make_row(n, bound, "wild") for n, bound in wild]
+    for row in [*other.rows, *asked, *(Halfspace((0, 0), bound, "c") for bound in WILD_BOUNDS)]:
+        assert _outcome(lambda: implies(s, row, tol)) == \
+            _outcome(lambda: _intersected_contains(system(VARS, [row]), s, tol)[0])
 
 
 def test_the_lowest_corner_reads_unreadable_bounds_as_the_intersection_does():
@@ -736,7 +780,7 @@ def test_answers_do_not_depend_on_what_was_asked_before(s, other):
         for name in order + order:  # the second round reads only the kept region
             assert QUESTIONS[name](kept, other) == expected[name], name
     lp_feasible(s)
-    implies(s, PROBES[1])  # the lowest corner answers lp_feasible; a probe intersects
+    s._plane_region  # the lowest corner answers lp_feasible; the copy carries a region too
     assert "_meets" in vars(s) and "_plane_region" in vars(s)
     copy = pickle.loads(pickle.dumps(s))
     for name, ask in QUESTIONS.items():
