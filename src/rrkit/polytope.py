@@ -37,9 +37,8 @@ and those bounds, with one path per question:
 - feasibility within tol has one reader (``_relaxed``): the rows, or, where
   they do not meet, their copy with every bound raised by tol;
 - redundancy removal (``_greedy_2d``) drops a row iff the rest of the rows
-  still alive does not meet or keeps it; while a monotone system's alive
-  rows do not meet it is a deletion filter (a rest meets iff no other alive
-  row fails at the lowest corner).
+  still alive does not meet or keeps it; while they do not meet, a rest of
+  a monotone system is read off its own lowest corner (``_rest_meets``).
 The exact half-plane intersection (``_region``) is built only where no
 corner or certificate answers: whether a system that is not monotone meets
 and, until its rows meet, each rest of it; each rest of a system with a
@@ -127,20 +126,6 @@ def make_row(coeffs, bound: float, label: str = "") -> Halfspace:
     return Halfspace(c, float(bound) * scale, label)
 
 
-class _cached:
-    """``functools.cached_property`` without the lock Python 3.11 takes on
-    each first read (about 1 us a read; a system is read a few times)."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class InequalitySystem:
     """An ordered bundle of halfspaces over named rate variables."""
@@ -168,17 +153,17 @@ class InequalitySystem:
         except ValueError:
             raise VariableMismatchError(f"no variable {var!r} in {self.variables}") from None
 
-    @_cached
+    @functools.cached_property
     def _plan(self) -> "_PlanePlan":
         """A 2-variable system's ``_plane_plan``, unless its maker attached it."""
         return _plane_plan(tuple(r.coeffs for r in self.rows))
 
-    @_cached
+    @functools.cached_property
     def _bounds(self) -> list:
         """The rows' bounds, in order."""
         return [r.bound for r in self.rows]
 
-    @_cached
+    @functools.cached_property
     def _read(self) -> list:
         """A 2-variable system's bounds as every 2-D question reads them:
         the float bounds where every normal entry is below ``_SMALL`` and
@@ -189,18 +174,18 @@ class InequalitySystem:
             return b
         return [_canon(n, x)[2] for n, x in zip(plan.rows, b)]
 
-    @_cached
+    @functools.cached_property
     def _mins(self) -> list:
         """A 2-variable system's tightest bound per normal of its plan."""
         b = self._read
         return [min(map(b.__getitem__, rows)) for rows in self._plan.groups]
 
-    @_cached
+    @functools.cached_property
     def _lines(self) -> list:
         """A 2-variable system's rows as canonical lines (p, q, beta), in order."""
         return [(*n, beta) for n, beta in zip(self._plan.rows, self._read)]
 
-    @_cached
+    @functools.cached_property
     def _meets(self) -> bool:
         """Do a 2-variable system's rows meet?  Where ``_region`` takes a
         monotone system's tightest bounds (``_roomy``) its lowest corner
@@ -214,7 +199,7 @@ class InequalitySystem:
             return not _corner_fails(plan.rows, b, plan.checked, *plan.lower)
         return bool(self._plane_region.edges)
 
-    @_cached
+    @functools.cached_property
     def _plane_region(self) -> "_Region":
         """The half-plane intersection of a 2-variable system's rows, built
         once: every 2-D question the lowest corner does not settle reads it."""
@@ -867,26 +852,33 @@ def _reach(region: _Region, coeffs, bound: float):
     return None
 
 
+def _rest_meets(sys: InequalitySystem, rest: list, corner: bool) -> bool:
+    """Do the rows ``rest`` of 2-variable sys meet?  Where the corner
+    answers for every rest (``corner``: sys is monotone and ``_roomy``)
+    the rest's own lowest corner does (``_corner_fails``), else the rest is
+    intersected, which raises past the box unless a constant row of the
+    rest fails."""
+    if corner:
+        plan = sys._plan
+        lows = [[r for r in rest if r in rows] for rows in plan.lower]
+        checked = _corner_rows(plan.rows, rest, *map(bool, lows))
+        return not _corner_fails(plan.rows, sys._read, checked, *lows)
+    lines = [sys._lines[r] for r in rest]
+    return _tight_lines(lines)[1] and bool(_region(lines).edges)
+
+
 def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
     """remove_redundant's greedy rule: a row is dropped iff the rest of the
-    rows still alive does not meet or keeps it (``_kept``).
+    rows still alive does not meet (``_rest_meets``) or keeps it (``_kept``).
 
     While the alive rows meet, every rest of them meets too, and a row is
     kept below by the rest iff by the tightest other row of its normal or a
     bracketing pair (``_brackets``): the tightest bounds change only where a
-    row goes.  Until then, on a monotone system, it is a deletion filter: a
-    rest meets iff no other alive row fails at the lowest corner, and the
-    rows that fail there change only where a lower-bound row goes.  Where
-    no corner answers (not monotone, or a bound past the box: ``_roomy``)
-    the rest is intersected, which raises past the box unless a constant
-    row of the rest fails."""
+    row goes."""
     plan, b, bounds = sys._plan, sys._read, sys._bounds
     normals, groups, index = plan.rows, plan.groups, plan.index
     meet = sys._meets  # do the rows still alive meet?
     corner = plan.monotone and _roomy(plan, b)  # the corner answers for every rest
-    fails = set() if meet or not plan.monotone else set(
-        _corner_fails(normals, b, plan.checked, *plan.lower))
-    lows = plan.lower  # the lower-bound rows alive
     mins = list(sys._mins)  # the tightest bound per normal of the rows alive
     alive, dead = list(range(len(b))), set()
     i = 0
@@ -901,20 +893,9 @@ def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
         else:  # j is the tightest: the next one
             same = min([b[r] for r in groups[k] if r != j and r not in dead],
                        default=None) if len(groups[k]) > 1 else None
-        rest_meets, rest_fails, rest_lows = True, fails, lows  # fails is empty once they meet
-        if not meet and plan.monotone:
-            if n in _LOWER:  # the rest's corner is lower: some failing rows may hold
-                rest_lows = [[r for r in rows if r != j] for rows in lows]
-                rest_fails = set(_corner_fails(
-                    normals, b, _corner_rows(normals, fails, *map(bool, rest_lows)), *rest_lows))
-            elif j in fails:
-                rest_fails = fails - {j}
-            rest_meets = not rest_fails
-        if not (meet or corner):
-            rest = [sys._lines[r] for r in alive if r != j]
-            rest_meets = _tight_lines(rest)[1] and bool(_region(rest).edges)
+        rest_meets = meet or _rest_meets(sys, alive[:i] + alive[i + 1:], corner)
         if not rest_meets or _kept(plan, mins, n, bounds[j] + tol, same):
-            meet, fails, lows = rest_meets, rest_fails, rest_lows
+            meet = rest_meets
             if k is not None:
                 mins[k] = same
             dead.add(j)

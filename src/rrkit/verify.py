@@ -155,8 +155,11 @@ def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: f
     sliver; those one-sided divergences are witnessed under
     details.infeasible_source instead of failing the check.
     details.empty_projection counts the samples whose projection is empty
-    (their containments hold vacuously), and details.dropped_projection_rows
-    how often each projection row was redundant on an equivalent sample."""
+    (their containments hold vacuously).  Only an equivalent sample whose
+    projection is feasible within tol is reduced: details.dropped_projection_rows
+    counts how often each projection row was redundant there, and
+    details.reduced_row_count.max is the most rows one kept.  An empty
+    projection adds nothing to the union over inputs, so it is not reduced."""
     fam = regions._FAMILIES[family]
     d, draw = _draw(fam.form, seed, index)
     consts = regions.constants_for(d, family)
@@ -176,6 +179,8 @@ def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: f
     projection_empty = not lp_feasible(raw, tol=tol_polytope)
     tally = {"empty_projection": int(projection_empty), "dropped_projection_rows": Counter()}
     if not problems:
+        if projection_empty:  # adds nothing to the union: no row of it to reduce
+            return _result(draw, True, 0.0, "", tally=tally)
         reduced = remove_redundant(raw, tol_polytope)
         kept = {x.label for x in reduced.rows}
         tally["dropped_projection_rows"] = Counter(r.label for r in raw.rows

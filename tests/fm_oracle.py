@@ -1,29 +1,64 @@
 """Yes/no Fourier-Motzkin (FM) answers to the free polytope questions over
-any number of variables, built only on ``polytope.fm_eliminate`` and row
-arithmetic: the reference for the library's 2-variable answers.  Feasible
-within tol: the rows with every bound raised by tol leave no constant row
-below 0 once every variable is eliminated, cheapest first.  ``implies``
-probes, exactly, the system with the row's negation relaxed by tol."""
+any number of variables, decided exactly: the reference for the library's
+2-variable answers.  Each float bound, and each float ``bound + tol``, is
+read as the exact ``Fraction`` it stores, as ``polytope._side`` reads it,
+and eliminated by this module's own loop (not ``polytope.fm_eliminate``),
+so a tie stays a tie.  Feasible within tol: the rows with every bound raised
+by tol leave no constant row below 0 once every variable is eliminated,
+cheapest first.  ``implies`` probes the system with the row's negation at
+``bound + tol``."""
 
-from rrkit.polytope import TOL, Halfspace, fm_eliminate
+import math
+from fractions import Fraction
+
+from rrkit.polytope import TOL, Halfspace
 
 
 def _raised(s, tol):
     return s.with_rows(Halfspace(r.coeffs, r.bound + tol, r.label) for r in s.rows)
 
 
+def _exact(rows, tol):
+    """The rows as (integer coefficients, the exact value of float bound + tol)."""
+    return [(tuple(map(int, r.coeffs)), Fraction(r.bound + tol)) for r in rows]
+
+
+def _eliminate(rows, k):
+    """Variable k out of exact rows: the rows without it, and each upper
+    bound row paired with each lower; of the rows with one primitive
+    coefficient vector the tightest is kept."""
+    out = [row for row in rows if not row[0][k]]
+    uppers = [row for row in rows if row[0][k] > 0]
+    lowers = [row for row in rows if row[0][k] < 0]
+    out += [(tuple(-lo[k] * a + up[k] * b for a, b in zip(up, lo)), -lo[k] * bu + up[k] * bl)
+            for up, bu in uppers for lo, bl in lowers]
+    tight = {}
+    for cs, b in out:
+        g = math.gcd(*cs) or 1
+        cs, b = tuple(c // g for c in cs), b / g
+        if cs not in tight or b < tight[cs]:
+            tight[cs] = b
+    return list(tight.items())
+
+
+def _feasible(rows, n) -> bool:
+    left = list(range(n))
+    while left:
+        pairs = lambda k: sum(cs[k] > 0 for cs, _ in rows) * sum(cs[k] < 0 for cs, _ in rows)
+        k = min(left, key=pairs)
+        rows = _eliminate(rows, k)
+        left.remove(k)
+    return all(b >= 0 for _, b in rows)
+
+
 def feasible(s, tol=TOL) -> bool:
-    s = _raised(s, tol)
-    pairs = {v: sum(r.coeffs[k] > 0 for r in s.rows) * sum(r.coeffs[k] < 0 for r in s.rows)
-             for k, v in enumerate(s.variables)}
-    for v in sorted(s.variables, key=pairs.get):
-        s = fm_eliminate(s, v)
-    return all(r.bound >= 0 for r in s.rows)
+    return _feasible(_exact(s.rows, tol), len(s.variables))
 
 
 def implies(s, row, tol=TOL) -> bool:
-    negation = Halfspace(tuple(-c for c in row.coeffs), -(row.bound + tol), f"not:{row.label}")
-    return not feasible(s.with_rows(s.rows + (negation,)), 0.0)
+    (coeffs, t), = _exact([row], tol)
+    negation = (tuple(-c for c in coeffs), -t)
+    return not _feasible(_exact(s.rows, 0.0) + [negation], len(s.variables))
 
 
 def contains(outer, inner, tol=TOL) -> bool:

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from rrkit.prob import FORMS, compose, sample_distribution, sample_factors
 from rrkit import regions as R
 from rrkit.measures import TermTable, entropy
-from rrkit.polytope import contains, fm_eliminate
+from rrkit.polytope import TOL, contains, fm_eliminate, lp_feasible, remove_redundant
 from rrkit import verify as V
 
 import fm_oracle
@@ -37,7 +38,20 @@ def test_equivalence_reports_count_empty_projections():
     r4 = V.run_check("thm4", N, 5)
     r6 = V.run_check("thm6", N, 5)
     assert (r4.details["empty_projection"], r6.details["empty_projection"]) == (8, 3)
-    assert r4.details["dropped_projection_rows"]["10-11"] == N
+    # an empty projection is not reduced: the tallies count the others only
+    assert r4.details["dropped_projection_rows"] == {}
+    assert "reduced_row_count" not in r4.details
+    dropped, most = Counter(), 0  # thm6 passes, so each of its samples is equivalent
+    for index in range(N):
+        d = V._draw(R._FAMILIES["hod1"].form, 5, index)[0]
+        raw = R.ratepair_projection(R.constants_for(d, "hod1"))
+        if lp_feasible(raw, tol=TOL):
+            kept = {r.label for r in remove_redundant(raw, TOL).rows}
+            dropped.update(r.label for r in raw.rows if r.label not in kept)
+            most = max(most, len(kept))
+    assert r6.passed and most
+    assert r6.details["dropped_projection_rows"] == dict(sorted(dropped.items()))
+    assert r6.details["reduced_row_count"] == {"max": float(most)}
 
 
 def test_corollary1_check_passes():
@@ -257,8 +271,8 @@ def test_thm4_both_empty_counts_as_equivalent():
 # when the report was still built field by field and the tolerance and
 # alphabet-size rules still had a copy per caller.
 RENAMED_FORM_REPORTS_SHA256 = {
-    "thm4": "39ce8f74caaef205ad0ae0224e5243438676ac52b340a3a5e3b7c3956d00f271",
-    "thm6": "ab1ff5030cada9a77850d72b57d4396bcbe04550217e32d7d058484d73e5794e",
+    "thm4": "0973173809dfea99f3e610dde4a260fb62df2e410648a240d16ac46575eb032c",
+    "thm6": "35f93a31248bb985b388230ae873d3920ed384c0cab08860ea23caaca559ed26",
     "corollary1": "0395c580719251e3f485d1ecef7fbb783061c45b7d91f249ed8577385ac20806",
     "corollary2-4": "c51fb4f44add7c61c605f0c36adb80e8ea1e9839a99d442d4f37238ae9a87c10",
     "corollary3": "d29febe5816d29aca0d597866c53f1bb1ce7c7b09237aeda15b2e2b6bd1d46f9",
