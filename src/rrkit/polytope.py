@@ -3,7 +3,10 @@
 Rows are a.r <= b with primitive integer coefficient vectors (gcd 1) and
 floating bounds.  Provides Fourier-Motzkin elimination, substitution, a point
 test, and, over two variables, free feasibility, redundancy removal,
-containment with witness points, and vertex enumeration.
+containment with witness points, and vertex enumeration.  Every question
+reads a system's columns (coefficient vectors, bounds, labels), which a
+user's system takes from its rows; a system made here or in ``regions``
+(``_built``) has its columns preset and makes its rows on first read.
 
 Every region the catalogue compares is a rate-pair region, so the free
 questions (feasibility without a point, implication, containment,
@@ -18,8 +21,8 @@ bounded cache): the rows per normal, the lower-bound rows -x <= b and
 -y <= b, the constant rows, whether the system is monotone (normals >= 0 in
 both entries, or lower bounds; every catalogued rate-pair system) and the
 pairs of normals that bracket each normal.  A system's maker attaches it
-(``regions`` per description, ``_project`` for the pattern it returns,
-``_raised`` from its source); any other system looks it up once.  Every
+(``regions`` per description, ``_raised`` from its source); any other
+system looks it up once.  Every
 question reads the bounds one way (``InequalitySystem._read``): as the
 float bounds where every normal entry is below ``_SMALL`` and every bound is
 finite, else row by row as ``_canon`` does (exact past ``_SMALL``,
@@ -55,10 +58,11 @@ set of integer normals, so they are compiled once per set.
 Elimination and substitution run in one loop (``_project``), which also
 projects a catalogued system to the rate pair (``regions.project_to_ratepair``).
 Each step takes its integer work from a plan built from the coefficient
-vectors alone (which rows combine, with what multipliers, and each new row's
-primitive coefficients and scale) and cached by that pattern (a bounded
-cache); per call it computes only the float bounds, merges each elimination's
-rows (``_tightest``, the one merge rule) and labels the rows left.
+vectors alone (which rows combine, with what multipliers, each new row's
+primitive coefficients and scale, and an elimination's merge: the new rows
+grouped by coefficient vector and its constant rows; ``_fm_plan``) and
+cached by that pattern (a bounded cache); per call it computes only the
+float bounds, keeps each group's first minimum and labels the rows left.
 
 Coefficient arithmetic is exact integer arithmetic.  ``make_row`` scales
 rational input (floats, fractions.Fraction, numeric strings) to primitive
@@ -75,6 +79,7 @@ same bits on every Python version.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections import deque
@@ -128,7 +133,8 @@ def make_row(coeffs, bound: float, label: str = "") -> Halfspace:
 
 @dataclass(frozen=True)
 class InequalitySystem:
-    """An ordered bundle of halfspaces over named rate variables."""
+    """An ordered bundle of halfspaces over named rate variables; a system
+    ``_built`` from its columns makes its rows on first read."""
 
     variables: tuple[str, ...]
     rows: tuple[Halfspace, ...]
@@ -144,6 +150,14 @@ class InequalitySystem:
             _check_primitive(r)
             _check_bound(r)
 
+    def __getattr__(self, name):
+        """The rows of a system ``_built`` from its columns, zipped on first read."""
+        if name != "rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = self.__dict__["rows"] = tuple(map(Halfspace._make, zip(
+            self._coeffs, self._bounds, self._labels)))
+        return rows
+
     def with_rows(self, rows) -> "InequalitySystem":
         return InequalitySystem(self.variables, tuple(rows))
 
@@ -154,14 +168,24 @@ class InequalitySystem:
             raise VariableMismatchError(f"no variable {var!r} in {self.variables}") from None
 
     @functools.cached_property
-    def _plan(self) -> "_PlanePlan":
-        """A 2-variable system's ``_plane_plan``, unless its maker attached it."""
-        return _plane_plan(tuple(r.coeffs for r in self.rows))
+    def _coeffs(self) -> tuple:
+        """The rows' coefficient vectors, in order."""
+        return tuple(r.coeffs for r in self.rows)
 
     @functools.cached_property
     def _bounds(self) -> list:
         """The rows' bounds, in order."""
         return [r.bound for r in self.rows]
+
+    @functools.cached_property
+    def _labels(self) -> list:
+        """The rows' labels, in order."""
+        return [r.label for r in self.rows]
+
+    @functools.cached_property
+    def _plan(self) -> "_PlanePlan":
+        """A 2-variable system's ``_plane_plan``, unless its maker attached it."""
+        return _plane_plan(self._coeffs)
 
     @functools.cached_property
     def _read(self) -> list:
@@ -229,12 +253,14 @@ def system(variables, rows) -> InequalitySystem:
     return InequalitySystem(tuple(variables), tuple(rows))
 
 
-def _built(variables: tuple, rows: tuple, **known) -> InequalitySystem:
-    """A system over rows known to pass ``__post_init__`` (derived here,
-    compiled by a plan, or taken from a checked system), without its checks;
-    ``known`` presets cached properties (``_plan``, ``_bounds``)."""
+def _built(variables: tuple, coeffs: tuple, bounds: list, labels, **known) -> InequalitySystem:
+    """A system over columns whose rows are known to pass ``__post_init__``
+    (derived here, compiled by a plan, or taken from a checked system),
+    without its checks and without rows until they are read; ``known``
+    presets other cached properties (``_plan``)."""
     s = object.__new__(InequalitySystem)
-    s.__dict__.update(variables=variables, rows=rows, **known)
+    s.__dict__.update(variables=variables, _coeffs=coeffs, _bounds=bounds, _labels=labels,
+                      **known)
     return s
 
 
@@ -254,43 +280,29 @@ def nonnegativity_rows(variables) -> list[Halfspace]:
             for i, v in enumerate(variables)]
 
 
-def _tightest(coeff_rows, bounds) -> list[int]:
-    """Elimination's merge rule, on rows given as coefficient vectors and
-    bounds: the indices of the rows kept, in order.  A vacuous constant row
-    (bound >= 0, -0.0 included) is dropped; of the rows sharing a coefficient
-    vector the tightest is kept, the first on a tie, in the place of the
-    first of them not dropped."""
-    best: dict[Coeffs, int] = {}  # a replaced row keeps its first place
-    for i, cs in enumerate(coeff_rows):
-        b = bounds[i]
-        if b >= 0.0 and not any(cs):
-            continue
-        old = best.get(cs)
-        if old is None or b < bounds[old]:
-            best[cs] = i
-    return list(best.values())
-
-
 _PLANS = 128  # elimination and substitution plans kept per kind; probe
              # systems and user systems are arbitrary, so the caches are bounded
 
 
 class _Step(NamedTuple):
     """The integer work of one Fourier-Motzkin step, in the order its rows
-    are emitted: kept rows first, then pairs."""
+    are emitted: kept rows first, then pairs; and the merge of its rows."""
 
     variables: tuple  # the variables left
     kept: tuple  # (i, scale): row i without the variable
     pairs: tuple  # (i, j, mi, mj, scale): mi times upper row i plus mj times lower row j
     coeffs: tuple  # each new row's primitive coefficients
     sources: tuple  # each new row's input rows: i, or (i, j) for a pair
+    groups: tuple  # the new rows per nonzero coefficient vector, in order of first use
+    constants: tuple  # the new constant rows
 
 
 @functools.lru_cache(maxsize=_PLANS)
 def _fm_plan(variables: tuple, coeff_rows: tuple, var: str) -> _Step:
     """Eliminating ``var`` from rows with these coefficient vectors: each
     upper bound row paired with each lower, ``scale`` the factor
-    ``_primitive`` gives for the new coefficients."""
+    ``_primitive`` gives for the new coefficients; the new rows grouped by
+    coefficient vector for the merge (``_project``)."""
     k = variables.index(var)
     drop = lambda cs: cs[:k] + cs[k + 1:]
     uppers, lowers, kept, coeffs = [], [], [], []
@@ -315,8 +327,13 @@ def _fm_plan(variables: tuple, coeff_rows: tuple, var: str) -> _Step:
                                                 for a, b in zip(drop(up), drop(lo))))
             pairs.append((i, j, float(cl), float(cu), scale))
             coeffs.append(primitive)
+    groups: dict = {}
+    for i, cs in enumerate(coeffs):
+        groups.setdefault(cs, []).append(i)
+    constants = tuple(groups.pop((0,) * len(coeffs[0]), ())) if coeffs else ()
     return _Step(drop(variables), tuple(kept), tuple(pairs), tuple(coeffs),
-                 tuple(i for i, _ in kept) + tuple(p[:2] for p in pairs))
+                 tuple(i for i, _ in kept) + tuple(p[:2] for p in pairs),
+                 tuple(map(tuple, groups.values())), constants)
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -345,11 +362,12 @@ def _project(sys: InequalitySystem, substitutions, eliminations) -> InequalitySy
 
     The integer work comes from the plans, cached by coefficient pattern;
     per call only the bounds are computed, each step's rows are merged by
-    ``_tightest`` and ``fm:{a+b}`` labels are written for the rows left."""
-    variables, rows = sys.variables, sys.rows
-    coeff_rows = tuple(r.coeffs for r in rows)
-    bounds = [r.bound for r in rows]
-    labels = [r.label for r in rows]
+    its plan and ``fm:{a+b}`` labels are written for the rows left.  The
+    merge keeps the tightest row of each group, the first on a tie, in the
+    place of the group's first row.  A constant row with bound >= 0 (-0.0
+    included) is dropped; the tightest of the others is kept in the place
+    of the first of them."""
+    variables, coeff_rows, bounds, labels = sys.variables, sys._coeffs, sys._bounds, sys._labels
     for var, expr in substitutions:
         variables, coeff_rows, scales = _substitution_plan(variables, coeff_rows, var,
                                                            tuple(expr.items()))
@@ -358,15 +376,21 @@ def _project(sys: InequalitySystem, substitutions, eliminations) -> InequalitySy
         step = _fm_plan(variables, coeff_rows, var)
         out = [bounds[i] * scale for i, scale in step.kept]
         out += [(mi * bounds[i] + mj * bounds[j]) * scale for i, j, mi, mj, scale in step.pairs]
-        keep = _tightest(step.coeffs, out)
+        keep = []
+        for group in step.groups:  # its first minimum, as min() takes it (a loop is faster)
+            best = group[0]
+            for i in group:
+                best = i if out[i] < out[best] else best
+            keep.append(best)
+        if low := [i for i in step.constants if not out[i] >= 0.0]:
+            at = bisect.bisect(step.groups, (low[0],))  # the groups sort by their first rows
+            keep.insert(at, min(low, key=out.__getitem__))
         bounds = [out[r] for r in keep]
         labels = [labels[src] if src.__class__ is int
                   else f"fm:{{{labels[src[0]]}+{labels[src[1]]}}}"
                   for src in map(step.sources.__getitem__, keep)]
         variables, coeff_rows = step.variables, tuple(map(step.coeffs.__getitem__, keep))
-    known = {"_plan": _plane_plan(coeff_rows), "_bounds": bounds} if len(variables) == 2 else {}
-    return _built(variables, tuple(tuple.__new__(Halfspace, row)
-                                   for row in zip(coeff_rows, bounds, labels)), **known)
+    return _built(variables, coeff_rows, bounds, labels)
 
 
 def fm_eliminate(sys: InequalitySystem, var: str) -> InequalitySystem:
@@ -417,8 +441,8 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
         if len(point) != len(sys.variables):
             raise VariableMismatchError(
                 f"point has {len(point)} entries for {len(sys.variables)} variables")
-        return all(_left_sum(float(c) * x for c, x in zip(r.coeffs, point)) <= r.bound + tol
-                   for r in sys.rows)
+        return all(_left_sum(float(c) * x for c, x in zip(cs, point)) <= b + tol
+                   for cs, b in zip(sys._coeffs, sys._bounds))
     _check_plane(sys)
     return _relaxed(sys, tol)._meets
 
@@ -429,10 +453,8 @@ def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
         return sys
     copies = sys.__dict__.setdefault("_raised", {})  # outside __eq__ and repr
     if tol not in copies:
-        bounds = [r.bound + tol for r in sys.rows]
-        copies[tol] = _built(sys.variables, tuple(
-            tuple.__new__(Halfspace, (r.coeffs, bound, r.label))
-            for r, bound in zip(sys.rows, bounds)), _plan=sys._plan, _bounds=bounds)
+        copies[tol] = _built(sys.variables, sys._coeffs, [b + tol for b in sys._bounds],
+                             sys._labels, _plan=sys._plan)
     return copies[tol]
 
 
@@ -488,9 +510,9 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
         raise VariableMismatchError(
             f"systems over different variables: {outer.variables} vs {inner.variables}")
     _check_tol(tol)
-    if not outer.rows:
+    if not outer._coeffs:
         return True, None
-    _check_plane(inner, outer.rows[0].coeffs)  # as the first probe would
+    _check_plane(inner, outer._coeffs[0])  # as the first probe would
     if not inner._meets:
         return True, None
     plan, mins, b = inner._plan, inner._mins, outer._bounds
@@ -530,7 +552,8 @@ def remove_redundant(sys: InequalitySystem, tol: float = TOL) -> InequalitySyste
     _check_tol(tol)
     _check_plane(sys)
     keep = _greedy_2d(_relaxed(sys, tol), tol)
-    return _built(sys.variables, tuple(sys.rows[k] for k in keep))
+    pick = lambda column: [column[k] for k in keep]
+    return _built(sys.variables, tuple(pick(sys._coeffs)), pick(sys._bounds), pick(sys._labels))
 
 
 # --- 2-variable systems: one exact half-plane intersection -------------------

@@ -25,9 +25,9 @@ tuple of them (an empty tuple drops it): ``EQ14_UFORM`` with U1 -> X1, U2 -> X2;
 U1 -> U1b, W1 -> (W1, U1a); the budget rows with S2 -> s2, T2 -> t2.
 
 Catalogued systems have fixed integer coefficients; only their bounds
-depend on the joint.  So each description's rows (primitive coefficients
-and scales) are compiled once, on first use, and ``build_system`` computes
-only the float bounds per joint.  ``ratepair_projection`` is
+depend on the joint.  So each description's rows (primitive coefficients,
+scales, labels) are compiled once, on first use, and ``build_system``
+computes only the float bounds per joint (rows on first read).  ``ratepair_projection`` is
 ``project_to_ratepair`` of a family's own system, which runs
 ``polytope``'s one elimination loop on the steps ``_TO_RATEPAIR`` names.
 
@@ -51,8 +51,8 @@ import functools
 from dataclasses import dataclass, field, replace
 
 from .measures import InfoTerm, TermTable
-from .polytope import (Halfspace, InequalitySystem, _built, _plane_plan, _primitive, _project,
-                       make_row, nonnegativity_rows)
+from .polytope import (InequalitySystem, _built, _plane_plan, _primitive, _project, make_row,
+                       nonnegativity_rows)
 from .prob import FORMS, JointDistribution, ModelError, validate_factorization
 
 CONSTANT_REJECT_TOL = 1e-6  # factorization violation above this rejects the input
@@ -419,36 +419,34 @@ _SYSTEMS = {
 
 @functools.cache
 def _row_plan(description: str) -> tuple:
-    """A catalogued description compiled once: its variables, then per row
-    (label, primitive coefficients, scale, constant labels), then its
-    -x <= 0 rows, then for a rate-pair system the rows' ``_plane_plan``
-    (else None)."""
+    """A catalogued description compiled once: its variables, its rows'
+    primitive coefficients and labels (its -x <= 0 rows last), each
+    catalogued row's scale and constant labels, and the cached properties
+    its systems preset (a rate-pair system's ``_plane_plan``)."""
     variables, rows = _SYSTEMS[description][1:]
-    plan = tuple((label, *_primitive(tuple(rates.get(v, 0) for v in variables)),
-                  tuple(combo)) for label, rates, combo in rows)
-    nonnegative = tuple(nonnegativity_rows(variables))
-    plane = (_plane_plan(tuple(r[1] for r in plan) + tuple(r.coeffs for r in nonnegative))
-             if len(variables) == 2 else None)
-    return variables, plan, nonnegative, plane
+    scaled = [_primitive(tuple(rates.get(v, 0) for v in variables)) for _, rates, _ in rows]
+    nonnegative = nonnegativity_rows(variables)
+    coeffs = tuple(cs for cs, _ in scaled) + tuple(r.coeffs for r in nonnegative)
+    labels = tuple(label for label, _, _ in rows) + tuple(r.label for r in nonnegative)
+    sums = tuple((scale, tuple(combo)) for (_, scale), (_, _, combo) in zip(scaled, rows))
+    known = {"_plan": _plane_plan(coeffs)} if len(variables) == 2 else {}
+    return variables, coeffs, labels, sums, known
 
 
 def _rows_system(constants: BoundConstants, description: str) -> InequalitySystem:
     """Each row bounds its rate vector by the sum of its constants, folded
     from the left from 0.0 as ``polytope._left_sum`` does (inline: it is
-    the hot loop); then -x <= 0."""
-    variables, plan, nonnegative, plane = _row_plan(description)
-    values, new = constants.values, tuple.__new__
-    rows, bounds = [], []
-    for label, coeffs, scale, combo in plan:  # the plan's rows are primitive
+    the hot loop); then -x <= 0.  Only the bounds are computed: the rows
+    are made when first read."""
+    variables, coeffs, labels, sums, known = _row_plan(description)
+    values, bounds = constants.values, []
+    for scale, combo in sums:  # the plan's coefficients are primitive
         total = 0.0
         for k in combo:
             total += values[k]
         bounds.append(total * scale)
-        rows.append(new(Halfspace, (coeffs, bounds[-1], label)))
-    rows = tuple(rows) + nonnegative
-    if plane is None:
-        return _built(variables, rows)
-    return _built(variables, rows, _plan=plane, _bounds=bounds + [r.bound for r in nonnegative])
+    bounds += [0.0] * (len(coeffs) - len(sums))
+    return _built(variables, coeffs, bounds, labels, **known)
 
 
 def build_system(constants: BoundConstants, description: str) -> InequalitySystem:

@@ -32,7 +32,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import prob, regions
-from .polytope import (TOL, InequalitySystem, _check_tol, contains, fm_eliminate,
+from .polytope import (TOL, InequalitySystem, _check_tol, _left_sum, contains, fm_eliminate,
                        implies, lp_feasible, remove_redundant)
 from .prob import FORMS, _check_samples, _check_stream, compose, sample_factors
 
@@ -103,10 +103,8 @@ def _result(draw, ok: bool, deviation: float, why: str, aggregate: dict | None =
 
 def _witness_deviation(sys: InequalitySystem, point) -> float:
     """Largest positive slack violation of the point against the system."""
-    worst = 0.0
-    for r in sys.rows:
-        worst = max(worst, sum(float(c) * x for c, x in zip(r.coeffs, point)) - r.bound)
-    return worst
+    return max([0.0] + [_left_sum(float(c) * x for c, x in zip(r.coeffs, point)) - r.bound
+                        for r in sys.rows])
 
 
 def _merge(check: str, samples: int, seed: int, tolerances: dict, results) -> RegionReport:

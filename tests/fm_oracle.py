@@ -6,12 +6,33 @@ and eliminated by this module's own loop (not ``polytope.fm_eliminate``),
 so a tie stays a tie.  Feasible within tol: the rows with every bound raised
 by tol leave no constant row below 0 once every variable is eliminated,
 cheapest first.  ``implies`` probes the system with the row's negation at
-``bound + tol``."""
+``bound + tol``.
+
+``_tightest`` is elimination's float merge rule as one scan over a dict of
+coefficient vectors: the reference for the merge ``polytope._fm_plan``
+compiles per pattern."""
 
 import math
 from fractions import Fraction
 
-from rrkit.polytope import TOL, Halfspace
+from rrkit.polytope import TOL, Coeffs, Halfspace
+
+
+def _tightest(coeff_rows, bounds) -> list[int]:
+    """Elimination's merge rule, on rows given as coefficient vectors and
+    bounds: the indices of the rows kept, in order.  A vacuous constant row
+    (bound >= 0, -0.0 included) is dropped; of the rows sharing a coefficient
+    vector the tightest is kept, the first on a tie, in the place of the
+    first of them not dropped."""
+    best: dict[Coeffs, int] = {}  # a replaced row keeps its first place
+    for i, cs in enumerate(coeff_rows):
+        b = bounds[i]
+        if b >= 0.0 and not any(cs):
+            continue
+        old = best.get(cs)
+        if old is None or b < bounds[old]:
+            best[cs] = i
+    return list(best.values())
 
 
 def _raised(s, tol):

@@ -333,7 +333,7 @@ def test_free_questions_refuse_a_row_outside_the_plane():
     with pytest.raises(VariableMismatchError, match="row of 3 coefficients"):
         implies(s, wide)
     with pytest.raises(VariableMismatchError, match="row of 3 coefficients"):
-        contains(_built(s.variables, (wide,)), s)
+        contains(_built(s.variables, (wide.coeffs,), [wide.bound], [wide.label]), s)
 
 
 def test_vertices_unit_square():
@@ -497,6 +497,57 @@ def test_rational_input_becomes_primitive_ints(rows, var, expr):
         for r in out.rows:
             assert all(type(c) is int for c in r.coeffs)
             assert math.gcd(*r.coeffs) <= 1
+
+
+# --- elimination's merge against the reference rule -------------------------
+
+VARS4 = ("w", "x", "y", "z")
+MERGE_BOUNDS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def merge_cases(draw):
+    """Rows over 2 to 4 variables with coefficients in [-2, 2], so that
+    coefficient vectors repeat and constant rows occur, with bounds that tie
+    (signed zeros, NaN and infinities among them); and the variables to
+    eliminate, in order."""
+    variables = VARS4[:draw(st.integers(2, 4))]
+    coeffs = st.just((0,) * len(variables)) | st.tuples(*[st.integers(-2, 2)] * len(variables))
+    rows = draw(st.lists(st.tuples(coeffs, MERGE_BOUNDS | st.floats(-2.0, 2.0)),
+                         min_size=1, max_size=10))
+    order = draw(st.permutations(variables))
+    return (system(variables, [make_row(c, b, f"r{i}") for i, (c, b) in enumerate(rows)]),
+            tuple(order[:draw(st.integers(1, len(order)))]))
+
+
+def _eliminated_by_the_reference(s, eliminations):
+    """Each elimination in turn, its rows made by ``make_row`` in
+    ``fm_eliminate``'s order (kept rows, then each upper row with each
+    lower) and merged by the oracle's ``_tightest``."""
+    variables, rows = s.variables, list(s.rows)
+    for var in eliminations:
+        k = variables.index(var)
+        drop = lambda cs: cs[:k] + cs[k + 1:]
+        out = [make_row(drop(r.coeffs), r.bound, r.label) for r in rows if not r.coeffs[k]]
+        out += [make_row([-lo.coeffs[k] * a + up.coeffs[k] * b
+                          for a, b in zip(drop(up.coeffs), drop(lo.coeffs))],
+                         float(-lo.coeffs[k]) * up.bound + float(up.coeffs[k]) * lo.bound,
+                         f"fm:{{{up.label}+{lo.label}}}")
+                for up in rows if up.coeffs[k] > 0 for lo in rows if lo.coeffs[k] < 0]
+        variables, rows = drop(variables), [out[i] for i in fm._tightest(
+            [r.coeffs for r in out], [r.bound for r in out])]
+    return variables, rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(merge_cases())
+def test_projection_merges_as_the_reference_rule(case):
+    from rrkit.polytope import _project
+    s, eliminations = case
+    variables, rows = _eliminated_by_the_reference(s, eliminations)
+    projected = _project(s, (), eliminations)
+    assert projected.variables == variables
+    assert [_fields(r) for r in projected.rows] == [_fields(r) for r in rows]
 
 
 def test_constant_row_handling():

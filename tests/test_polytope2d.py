@@ -601,9 +601,9 @@ def plan_systems(draw, monotone_only=False):
 def _carrying(s):
     """The rows of s as a system that carries its plan and bounds from its
     maker, as ``regions`` and ``_project`` build them."""
-    return polytope._built(s.variables, s.rows,
-                           _plan=polytope._plane_plan(tuple(r.coeffs for r in s.rows)),
-                           _bounds=[r.bound for r in s.rows])
+    coeffs = tuple(r.coeffs for r in s.rows)
+    return polytope._built(s.variables, coeffs, [r.bound for r in s.rows],
+                           [r.label for r in s.rows], _plan=polytope._plane_plan(coeffs))
 
 
 def _rebuilt(s):

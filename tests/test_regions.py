@@ -1,4 +1,5 @@
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -219,8 +220,8 @@ def test_build_system_catalogue_row_labels():
 def test_every_compiled_description_passes_the_checked_constructor():
     # _rows_system builds these systems without InequalitySystem's row checks
     for description in R._SYSTEMS:
-        variables, plan, nonnegative, _ = R._row_plan(description)
-        rows = tuple(Halfspace(coeffs, 1.0, label) for label, coeffs, _, _ in plan) + nonnegative
+        variables, coeffs, labels, _, _ = R._row_plan(description)
+        rows = tuple(Halfspace(cs, 1.0, label) for cs, label in zip(coeffs, labels))
         assert InequalitySystem(variables, rows).rows == rows, description
 
 
@@ -579,6 +580,40 @@ def test_compiled_rows_match_make_row():
                     _rows_key(by_make_row(c, R._RATE_PAIR, R._ROWS37))
 
 
+def _assert_made_on_first_read(lazy, eager):
+    """lazy, a system made without rows, makes the rows of eager, an
+    ``InequalitySystem`` built from ``make_row`` rows, and agrees with it
+    under ==, hash, repr and a pickle round trip (taken before its rows are
+    made)."""
+    from conftest import fields
+    assert "rows" not in vars(lazy)
+    copy = pickle.loads(pickle.dumps(lazy))
+    assert "rows" not in vars(copy)
+    for s in (copy, lazy):
+        assert s.variables == eager.variables
+        assert [fields(r) for r in s.rows] == [fields(r) for r in eager.rows]
+        assert s == eager and hash(s) == hash(eager) and repr(s) == repr(eager)
+
+
+def test_rows_made_on_first_read_are_the_eagerly_built_rows():
+    from rrkit.polytope import _left_sum, _raised, make_row, nonnegativity_rows
+    for description, (family, variables, rows) in R._SYSTEMS.items():
+        for c in _drawn_constants(family, [1001], 3) + _tie_constants(family):
+            eager = InequalitySystem(variables, tuple(
+                [make_row([rates.get(v, 0) for v in variables],
+                          _left_sum(c[k] for k in combo), label) for label, rates, combo in rows]
+                + nonnegativity_rows(variables)))
+            plane = R.build_system(c, description)
+            _assert_made_on_first_read(plane, eager)
+            if len(variables) > 2:
+                plane = R.project_to_ratepair(R.build_system(c, description))
+                eager = plane.with_rows(map(make_row, plane._coeffs, plane._bounds, plane._labels))
+                _assert_made_on_first_read(plane, eager)
+            for tol in (1e-9, 0.5):
+                _assert_made_on_first_read(_raised(plane, tol), eager.with_rows(
+                    make_row(r.coeffs, r.bound + tol, r.label) for r in eager.rows))
+
+
 def test_plan_cache_stops_growing():
     from rrkit.polytope import _fm_plan, _substitution_plan
     caches = (_fm_plan, _substitution_plan)
@@ -600,9 +635,9 @@ def _symbolic_projection(description: str):
     row's scaling undone so its coefficients read as the catalogue writes
     them (2R1 + 2R2, not R1 + R2)."""
     from rrkit.polytope import _fm_plan, _substitution_plan
-    variables, plan, nonnegative, _ = R._row_plan(description)
-    rows = [(coeffs, Counter(combo)) for _, coeffs, _, combo in plan]
-    rows += [(r.coeffs, Counter()) for r in nonnegative]
+    variables, coeffs, _, sums, _ = R._row_plan(description)
+    combos = [combo for _, combo in sums]
+    rows = [(cs, Counter(combo)) for cs, combo in zip(coeffs, combos + [()] * len(coeffs))]
     substitutions, eliminations = R._TO_RATEPAIR[variables]
     for var, expr in substitutions:
         variables, coeffs, _ = _substitution_plan(variables, tuple(c for c, _ in rows), var,

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -296,6 +297,54 @@ def test_reports_deterministic():
     ja = json.dumps(a.to_json_dict(), sort_keys=True)
     jb = json.dumps(b.to_json_dict(), sort_keys=True)
     assert ja == jb
+
+
+def test_thm4_makes_rows_only_where_they_are_read(monkeypatch):
+    # a passing sample asks every question of a system's columns: the rows of
+    # a system built from them are made only in a sample whose witness walk
+    # (a failed containment), _witness_deviation or remove_redundant (and the
+    # labels its tally reads) reads them
+    from rrkit import polytope
+    built, samples, reads = [], [], []
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+    real = polytope._built
+    monkeypatch.setattr(polytope, "_built", recording)
+    monkeypatch.setattr(R, "_built", recording)
+
+    def reading(ask, read=lambda answer: True):
+        def wrapper(*args, **kwargs):
+            answer = ask(*args, **kwargs)
+            reads.append(read(answer))
+            return answer
+        return wrapper
+    monkeypatch.setattr(V, "contains", reading(V.contains, lambda answer: not answer[0]))
+    for name in ("remove_redundant", "_witness_deviation"):
+        monkeypatch.setattr(V, name, reading(getattr(V, name)))
+
+    def mapper(one, indices):
+        for i in indices:
+            built.clear()
+            reads.clear()
+            yield one(i)
+            samples.append((sum(len(vars(s).get("rows", ())) for s in built), any(reads)))
+    V.run_check("thm4", 200, 1001, mapper=mapper)
+    assert len(samples) == 200
+    # the one projection reduced, and the one divergent sample's witness
+    assert [read for made, read in samples if made] == [True, True]
+    assert sum(read for _, read in samples) == 2
+
+
+def test_witness_deviation_folds_from_the_left():
+    # 1e16 + 1.0 rounds back to 1e16 from the left; a compensated sum (math.fsum,
+    # and the builtin sum from Python 3.12) keeps the 1.0
+    from rrkit.polytope import make_row, system
+    s = system(("a", "b", "c"), [make_row((1, 1, 1), -1.0, "sum")])
+    point = (1e16, 1.0, -1e16)
+    assert math.fsum(point) - -1.0 == 2.0
+    assert V._witness_deviation(s, point) == 1.0
 
 
 def test_run_check_unknown_name():
