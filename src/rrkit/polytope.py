@@ -20,7 +20,8 @@ coefficient vectors, so it is compiled once per pattern (``_plane_plan``, a
 bounded cache): the rows per normal, the lower-bound rows -x <= b and
 -y <= b, the constant rows, whether the system is monotone (normals >= 0 in
 both entries, or lower bounds; every catalogued rate-pair system) and the
-pairs of normals that bracket each normal.  A system's maker attaches it
+pairs of normals that bracket each normal; no question changes it.  A
+system's maker attaches it
 (``regions`` per description, ``_raised`` from its source); any other
 system looks it up once.  Every
 question reads the bounds one way (``InequalitySystem._read``): as the
@@ -31,12 +32,13 @@ and those bounds, with one path per question:
 - whether a monotone system's rows meet is read off its lowest corner
   (``InequalitySystem._meets``; at the origin, whether any bound tested
   there is below 0);
-- rows that meet keep a left side below a bound iff the tightest row with
-  its normal, or the tightest rows of a bracketing pair, do (2-D LP
-  duality, ``_kept``): ``implies`` asks it of its row, and containment
-  (``contains``) of each outer normal once, at outer's tightest bound for
-  it, walking outer's rows in order only to probe the first failing row
-  for its witness;
+- whether rows that meet reach a row's bound + tol is asked of that one
+  row (``_outside``): they do not where the tightest row with its normal,
+  or the tightest rows of a bracketing pair, keep its left side below it
+  (2-D LP duality, ``_kept``), else the half-plane intersection gives the
+  point (``_reach``).  ``implies`` is ``_meets`` and then ``_outside`` of
+  its row; containment (``contains``) is inner's ``_meets`` and then
+  ``_outside`` of each outer row in order, the first point its witness;
 - feasibility within tol has one reader (``_relaxed``): the rows, or, where
   they do not meet, their copy with every bound raised by tol;
 - redundancy removal (``_greedy_2d``) drops a row iff the rest of the rows
@@ -448,19 +450,16 @@ def lp_feasible(sys: InequalitySystem, point=None, tol: float = TOL) -> bool:
 
 
 def _raised(sys: InequalitySystem, tol: float) -> InequalitySystem:
-    """2-variable sys with every bound raised by tol (sys at tol 0), kept per tol."""
+    """2-variable sys with every bound raised by tol (sys at tol 0), with its plan."""
     if tol == 0:
         return sys
-    copies = sys.__dict__.setdefault("_raised", {})  # outside __eq__ and repr
-    if tol not in copies:
-        copies[tol] = _built(sys.variables, sys._coeffs, [b + tol for b in sys._bounds],
-                             sys._labels, _plan=sys._plan)
-    return copies[tol]
+    return _built(sys.variables, sys._coeffs, [b + tol for b in sys._bounds], sys._labels,
+                  _plan=sys._plan)
 
 
 def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
-    """The one reader of feasibility within tol: sys's kept ``_raised`` copy
-    if sys is empty but the copy's rows meet (round-off pushed a point or
+    """The one reader of feasibility within tol: sys's ``_raised`` copy if
+    sys is empty but the copy's rows meet (round-off pushed a point or
     segment just past empty), else sys (no copy for a constant row < -tol)."""
     if tol == 0 or sys._meets or any(sys._bounds[i] < -tol for i in sys._plan.constants):
         return sys
@@ -471,26 +470,27 @@ def _relaxed(sys: InequalitySystem, tol: float) -> InequalitySystem:
 def implies(sys: InequalitySystem, row: Halfspace, tol: float = TOL) -> bool:
     """Does every solution of sys satisfy the row (primitive, as in a system) within tol?
 
-    Decided as ``contains`` decides one outer row: rows that do not meet
-    imply every row; otherwise the duality certificate (``_kept``, off
-    sys's plan and tightest bounds) answers, and only a row it does not
-    certify is probed on the half-plane intersection (``_outside``)."""
+    Rows that do not meet imply every row; otherwise sys implies the row iff
+    no point of sys reaches its bound + tol (``_outside``), as ``contains``
+    decides each outer row."""
     _check_tol(tol)
     _check_primitive(row)
     _check_bound(row)
     _check_plane(sys, row.coeffs)
-    if not sys._meets:
-        return True
+    return not sys._meets or _outside(sys, row.coeffs, row.bound + tol) is None
+
+
+def _outside(sys: InequalitySystem, coeffs, t: float):
+    """A point [x, y] of 2-variable sys, whose rows meet, with
+    coeffs.(x, y) >= float t, or None.  None wherever the duality
+    certificate (``_kept``, off sys's plan and tightest bounds) keeps the
+    left side below t; only a row it does not certify is probed on the
+    half-plane intersection (``_reach``)."""
     plan, mins = sys._plan, sys._mins
-    k = plan.index.get(row.coeffs)
-    return (_kept(plan, mins, row.coeffs, row.bound + tol, None if k is None else mins[k])
-            or _outside(sys, row, tol) is None)
-
-
-def _outside(sys: InequalitySystem, row: Halfspace, tol: float):
-    """A point [x, y] of 2-variable sys whose left side of ``row`` reaches
-    ``row.bound + tol``, or None, read off the half-plane intersection."""
-    return _reach(sys._plane_region, row.coeffs, row.bound + tol)
+    k = plan.index.get(coeffs)
+    if _kept(plan, mins, coeffs, t, None if k is None else mins[k]):
+        return None
+    return _reach(sys._plane_region, coeffs, t)
 
 
 def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL):
@@ -499,12 +499,9 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
     On failure returns (False, witness): the inner vertex maximising the
     first outer row inner violates by at least tol (moved along a ray when
     inner is unbounded that way).  An empty inner is inside any outer.  For
-    an inner that meets, each outer normal is tested once, at outer's
-    tightest bound for it (``_kept`` off inner's plan and tightest bounds):
-    a row is kept below where its tightest one is.  Outer's rows are walked
-    in order only to test each row of a failing normal at its own bound and
-    probe the first that fails for the witness; all of them where some
-    outer bound + tol is not a finite float, so each raises at its own row.
+    an inner that meets, outer's rows are asked in order, each at its own
+    bound + tol (``_outside``), so a bound that is not finite raises at its
+    own row; the first row with a point of inner past it gives the witness.
     """
     if outer.variables != inner.variables:
         raise VariableMismatchError(
@@ -515,24 +512,9 @@ def contains(outer: InequalitySystem, inner: InequalitySystem, tol: float = TOL)
     _check_plane(inner, outer._coeffs[0])  # as the first probe would
     if not inner._meets:
         return True, None
-    plan, mins, b = inner._plan, inner._mins, outer._bounds
-
-    def kept(n, t) -> bool:
-        k = plan.index.get(n)
-        return _kept(plan, mins, n, t, None if k is None else mins[k])
-    total = sum(b)
-    if total - total == 0 and max(b) + tol < math.inf:  # every bound + tol is a finite float
-        normals, constants = outer._plan.normals, outer._plan.constants
-        failed = {n for n, top in zip(normals, outer._mins)  # float(top): the walk's row.bound
-                  if not kept(n, float(top) + tol)}
-        if constants and not kept((0, 0), min(map(b.__getitem__, constants)) + tol):
-            failed.add((0, 0))
-    else:
-        failed = set(outer._plan.rows)
-    for row in outer.rows if failed else ():
-        if row.coeffs in failed and not kept(row.coeffs, row.bound + tol):
-            if (witness := _outside(inner, row, tol)) is not None:
-                return False, witness
+    for n, b in zip(outer._coeffs, outer._bounds):
+        if (witness := _outside(inner, n, b + tol)) is not None:
+            return False, witness
     return True, None
 
 
@@ -694,7 +676,8 @@ _LOWER = ((-1, 0), (0, -1))  # the lower-bound normals: -x <= beta, -y <= beta
 
 class _PlanePlan(NamedTuple):
     """The integer half of every 2-variable question on rows with these
-    coefficient vectors; per system only the float bounds are read."""
+    coefficient vectors; per system only the float bounds are read.  Never
+    changed: a normal foreign to it has its pairs computed per question."""
 
     rows: tuple  # each row's normal
     normals: tuple  # the distinct nonzero normals, in the order rows first use them
@@ -706,7 +689,7 @@ class _PlanePlan(NamedTuple):
     checked: tuple  # the rows a monotone system's corner tests (``_corner_rows``)
     small: bool  # every entry below _SMALL, so _side decides float bounds exactly
     big: int  # the largest normal entry (1 without one), for _box_side
-    brackets: dict  # normal -> the pairs (k, l) bracketing it (``_brackets``)
+    brackets: tuple  # brackets[k]: the pairs bracketing normals[k] (``_pairs``)
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -721,16 +704,15 @@ def _plane_plan(rows: tuple) -> _PlanePlan:
                 groups.append([])
             groups[index[n]].append(i)
     lower = tuple(tuple(groups[index[n]]) if n in index else () for n in _LOWER)
-    plan = _PlanePlan(
-        rows, tuple(index), tuple(map(tuple, groups)), index,
+    normals = tuple(index)
+    return _PlanePlan(
+        rows, normals, tuple(map(tuple, groups)), index,
         tuple(i for i, n in enumerate(rows) if not any(n)), lower,
         all(n[0] >= 0 <= n[1] or n in _LOWER for n in index),
         tuple(_corner_rows(rows, range(len(rows)), *map(bool, lower))),
         all(abs(c) < _SMALL for n in index for c in n),
-        max((max(abs(p), abs(q)) for p, q in index), default=1), {})
-    for n in plan.normals:
-        _brackets(plan, n)
-    return plan
+        max((max(abs(p), abs(q)) for p, q in index), default=1),
+        tuple(_pairs(normals, n) for n in normals))
 
 
 def _roomy(plan: _PlanePlan, b) -> bool:
@@ -769,24 +751,15 @@ def _corner_fails(normals: tuple, b, rows, low_x, low_y) -> list:
             if (_side((p, q, b[i]), *corner) > 0 if p * lx or q * ly else not b[i] >= 0)]
 
 
-_BRACKETS = 64  # foreign normals whose brackets a plan keeps
-
-
-def _brackets(plan: _PlanePlan, n) -> list:
-    """The pairs (k, l) of the plan's normals that bracket the nonzero normal
-    n within a turn of less than pi: normals[k] clockwise of n, normals[l]
+def _pairs(normals: tuple, n) -> list:
+    """The pairs (k, l) of ``normals`` that bracket the nonzero normal n
+    within a turn of less than pi: normals[k] clockwise of n, normals[l]
     counterclockwise.  By 2-D LP duality rows that meet keep n.(x, y) below
     a bound iff their tightest row with normal n does, or the tightest rows
     of such a pair meet below it (``_kept``)."""
-    pairs = plan.brackets.get(n)
-    if pairs is None:
-        normals = plan.normals
-        cw = [k for k, u in enumerate(normals) if _cross(u, n) > 0]
-        ccw = [l for l, v in enumerate(normals) if _cross(n, v) > 0]
-        pairs = [(k, l) for k in cw for l in ccw if _cross(normals[k], normals[l]) > 0]
-        if len(plan.brackets) < _BRACKETS + len(normals):
-            plan.brackets[n] = pairs
-    return pairs
+    cw = [k for k, u in enumerate(normals) if _cross(u, n) > 0]
+    ccw = [l for l, v in enumerate(normals) if _cross(n, v) > 0]
+    return [(k, l) for k in cw for l in ccw if _cross(normals[k], normals[l]) > 0]
 
 
 def _kept(plan: _PlanePlan, mins, n, t, same) -> bool:
@@ -794,22 +767,23 @@ def _kept(plan: _PlanePlan, mins, n, t, same) -> bool:
     ``plan.normals[k]`` (None: no row, else as ``InequalitySystem._read``
     reads it), keep n.(x, y) below float t?  ``same`` is their tightest
     bound with normal n (None: none).  Decided exactly, without an
-    intersection.
+    intersection, and without changing the plan.
 
-    By 2-D LP duality an optimum needs at most two active rows, so the rows
-    keep the left side below t iff their tightest row with normal n does, or
-    the tightest rows of a pair bracketing n (``_brackets``) meet where it
-    is below t.  A constant left side is 0 everywhere.  t is read as
-    ``_canon`` reads it: exact past ``_SMALL``, and UnboundedRegionError
-    where it is not finite."""
+    By 2-D LP duality (Boyd and Vandenberghe 2004, section 5) an optimum
+    needs at most two active rows, so the rows keep the left side below t
+    iff their tightest row with normal n does, or the tightest rows of a
+    pair bracketing n meet where it is below t: the plan's pairs for one of
+    its normals, else ``_pairs`` computed for n.  A constant left side is 0
+    everywhere.  t is read as ``_canon`` reads it: exact past ``_SMALL``,
+    and UnboundedRegionError where it is not finite."""
     if not any(n):
         return t > 0
     if not (abs(n[0]) < _SMALL > abs(n[1]) and t - t == 0):
         t = _canon(n, t)[2]
     if same is not None and same < t:
         return True
-    normals, line = plan.normals, (*n, t)
-    for k, l in _brackets(plan, n):
+    normals, line, at = plan.normals, (*n, t), plan.index.get(n)
+    for k, l in _pairs(normals, n) if at is None else plan.brackets[at]:
         u, v = mins[k], mins[l]
         if u is not None is not v and _side(line, (*normals[k], u), (*normals[l], v)) < 0:
             return True
@@ -896,7 +870,7 @@ def _greedy_2d(sys: InequalitySystem, tol: float) -> list[int]:
 
     While the alive rows meet, every rest of them meets too, and a row is
     kept below by the rest iff by the tightest other row of its normal or a
-    bracketing pair (``_brackets``): the tightest bounds change only where a
+    bracketing pair (``_kept``): the tightest bounds change only where a
     row goes."""
     plan, b, bounds = sys._plan, sys._read, sys._bounds
     normals, groups, index = plan.rows, plan.groups, plan.index

@@ -352,11 +352,9 @@ def _contract(grown: tuple[str, ...], f: Factor, drop: set[str], sizes: dict[str
 
 
 class _Plan(NamedTuple):
-    """compose's compiled work for one chain, alphabet sizes and kept set."""
+    """compose's compiled work for one chain, alphabet sizes and kept set:
+    what ``_product`` reads (the table checks read ``_layout``)."""
 
-    shapes: tuple[tuple[int, ...], ...]  # each factor table's shape (``_layout``)
-    gather: np.ndarray
-    blocks: tuple
     steps: tuple  # one ``(table, factor table) -> table`` per factor; () with an index
     finish: object  # ``table -> C-ordered table`` in the kept order, or None if grown so
     variables: tuple[Variable, ...]  # the kept variables, in chain order
@@ -378,7 +376,7 @@ def _elimination(spec: FactorizationSpec, keep: frozenset, *shape: int) -> _Plan
     every other step is ``_grow``.  Each step returns the C-ordered table over
     the variables grown so far, transposed at the end only if their order is
     not the kept order; with nothing to drop every step grows, in chain order."""
-    variables, shapes, slices, gather, blocks = _layout(spec, *shape)  # checks the sizes first
+    variables, shapes, slices, _, _ = _layout(spec, *shape)  # checks the sizes first
     kept = tuple(n for n in spec.variables if n in keep)
     if kept == spec.variables and math.prod(shape) <= GATHER_CELLS:
         cell = np.indices(shape).reshape(len(shape), -1)  # each cell's coordinates, in C order
@@ -386,7 +384,7 @@ def _elimination(spec: FactorizationSpec, keep: frozenset, *shape: int) -> _Plan
                               cell[[spec.variables.index(n) for n in f.given + f.targets]], s)
                           for f, s, sl in zip(spec.factors, shapes, slices)])
         index.flags.writeable = False
-        return _Plan(shapes, gather, blocks, (), None, variables, index)
+        return _Plan((), None, variables, index)
     sizes = dict(zip(spec.variables, shape))
     last = {n: i for i, f in enumerate(spec.factors) for n in f.given + f.targets}
     grown, steps = (), []
@@ -400,8 +398,7 @@ def _elimination(spec: FactorizationSpec, keep: frozenset, *shape: int) -> _Plan
     order = tuple(grown.index(n) for n in kept)
     finish = None if grown == kept else (
         lambda joint: np.ascontiguousarray(joint.transpose(order)))
-    return _Plan(shapes, gather, blocks, tuple(steps), finish,
-                 tuple(v for v in variables if v.name in keep), None)
+    return _Plan(tuple(steps), finish, tuple(v for v in variables if v.name in keep), None)
 
 
 def _grouped_ok(tables, shapes, gather, blocks) -> np.ndarray | None:
@@ -468,10 +465,11 @@ def compose(factors: list[np.ndarray], spec: FactorizationSpec,
     if len(factors) != len(spec.factors):
         raise ModelError(f"{spec.form} needs {len(spec.factors)} factor tables, got {len(factors)}")
     shape, plan = _plan(spec, sizes, keep)
-    tables, chain = factors, _grouped_ok(factors, plan.shapes, plan.gather, plan.blocks)
+    _, shapes, _, gather, blocks = _layout(spec, *shape)
+    tables, chain = factors, _grouped_ok(factors, shapes, gather, blocks)
     if chain is None:
         tables = []  # converted and checked one by one: the first fault in chain order
-        for raw, f, expect in zip(factors, spec.factors, plan.shapes):
+        for raw, f, expect in zip(factors, spec.factors, shapes):
             tables.append(t := _float_table(raw, f))
             if t.min(initial=0.0) < -SUM_TOL:
                 raise ModelError(f"negative entry {t.min()} in conditional table")

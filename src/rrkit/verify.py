@@ -143,7 +143,7 @@ def _merge(check: str, samples: int, seed: int, tolerances: dict, results) -> Re
 # --- thm4 / thm6: quadruple -> rate-pair equivalence -------------------------
 
 def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: float,
-                     family: str, ratepair: str, with_37: bool) -> dict:
+                     ratepair: str, with_37: bool) -> dict:
     """thm4 / thm6: the projected quadruple region equals the closed-form
     20-row / 11-row rate-pair description (thm4 also checks the two-way
     implication with the 37-row intermediate list).
@@ -157,7 +157,9 @@ def _equivalence_one(index: int, seed: int, tol_polytope: float, tol_identity: f
     projection is feasible within tol is reduced: details.dropped_projection_rows
     counts how often each projection row was redundant there, and
     details.reduced_row_count.max is the most rows one kept.  An empty
-    projection adds nothing to the union over inputs, so it is not reduced."""
+    projection adds nothing to the union over inputs, so it is not reduced.
+    The family is the rate-pair description's (``regions._SYSTEMS``)."""
+    family = regions._SYSTEMS[ratepair][0]
     fam = regions._FAMILIES[family]
     d, draw = _draw(fam.form, seed, index)
     consts = regions.constants_for(d, family)
@@ -443,10 +445,8 @@ def _binning_one(index: int, seed: int, tol_polytope: float, tol_identity: float
 
 # name -> (per-sample function, fixed arguments, tolerances recorded in the report)
 CHECKS = {
-    "thm4": (_equivalence_one, dict(family="hod", ratepair="thm4-ratepair", with_37=True),
-             ("polytope",)),
-    "thm6": (_equivalence_one, dict(family="hod1", ratepair="thm6-ratepair", with_37=False),
-             ("polytope",)),
+    "thm4": (_equivalence_one, dict(ratepair="thm4-ratepair", with_37=True), ("polytope",)),
+    "thm6": (_equivalence_one, dict(ratepair="thm6-ratepair", with_37=False), ("polytope",)),
     "corollary1": (_collapse_one, dict(form="hk3", family="hod"), ("addon", "collapse")),
     "corollary2-4": (_cor24_one, {}, ("polytope", "identity")),
     "corollary3": (_collapse_one, dict(form="cmg4", family="hod1"), ("addon", "collapse")),

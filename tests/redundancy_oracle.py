@@ -2,11 +2,12 @@
 their coefficient-pattern plans: every answer from the rows' canonical lines
 (``polytope._canon``) and their tightest-bound tables (``_tight_lines``).
 The reference for the plan path's corner, the corner of each rest in
-redundancy removal, and the per-normal containment test.  It holds its own
-corner and duality primitives, the engine's line tier before plans
-(``_lowest_corner``, ``_kept_below``), and takes only the exact primitives
-they share from ``polytope``: the canonical line, the exact side test, the
-box and the half-plane intersection.
+redundancy removal, and the per-row question ``implies`` and ``contains``
+share (``polytope._outside``).  It holds its own corner and duality
+primitives, the engine's line tier before plans (``_lowest_corner``,
+``_kept_below``), and takes only the exact primitives they share from
+``polytope``: the canonical line, the exact side test, the box and the
+half-plane intersection.
 
 - ``meets``: the lowest corner of the tightest lines (``_lowest_corner``),
   and the half-plane intersection where that gives None.

@@ -9,11 +9,11 @@ and -z <= 0, which the library refuses to ask.
 
 The engine answers every 2-variable system on one path, off its plan and
 its bounds (the corner, each rest's own corner in redundancy removal, the
-per-normal containment test; normals of 2**20 or more read exactly).  It is
-checked, answer for answer and error for error, against the line oracle
-(``redundancy_oracle``), which holds the line tier the engine no longer
-has: the same questions answered from canonical lines and tightest-bound
-tables.
+per-row question of implies and contains; normals of 2**20 or more read
+exactly).  It is checked, answer for answer and error for error, against
+the line oracle (``redundancy_oracle``), which holds the line tier the
+engine no longer has: the same questions answered from canonical lines and
+tightest-bound tables.
 
 A small exact oracle (rational arithmetic over the float bounds, brute-force
 vertices) measures how close each decision is to its threshold.  Draws with
@@ -514,13 +514,39 @@ WILD_ROWS = st.tuples(st.sampled_from(WILD_NORMALS), st.sampled_from(WILD_BOUNDS
        st.lists(WILD_ROWS, max_size=3),
        st.sampled_from(TOLS + (0.5, 1.7e308)))
 def test_implies_gives_the_intersection_answer(s, other, wild, tol):
-    """implies decides a row as contains decides one outer row: the answer,
-    or the error, is the one read off the system's intersection, for rows
-    whose bounds are 1e308 or not finite too (a constant row's among them)."""
+    """implies decides a row as contains decides one outer row (one
+    question per row, ``_outside``): the answer, or the error, is contains'
+    on the outer system of that row alone and the one read off the
+    system's intersection, for rows whose bounds are 1e308 or not finite
+    too (a constant row's among them)."""
     asked = [make_row(n, bound, "wild") for n, bound in wild]
     for row in [*other.rows, *asked, *(Halfspace((0, 0), bound, "c") for bound in WILD_BOUNDS)]:
-        assert _outcome(lambda: implies(s, row, tol)) == \
-            _outcome(lambda: _intersected_contains(system(VARS, [row]), s, tol)[0])
+        expected = _outcome(lambda: _intersected_contains(system(VARS, [row]), s, tol)[0])
+        assert _outcome(lambda: implies(s, row, tol)) == expected
+        assert _outcome(lambda: contains(system(VARS, [row]), s, tol)[0]) == expected
+
+
+FOREIGN_NORMALS = [(3, -7), (-5, 2), (7, 7), (1 << 20, 1), (0, 0)]
+
+
+@SETTINGS
+@given(systems(), systems(max_rows=4))
+def test_no_question_changes_a_cached_plan(s, other):
+    """A plan is shared by every system with its pattern: asking about
+    normals foreign to it (in ``contains``, ``implies`` and
+    ``remove_redundant``) leaves it as ``_plane_plan`` builds it."""
+    foreign = [make_row(n, 1.0, "f") for n in FOREIGN_NORMALS]
+    outer = system(VARS, [*other.rows, *foreign])
+    for tol in TOLS:
+        _outcome(lambda: contains(outer, s, tol))
+        _outcome(lambda: contains(s, outer, tol))
+        for row in outer.rows:
+            _outcome(lambda: implies(s, row, tol))
+        _outcome(lambda: remove_redundant(s, tol))
+        _outcome(lambda: remove_redundant(outer, tol))
+    for t in (s, outer):
+        assert polytope._plane_plan(t._coeffs).brackets == \
+            polytope._plane_plan.__wrapped__(t._coeffs).brackets
 
 
 def test_the_lowest_corner_reads_unreadable_bounds_as_the_intersection_does():
@@ -650,8 +676,8 @@ def test_the_deletion_filter_keeps_the_oracle_rows(s, tol):
 @SETTINGS
 @given(plan_systems(monotone_only=True), plan_systems(), st.sampled_from(PLAN_TOLS))
 def test_contains_by_normal_gives_the_per_row_verdict_and_witness(inner, outer, tol):
-    """Each outer normal tested once at outer's tightest bound gives the
-    verdict, the witness and the error of testing every outer row in order."""
+    """contains, one question per outer row, gives the verdict, the witness
+    and the error of the oracle's test of every outer row in order."""
     for a, b in ((inner, outer), (outer, inner)):
         expected = _outcome(lambda: oracle.contains(a, b, tol))
         for make in (_carrying, _rebuilt):

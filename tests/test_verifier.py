@@ -210,7 +210,7 @@ def test_thm4_infeasible_source_is_classified_not_failed():
     # infeasible, the projection empty, and the closed-form lists keep a
     # sliver, which must be witnessed as a divergence rather than a failure
     res = V._equivalence_one(138, seed=1001, tol_polytope=1e-9, tol_identity=1e-12,
-                             family="hod", ratepair="thm4-ratepair", with_37=True)
+                             ratepair="thm4-ratepair", with_37=True)
     assert res["ok"]
     assert res.get("divergence") is not None
     assert "infeasible" in res["divergence"]["why"]
